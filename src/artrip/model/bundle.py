@@ -5,13 +5,14 @@ A bundle is a directory of three files:
   manifest.json  config, vocabulary (original POI ids plus a sha256),
                  the parameter block table and the mechanism switches,
                  serialized with sorted keys and compact separators
-  params.bin     all parameter blocks, little-endian float64, written
-                 in declaration order
+  params.bin     the flat parameter vector, little-endian float64, with
+                 its blocks in declaration order
   guidance.bin   (k+1) x m_max little-endian float64: the k guidance
                  rows followed by the per-position confidence row
 
 Loading reverses saving exactly, so save -> load -> save reproduces
-identical bytes.
+identical bytes.  A block table that disagrees with the config is
+rejected at load time.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import asdict, dataclass
+from itertools import zip_longest
 from pathlib import Path
 
 import numpy as np
@@ -37,6 +39,13 @@ class Bundle:
     confidence: ConfidenceVector
     mechanisms: dict[str, bool]
     manifest: dict
+
+
+def _block_table(params: ModelParams) -> list[dict]:
+    return [
+        {"name": name, "shape": list(shape), "offset": offset, "size": size}
+        for name, offset, size, shape in params.layout
+    ]
 
 
 def vocab_sha256(vocab_ids: list[int]) -> str:
@@ -60,13 +69,6 @@ def save_bundle(
         raise ValueError("params and guidance disagree on m_max")
     path = Path(path)
     path.mkdir(parents=True, exist_ok=True)
-    table = []
-    offset = 0
-    for name, block in params.blocks.items():
-        table.append(
-            {"name": name, "shape": list(block.shape), "offset": offset, "size": int(block.size)}
-        )
-        offset += int(block.size)
     manifest = {
         "format": BUNDLE_FORMAT,
         "config": asdict(params.config),
@@ -74,14 +76,13 @@ def save_bundle(
         "m_max": params.m_max,
         "vocab_ids": [int(v) for v in vocab_ids],
         "vocab_sha256": vocab_sha256(vocab_ids),
-        "blocks": table,
+        "blocks": _block_table(params),
         "mechanisms": {key: bool(mechanisms[key]) for key in MECHANISM_KEYS},
         "guidance_totals": [int(t) for t in pm.poi_totals],
     }
     text = json.dumps(manifest, sort_keys=True, separators=(",", ":")) + "\n"
     (path / "manifest.json").write_text(text, encoding="ascii")
-    payload = b"".join(block.astype("<f8").tobytes(order="C") for block in params.blocks.values())
-    (path / "params.bin").write_bytes(payload)
+    (path / "params.bin").write_bytes(params.flat.astype("<f8", copy=False).tobytes())
     guidance = np.vstack([pm.values, confidence.values[None, :]])
     (path / "guidance.bin").write_bytes(guidance.astype("<f8").tobytes(order="C"))
 
@@ -95,19 +96,17 @@ def load_bundle(path) -> Bundle:
     config = ModelConfig(**manifest["config"])
     k = manifest["k"]
     m_max = manifest["m_max"]
+    params = ModelParams(config=config, k=k, m_max=m_max)
+    expected = _block_table(params)
+    table = manifest.get("blocks")
+    if table != expected:
+        pairs = zip_longest(table if isinstance(table, list) else [], expected)
+        i, (found, want) = next((i, pair) for i, pair in enumerate(pairs) if pair[0] != pair[1])
+        raise ValueError(f"manifest.json: block table entry {i} is {found}, expected {want}")
     raw = np.frombuffer((path / "params.bin").read_bytes(), dtype="<f8")
-    blocks: dict[str, np.ndarray] = {}
-    expected = 0
-    for entry in manifest["blocks"]:
-        size = entry["size"]
-        chunk = raw[entry["offset"] : entry["offset"] + size]
-        if chunk.size != size:
-            raise ValueError(f"params.bin truncated at block {entry['name']!r}")
-        blocks[entry["name"]] = chunk.reshape(entry["shape"]).astype(np.float64)
-        expected += size
-    if raw.size != expected:
+    if raw.size != params.flat.size:
         raise ValueError("params.bin size does not match the manifest block table")
-    params = ModelParams(config=config, k=k, m_max=m_max, blocks=blocks)
+    params.flat[:] = raw
     grid = np.frombuffer((path / "guidance.bin").read_bytes(), dtype="<f8")
     if grid.size != (k + 1) * m_max:
         raise ValueError("guidance.bin size does not match k and m_max")

@@ -18,7 +18,7 @@ import numpy as np
 from artrip.data import Trajectory
 from artrip.guidance import GuidanceMatrix
 from artrip.model.params import ModelParams
-from artrip.model.train import _trajectory_loss_grads
+from artrip.model.train import loss_and_grads
 
 FD_STEP = 1e-4
 REL_FLOOR = 1e-3
@@ -48,33 +48,26 @@ def grad_check(
     constant before the comparison; the resulting report must come back
     failed for the check to count as trustworthy.
     """
-    _, analytic = _trajectory_loss_grads(traj, params, pm, alpha)
+    _, analytic = loss_and_grads(traj, params, pm, alpha)
     if corrupt_block is not None:
-        if corrupt_block not in analytic:
+        if corrupt_block not in params.blocks:
             raise KeyError(f"unknown block {corrupt_block!r}")
-        analytic[corrupt_block] = analytic[corrupt_block] + 0.5
-    per_block: dict[str, float] = {}
-    worst_block = ""
-    max_rel = 0.0
-    for name, block in params.blocks.items():
-        flat = block.ravel()
-        ana = analytic[name].ravel()
-        block_max = 0.0
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + step
-            up, _ = _trajectory_loss_grads(traj, params, pm, alpha)
-            flat[i] = orig - step
-            down, _ = _trajectory_loss_grads(traj, params, pm, alpha)
-            flat[i] = orig
-            numeric = (up - down) / (2.0 * step)
-            rel = abs(ana[i] - numeric) / max(abs(ana[i]), abs(numeric), REL_FLOOR)
-            if rel > block_max:
-                block_max = rel
-        per_block[name] = block_max
-        if block_max >= max_rel:
-            max_rel = block_max
-            worst_block = name
+        params.views(analytic)[corrupt_block] += 0.5
+    flat = params.flat
+    rel = np.zeros(flat.size)
+    for i in range(flat.size):
+        orig = flat[i]
+        flat[i] = orig + step
+        up, _ = loss_and_grads(traj, params, pm, alpha)
+        flat[i] = orig - step
+        down, _ = loss_and_grads(traj, params, pm, alpha)
+        flat[i] = orig
+        numeric = (up - down) / (2.0 * step)
+        rel[i] = abs(analytic[i] - numeric) / max(abs(analytic[i]), abs(numeric), REL_FLOOR)
+    per_block = {name: float(block.max()) for name, block in params.views(rel).items()}
+    # ties go to the later block
+    worst_block = max(reversed(per_block), key=per_block.__getitem__)
+    max_rel = per_block[worst_block]
     return GradCheckReport(
         tol=tol,
         max_rel_error=max_rel,

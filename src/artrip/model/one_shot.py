@@ -16,7 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from artrip.data import Query, hour_bucket
-from artrip.model.params import ModelParams, zero_like_blocks
+from artrip.model.params import ModelParams
 
 LN_EPS = 1e-5
 
@@ -67,8 +67,9 @@ def build_input(query: Query, params: ModelParams):
     """Embed a query into the (n, d) slot matrix.
 
     Returns the matrix plus the bookkeeping needed to scatter gradients
-    back into the embedding tables.  Positions past the trained horizon
-    reuse the last position row.
+    back into the embedding tables: the position row of every slot, and
+    the slots that carry an endpoint with their POI and hour rows.
+    Positions past the trained horizon reuse the last position row.
     """
     blocks = params.blocks
     n = query.n
@@ -76,21 +77,14 @@ def build_input(query: Query, params: ModelParams):
     x = np.zeros((n, d), dtype=np.float64)
     pos_idx = np.minimum(np.arange(n), params.m_max - 1)
     x += blocks["position_embeddings"][pos_idx]
-    sources: list[list[tuple[str, int]]] = []
-    for i in range(n):
-        if i == 0:
-            slot = [("poi_embeddings", query.p_s), ("time_embeddings", hour_bucket(query.t_s))]
-        elif i == n - 1:
-            slot = [("poi_embeddings", query.p_e), ("time_embeddings", hour_bucket(query.t_e))]
-        else:
-            slot = [("mask_embedding", -1)]
-        for table, idx in slot:
-            if table == "mask_embedding":
-                x[i] += blocks[table]
-            else:
-                x[i] += blocks[table][idx]
-        sources.append(slot)
-    return x, pos_idx, sources
+    slots = [0, n - 1][: min(n, 2)]
+    pois = [query.p_s, query.p_e][: len(slots)]
+    hours = [hour_bucket(query.t_s), hour_bucket(query.t_e)][: len(slots)]
+    for slot, poi, hour in zip(slots, pois, hours):
+        x[slot] += blocks["poi_embeddings"][poi]
+        x[slot] += blocks["time_embeddings"][hour]
+    x[1 : n - 1] += blocks["mask_embedding"]
+    return x, pos_idx, (slots, pois, hours)
 
 
 def _attention_forward(a: np.ndarray, blocks, prefix: str, num_heads: int):
@@ -141,8 +135,8 @@ def forward_with_cache(query: Query, params: ModelParams):
     """Run the encoder and keep every intermediate needed for backward."""
     blocks = params.blocks
     config = params.config
-    x, pos_idx, sources = build_input(query, params)
-    cache: dict = {"pos_idx": pos_idx, "sources": sources, "layers": []}
+    x, pos_idx, ends = build_input(query, params)
+    cache: dict = {"pos_idx": pos_idx, "ends": ends, "layers": []}
     for layer in range(config.num_layers):
         prefix = f"layer{layer}."
         a_in, ln1_cache = _layer_norm(x, blocks[prefix + "ln1_gamma"], blocks[prefix + "ln1_beta"])
@@ -179,10 +173,13 @@ def forward_one_shot(query: Query, params: ModelParams) -> np.ndarray:
     return logits
 
 
-def backward(params: ModelParams, cache: dict, dlogits: np.ndarray) -> dict[str, np.ndarray]:
-    """Backpropagate a loss gradient on the logits into every block."""
+def backward(params: ModelParams, cache: dict, dlogits: np.ndarray) -> np.ndarray:
+    """Backpropagate a loss gradient on the logits into a gradient vector.
+
+    The returned vector is laid out like `params.flat`.
+    """
     blocks = params.blocks
-    grads = zero_like_blocks(params)
+    grad, grads = params.zero_grads()
     grads["head"] += cache["z"].T @ dlogits
     dz = dlogits @ blocks["head"].T
     dx, dgamma, dbeta = _layer_norm_backward(dz, cache["final_ln"])
@@ -209,11 +206,9 @@ def backward(params: ModelParams, cache: dict, dlogits: np.ndarray) -> dict[str,
         grads[prefix + "ln1_gamma"] += dgamma
         grads[prefix + "ln1_beta"] += dbeta
         dx = dx1 + dx0_from_attn
-    for i in range(dx.shape[0]):
-        grads["position_embeddings"][cache["pos_idx"][i]] += dx[i]
-        for table, idx in cache["sources"][i]:
-            if table == "mask_embedding":
-                grads[table] += dx[i]
-            else:
-                grads[table][idx] += dx[i]
-    return grads
+    slots, pois, hours = cache["ends"]
+    np.add.at(grads["position_embeddings"], cache["pos_idx"], dx)
+    np.add.at(grads["poi_embeddings"], pois, dx[slots])
+    np.add.at(grads["time_embeddings"], hours, dx[slots])
+    grads["mask_embedding"] += dx[1:-1].sum(axis=0)
+    return grad

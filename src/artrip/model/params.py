@@ -1,14 +1,15 @@
 """Model hyperparameters and the flat parameter store.
 
-Parameters live in an ordered dict of named float64 blocks.  The
-declaration order defined here is a contract: serialization, the Adam
-state and the gradient checker all walk blocks in this order, so two
+Parameters live in one float64 vector whose named blocks are views laid
+out in the declaration order defined here.  That order is a contract:
+initialization, gradients and serialization all follow it, so two
 models built from the same config and seed are bit-identical.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -53,27 +54,6 @@ class ModelConfig:
             raise ValueError("epochs must be non-negative")
 
 
-@dataclass
-class ModelParams:
-    """All trainable blocks for one model instance.
-
-    `blocks` is insertion-ordered and must stay in declaration order;
-    `k` is the POI vocabulary size and `m_max` the longest trip length
-    the position table covers.
-    """
-
-    config: ModelConfig
-    k: int
-    m_max: int
-    blocks: dict[str, np.ndarray] = field(default_factory=dict)
-
-    def block_names(self) -> list[str]:
-        return list(self.blocks.keys())
-
-    def num_parameters(self) -> int:
-        return int(sum(b.size for b in self.blocks.values()))
-
-
 def block_shapes(config: ModelConfig, k: int, m_max: int) -> dict[str, tuple[int, ...]]:
     """Declaration-ordered mapping of block name to shape for one arch."""
     d = config.embed_dim
@@ -112,6 +92,39 @@ def block_shapes(config: ModelConfig, k: int, m_max: int) -> dict[str, tuple[int
     return shapes
 
 
+@dataclass
+class ModelParams:
+    """All trainable parameters of one model instance, initially zero.
+
+    `blocks` maps each name to a view of the contiguous vector `flat`, at
+    the (name, offset, size, shape) entry of `layout`, computed once here.
+    `k` is the POI vocabulary size and `m_max` the longest trip length
+    the position table covers.
+    """
+
+    config: ModelConfig
+    k: int
+    m_max: int
+
+    def __post_init__(self):
+        layout, offset = [], 0
+        for name, shape in block_shapes(self.config, self.k, self.m_max).items():
+            layout.append((name, offset, math.prod(shape), shape))
+            offset += layout[-1][2]
+        self.layout = tuple(layout)
+        self.flat = np.zeros(offset, dtype=np.float64)
+        self.blocks = self.views(self.flat)
+
+    def views(self, vec: np.ndarray) -> dict[str, np.ndarray]:
+        """Named block views into any vector laid out like `flat`."""
+        return {name: vec[at : at + size].reshape(shape) for name, at, size, shape in self.layout}
+
+    def zero_grads(self) -> tuple[np.ndarray, dict[str, np.ndarray]]:
+        """A zeroed gradient vector and its named block views."""
+        grad = np.zeros_like(self.flat)
+        return grad, self.views(grad)
+
+
 def init_params(config: ModelConfig, k: int, m_max: int) -> ModelParams:
     """Seeded initialization, deterministic for a fixed config.
 
@@ -123,20 +136,13 @@ def init_params(config: ModelConfig, k: int, m_max: int) -> ModelParams:
         raise ValueError("vocabulary size k must be positive")
     if m_max <= 0:
         raise ValueError("m_max must be positive")
+    params = ModelParams(config=config, k=k, m_max=m_max)
     rng = np.random.default_rng(config.seed)
     scale = 1.0 / np.sqrt(config.embed_dim)
-    blocks: dict[str, np.ndarray] = {}
-    for name, shape in block_shapes(config, k, m_max).items():
+    for name, block in params.blocks.items():
         base = name.split(".")[-1]
         if base.endswith("_gamma"):
-            blocks[name] = np.ones(shape, dtype=np.float64)
-        elif base.endswith("_beta") or base.endswith("_b") or base.startswith("ffn_b"):
-            blocks[name] = np.zeros(shape, dtype=np.float64)
-        else:
-            blocks[name] = rng.standard_normal(shape) * scale
-    return ModelParams(config=config, k=k, m_max=m_max, blocks=blocks)
-
-
-def zero_like_blocks(params: ModelParams) -> dict[str, np.ndarray]:
-    """Zero gradient accumulators matching a parameter store."""
-    return {name: np.zeros_like(block) for name, block in params.blocks.items()}
+            block[...] = 1.0
+        elif not (base.endswith("_beta") or base.endswith("_b") or base.startswith("ffn_b")):
+            block[...] = rng.standard_normal(block.shape) * scale
+    return params

@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from artrip.data import Query, hour_bucket
-from artrip.model.params import ModelParams, zero_like_blocks
+from artrip.model.params import ModelParams
 
 
 def _query_vector(query: Query, params: ModelParams):
@@ -63,10 +63,10 @@ def forward_teacher(query: Query, pois, params: ModelParams):
     return rows, cache
 
 
-def backward(params: ModelParams, cache: dict, drows: np.ndarray) -> dict[str, np.ndarray]:
-    """Backpropagate through time from per-row score gradients."""
+def backward(params: ModelParams, cache: dict, drows: np.ndarray) -> np.ndarray:
+    """Backpropagate through time into a vector laid out like `params.flat`."""
     blocks = params.blocks
-    grads = zero_like_blocks(params)
+    grad, grads = params.zero_grads()
     states = cache["states"]
     inputs = cache["inputs"]
     steps = len(inputs)
@@ -94,4 +94,4 @@ def backward(params: ModelParams, cache: dict, drows: np.ndarray) -> dict[str, n
     grads["poi_embeddings"][p_e] += dqvec[d : 2 * d]
     grads["time_embeddings"][end_t] += dqvec[d : 2 * d]
     grads["position_embeddings"][pos] += dqvec[2 * d :]
-    return grads
+    return grad

@@ -30,26 +30,34 @@ class TrainResult:
 
 
 class _AdamState:
+    """Adam (Kingma & Ba, ICLR 2015) over the flat vector, updated in place.
+
+    Per-step temporaries this size would each be a fresh mmap that faults.
+    Each element keeps the operation order b1*m + (1-b1)*g,
+    b2*v + ((1-b2)*g)*g and (lr*(m/bc1)) / (sqrt(v/bc2)+eps).
+    """
+
     def __init__(self, params: ModelParams):
-        self.m = {name: np.zeros_like(b) for name, b in params.blocks.items()}
-        self.v = {name: np.zeros_like(b) for name, b in params.blocks.items()}
+        self.m, self.v, self._step, self._denom = np.zeros((4, params.flat.size))
         self.t = 0
 
-    def step(self, params: ModelParams, grads: dict[str, np.ndarray], lr: float):
+    def step(self, params: ModelParams, grad: np.ndarray, lr: float):
         self.t += 1
         bc1 = 1.0 - ADAM_BETA1**self.t
         bc2 = 1.0 - ADAM_BETA2**self.t
-        for name, block in params.blocks.items():
-            g = grads[name]
-            self.m[name] = ADAM_BETA1 * self.m[name] + (1.0 - ADAM_BETA1) * g
-            self.v[name] = ADAM_BETA2 * self.v[name] + (1.0 - ADAM_BETA2) * g * g
-            mhat = self.m[name] / bc1
-            vhat = self.v[name] / bc2
-            block -= lr * mhat / (np.sqrt(vhat) + ADAM_EPS)
+        m, v, step, denom = self.m, self.v, self._step, self._denom
+        m *= ADAM_BETA1
+        m += np.multiply(grad, 1.0 - ADAM_BETA1, out=step)
+        v *= ADAM_BETA2
+        v += np.multiply(np.multiply(grad, 1.0 - ADAM_BETA2, out=step), grad, out=step)
+        np.multiply(np.divide(m, bc1, out=step), lr, out=step)
+        np.sqrt(np.divide(v, bc2, out=denom), out=denom)
+        denom += ADAM_EPS
+        params.flat -= np.divide(step, denom, out=step)
 
 
-def _trajectory_loss_grads(traj: Trajectory, params: ModelParams, pm: GuidanceMatrix, alpha: float):
-    """Loss and parameter gradients for one trajectory."""
+def loss_and_grads(traj: Trajectory, params: ModelParams, pm: GuidanceMatrix, alpha: float):
+    """Loss for one trajectory and its flat gradient (None if the loss is not finite)."""
     query = make_query(traj)
     if params.config.arch == ARCH_ONE_SHOT:
         rows, cache = one_shot.forward_with_cache(query, params)
@@ -66,10 +74,10 @@ def _trajectory_loss_grads(traj: Trajectory, params: ModelParams, pm: GuidanceMa
         return loss, None
     drows = dguided * factor
     if params.config.arch == ARCH_ONE_SHOT:
-        grads = one_shot.backward(params, cache, drows)
+        grad = one_shot.backward(params, cache, drows)
     else:
-        grads = recurrent.backward(params, cache, drows)
-    return loss, grads
+        grad = recurrent.backward(params, cache, drows)
+    return loss, grad
 
 
 def train(trajectories: list[Trajectory], pm: GuidanceMatrix, config: ModelConfig) -> TrainResult:
@@ -90,14 +98,12 @@ def train(trajectories: list[Trajectory], pm: GuidanceMatrix, config: ModelConfi
         order = shuffle_rng.permutation(len(trajectories))
         total = 0.0
         for idx in order:
-            loss, grads = _trajectory_loss_grads(
-                trajectories[idx], params, pm, config.alpha
-            )
+            loss, grad = loss_and_grads(trajectories[idx], params, pm, config.alpha)
             if not np.isfinite(loss):
                 raise RuntimeError(
                     f"non-finite loss at epoch {epoch}, trajectory {idx}"
                 )
-            adam.step(params, grads, config.learning_rate)
+            adam.step(params, grad, config.learning_rate)
             total += loss
         epoch_losses.append(float(total / len(trajectories)))
     return TrainResult(params=params, epoch_losses=epoch_losses)

@@ -2,10 +2,15 @@
 
 The acceptance suite registers one verdict per criterion here; the
 terminal summary prints them as a compact pass/fail checklist after
-the normal pytest output.
+the normal pytest output.  The parameter-store check is shared by the
+model and bundle tests.
 """
 
 from __future__ import annotations
+
+import numpy as np
+
+from artrip.model.params import block_shapes
 
 # criterion id -> (passed, one line of detail)
 ACCEPTANCE: dict[int, tuple[bool, str]] = {}
@@ -24,3 +29,17 @@ def pytest_terminal_summary(terminalreporter):
         passed, detail = ACCEPTANCE[criterion]
         verdict = "PASS" if passed else "FAIL"
         terminalreporter.write_line(f"criterion {criterion}: {verdict} - {detail}")
+
+
+def assert_blocks_view_flat(params) -> None:
+    """Every block is a view of `params.flat` at its declaration-order offset."""
+    shapes = block_shapes(params.config, params.k, params.m_max)
+    assert list(params.blocks) == list(shapes)
+    offset = 0
+    for name, shape in shapes.items():
+        block = params.blocks[name]
+        assert block.shape == shape, name
+        assert np.shares_memory(block, params.flat), name
+        assert block.ctypes.data == params.flat.ctypes.data + 8 * offset, name
+        offset += block.size
+    assert offset == params.flat.size

@@ -2,6 +2,7 @@ import json
 
 import numpy as np
 import pytest
+from conftest import assert_blocks_view_flat
 
 from artrip.data import Trajectory
 from artrip.guidance import build_confidence, build_guidance_matrix
@@ -41,6 +42,7 @@ def test_round_trip_restores_everything(tmp_path, arch):
     assert bundle.params.config == params.config
     assert bundle.params.k == K and bundle.params.m_max == pm.m_max
     assert list(bundle.params.blocks) == list(params.blocks)
+    assert_blocks_view_flat(bundle.params)
     for name in params.blocks:
         np.testing.assert_array_equal(bundle.params.blocks[name], params.blocks[name])
     np.testing.assert_array_equal(bundle.pm.values, pm.values)
@@ -116,6 +118,25 @@ class TestValidation:
         manifest["format"] = "trip-bundle-v0"
         (tmp_path / "model" / "manifest.json").write_text(json.dumps(manifest))
         with pytest.raises(ValueError, match="format"):
+            load_bundle(tmp_path / "model")
+
+    @pytest.mark.parametrize(
+        "edit, block",
+        [
+            (lambda t: t[:-1], "head"),
+            (lambda t: t + [dict(t[-1], name="extra", offset=t[-1]["offset"] + t[-1]["size"])], "extra"),
+            (lambda t: [t[1], t[0], *t[2:]], "poi_embeddings"),
+            (lambda t: t[:-1] + [dict(t[-1], shape=t[-1]["shape"][::-1])], "head"),
+        ],
+        ids=["missing", "extra", "reordered", "reshaped"],
+    )
+    def test_block_table_must_match_config(self, tmp_path, edit, block):
+        params, pm, conf = build_artifacts()
+        save_bundle(tmp_path / "model", params, pm, conf, MECHS, VOCAB)
+        manifest = json.loads((tmp_path / "model" / "manifest.json").read_text())
+        manifest["blocks"] = edit(manifest["blocks"])
+        (tmp_path / "model" / "manifest.json").write_text(json.dumps(manifest))
+        with pytest.raises(ValueError, match=rf"manifest\.json.*'{block}'"):
             load_bundle(tmp_path / "model")
 
     def test_truncated_params_detected(self, tmp_path):

@@ -2,8 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from conftest import assert_blocks_view_flat
 
-from artrip.data import Query, Trajectory
+from artrip.data import Query, Trajectory, hour_bucket
 from artrip.guidance import build_guidance_matrix, zero_guidance
 from artrip.model import (
     ARCH_ONE_SHOT,
@@ -15,8 +16,10 @@ from artrip.model import (
     init_recurrent_state,
     train,
 )
+from artrip.model import one_shot
 from artrip.model.params import block_shapes
 from artrip.model.recurrent import forward_teacher
+from artrip.model.train import ADAM_BETA1, ADAM_BETA2, ADAM_EPS, loss_and_grads
 
 K = 6
 M_MAX = 5
@@ -80,6 +83,10 @@ class TestInit:
         np.testing.assert_array_equal(params.blocks["layer0.ln1_beta"], 0.0)
         np.testing.assert_array_equal(params.blocks["final_ln_beta"], 0.0)
 
+    @pytest.mark.parametrize("arch", [ARCH_ONE_SHOT, ARCH_RECURRENT])
+    def test_blocks_are_views_of_flat(self, arch):
+        assert_blocks_view_flat(init_params(tiny_config(arch=arch), k=K, m_max=M_MAX))
+
     def test_recurrent_block_set(self):
         params = init_params(tiny_config(arch=ARCH_RECURRENT), k=K, m_max=M_MAX)
         d = 8
@@ -119,7 +126,79 @@ class TestForward:
         assert rows.shape == (2, K)
 
 
+class TestBackward:
+    def test_one_shot_scatter_matches_per_slot_loop(self):
+        # a round trip whose endpoints share a POI and an hour bucket, so
+        # two slots accumulate into the same table rows
+        params = init_params(tiny_config(seed=6), k=K, m_max=M_MAX)
+        q = Query(p_s=2, t_s=3600, p_e=2, t_e=3600 + 86400, n=M_MAX)
+        logits, cache = one_shot.forward_with_cache(q, params)
+        dlogits = np.random.default_rng(0).standard_normal(logits.shape)
+        grads = params.views(one_shot.backward(params, cache, dlogits))
+        # positions below m_max are distinct, so their rows are the slot gradients
+        dx = grads["position_embeddings"][: q.n]
+        poi = np.zeros_like(grads["poi_embeddings"])
+        time = np.zeros_like(grads["time_embeddings"])
+        mask = np.zeros_like(grads["mask_embedding"])
+        for i, row in enumerate(dx):
+            if i in (0, q.n - 1):
+                poi[q.p_s if i == 0 else q.p_e] += row
+                time[hour_bucket(q.t_s if i == 0 else q.t_e)] += row
+            else:
+                mask += row
+        np.testing.assert_array_equal(grads["poi_embeddings"], poi)
+        np.testing.assert_array_equal(grads["time_embeddings"], time)
+        np.testing.assert_array_equal(grads["mask_embedding"], mask)
+
+
+class _DictAdam:
+    """Per-block Adam over a dict of arrays: the reference for the flat update."""
+
+    def __init__(self, params):
+        self.m = {name: np.zeros_like(b) for name, b in params.blocks.items()}
+        self.v = {name: np.zeros_like(b) for name, b in params.blocks.items()}
+        self.t = 0
+
+    def step(self, params, grads, lr):
+        self.t += 1
+        bc1 = 1.0 - ADAM_BETA1**self.t
+        bc2 = 1.0 - ADAM_BETA2**self.t
+        for name, block in params.blocks.items():
+            g = grads[name]
+            self.m[name] = ADAM_BETA1 * self.m[name] + (1.0 - ADAM_BETA1) * g
+            self.v[name] = ADAM_BETA2 * self.v[name] + (1.0 - ADAM_BETA2) * g * g
+            mhat = self.m[name] / bc1
+            vhat = self.v[name] / bc2
+            block -= lr * mhat / (np.sqrt(vhat) + ADAM_EPS)
+
+
+def reference_train(trajectories, pm, config):
+    params = init_params(config, pm.k, pm.m_max)
+    adam = _DictAdam(params)
+    shuffle_rng = np.random.default_rng([config.seed, 1])
+    epoch_losses = []
+    for _ in range(config.epochs):
+        total = 0.0
+        for idx in shuffle_rng.permutation(len(trajectories)):
+            loss, grad = loss_and_grads(trajectories[idx], params, pm, config.alpha)
+            adam.step(params, params.views(grad), config.learning_rate)
+            total += loss
+        epoch_losses.append(float(total / len(trajectories)))
+    return params, epoch_losses
+
+
 class TestTrain:
+    @pytest.mark.parametrize("arch", [ARCH_ONE_SHOT, ARCH_RECURRENT])
+    @pytest.mark.parametrize("alpha", [0.0, 1.0])
+    def test_flat_adam_matches_per_block_reference(self, arch, alpha):
+        trajs = toy_trajectories()
+        pm = build_guidance_matrix(trajs, k=K)
+        cfg = tiny_config(arch=arch, epochs=4, seed=7, alpha=alpha)
+        result = train(trajs, pm, cfg)
+        ref_params, ref_losses = reference_train(trajs, pm, cfg)
+        assert result.epoch_losses == ref_losses
+        assert np.array_equal(result.params.flat, ref_params.flat)
+
     @pytest.mark.parametrize("arch", [ARCH_ONE_SHOT, ARCH_RECURRENT])
     def test_loss_decreases(self, arch):
         trajs = toy_trajectories()
