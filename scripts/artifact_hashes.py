@@ -1,0 +1,95 @@
+"""Hash every artifact the CLI writes over the main decode settings.
+
+    PYTHONPATH=src python scripts/artifact_hashes.py OUT_DIR
+
+For each architecture it trains one bundle on Glasgow with the criterion-8
+flags, then evaluates it with greedy, top_k and adaptive decoding, each with
+the no-repeat mask off and on.  The Markov baseline is evaluated over the
+same six settings.  Commands run in-process through `artrip.cli.main` and
+their console output goes to stderr.  Standard output is one
+`sha256  path` line per file under OUT_DIR, sorted by path, so running it
+against two checkouts (point PYTHONPATH at each `src`) and diffing the two
+listings shows whether a change kept every output byte.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import sys
+from pathlib import Path
+
+from artrip.cli import main as cli_main
+
+DATA = Path(__file__).resolve().parents[1] / "data" / "glasgow"
+
+# the model shape of acceptance criterion 8
+CRITERION_8_FLAGS = (
+    "--poi-file", str(DATA / "POI-glasgow.csv"),
+    "--visits-file", str(DATA / "userVisits-glasgow.csv"),
+    "--embed-dim", "16",
+    "--num-layers", "1",
+    "--hidden-dim", "32",
+    "--epochs", "3",
+    "--repeats", "2",
+)
+ARCHS = ("one_shot", "recurrent")
+STRATEGIES = ("greedy", "top_k", "adaptive")
+MASKS = ("false", "true")
+
+
+def _run(argv: list[str]) -> None:
+    with contextlib.redirect_stdout(sys.stderr):
+        code = cli_main(argv)
+    if code != 0:
+        raise RuntimeError(f"artrip {' '.join(argv)} exited with {code}")
+
+
+def _evaluations():
+    for strategy in STRATEGIES:
+        for mask in MASKS:
+            name = f"{strategy}-mask-{'on' if mask == 'true' else 'off'}"
+            yield name, ["--strategy", strategy, "--no-repeat-mask", mask]
+
+
+def write_artifacts(out_dir: Path, flags=CRITERION_8_FLAGS) -> None:
+    """Train and evaluate every setting into its own directory under out_dir."""
+    flags = list(flags)
+    for arch in ARCHS:
+        arch_dir = out_dir / arch
+        common = [*flags, "--arch", arch, "--output-dir", str(arch_dir)]
+        _run(["train", *common])
+        for name, decode_flags in _evaluations():
+            _run(["evaluate", *common, *decode_flags])
+            (arch_dir / name).mkdir()
+            for artifact in ("metrics.csv", "trips.csv"):
+                (arch_dir / artifact).rename(arch_dir / name / artifact)
+    for name, decode_flags in _evaluations():
+        target = out_dir / "markov" / name
+        _run(["evaluate", *flags, "--generator", "markov", "--output-dir", str(target), *decode_flags])
+
+
+def hash_lines(out_dir: Path) -> list[str]:
+    files = sorted(p for p in out_dir.rglob("*") if p.is_file())
+    return [
+        f"{hashlib.sha256(p.read_bytes()).hexdigest()}  {p.relative_to(out_dir).as_posix()}"
+        for p in files
+    ]
+
+
+def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
+    if len(argv) != 1:
+        print("usage: artifact_hashes.py OUT_DIR", file=sys.stderr)
+        return 2
+    out_dir = Path(argv[0])
+    if out_dir.exists() and any(out_dir.iterdir()):
+        print(f"error: {out_dir} is not empty", file=sys.stderr)
+        return 1
+    write_artifacts(out_dir)
+    print("\n".join(hash_lines(out_dir)))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

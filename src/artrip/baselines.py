@@ -50,7 +50,7 @@ def markov_decode(query: Query, matrices: list[TransitionMatrix], cfg: DecodeCon
     """
     if not matrices:
         raise ValueError("need at least one transition matrix")
-    rng = np.random.default_rng(cfg.seed)
+    rng = None if cfg.strategy == "greedy" else np.random.default_rng(cfg.seed)
     pois = [query.p_s]
     used = {query.p_s, query.p_e}
     current = query.p_s

@@ -29,9 +29,9 @@ from artrip.data import (
     make_query,
     split_corpus,
 )
-from artrip.decoding import DecodeConfig, decode_config_for_query, decode_trip
+from artrip.decoding import decode_config_for_query, decode_trip
 from artrip.guidance import build_confidence, build_guidance_matrix, zero_guidance
-from artrip.model import ModelConfig, load_bundle, save_bundle, train
+from artrip.model import load_bundle, save_bundle, train
 from artrip.model.bundle import vocab_sha256
 
 # flags whose spelling differs from the config key
@@ -68,32 +68,6 @@ def _split(config: ExperimentConfig, trajectories):
         trajectories,
         ratios=(config.train_ratio, config.val_ratio, config.test_ratio),
         seed=config.split_seed,
-    )
-
-
-def _model_config(config: ExperimentConfig) -> ModelConfig:
-    return ModelConfig(
-        arch=config.arch,
-        embed_dim=config.embed_dim,
-        num_layers=config.num_layers,
-        num_heads=config.num_heads,
-        hidden_dim=config.hidden_dim,
-        alpha=config.alpha,
-        learning_rate=config.learning_rate,
-        epochs=config.epochs,
-        seed=config.model_seed,
-    )
-
-
-def _decode_config(config: ExperimentConfig, strategy: str | None = None) -> DecodeConfig:
-    return DecodeConfig(
-        strategy=strategy or config.strategy,
-        top_k=config.top_k,
-        top_p=config.top_p,
-        lam=config.lam,
-        adaptive_mode=config.adaptive_mode,
-        no_repeat_mask=config.no_repeat_mask,
-        seed=config.decode_seed,
     )
 
 
@@ -136,7 +110,7 @@ def cmd_ingest(config: ExperimentConfig) -> int:
 
 
 def cmd_train(config: ExperimentConfig) -> int:
-    model_config = _model_config(config)
+    model_config = config.model_config()
     catalog, _, _, trajectories = _load_corpus(config)
     split = _split(config, trajectories)
     pm = build_guidance_matrix(split.train, len(catalog))
@@ -178,7 +152,7 @@ def cmd_evaluate(config: ExperimentConfig, strategy_flag: str | None) -> int:
         bundle = _bundle_for(config, catalog)
         # decode-time mechanism switches follow the current config
         strategy = _effective_strategy(config, strategy_flag)
-        decode_cfg = _decode_config(config, strategy)
+        decode_cfg = config.decode_config(strategy)
         pm = bundle.pm if config.guiding else zero_guidance(bundle.pm.k, bundle.pm.m_max)
         conf = bundle.confidence
 
@@ -194,7 +168,7 @@ def cmd_evaluate(config: ExperimentConfig, strategy_flag: str | None) -> int:
 
     else:
         matrices = analysis.empirical_transitions(split.train, len(catalog))
-        decode_cfg = _decode_config(config, _effective_strategy(config, strategy_flag))
+        decode_cfg = config.decode_config(_effective_strategy(config, strategy_flag))
 
         def decode_fn(query: Query, ordinal: int, repeat_seed: int):
             per_query = decode_config_for_query(decode_cfg, repeat_seed, ordinal)
@@ -239,7 +213,7 @@ def cmd_recommend(config: ExperimentConfig, args: argparse.Namespace) -> int:
         n=args.length,
     )
     strategy = _effective_strategy(config, args.strategy)
-    decode_cfg = _decode_config(config, strategy)
+    decode_cfg = config.decode_config(strategy)
     pm = bundle.pm if config.guiding else zero_guidance(bundle.pm.k, bundle.pm.m_max)
     trip = decode_trip(query, bundle.params, pm, bundle.confidence, decode_cfg)
     out = _out_dir(config)
@@ -283,7 +257,7 @@ def cmd_analyze(config: ExperimentConfig, strategy_flag: str | None) -> int:
         writer.writerow(["status", status, repr(series.value)])
     bundle = _bundle_for(config, catalog)
     strategy = _effective_strategy(config, strategy_flag)
-    decode_cfg = _decode_config(config, strategy)
+    decode_cfg = config.decode_config(strategy)
     pm = bundle.pm if config.guiding else zero_guidance(bundle.pm.k, bundle.pm.m_max)
     trips = []
     for ordinal, truth in enumerate(split.test):

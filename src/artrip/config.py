@@ -11,6 +11,9 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, fields
 
+from artrip.decoding import DecodeConfig
+from artrip.model import ModelConfig
+
 OUTPUT_DIR_ENV = "ARTRIP_OUTPUT_DIR"
 
 GENERATORS = ("model", "popularity", "markov")
@@ -60,7 +63,38 @@ class ExperimentConfig:
     noise_sigma: float = 0.1
     noise_seed: int = 0
 
+    def model_config(self) -> ModelConfig:
+        return ModelConfig(
+            arch=self.arch,
+            embed_dim=self.embed_dim,
+            num_layers=self.num_layers,
+            num_heads=self.num_heads,
+            hidden_dim=self.hidden_dim,
+            alpha=self.alpha,
+            learning_rate=self.learning_rate,
+            epochs=self.epochs,
+            seed=self.model_seed,
+        )
+
+    def decode_config(self, strategy: str | None = None) -> DecodeConfig:
+        return DecodeConfig(
+            strategy=strategy or self.strategy,
+            top_k=self.top_k,
+            top_p=self.top_p,
+            lam=self.lam,
+            adaptive_mode=self.adaptive_mode,
+            no_repeat_mask=self.no_repeat_mask,
+            seed=self.decode_seed,
+        )
+
     def validate(self) -> None:
+        # the model and decode settings are checked by the objects the
+        # commands build from them; their messages name the key
+        for build in (self.model_config, self.decode_config):
+            try:
+                build()
+            except ValueError as exc:
+                raise ConfigError(str(exc)) from exc
         ratios = (self.train_ratio, self.val_ratio, self.test_ratio)
         if any(r < 0 or r > 1 for r in ratios):
             raise ConfigError("split ratios must lie in [0, 1]")

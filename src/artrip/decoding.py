@@ -50,13 +50,13 @@ class DecodeConfig:
         if self.strategy not in STRATEGIES:
             raise ValueError(f"unknown strategy {self.strategy!r}")
         if self.adaptive_mode not in ADAPTIVE_MODES:
-            raise ValueError(f"unknown adaptive mode {self.adaptive_mode!r}")
+            raise ValueError(f"unknown adaptive_mode {self.adaptive_mode!r}")
         if self.top_k < 1:
             raise ValueError("top_k must be at least 1")
         if not 0.0 < self.top_p <= 1.0:
             raise ValueError("top_p must lie in (0, 1]")
-        if self.lam < 0:
-            raise ValueError("lam must be non-negative")
+        if not 0.0 <= self.lam < np.inf:
+            raise ValueError(f"lam must be finite and non-negative, got {self.lam}")
 
 
 @dataclass(frozen=True)
@@ -85,9 +85,19 @@ def _stable_desc_order(probs: np.ndarray) -> np.ndarray:
 
 
 def _sample(probs: np.ndarray, candidates: np.ndarray, rng, trace) -> int:
+    """Draw one candidate in proportion to its probability.
+
+    This is `Generator.choice(candidates, p=sel)`'s own inverse-CDF draw
+    without its argument handling: the same pick from the same single
+    `rng.random()`, so the stream stays where `choice` would leave it.
+    """
     sel = probs[candidates]
     sel = sel / sel.sum()
-    choice = int(rng.choice(candidates, p=sel))
+    if not np.minimum.reduce(sel) >= 0.0:
+        raise ValueError("probabilities contain NaN or are negative")
+    cdf = sel.cumsum()
+    cdf /= cdf[-1]
+    choice = int(candidates[cdf.searchsorted(rng.random(), side="right")])
     if trace is not None:
         trace.append((tuple(int(c) for c in candidates), choice))
     return choice
@@ -180,7 +190,8 @@ def decode_trip(
     """
     if query.n < 2:
         raise ValueError("trips need at least the two endpoint positions")
-    rng = np.random.default_rng(cfg.seed)
+    # greedy never draws, so it needs no generator
+    rng = None if cfg.strategy == "greedy" else np.random.default_rng(cfg.seed)
     pois = [query.p_s]
     used = {query.p_s, query.p_e}
     if params.config.arch == ARCH_ONE_SHOT:

@@ -36,11 +36,14 @@ def _gelu_backward(dy: np.ndarray, u: np.ndarray, t: np.ndarray) -> np.ndarray:
     return dy * (0.5 * (1.0 + t) + 0.5 * u * (1.0 - t**2) * inner)
 
 
+# Row means are sums over d: the same ufuncs as ndarray.mean/var, minus
+# their Python-level wrappers, so the result is bit-identical.
 def _layer_norm(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray):
-    mean = x.mean(axis=-1, keepdims=True)
-    var = x.var(axis=-1, keepdims=True)
+    d = x.shape[-1]
+    diff = x - x.sum(axis=-1, keepdims=True) / d
+    var = np.square(diff).sum(axis=-1, keepdims=True) / d
     inv_std = 1.0 / np.sqrt(var + LN_EPS)
-    xhat = (x - mean) * inv_std
+    xhat = diff * inv_std
     return gamma * xhat + beta, (xhat, inv_std, gamma)
 
 
@@ -49,10 +52,11 @@ def _layer_norm_backward(dy: np.ndarray, cache) -> tuple[np.ndarray, np.ndarray,
     dgamma = (dy * xhat).sum(axis=0)
     dbeta = dy.sum(axis=0)
     dxhat = dy * gamma
+    d = dxhat.shape[-1]
     dx = inv_std * (
         dxhat
-        - dxhat.mean(axis=-1, keepdims=True)
-        - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)
+        - dxhat.sum(axis=-1, keepdims=True) / d
+        - xhat * ((dxhat * xhat).sum(axis=-1, keepdims=True) / d)
     )
     return dx, dgamma, dbeta
 

@@ -74,17 +74,17 @@ def backward(params: ModelParams, cache: dict, drows: np.ndarray) -> np.ndarray:
     for t in range(steps, 0, -1):
         s = states[t]
         ds = drows[t - 1] @ blocks["head"].T + ds_carry
-        grads["head"] += np.outer(s, drows[t - 1])
+        grads["head"] += s[:, None] * drows[t - 1]
         dpre = ds * (1.0 - s**2)
-        grads["input_w"] += np.outer(blocks["poi_embeddings"][inputs[t - 1]], dpre)
-        grads["state_w"] += np.outer(states[t - 1], dpre)
+        grads["input_w"] += blocks["poi_embeddings"][inputs[t - 1]][:, None] * dpre
+        grads["state_w"] += states[t - 1][:, None] * dpre
         grads["state_b"] += dpre
         grads["poi_embeddings"][inputs[t - 1]] += dpre @ blocks["input_w"].T
         ds_carry = dpre @ blocks["state_w"].T
     # initial state came from the query projection
     s0 = states[0]
     dq_pre = ds_carry * (1.0 - s0**2)
-    grads["query_w"] += np.outer(cache["qvec"], dq_pre)
+    grads["query_w"] += cache["qvec"][:, None] * dq_pre
     grads["query_b"] += dq_pre
     dqvec = dq_pre @ blocks["query_w"].T
     d = params.config.embed_dim

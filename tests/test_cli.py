@@ -1,8 +1,11 @@
 import csv
+import importlib.util
+from pathlib import Path
 
 import pytest
 
 from artrip.cli import main
+from artrip.config import ConfigError, load_config
 
 POI_HEADER = ["poiID", "poiName", "lat", "long", "theme"]
 VISIT_HEADER = ["userID", "seqID", "poiID", "dateTaken"]
@@ -293,3 +296,66 @@ class TestConfigPrecedence:
     def test_bad_ratio_sum_fails(self, base_flags, capsys):
         assert main(["ingest", *base_flags, "--train-ratio", "0.9"]) == 1
         assert "sum to 1" in capsys.readouterr().err
+
+
+class TestConfigValidation:
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("strategy", "bogus"),
+            ("top_p", "1.5"),
+            ("top_k", "0"),
+            ("lam", "nan"),
+            ("adaptive_mode", "bogus"),
+            ("arch", "transformer"),
+            ("embed_dim", "7"),
+            ("alpha", "-1"),
+        ],
+    )
+    def test_bad_model_or_decode_setting_fails_at_load(self, key, value):
+        with pytest.raises(ConfigError, match=key):
+            load_config(None, {key: value})
+
+    def test_bad_strategy_fails_before_the_corpus_is_read(self, capsys):
+        # no poi_file either: the strategy is what must be reported
+        assert main(["evaluate", "--strategy", "bogus"]) == 1
+        err = capsys.readouterr().err
+        assert "strategy" in err and "poi_file" not in err
+
+
+def load_artifact_hashes():
+    path = Path(__file__).resolve().parents[1] / "scripts" / "artifact_hashes.py"
+    spec = importlib.util.spec_from_file_location("artifact_hashes", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestArtifactHashes:
+    def test_hashes_every_setting_and_repeat_runs_agree(self, corpus_dir, tmp_path, capsys):
+        script = load_artifact_hashes()
+        flags = [
+            "--poi-file", str(corpus_dir / "pois.csv"),
+            "--visits-file", str(corpus_dir / "visits.csv"),
+            "--embed-dim", "8",
+            "--hidden-dim", "16",
+            "--epochs", "2",
+        ]
+        listings = []
+        for run in ("a", "b"):
+            script.write_artifacts(tmp_path / run, flags)
+            listings.append(script.hash_lines(tmp_path / run))
+        first = listings[0]
+        # per arch: 3 bundle files, the loss trace and 6 x (metrics, trips);
+        # Markov: 6 x (metrics, trips)
+        assert len(first) == 2 * (4 + 12) + 12
+        assert "one_shot/model/params.bin" in {line.split("  ", 1)[1] for line in first}
+        assert first == sorted(first, key=lambda line: line.split("  ", 1)[1])
+        assert listings[1] == first
+        # console output of the commands stays off stdout
+        assert capsys.readouterr().out == ""
+
+    def test_refuses_a_non_empty_output_dir(self, tmp_path, capsys):
+        (tmp_path / "stale.csv").write_text("x\n")
+        assert load_artifact_hashes().main([str(tmp_path)]) == 1
+        assert "not empty" in capsys.readouterr().err

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from artrip import decoding
 from artrip.data import Query, Trajectory
 from artrip.decoding import (
     DecodeConfig,
@@ -49,6 +50,11 @@ class TestConfig:
             DecodeConfig(top_k=0)
         with pytest.raises(ValueError):
             DecodeConfig(lam=-0.1)
+
+    @pytest.mark.parametrize("lam", [float("nan"), float("inf")])
+    def test_rejects_non_finite_lam(self, lam):
+        with pytest.raises(ValueError, match="lam"):
+            DecodeConfig(lam=lam)
 
 
 class TestGreedy:
@@ -146,6 +152,87 @@ class TestAdaptive:
         assert trace[0][0] == (0, 1)
 
 
+def reference_sample(probs, candidates, rng):
+    """The draw through Generator.choice: the reference for the inverse CDF."""
+    sel = probs[candidates]
+    sel = sel / sel.sum()
+    return int(rng.choice(candidates, p=sel))
+
+
+class TestSample:
+    def assert_matches_choice(self, probs, candidates, seed):
+        ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+        trace = []
+        pick = decoding._sample(probs, candidates, ours, trace)
+        assert pick == reference_sample(probs, candidates, theirs)
+        assert trace == [(tuple(int(c) for c in candidates), pick)]
+        # both leave the stream at the same place
+        assert ours.random() == theirs.random()
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_generator_choice(self, seed):
+        gen = np.random.default_rng(seed)
+        for _ in range(300):
+            k = int(gen.integers(1, 61))
+            row = gen.standard_normal(k) * float(gen.choice([0.1, 1.0, 10.0]))
+            probs = softmax(row)
+            if gen.random() < 0.5:
+                candidates = decoding._stable_desc_order(probs)[: int(gen.integers(1, k + 1))]
+            else:
+                candidates = nucleus_candidates(probs, float(gen.uniform(0.05, 1.0)))
+            self.assert_matches_choice(probs, candidates, int(gen.integers(2**32)))
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_masked_row_zero_probability_candidates(self, seed):
+        gen = np.random.default_rng(100 + seed)
+        for _ in range(100):
+            row = gen.standard_normal(K)
+            used = {int(p) for p in gen.choice(K, size=int(gen.integers(1, K)), replace=False)}
+            probs = softmax(mask_repeats(row, used, position=2))
+            # every POI is a candidate, so the masked ones carry probability 0
+            candidates = decoding._stable_desc_order(probs)
+            assert (probs[candidates] == 0.0).any()
+            self.assert_matches_choice(probs, candidates, int(gen.integers(2**32)))
+
+    def test_single_candidate_nucleus(self):
+        probs = softmax(np.array([9.0, 0.0, -1.0, 0.5]))
+        candidates = nucleus_candidates(probs, 0.5)
+        assert len(candidates) == 1
+        for seed in range(20):
+            self.assert_matches_choice(probs, candidates, seed)
+
+    def test_draws_on_a_cdf_step_skip_zero_probability_candidates(self):
+        class FixedDraw:
+            def __init__(self, u):
+                self.u = u
+
+            def random(self):
+                return self.u
+
+        probs = np.array([0.0, 0.25, 0.0, 0.75])
+        candidates = np.arange(4)
+        # u lands exactly on the cdf values 0 and 0.25
+        assert decoding._sample(probs, candidates, FixedDraw(0.0), None) == 1
+        assert decoding._sample(probs, candidates, FixedDraw(0.25), None) == 3
+
+    @pytest.mark.parametrize("bad", [np.nan, -0.25])
+    def test_rejects_nan_or_negative_probabilities(self, bad):
+        probs = np.array([0.5, bad, 0.75])
+        with pytest.raises(ValueError, match="probabilities"):
+            decoding._sample(probs, np.arange(3), np.random.default_rng(0), None)
+
+    def test_nan_scores_raise_from_every_sampler(self):
+        row = np.array([0.1, np.nan, 0.3, -0.2])
+        with pytest.raises(ValueError):
+            top_k_sample(row, 2, np.random.default_rng(0))
+        with pytest.raises(ValueError):
+            top_p_sample(row, 0.8, np.random.default_rng(0))
+        for mode in ("temperature", "threshold"):
+            cfg = DecodeConfig(strategy="adaptive", adaptive_mode=mode)
+            with pytest.raises(ValueError):
+                adaptive_sample(row, 0.5, cfg, np.random.default_rng(0))
+
+
 class TestMask:
     def test_masks_used_entries(self):
         row = np.array([5.0, 4.0, 3.0])
@@ -202,6 +289,18 @@ class TestDecodeTrip:
         a = decode_trip(q, self.params(), self.pm, self.conf, DecodeConfig(seed=0))
         b = decode_trip(q, self.params(), self.pm, self.conf, DecodeConfig(seed=99))
         assert a == b
+
+    @pytest.mark.parametrize("arch", [ARCH_ONE_SHOT, ARCH_RECURRENT])
+    def test_greedy_builds_no_generator(self, arch, monkeypatch):
+        q = Query(p_s=0, t_s=0, p_e=1, t_e=14400, n=5)
+        params = self.params(arch)
+        want = decode_trip(q, params, self.pm, self.conf, DecodeConfig())
+
+        def no_generator(*args):
+            raise AssertionError("greedy decoding built a Generator")
+
+        monkeypatch.setattr(np.random, "default_rng", no_generator)
+        assert decode_trip(q, params, self.pm, self.conf, DecodeConfig()) == want
 
     def test_sampling_is_deterministic_per_seed(self):
         q = Query(p_s=0, t_s=0, p_e=1, t_e=14400, n=5)

@@ -16,7 +16,7 @@ from artrip.model import (
     init_recurrent_state,
     train,
 )
-from artrip.model import one_shot
+from artrip.model import one_shot, recurrent
 from artrip.model.params import block_shapes
 from artrip.model.recurrent import forward_teacher
 from artrip.model.train import ADAM_BETA1, ADAM_BETA2, ADAM_EPS, loss_and_grads
@@ -149,6 +149,93 @@ class TestBackward:
         np.testing.assert_array_equal(grads["poi_embeddings"], poi)
         np.testing.assert_array_equal(grads["time_embeddings"], time)
         np.testing.assert_array_equal(grads["mask_embedding"], mask)
+
+
+def reference_layer_norm(x, gamma, beta):
+    """Layer norm through ndarray.mean/var: the reference for the sum form."""
+    mean = x.mean(axis=-1, keepdims=True)
+    var = x.var(axis=-1, keepdims=True)
+    inv_std = 1.0 / np.sqrt(var + one_shot.LN_EPS)
+    xhat = (x - mean) * inv_std
+    return gamma * xhat + beta, (xhat, inv_std, gamma)
+
+
+def reference_layer_norm_backward(dy, cache):
+    xhat, inv_std, gamma = cache
+    dgamma = (dy * xhat).sum(axis=0)
+    dbeta = dy.sum(axis=0)
+    dxhat = dy * gamma
+    dx = inv_std * (
+        dxhat
+        - dxhat.mean(axis=-1, keepdims=True)
+        - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)
+    )
+    return dx, dgamma, dbeta
+
+
+def reference_recurrent_backward(params, cache, drows):
+    """Backprop through time with np.outer: the reference for the broadcasts."""
+    blocks = params.blocks
+    grad, grads = params.zero_grads()
+    states = cache["states"]
+    inputs = cache["inputs"]
+    ds_carry = np.zeros_like(states[0])
+    for t in range(len(inputs), 0, -1):
+        s = states[t]
+        ds = drows[t - 1] @ blocks["head"].T + ds_carry
+        grads["head"] += np.outer(s, drows[t - 1])
+        dpre = ds * (1.0 - s**2)
+        grads["input_w"] += np.outer(blocks["poi_embeddings"][inputs[t - 1]], dpre)
+        grads["state_w"] += np.outer(states[t - 1], dpre)
+        grads["state_b"] += dpre
+        grads["poi_embeddings"][inputs[t - 1]] += dpre @ blocks["input_w"].T
+        ds_carry = dpre @ blocks["state_w"].T
+    s0 = states[0]
+    dq_pre = ds_carry * (1.0 - s0**2)
+    grads["query_w"] += np.outer(cache["qvec"], dq_pre)
+    grads["query_b"] += dq_pre
+    dqvec = dq_pre @ blocks["query_w"].T
+    d = params.config.embed_dim
+    p_s, start_t, p_e, end_t, pos = cache["sources"]
+    grads["poi_embeddings"][p_s] += dqvec[:d]
+    grads["time_embeddings"][start_t] += dqvec[:d]
+    grads["poi_embeddings"][p_e] += dqvec[d : 2 * d]
+    grads["time_embeddings"][end_t] += dqvec[d : 2 * d]
+    grads["position_embeddings"][pos] += dqvec[2 * d :]
+    return grad
+
+
+class TestBitIdentity:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_layer_norm_matches_mean_var_reference(self, seed):
+        rng = np.random.default_rng(seed)
+        for n, d in ((1, 1), (2, 8), (6, 32), (8, 33), (3, 64)):
+            for scale in (1e-3, 1.0, 1e3):
+                x = rng.standard_normal((n, d)) * scale + rng.standard_normal()
+                gamma = 1.0 + 0.1 * rng.standard_normal(d)
+                beta = 0.1 * rng.standard_normal(d)
+                dy = rng.standard_normal((n, d)) * scale
+                out, cache = one_shot._layer_norm(x, gamma, beta)
+                ref_out, ref_cache = reference_layer_norm(x, gamma, beta)
+                assert np.array_equal(out, ref_out)
+                for got, want in zip(cache, ref_cache):
+                    assert np.array_equal(got, want)
+                for got, want in zip(
+                    one_shot._layer_norm_backward(dy, cache),
+                    reference_layer_norm_backward(dy, ref_cache),
+                ):
+                    assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("n", [2, 3, M_MAX, M_MAX + 2])
+    def test_recurrent_backward_matches_outer_reference(self, n):
+        params = init_params(tiny_config(arch=ARCH_RECURRENT, seed=n), k=K, m_max=M_MAX)
+        rng = np.random.default_rng(n)
+        pois = tuple(int(p) for p in rng.integers(0, K, size=n))
+        q = Query(p_s=pois[0], t_s=0, p_e=pois[-1], t_e=3600 * n, n=n)
+        rows, cache = forward_teacher(q, pois, params)
+        drows = rng.standard_normal(rows.shape)
+        got = recurrent.backward(params, cache, drows)
+        assert np.array_equal(got, reference_recurrent_backward(params, cache, drows))
 
 
 class _DictAdam:
