@@ -4,9 +4,11 @@
 
 For each architecture it trains one bundle on Glasgow with the criterion-8
 flags, then evaluates it with greedy, top_k and adaptive decoding, each with
-the no-repeat mask off and on.  The Markov baseline is evaluated over the
-same six settings.  Commands run in-process through `artrip.cli.main` and
-their console output goes to stderr.  Standard output is one
+the no-repeat mask off and on, and runs `analyze` and `recommend` once each
+with adaptive decoding; `recommend` asks for the corpus's first trajectory
+(its endpoints, their times and its length).  The Markov baseline is
+evaluated over the same six settings.  Commands run in-process through
+`artrip.cli.main` and their console output goes to stderr.  Standard output is one
 `sha256  path` line per file under OUT_DIR, sorted by path, so running it
 against two checkouts (point PYTHONPATH at each `src`) and diffing the two
 listings shows whether a change kept every output byte.
@@ -20,6 +22,8 @@ import sys
 from pathlib import Path
 
 from artrip.cli import main as cli_main
+from artrip.config import ExperimentConfig
+from artrip.data import extract_trajectories, load_poi_catalog, load_visits
 
 DATA = Path(__file__).resolve().parents[1] / "data" / "glasgow"
 
@@ -52,9 +56,25 @@ def _evaluations():
             yield name, ["--strategy", strategy, "--no-repeat-mask", mask]
 
 
+def _recommend_flags(flags: list[str]) -> list[str]:
+    """`recommend` flags that ask for the corpus's first trajectory."""
+    opts = dict(zip(flags[::2], flags[1::2]))
+    catalog = load_poi_catalog(opts["--poi-file"])
+    visits, _ = load_visits(opts["--visits-file"], catalog)
+    first = extract_trajectories(visits, catalog, min_len=ExperimentConfig.min_traj_len)[0]
+    return [
+        "--start", str(catalog.id_of(first.pois[0])),
+        "--end", str(catalog.id_of(first.pois[-1])),
+        "--length", str(len(first)),
+        "--start-time", str(first.times[0]),
+        "--end-time", str(first.times[-1]),
+    ]
+
+
 def write_artifacts(out_dir: Path, flags=CRITERION_8_FLAGS) -> None:
     """Train and evaluate every setting into its own directory under out_dir."""
     flags = list(flags)
+    recommend = _recommend_flags(flags)
     for arch in ARCHS:
         arch_dir = out_dir / arch
         common = [*flags, "--arch", arch, "--output-dir", str(arch_dir)]
@@ -64,6 +84,8 @@ def write_artifacts(out_dir: Path, flags=CRITERION_8_FLAGS) -> None:
             (arch_dir / name).mkdir()
             for artifact in ("metrics.csv", "trips.csv"):
                 (arch_dir / artifact).rename(arch_dir / name / artifact)
+        _run(["analyze", *common, "--strategy", "adaptive"])
+        _run(["recommend", *common, "--strategy", "adaptive", *recommend])
     for name, decode_flags in _evaluations():
         target = out_dir / "markov" / name
         _run(["evaluate", *flags, "--generator", "markov", "--output-dir", str(target), *decode_flags])

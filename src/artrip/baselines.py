@@ -8,6 +8,8 @@ to loop, which makes it a useful repetition yardstick.
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 
 from artrip.analysis import TransitionMatrix
@@ -46,10 +48,17 @@ def markov_decode(query: Query, matrices: list[TransitionMatrix], cfg: DecodeCon
     Positions past the estimated horizon reuse the last matrix.  Zero
     transition probability becomes a -inf score so the selection
     strategies apply unchanged; the adaptive strategy degrades to plain
-    nucleus sampling here because the baseline has no confidence model.
+    nucleus sampling here, with a RuntimeWarning, because the baseline
+    has no confidence model.
     """
     if not matrices:
         raise ValueError("need at least one transition matrix")
+    if cfg.strategy == "adaptive":
+        warnings.warn(
+            "the Markov baseline has no confidence model; adaptive decoding runs as top_p",
+            RuntimeWarning,
+            stacklevel=2,
+        )
     rng = None if cfg.strategy == "greedy" else np.random.default_rng(cfg.seed)
     pois = [query.p_s]
     used = {query.p_s, query.p_e}

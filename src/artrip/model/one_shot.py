@@ -8,10 +8,13 @@ each slot to POI scores, so row i of the output scores position i+1 of
 the trip, endpoints included.
 
 Forward passes can record a cache that `backward` consumes to produce
-exact analytic gradients for every block.
+exact analytic gradients for every block.  `forward_one_shot`, the
+decode-time forward, memoizes its score rows per model, see its docstring.
 """
 
 from __future__ import annotations
+
+import copy
 
 import numpy as np
 
@@ -19,6 +22,9 @@ from artrip.data import Query, hour_bucket
 from artrip.model.params import ModelParams
 
 LN_EPS = 1e-5
+
+# most score matrices one model's memo holds; a full memo is cleared
+MEMO_CAP = 1024
 
 # tanh-form gaussian error linear unit; smooth everywhere, which keeps
 # finite-difference gradient checks clean.
@@ -67,6 +73,11 @@ def _softmax_rows(x: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
+def input_key(query: Query) -> tuple[int, int, int, int, int]:
+    """All of a query that `build_input` reads: n, both endpoints, both hours."""
+    return query.n, query.p_s, query.p_e, hour_bucket(query.t_s), hour_bucket(query.t_e)
+
+
 def build_input(query: Query, params: ModelParams):
     """Embed a query into the (n, d) slot matrix.
 
@@ -76,14 +87,14 @@ def build_input(query: Query, params: ModelParams):
     Positions past the trained horizon reuse the last position row.
     """
     blocks = params.blocks
-    n = query.n
+    n, p_s, p_e, h_s, h_e = input_key(query)
     d = params.config.embed_dim
     x = np.zeros((n, d), dtype=np.float64)
     pos_idx = np.minimum(np.arange(n), params.m_max - 1)
     x += blocks["position_embeddings"][pos_idx]
     slots = [0, n - 1][: min(n, 2)]
-    pois = [query.p_s, query.p_e][: len(slots)]
-    hours = [hour_bucket(query.t_s), hour_bucket(query.t_e)][: len(slots)]
+    pois = [p_s, p_e][: len(slots)]
+    hours = [h_s, h_e][: len(slots)]
     for slot, poi, hour in zip(slots, pois, hours):
         x[slot] += blocks["poi_embeddings"][poi]
         x[slot] += blocks["time_embeddings"][hour]
@@ -172,8 +183,31 @@ def forward_with_cache(query: Query, params: ModelParams):
 
 
 def forward_one_shot(query: Query, params: ModelParams) -> np.ndarray:
-    """Unguided score matrix for a query, one row per trip position."""
-    logits, _ = forward_with_cache(query, params)
+    """Unguided score matrix for a query, one row per trip position.
+
+    The rows depend only on the parameters and on `input_key(query)`, so
+    they are memoized on `params` and returned read-only.  Each call first
+    compares `params.config` and `params.flat` with the memo's snapshot of
+    them; any difference (a training step, an edited block, a new head
+    count, NaN parameters) empties the memo, so a cached matrix is always
+    the one a fresh forward would return.
+    """
+    snapshot = params.row_memo_snapshot
+    if (
+        snapshot is None
+        or params.config != snapshot[0]
+        or not np.array_equal(params.flat, snapshot[1])
+    ):
+        params.row_memo.clear()
+        params.row_memo_snapshot = (copy.copy(params.config), params.flat.copy())
+    key = input_key(query)
+    logits = params.row_memo.get(key)
+    if logits is None:
+        if len(params.row_memo) >= MEMO_CAP:
+            params.row_memo.clear()
+        logits, _ = forward_with_cache(query, params)
+        logits.flags.writeable = False
+        params.row_memo[key] = logits
     return logits
 
 

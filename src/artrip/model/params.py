@@ -44,12 +44,20 @@ class ModelConfig:
             raise ValueError(f"unknown arch {self.arch!r}")
         if self.embed_dim <= 0:
             raise ValueError("embed_dim must be positive")
+        if self.num_heads < 1:
+            raise ValueError(f"num_heads must be at least 1, got {self.num_heads}")
         if self.arch == ARCH_ONE_SHOT and self.embed_dim % self.num_heads != 0:
             raise ValueError(
                 f"embed_dim {self.embed_dim} not divisible by num_heads {self.num_heads}"
             )
-        if self.alpha < 0:
-            raise ValueError("alpha must be non-negative")
+        if self.num_layers < 0:
+            raise ValueError(f"num_layers must be non-negative, got {self.num_layers}")
+        if self.hidden_dim < 1:
+            raise ValueError(f"hidden_dim must be at least 1, got {self.hidden_dim}")
+        if not 0.0 <= self.alpha < math.inf:
+            raise ValueError(f"alpha must be finite and non-negative, got {self.alpha}")
+        if not 0.0 < self.learning_rate < math.inf:
+            raise ValueError(f"learning_rate must be finite and positive, got {self.learning_rate}")
         if self.epochs < 0:
             raise ValueError("epochs must be non-negative")
 
@@ -114,6 +122,10 @@ class ModelParams:
         self.layout = tuple(layout)
         self.flat = np.zeros(offset, dtype=np.float64)
         self.blocks = self.views(self.flat)
+        # one_shot.forward_one_shot's score rows by query key, valid while
+        # `config` and `flat` equal the (config, flat) copies in the snapshot
+        self.row_memo: dict = {}
+        self.row_memo_snapshot: tuple | None = None
 
     def views(self, vec: np.ndarray) -> dict[str, np.ndarray]:
         """Named block views into any vector laid out like `flat`."""

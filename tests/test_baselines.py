@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -121,9 +123,18 @@ class TestMarkov:
         chain = self.chain()
         q = Query(p_s=0, t_s=0, p_e=0, t_e=14400, n=4)
         for seed in range(5):
-            a = markov_decode(q, chain, DecodeConfig(strategy="adaptive", top_p=0.9, seed=seed))
+            with pytest.warns(RuntimeWarning, match="adaptive decoding runs as top_p"):
+                a = markov_decode(q, chain, DecodeConfig(strategy="adaptive", top_p=0.9, seed=seed))
             b = markov_decode(q, chain, DecodeConfig(strategy="top_p", top_p=0.9, seed=seed))
             assert a == b
+
+    def test_other_strategies_do_not_warn(self):
+        mats = empirical_transitions(corpus(), k=5)
+        q = Query(p_s=0, t_s=0, p_e=1, t_e=14400, n=5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for strategy in ("greedy", "top_k", "top_p"):
+                markov_decode(q, mats, DecodeConfig(strategy=strategy, seed=1))
 
     def test_determinism_per_seed(self):
         mats = empirical_transitions(corpus(), k=5)

@@ -310,11 +310,22 @@ class TestConfigValidation:
             ("arch", "transformer"),
             ("embed_dim", "7"),
             ("alpha", "-1"),
+            ("num_heads", "0"),
+            ("num_layers", "-1"),
+            ("hidden_dim", "0"),
+            ("alpha", "nan"),
+            ("learning_rate", "0"),
+            ("learning_rate", "-1"),
         ],
     )
     def test_bad_model_or_decode_setting_fails_at_load(self, key, value):
         with pytest.raises(ConfigError, match=key):
             load_config(None, {key: value})
+
+    def test_zero_heads_is_an_error_line_not_a_traceback(self, capsys):
+        assert main(["evaluate", "--num-heads", "0"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "num_heads" in err
 
     def test_bad_strategy_fails_before_the_corpus_is_read(self, capsys):
         # no poi_file either: the strategy is what must be reported
@@ -346,9 +357,9 @@ class TestArtifactHashes:
             script.write_artifacts(tmp_path / run, flags)
             listings.append(script.hash_lines(tmp_path / run))
         first = listings[0]
-        # per arch: 3 bundle files, the loss trace and 6 x (metrics, trips);
-        # Markov: 6 x (metrics, trips)
-        assert len(first) == 2 * (4 + 12) + 12
+        # per arch: 3 bundle files, the loss trace, 6 x (metrics, trips) and
+        # the 4 analyze reports plus trip.csv; Markov: 6 x (metrics, trips)
+        assert len(first) == 2 * (4 + 12 + 5) + 12
         assert "one_shot/model/params.bin" in {line.split("  ", 1)[1] for line in first}
         assert first == sorted(first, key=lambda line: line.split("  ", 1)[1])
         assert listings[1] == first

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from artrip import decoding
 from artrip.data import Query, Trajectory
@@ -344,6 +346,53 @@ class TestDecodeTrip:
             bare = decode_trip(q, params, self.zero, self.conf, DecodeConfig())
             changed = changed or guided != bare
         assert changed
+
+
+PROPERTY_CORPUS = [
+    Trajectory(pois=(0, 2, 3, 1), times=(0, 3600, 7200, 10800)),
+    Trajectory(pois=(0, 4, 1), times=(0, 3600, 7200)),
+    Trajectory(pois=(5, 2, 4, 1), times=(0, 3600, 7200, 10800)),
+]
+PROPERTY_PM = build_guidance_matrix(PROPERTY_CORPUS, k=K)
+PROPERTY_CONF = build_confidence(PROPERTY_PM, k=K)
+
+
+def property_params(arch):
+    cfg = ModelConfig(arch=arch, embed_dim=8, num_layers=1, num_heads=2, hidden_dim=16, seed=5)
+    return init_params(cfg, k=K, m_max=PROPERTY_PM.m_max)
+
+
+# one model per arch for the whole module, so its memo stays warm across examples
+WARM_PARAMS = {arch: property_params(arch) for arch in (ARCH_ONE_SHOT, ARCH_RECURRENT)}
+
+queries = st.builds(
+    Query,
+    p_s=st.integers(0, K - 1),
+    t_s=st.integers(0, 3 * 3600),
+    p_e=st.integers(0, K - 1),
+    t_e=st.integers(0, 2 * 86400),
+    n=st.integers(2, PROPERTY_PM.m_max + 2),
+)
+
+
+@pytest.mark.filterwarnings("ignore:position:UserWarning")
+@pytest.mark.filterwarnings("ignore:no-repeat mask:RuntimeWarning")
+@pytest.mark.parametrize("mask", [False, True])
+@pytest.mark.parametrize("strategy", decoding.STRATEGIES)
+@pytest.mark.parametrize("arch", [ARCH_ONE_SHOT, ARCH_RECURRENT])
+@settings(max_examples=25, deadline=None)
+@given(query=queries, seed=st.integers(0, 2**16))
+def test_decoded_trips_keep_their_shape_and_ignore_memo_state(arch, strategy, mask, query, seed):
+    cfg = DecodeConfig(strategy=strategy, top_k=3, no_repeat_mask=mask, seed=seed)
+    warm = WARM_PARAMS[arch]
+    trip = decode_trip(query, warm, PROPERTY_PM, PROPERTY_CONF, cfg)
+    assert len(trip) == query.n
+    assert trip.pois[0] == query.p_s and trip.pois[-1] == query.p_e
+    assert all(0 <= poi < K for poi in trip.pois)
+    # the second warm decode reads its rows from the memo; a fresh model has none
+    assert decode_trip(query, warm, PROPERTY_PM, PROPERTY_CONF, cfg) == trip
+    cold = property_params(arch)
+    assert decode_trip(query, cold, PROPERTY_PM, PROPERTY_CONF, cfg) == trip
 
 
 class TestSeeds:

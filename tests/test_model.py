@@ -57,6 +57,30 @@ class TestConfig:
         with pytest.raises(ValueError, match="alpha"):
             ModelConfig(arch=ARCH_ONE_SHOT, alpha=-0.5)
 
+    @pytest.mark.parametrize("arch", [ARCH_ONE_SHOT, ARCH_RECURRENT])
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("num_heads", 0),
+            ("num_heads", -2),
+            ("num_layers", -1),
+            ("hidden_dim", 0),
+            ("alpha", math.nan),
+            ("alpha", math.inf),
+            ("learning_rate", 0.0),
+            ("learning_rate", -1.0),
+            ("learning_rate", math.nan),
+            ("learning_rate", math.inf),
+        ],
+    )
+    def test_rejects_bad_setting_naming_it(self, arch, key, value):
+        with pytest.raises(ValueError, match=key):
+            ModelConfig(arch=arch, **{key: value})
+
+    def test_accepts_boundary_settings(self):
+        cfg = ModelConfig(num_heads=1, num_layers=0, hidden_dim=1, alpha=0.0, learning_rate=1e-12)
+        assert (cfg.num_heads, cfg.num_layers, cfg.alpha) == (1, 0, 0.0)
+
 
 class TestInit:
     def test_same_seed_same_blocks(self):
@@ -124,6 +148,100 @@ class TestForward:
         q = Query(p_s=0, t_s=0, p_e=1, t_e=7200, n=3)
         rows, _ = forward_teacher(q, (0, 2, 1), params)
         assert rows.shape == (2, K)
+
+
+def fresh_rows(q, params):
+    return one_shot.forward_with_cache(q, params)[0]
+
+
+class TestOneShotMemo:
+    def test_repeat_query_returns_the_cached_read_only_rows(self):
+        params = init_params(tiny_config(seed=2), k=K, m_max=M_MAX)
+        q = Query(p_s=0, t_s=0, p_e=1, t_e=10800, n=4)
+        rows = forward_one_shot(q, params)
+        assert forward_one_shot(q, params) is rows
+        assert np.array_equal(rows, fresh_rows(q, params))
+        assert not rows.flags.writeable
+        with pytest.raises(ValueError):
+            rows[0, 0] = 0.0
+
+    def test_in_place_block_edit_recomputes(self):
+        params = init_params(tiny_config(seed=2), k=K, m_max=M_MAX)
+        q = Query(p_s=0, t_s=0, p_e=1, t_e=10800, n=4)
+        before = forward_one_shot(q, params)
+        params.blocks["layer0.ffn_w1"][0, 0] += 0.5
+        after = forward_one_shot(q, params)
+        assert not np.array_equal(before, after)
+        assert np.array_equal(after, fresh_rows(q, params))
+
+    def test_num_heads_change_recomputes(self):
+        params = init_params(tiny_config(seed=2), k=K, m_max=M_MAX)
+        q = Query(p_s=3, t_s=0, p_e=1, t_e=10800, n=5)
+        before = forward_one_shot(q, params)
+        params.config.num_heads = 4
+        after = forward_one_shot(q, params)
+        assert not np.array_equal(before, after)
+        assert np.array_equal(after, fresh_rows(q, params))
+
+    def test_queries_share_an_entry_only_within_an_hour_bucket(self):
+        params = init_params(tiny_config(seed=2), k=K, m_max=M_MAX)
+        q = Query(p_s=0, t_s=3600, p_e=1, t_e=7200, n=4)
+        same = Query(p_s=0, t_s=3600 + 3599, p_e=1, t_e=7200 + 86400, n=4)
+        later = Query(p_s=0, t_s=7200, p_e=1, t_e=7200, n=4)
+        assert hour_bucket(q.t_s) == hour_bucket(same.t_s) != hour_bucket(later.t_s)
+        rows = forward_one_shot(q, params)
+        assert forward_one_shot(same, params) is rows
+        assert len(params.row_memo) == 1
+        other = forward_one_shot(later, params)
+        assert other is not rows and not np.array_equal(other, rows)
+        assert len(params.row_memo) == 2
+        for query in (q, same, later):
+            assert np.array_equal(forward_one_shot(query, params), fresh_rows(query, params))
+
+    def test_each_field_the_input_reads_separates_entries(self):
+        params = init_params(tiny_config(seed=2), k=K, m_max=M_MAX)
+        base = Query(p_s=0, t_s=3600, p_e=1, t_e=7200, n=4)
+        variants = [
+            base,
+            Query(p_s=2, t_s=3600, p_e=1, t_e=7200, n=4),
+            Query(p_s=0, t_s=7200, p_e=1, t_e=7200, n=4),
+            Query(p_s=0, t_s=3600, p_e=2, t_e=7200, n=4),
+            Query(p_s=0, t_s=3600, p_e=1, t_e=10800, n=4),
+        ]
+        for q in variants:
+            assert np.array_equal(forward_one_shot(q, params), fresh_rows(q, params))
+        assert len(params.row_memo) == len(variants)
+        longer = Query(p_s=0, t_s=3600, p_e=1, t_e=7200, n=5)
+        assert forward_one_shot(longer, params).shape == (5, K)
+
+    def test_nan_parameters_match_a_fresh_forward(self):
+        params = init_params(tiny_config(seed=2), k=K, m_max=M_MAX)
+        params.blocks["head"][0, 0] = math.nan
+        q = Query(p_s=0, t_s=0, p_e=1, t_e=10800, n=4)
+        for _ in range(2):
+            rows = forward_one_shot(q, params)
+            assert np.isnan(rows).any()
+            assert np.array_equal(rows, fresh_rows(q, params), equal_nan=True)
+
+    def test_memo_never_holds_more_than_the_cap(self):
+        params = init_params(tiny_config(seed=2), k=K, m_max=M_MAX)
+        queries = [
+            Query(p_s=p_s, t_s=3600 * hour, p_e=p_e, t_e=0, n=n)
+            for n in (2, 3)
+            for p_s in range(K)
+            for p_e in range(K)
+            for hour in range(24)
+        ]
+        assert len(queries) > one_shot.MEMO_CAP
+        sizes = []
+        for q in queries:
+            forward_one_shot(q, params)
+            sizes.append(len(params.row_memo))
+        assert max(sizes) == one_shot.MEMO_CAP
+        # the call after a full memo starts it over
+        assert sizes[one_shot.MEMO_CAP] == 1
+        last = queries[-1]
+        assert np.array_equal(forward_one_shot(last, params), fresh_rows(last, params))
 
 
 class TestBackward:
@@ -319,8 +437,10 @@ class TestTrain:
     def test_nonfinite_loss_aborts_with_context(self):
         trajs = toy_trajectories()
         pm = zero_guidance(K, M_MAX)
-        # an infinite penalty weight blows up the very first loss
-        cfg = tiny_config(epochs=1, alpha=math.inf, seed=0)
+        # infinite guidance blows up the very first loss (an infinite
+        # penalty weight no longer gets past ModelConfig)
+        pm.values[...] = math.inf
+        cfg = tiny_config(epochs=1, seed=0)
         with pytest.raises(RuntimeError, match="non-finite"):
             train(trajs, pm, cfg)
 
