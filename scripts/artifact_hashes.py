@@ -7,7 +7,10 @@ flags, then evaluates it with greedy, top_k and adaptive decoding, each with
 the no-repeat mask off and on, and runs `analyze` and `recommend` once each
 with adaptive decoding; `recommend` asks for the corpus's first trajectory
 (its endpoints, their times and its length).  The Markov baseline is
-evaluated over the same six settings.  Commands run in-process through
+evaluated over the same six settings.  The model shape of the mechanism
+study (the defaults: 2 layers, embed 32, hidden 64) is trained too, for each
+architecture with alpha 0 and 1, one epoch each; of those runs only
+`params.bin` and `loss_trace.csv` are kept.  Commands run in-process through
 `artrip.cli.main` and their console output goes to stderr.  Standard output is one
 `sha256  path` line per file under OUT_DIR, sorted by path, so running it
 against two checkouts (point PYTHONPATH at each `src`) and diffing the two
@@ -18,6 +21,7 @@ from __future__ import annotations
 
 import contextlib
 import hashlib
+import shutil
 import sys
 from pathlib import Path
 
@@ -37,6 +41,9 @@ CRITERION_8_FLAGS = (
     "--epochs", "3",
     "--repeats", "2",
 )
+# the default model shape, which the criterion-5/6 study trains
+STUDY_FLAGS = ("--epochs", "1")
+STUDY_ALPHAS = ("0", "1")
 ARCHS = ("one_shot", "recurrent")
 STRATEGIES = ("greedy", "top_k", "adaptive")
 MASKS = ("false", "true")
@@ -71,6 +78,19 @@ def _recommend_flags(flags: list[str]) -> list[str]:
     ]
 
 
+def _train_study_shape(out_dir: Path, flags: list[str]) -> None:
+    """Train the default shape on the corpus of `flags`; keep params and loss trace."""
+    opts = dict(zip(flags[::2], flags[1::2]))
+    data = ["--poi-file", opts["--poi-file"], "--visits-file", opts["--visits-file"]]
+    for arch in ARCHS:
+        for alpha in STUDY_ALPHAS:
+            run_dir = out_dir / "study" / f"{arch}-alpha-{alpha}"
+            _run(["train", *data, *STUDY_FLAGS, "--arch", arch, "--alpha", alpha,
+                  "--output-dir", str(run_dir)])
+            (run_dir / "model" / "params.bin").rename(run_dir / "params.bin")
+            shutil.rmtree(run_dir / "model")
+
+
 def write_artifacts(out_dir: Path, flags=CRITERION_8_FLAGS) -> None:
     """Train and evaluate every setting into its own directory under out_dir."""
     flags = list(flags)
@@ -89,6 +109,7 @@ def write_artifacts(out_dir: Path, flags=CRITERION_8_FLAGS) -> None:
     for name, decode_flags in _evaluations():
         target = out_dir / "markov" / name
         _run(["evaluate", *flags, "--generator", "markov", "--output-dir", str(target), *decode_flags])
+    _train_study_shape(out_dir, flags)
 
 
 def hash_lines(out_dir: Path) -> list[str]:

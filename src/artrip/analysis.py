@@ -10,6 +10,7 @@ transition matrices, normalized by the matrices' non-zero density.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -51,8 +52,8 @@ def perturb(matrix: TransitionMatrix, sigma: float, seed: int = 0) -> Transition
     Rows that end up all zero become uniform, with a warning.  With
     sigma == 0 the matrix is returned unchanged (bit for bit).
     """
-    if sigma < 0:
-        raise ValueError("sigma must be non-negative")
+    if not 0.0 <= sigma < math.inf:
+        raise ValueError(f"sigma must be finite and non-negative, got {sigma}")
     if sigma == 0.0:
         return TransitionMatrix(
             values=matrix.values.copy(),

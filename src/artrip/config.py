@@ -8,6 +8,7 @@ the config file over built-in defaults.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, fields
 
@@ -95,9 +96,14 @@ class ExperimentConfig:
                 build()
             except ValueError as exc:
                 raise ConfigError(str(exc)) from exc
+        for key in ("split_seed", "model_seed", "decode_seed", "noise_seed"):
+            if getattr(self, key) < 0:
+                raise ConfigError(f"{key} must be non-negative, got {getattr(self, key)}")
+        for key in ("train_ratio", "val_ratio", "test_ratio"):
+            # NaN fails this comparison too
+            if not 0.0 <= getattr(self, key) <= 1.0:
+                raise ConfigError(f"{key} must lie in [0, 1], got {getattr(self, key)}")
         ratios = (self.train_ratio, self.val_ratio, self.test_ratio)
-        if any(r < 0 or r > 1 for r in ratios):
-            raise ConfigError("split ratios must lie in [0, 1]")
         if abs(sum(ratios) - 1.0) > 1e-9:
             raise ConfigError(f"split ratios must sum to 1, got {sum(ratios)}")
         if self.generator not in GENERATORS:
@@ -108,8 +114,8 @@ class ExperimentConfig:
             raise ConfigError("min_traj_len must be at least 2")
         if self.j_max < 0:
             raise ConfigError("j_max must be non-negative")
-        if self.noise_sigma < 0:
-            raise ConfigError("noise_sigma must be non-negative")
+        if not 0.0 <= self.noise_sigma < math.inf:
+            raise ConfigError(f"noise_sigma must be finite and non-negative, got {self.noise_sigma}")
 
 
 _FIELD_TYPES = {f.name: f.type for f in fields(ExperimentConfig)}

@@ -88,16 +88,19 @@ def guidance_columns(pm: GuidanceMatrix, first_position: int, m: int) -> np.ndar
     Rows beyond the trained horizon get a zero column (identity guidance);
     a warning is recorded since such queries exceed every training route.
     """
+    if first_position < 1:
+        raise ValueError(f"positions are 1-based, got {first_position}")
+    # the slice stops at m_max; copied, so the result is a new C-ordered array
+    inside = pm.values.T[first_position - 1 : first_position - 1 + m]
+    if inside.shape[0] == m:
+        return inside.copy()
     cols = np.zeros((m, pm.values.shape[0]), dtype=np.float64)
-    for row in range(m):
-        pos = first_position + row
-        if pos <= pm.m_max:
-            cols[row] = pm.values[:, pos - 1]
-        else:
-            warnings.warn(
-                f"position {pos} exceeds trained horizon m_max={pm.m_max}; "
-                "guidance is identity there"
-            )
+    cols[: inside.shape[0]] = inside
+    for pos in range(first_position + inside.shape[0], first_position + m):
+        warnings.warn(
+            f"position {pos} exceeds trained horizon m_max={pm.m_max}; "
+            "guidance is identity there"
+        )
     return cols
 
 

@@ -10,6 +10,7 @@ penalized hard.
 
 from __future__ import annotations
 
+import functools
 import warnings
 
 import numpy as np
@@ -33,7 +34,8 @@ def recommendation_loss_grad(rows: np.ndarray, targets) -> tuple[float, np.ndarr
     exp = np.exp(shifted)
     denom = exp.sum(axis=1, keepdims=True)
     log_probs = shifted - np.log(denom)
-    loss = float(-log_probs[np.arange(m), targets].mean())
+    # ndarray.mean's own sum and division, without its Python wrapper
+    loss = float(-(np.add.reduce(log_probs[np.arange(m), targets]) / m))
     drows = exp / denom
     drows[np.arange(m), targets] -= 1.0
     drows /= m
@@ -46,11 +48,22 @@ def drift_loss(rows: np.ndarray) -> float:
     return loss
 
 
+@functools.lru_cache(maxsize=64)
+def _pairs(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Row and column of every pair i < j, row-major: the order of np.triu's mask.
+
+    Cached per trip length and shared between calls, hence read-only.
+    """
+    pairs = np.triu_indices(m, 1)
+    for index in pairs:
+        index.flags.writeable = False
+    return pairs
+
+
 def drift_loss_grad(rows: np.ndarray) -> tuple[float, np.ndarray]:
     m = rows.shape[0]
-    grads = np.zeros_like(rows)
     if m < 2:
-        return 0.0, grads
+        return 0.0, np.zeros_like(rows)
     norms = np.linalg.norm(rows, axis=1)
     valid = norms > 0.0
     if not valid.all():
@@ -59,6 +72,29 @@ def drift_loss_grad(rows: np.ndarray) -> tuple[float, np.ndarray]:
             RuntimeWarning,
             stacklevel=2,
         )
+        return _drift_loss_grad_zero_rows(rows, norms, valid)
+    # every row has a direction: _drift_loss_grad_zero_rows without its
+    # masks (the same values in the same summation order)
+    unit = rows / norms[:, None]
+    cos = unit @ unit.T
+    i, j = _pairs(m)
+    pr_raw = (cos[i, j] + 1.0) / 2.0
+    pr = np.clip(pr_raw, PROB_EPS, 1.0 - PROB_EPS)
+    loss = float(-np.log(1.0 - pr).sum())
+    # clamped pairs carry no gradient
+    live = (pr_raw > PROB_EPS) & (pr_raw < 1.0 - PROB_EPS)
+    weight = np.zeros((m, m), dtype=np.float64)
+    weight[i[live], j[live]] = 0.5 / (1.0 - pr[live])
+    weight = weight + weight.T
+    dunit = weight @ unit
+    proj = (dunit * unit).sum(axis=1, keepdims=True)
+    return loss, (dunit - proj * unit) / norms[:, None]
+
+
+def _drift_loss_grad_zero_rows(rows, norms, valid):
+    """A zero row has no direction: its pairs cost log 2 and carry no gradient."""
+    m = rows.shape[0]
+    grads = np.zeros_like(rows)
     unit = np.zeros_like(rows)
     unit[valid] = rows[valid] / norms[valid, None]
     cos = unit @ unit.T
@@ -68,7 +104,6 @@ def drift_loss_grad(rows: np.ndarray) -> tuple[float, np.ndarray]:
     pair_valid = pair & np.outer(valid, valid)
     pair_invalid = pair & ~np.outer(valid, valid)
     loss = float(-np.log(1.0 - pr[pair_valid]).sum() + pair_invalid.sum() * np.log(2.0))
-    # clamped pairs carry no gradient
     live = pair_valid & (pr_raw > PROB_EPS) & (pr_raw < 1.0 - PROB_EPS)
     weight = np.zeros((m, m), dtype=np.float64)
     weight[live] = 0.5 / (1.0 - pr[live])

@@ -19,7 +19,7 @@ import copy
 import numpy as np
 
 from artrip.data import Query, hour_bucket
-from artrip.model.params import ModelParams
+from artrip.model.params import GradBuffer, ModelParams
 
 LN_EPS = 1e-5
 
@@ -43,11 +43,15 @@ def _gelu_backward(dy: np.ndarray, u: np.ndarray, t: np.ndarray) -> np.ndarray:
 
 
 # Row means are sums over d: the same ufuncs as ndarray.mean/var, minus
-# their Python-level wrappers, so the result is bit-identical.
+# their Python-level wrappers (np.add.reduce is what ndarray.sum calls),
+# so the result is bit-identical.
+_sum = np.add.reduce
+
+
 def _layer_norm(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray):
     d = x.shape[-1]
-    diff = x - x.sum(axis=-1, keepdims=True) / d
-    var = np.square(diff).sum(axis=-1, keepdims=True) / d
+    diff = x - _sum(x, axis=-1, keepdims=True) / d
+    var = _sum(np.square(diff), axis=-1, keepdims=True) / d
     inv_std = 1.0 / np.sqrt(var + LN_EPS)
     xhat = diff * inv_std
     return gamma * xhat + beta, (xhat, inv_std, gamma)
@@ -55,14 +59,14 @@ def _layer_norm(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray):
 
 def _layer_norm_backward(dy: np.ndarray, cache) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     xhat, inv_std, gamma = cache
-    dgamma = (dy * xhat).sum(axis=0)
-    dbeta = dy.sum(axis=0)
+    dgamma = _sum(dy * xhat, axis=0)
+    dbeta = _sum(dy, axis=0)
     dxhat = dy * gamma
     d = dxhat.shape[-1]
     dx = inv_std * (
         dxhat
-        - dxhat.sum(axis=-1, keepdims=True) / d
-        - xhat * ((dxhat * xhat).sum(axis=-1, keepdims=True) / d)
+        - _sum(dxhat, axis=-1, keepdims=True) / d
+        - xhat * (_sum(dxhat * xhat, axis=-1, keepdims=True) / d)
     )
     return dx, dgamma, dbeta
 
@@ -102,48 +106,39 @@ def build_input(query: Query, params: ModelParams):
     return x, pos_idx, (slots, pois, hours)
 
 
-def _attention_forward(a: np.ndarray, blocks, prefix: str, num_heads: int):
+def _attention_forward(a: np.ndarray, wqkv: np.ndarray, wo: np.ndarray, num_heads: int):
+    """Multi-head self-attention; `wqkv` stacks the Q, K and V weights, (3, d, d)."""
     n, d = a.shape
     dh = d // num_heads
-    q = a @ blocks[prefix + "attn_wq"]
-    k = a @ blocks[prefix + "attn_wk"]
-    v = a @ blocks[prefix + "attn_wv"]
-    qh = q.reshape(n, num_heads, dh).transpose(1, 0, 2)
-    kh = k.reshape(n, num_heads, dh).transpose(1, 0, 2)
-    vh = v.reshape(n, num_heads, dh).transpose(1, 0, 2)
+    # one batched matmul gives the bits of three separate a @ w products
+    qh, kh, vh = (a @ wqkv).reshape(3, n, num_heads, dh).transpose(0, 2, 1, 3)
     scale = 1.0 / np.sqrt(dh)
     scores = (qh @ kh.transpose(0, 2, 1)) * scale
     attn = _softmax_rows(scores)
     ctx = (attn @ vh).transpose(1, 0, 2).reshape(n, d)
-    out = ctx @ blocks[prefix + "attn_wo"]
+    out = ctx @ wo
     return out, (a, qh, kh, vh, attn, ctx, scale)
 
 
-def _attention_backward(dout: np.ndarray, cache, blocks, prefix: str, grads):
+def _attention_backward(dout: np.ndarray, cache, wqkv, wo, dwqkv, dwo):
+    """Accumulate into the weight gradients `dwqkv` and `dwo`; returns d(input)."""
     a, qh, kh, vh, attn, ctx, scale = cache
     n, d = a.shape
-    num_heads = qh.shape[0]
-    dh = d // num_heads
-    grads[prefix + "attn_wo"] += ctx.T @ dout
-    dctx = (dout @ blocks[prefix + "attn_wo"].T).reshape(n, num_heads, dh).transpose(1, 0, 2)
+    num_heads, _, dh = qh.shape
+    dwo += ctx.T @ dout
+    dctx = (dout @ wo.T).reshape(n, num_heads, dh).transpose(1, 0, 2)
     dattn = dctx @ vh.transpose(0, 2, 1)
-    dvh = attn.transpose(0, 2, 1) @ dctx
+    dheads = np.empty((3, num_heads, n, dh))
+    np.matmul(attn.transpose(0, 2, 1), dctx, out=dheads[2])
     dscores = attn * (dattn - (dattn * attn).sum(axis=-1, keepdims=True))
     dscores *= scale
-    dqh = dscores @ kh
-    dkh = dscores.transpose(0, 2, 1) @ qh
-    dq = dqh.transpose(1, 0, 2).reshape(n, d)
-    dk = dkh.transpose(1, 0, 2).reshape(n, d)
-    dv = dvh.transpose(1, 0, 2).reshape(n, d)
-    grads[prefix + "attn_wq"] += a.T @ dq
-    grads[prefix + "attn_wk"] += a.T @ dk
-    grads[prefix + "attn_wv"] += a.T @ dv
-    da = (
-        dq @ blocks[prefix + "attn_wq"].T
-        + dk @ blocks[prefix + "attn_wk"].T
-        + dv @ blocks[prefix + "attn_wv"].T
-    )
-    return da
+    np.matmul(dscores, kh, out=dheads[0])
+    np.matmul(dscores.transpose(0, 2, 1), qh, out=dheads[1])
+    dqkv = dheads.transpose(0, 2, 1, 3).reshape(3, n, d)
+    dwqkv += a.T @ dqkv
+    # summed in the order dq, dk, dv
+    da = dqkv @ wqkv.transpose(0, 2, 1)
+    return da[0] + da[1] + da[2]
 
 
 def forward_with_cache(query: Query, params: ModelParams):
@@ -155,7 +150,9 @@ def forward_with_cache(query: Query, params: ModelParams):
     for layer in range(config.num_layers):
         prefix = f"layer{layer}."
         a_in, ln1_cache = _layer_norm(x, blocks[prefix + "ln1_gamma"], blocks[prefix + "ln1_beta"])
-        attn_out, attn_cache = _attention_forward(a_in, blocks, prefix, config.num_heads)
+        attn_out, attn_cache = _attention_forward(
+            a_in, params.qkv[layer], blocks[prefix + "attn_wo"], config.num_heads
+        )
         x1 = x + attn_out
         f_in, ln2_cache = _layer_norm(x1, blocks[prefix + "ln2_gamma"], blocks[prefix + "ln2_beta"])
         u = f_in @ blocks[prefix + "ffn_w1"] + blocks[prefix + "ffn_b1"]
@@ -211,19 +208,24 @@ def forward_one_shot(query: Query, params: ModelParams) -> np.ndarray:
     return logits
 
 
-def backward(params: ModelParams, cache: dict, dlogits: np.ndarray) -> np.ndarray:
+def backward(
+    params: ModelParams, cache: dict, dlogits: np.ndarray, buffer: GradBuffer | None = None
+) -> np.ndarray:
     """Backpropagate a loss gradient on the logits into a gradient vector.
 
-    The returned vector is laid out like `params.flat`.
+    The returned vector is laid out like `params.flat`: `buffer.flat`,
+    overwritten, when a buffer from `params.zero_grads()` is given, and a
+    new vector otherwise.
     """
     blocks = params.blocks
-    grad, grads = params.zero_grads()
+    grad, grads, grads_qkv = params.zero_grads() if buffer is None else buffer.zeroed()
     grads["head"] += cache["z"].T @ dlogits
     dz = dlogits @ blocks["head"].T
     dx, dgamma, dbeta = _layer_norm_backward(dz, cache["final_ln"])
     grads["final_ln_gamma"] += dgamma
     grads["final_ln_beta"] += dbeta
-    for layer_cache in reversed(cache["layers"]):
+    for layer in reversed(range(len(cache["layers"]))):
+        layer_cache = cache["layers"][layer]
         prefix = layer_cache["prefix"]
         # x2 = x1 + ffn(ln2(x1))
         dffn = dx
@@ -239,13 +241,25 @@ def backward(params: ModelParams, cache: dict, dlogits: np.ndarray) -> np.ndarra
         grads[prefix + "ln2_beta"] += dbeta
         dx1 = dx + dx1_from_ffn
         # x1 = x0 + attn(ln1(x0))
-        da_in = _attention_backward(dx1, layer_cache["attn"], blocks, prefix, grads)
+        da_in = _attention_backward(
+            dx1,
+            layer_cache["attn"],
+            params.qkv[layer],
+            blocks[prefix + "attn_wo"],
+            grads_qkv[layer],
+            grads[prefix + "attn_wo"],
+        )
         dx0_from_attn, dgamma, dbeta = _layer_norm_backward(da_in, layer_cache["ln1"])
         grads[prefix + "ln1_gamma"] += dgamma
         grads[prefix + "ln1_beta"] += dbeta
         dx = dx1 + dx0_from_attn
     slots, pois, hours = cache["ends"]
-    np.add.at(grads["position_embeddings"], cache["pos_idx"], dx)
+    n = dx.shape[0]
+    if n <= params.m_max:
+        # distinct rows 0..n-1: the same sums as np.add.at
+        grads["position_embeddings"][:n] += dx
+    else:
+        np.add.at(grads["position_embeddings"], cache["pos_idx"], dx)
     np.add.at(grads["poi_embeddings"], pois, dx[slots])
     np.add.at(grads["time_embeddings"], hours, dx[slots])
     grads["mask_embedding"] += dx[1:-1].sum(axis=0)

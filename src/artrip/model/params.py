@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -100,14 +101,28 @@ def block_shapes(config: ModelConfig, k: int, m_max: int) -> dict[str, tuple[int
     return shapes
 
 
+class GradBuffer(NamedTuple):
+    """A gradient vector laid out like `ModelParams.flat` and its views."""
+
+    flat: np.ndarray
+    blocks: dict[str, np.ndarray]
+    qkv: tuple[np.ndarray, ...]
+
+    def zeroed(self) -> "GradBuffer":
+        """This buffer, zeroed in place for the next gradient."""
+        self.flat.fill(0.0)
+        return self
+
+
 @dataclass
 class ModelParams:
     """All trainable parameters of one model instance, initially zero.
 
     `blocks` maps each name to a view of the contiguous vector `flat`, at
     the (name, offset, size, shape) entry of `layout`, computed once here.
-    `k` is the POI vocabulary size and `m_max` the longest trip length
-    the position table covers.
+    `qkv` holds one (3, d, d) view per encoder layer over its adjacent
+    attn_wq, attn_wk and attn_wv blocks.  `k` is the POI vocabulary size
+    and `m_max` the longest trip length the position table covers.
     """
 
     config: ModelConfig
@@ -120,8 +135,13 @@ class ModelParams:
             layout.append((name, offset, math.prod(shape), shape))
             offset += layout[-1][2]
         self.layout = tuple(layout)
+        # block_shapes declares attn_wq, attn_wk and attn_wv back to back
+        self._qkv_spans = tuple(
+            (at, at + 3 * size) for name, at, size, _ in layout if name.endswith(".attn_wq")
+        )
         self.flat = np.zeros(offset, dtype=np.float64)
         self.blocks = self.views(self.flat)
+        self.qkv = self.qkv_views(self.flat)
         # one_shot.forward_one_shot's score rows by query key, valid while
         # `config` and `flat` equal the (config, flat) copies in the snapshot
         self.row_memo: dict = {}
@@ -131,10 +151,15 @@ class ModelParams:
         """Named block views into any vector laid out like `flat`."""
         return {name: vec[at : at + size].reshape(shape) for name, at, size, shape in self.layout}
 
-    def zero_grads(self) -> tuple[np.ndarray, dict[str, np.ndarray]]:
-        """A zeroed gradient vector and its named block views."""
+    def qkv_views(self, vec: np.ndarray) -> tuple[np.ndarray, ...]:
+        """Per encoder layer, its Q, K and V blocks of `vec` as one (3, d, d) view."""
+        d = self.config.embed_dim
+        return tuple(vec[start:stop].reshape(3, d, d) for start, stop in self._qkv_spans)
+
+    def zero_grads(self) -> GradBuffer:
+        """A new zeroed gradient vector with its block and Q/K/V views."""
         grad = np.zeros_like(self.flat)
-        return grad, self.views(grad)
+        return GradBuffer(grad, self.views(grad), self.qkv_views(grad))
 
 
 def init_params(config: ModelConfig, k: int, m_max: int) -> ModelParams:

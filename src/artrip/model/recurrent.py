@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from artrip.data import Query, hour_bucket
-from artrip.model.params import ModelParams
+from artrip.model.params import GradBuffer, ModelParams
 
 
 def _query_vector(query: Query, params: ModelParams):
@@ -63,10 +63,16 @@ def forward_teacher(query: Query, pois, params: ModelParams):
     return rows, cache
 
 
-def backward(params: ModelParams, cache: dict, drows: np.ndarray) -> np.ndarray:
-    """Backpropagate through time into a vector laid out like `params.flat`."""
+def backward(
+    params: ModelParams, cache: dict, drows: np.ndarray, buffer: GradBuffer | None = None
+) -> np.ndarray:
+    """Backpropagate through time into a vector laid out like `params.flat`.
+
+    That vector is `buffer.flat`, overwritten, when a buffer from
+    `params.zero_grads()` is given, and a new one otherwise.
+    """
     blocks = params.blocks
-    grad, grads = params.zero_grads()
+    grad, grads, _ = params.zero_grads() if buffer is None else buffer.zeroed()
     states = cache["states"]
     inputs = cache["inputs"]
     steps = len(inputs)

@@ -16,7 +16,13 @@ from artrip.data import Trajectory, make_query
 from artrip.guidance import GuidanceMatrix, guidance_columns
 from artrip.model import one_shot, recurrent
 from artrip.model.losses import total_loss_grad
-from artrip.model.params import ARCH_ONE_SHOT, ModelConfig, ModelParams, init_params
+from artrip.model.params import (
+    ARCH_ONE_SHOT,
+    GradBuffer,
+    ModelConfig,
+    ModelParams,
+    init_params,
+)
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -56,8 +62,18 @@ class _AdamState:
         params.flat -= np.divide(step, denom, out=step)
 
 
-def loss_and_grads(traj: Trajectory, params: ModelParams, pm: GuidanceMatrix, alpha: float):
-    """Loss for one trajectory and its flat gradient (None if the loss is not finite)."""
+def loss_and_grads(
+    traj: Trajectory,
+    params: ModelParams,
+    pm: GuidanceMatrix,
+    alpha: float,
+    buffer: GradBuffer | None = None,
+):
+    """Loss for one trajectory and its flat gradient (None if the loss is not finite).
+
+    The gradient is written into `buffer` when one is given (see the
+    architectures' `backward`), and into a new vector otherwise.
+    """
     query = make_query(traj)
     if params.config.arch == ARCH_ONE_SHOT:
         rows, cache = one_shot.forward_with_cache(query, params)
@@ -74,9 +90,9 @@ def loss_and_grads(traj: Trajectory, params: ModelParams, pm: GuidanceMatrix, al
         return loss, None
     drows = dguided * factor
     if params.config.arch == ARCH_ONE_SHOT:
-        grad = one_shot.backward(params, cache, drows)
+        grad = one_shot.backward(params, cache, drows, buffer)
     else:
-        grad = recurrent.backward(params, cache, drows)
+        grad = recurrent.backward(params, cache, drows, buffer)
     return loss, grad
 
 
@@ -92,13 +108,15 @@ def train(trajectories: list[Trajectory], pm: GuidanceMatrix, config: ModelConfi
         raise ValueError("empty training corpus")
     params = init_params(config, pm.k, pm.m_max)
     adam = _AdamState(params)
+    # one gradient vector for the whole run, zeroed by each backward pass
+    buffer = params.zero_grads()
     shuffle_rng = np.random.default_rng([config.seed, 1])
     epoch_losses: list[float] = []
     for epoch in range(config.epochs):
         order = shuffle_rng.permutation(len(trajectories))
         total = 0.0
         for idx in order:
-            loss, grad = loss_and_grads(trajectories[idx], params, pm, config.alpha)
+            loss, grad = loss_and_grads(trajectories[idx], params, pm, config.alpha, buffer)
             if not np.isfinite(loss):
                 raise RuntimeError(
                     f"non-finite loss at epoch {epoch}, trajectory {idx}"

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -56,6 +58,11 @@ class TestPerturb:
     def test_negative_sigma_rejected(self):
         with pytest.raises(ValueError):
             perturb(self.base(), sigma=-0.1)
+
+    @pytest.mark.parametrize("sigma", [math.nan, math.inf])
+    def test_non_finite_sigma_rejected(self, sigma):
+        with pytest.raises(ValueError, match="finite"):
+            perturb(self.base(), sigma=sigma)
 
     def test_dead_rows_become_uniform_with_warning(self):
         # tiny positive mass, huge negative noise: some row will zero out

@@ -322,6 +322,37 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match=key):
             load_config(None, {key: value})
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("model_seed", "-1"),
+            ("decode_seed", "-5"),
+            ("split_seed", "-1"),
+            ("noise_seed", "-1"),
+            ("train_ratio", "nan"),
+            ("val_ratio", "nan"),
+            ("test_ratio", "nan"),
+            ("noise_sigma", "nan"),
+            ("noise_sigma", "inf"),
+        ],
+    )
+    def test_bad_seed_ratio_or_noise_fails_at_load(self, key, value):
+        with pytest.raises(ConfigError, match=key):
+            load_config(None, {key: value})
+
+    @pytest.mark.parametrize(
+        "argv, key",
+        [
+            (["train", "--model-seed", "-1"], "model_seed"),
+            (["analyze", "--noise-sigma", "nan"], "noise_sigma"),
+            (["ingest", "--train-ratio", "nan", "--val-ratio", "0.1", "--test-ratio", "0.1"], "train_ratio"),
+        ],
+    )
+    def test_bad_seed_ratio_or_noise_is_an_error_line(self, base_flags, argv, key, capsys):
+        assert main([*argv, *base_flags]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and key in err
+
     def test_zero_heads_is_an_error_line_not_a_traceback(self, capsys):
         assert main(["evaluate", "--num-heads", "0"]) == 1
         err = capsys.readouterr().err
@@ -358,8 +389,10 @@ class TestArtifactHashes:
             listings.append(script.hash_lines(tmp_path / run))
         first = listings[0]
         # per arch: 3 bundle files, the loss trace, 6 x (metrics, trips) and
-        # the 4 analyze reports plus trip.csv; Markov: 6 x (metrics, trips)
-        assert len(first) == 2 * (4 + 12 + 5) + 12
+        # the 4 analyze reports plus trip.csv; Markov: 6 x (metrics, trips);
+        # the study shape: 2 archs x 2 alphas x (params.bin, loss_trace.csv)
+        assert len(first) == 2 * (4 + 12 + 5) + 12 + 8
+        assert "study/recurrent-alpha-1/params.bin" in {line.split("  ", 1)[1] for line in first}
         assert "one_shot/model/params.bin" in {line.split("  ", 1)[1] for line in first}
         assert first == sorted(first, key=lambda line: line.split("  ", 1)[1])
         assert listings[1] == first

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from artrip.guidance import (
     apply_guidance,
     build_confidence,
     build_guidance_matrix,
+    guidance_columns,
     zero_guidance,
 )
 
@@ -88,3 +91,52 @@ def test_guidance_preserves_score_order_within_position():
     out = apply_guidance(h, pm)
     assert out.shape == (1, 3)
     assert out[0, 0] == 6.0
+
+
+def reference_guidance_columns(pm, first_position, m):
+    """The per-row loop that the horizon slice replaces."""
+    cols = np.zeros((m, pm.values.shape[0]), dtype=np.float64)
+    for row in range(m):
+        pos = first_position + row
+        if pos <= pm.m_max:
+            cols[row] = pm.values[:, pos - 1]
+        else:
+            warnings.warn(
+                f"position {pos} exceeds trained horizon m_max={pm.m_max}; "
+                "guidance is identity there"
+            )
+    return cols
+
+
+def columns_with_warnings(fn, pm, first_position, m):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        cols = fn(pm, first_position, m)
+    return cols, [(w.category, str(w.message)) for w in caught]
+
+
+def test_guidance_columns_match_the_row_loop_inside_across_and_past_the_horizon():
+    rng = np.random.default_rng(0)
+    trajs = [
+        Trajectory(pois=tuple(int(p) for p in rng.integers(0, 7, size=n)), times=tuple(range(n)))
+        for n in (3, 5, 6, 4)
+    ]
+    pm = build_guidance_matrix(trajs, k=7)
+    assert pm.m_max == 6
+    for first_position in range(1, pm.m_max + 3):
+        for m in range(0, pm.m_max + 4):
+            cols, warned = columns_with_warnings(guidance_columns, pm, first_position, m)
+            ref, ref_warned = columns_with_warnings(reference_guidance_columns, pm, first_position, m)
+            assert np.array_equal(cols, ref)
+            assert cols.flags.c_contiguous and cols.dtype == np.float64
+            assert warned == ref_warned
+            assert len(warned) == min(m, max(0, first_position + m - 1 - pm.m_max))
+            # the result is a copy: writing to it leaves the matrix alone
+            cols[...] = -1.0
+            assert (pm.values >= 0.0).all()
+
+
+def test_guidance_columns_reject_positions_below_one():
+    pm = build_guidance_matrix(TWO_ROUTES, k=3)
+    with pytest.raises(ValueError, match="1-based"):
+        guidance_columns(pm, 0, 2)

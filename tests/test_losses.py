@@ -1,10 +1,14 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from artrip.model import drift_loss, recommendation_loss, total_loss
 from artrip.model.losses import (
+    PROB_EPS,
     drift_loss_grad,
     recommendation_loss_grad,
     total_loss_grad,
@@ -133,3 +137,83 @@ class TestTotalLoss:
         _, grad = total_loss_grad(rows, targets, alpha=0.7)
         num = fd_grad(lambda r: total_loss(r, targets, alpha=0.7), rows)
         np.testing.assert_allclose(grad, num, atol=1e-6)
+
+
+def reference_drift_loss_grad(rows):
+    """The masked drift loss that the all-rows-nonzero fast path replaces."""
+    m = rows.shape[0]
+    grads = np.zeros_like(rows)
+    if m < 2:
+        return 0.0, grads
+    norms = np.linalg.norm(rows, axis=1)
+    valid = norms > 0.0
+    if not valid.all():
+        warnings.warn(
+            "zero-norm score row in drift loss; pair correlation fixed at 0.5",
+            RuntimeWarning,
+            stacklevel=2,
+        )
+    unit = np.zeros_like(rows)
+    unit[valid] = rows[valid] / norms[valid, None]
+    cos = unit @ unit.T
+    pr_raw = (cos + 1.0) / 2.0
+    pr = np.clip(pr_raw, PROB_EPS, 1.0 - PROB_EPS)
+    pair = np.triu(np.ones((m, m), dtype=bool), k=1)
+    pair_valid = pair & np.outer(valid, valid)
+    pair_invalid = pair & ~np.outer(valid, valid)
+    loss = float(-np.log(1.0 - pr[pair_valid]).sum() + pair_invalid.sum() * np.log(2.0))
+    live = pair_valid & (pr_raw > PROB_EPS) & (pr_raw < 1.0 - PROB_EPS)
+    weight = np.zeros((m, m), dtype=np.float64)
+    weight[live] = 0.5 / (1.0 - pr[live])
+    weight = weight + weight.T
+    dunit = weight @ unit
+    proj = (dunit * unit).sum(axis=1, keepdims=True)
+    grads[valid] = (dunit[valid] - proj[valid] * unit[valid]) / norms[valid, None]
+    return loss, grads
+
+
+@st.composite
+def score_rows(draw):
+    """Random rows where any row may copy, scale or negate an earlier one, or be zero."""
+    m = draw(st.integers(1, 10))
+    k = draw(st.integers(1, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rows = rng.standard_normal((m, k)) * draw(st.sampled_from([1e-3, 1.0, 1e3]))
+    for i in range(m):
+        kind = draw(st.sampled_from(["free", "free", "parallel", "anti", "zero"]))
+        if kind == "zero":
+            rows[i] = 0.0
+        elif kind != "free" and i > 0:
+            j = draw(st.integers(0, i - 1))
+            rows[i] = rows[j] * draw(st.sampled_from([1.0, 3.0, 0.25])) * (-1.0 if kind == "anti" else 1.0)
+    return rows
+
+
+def drift_with_warnings(fn, rows):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        loss, grads = fn(rows)
+    return loss, grads, [(w.category, str(w.message), w.filename) for w in caught]
+
+
+class TestDriftFastPath:
+    @settings(max_examples=300, deadline=None)
+    @given(rows=score_rows())
+    def test_matches_masked_reference_bit_for_bit(self, rows):
+        loss, grads, warned = drift_with_warnings(drift_loss_grad, rows)
+        ref_loss, ref_grads, ref_warned = drift_with_warnings(reference_drift_loss_grad, rows)
+        assert loss == ref_loss and type(loss) is type(ref_loss)
+        assert np.array_equal(grads, ref_grads)
+        # the same warning, attributed to the same caller (this file)
+        assert warned == ref_warned
+        assert len(warned) == int(rows.shape[0] >= 2 and not np.linalg.norm(rows, axis=1).all())
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_clipped_pairs_match_the_reference(self, sign):
+        rng = np.random.default_rng(4)
+        base = rng.standard_normal(6)
+        rows = np.stack([base, sign * base, 2.0 * base, rng.standard_normal(6)])
+        loss, grads = drift_loss_grad(rows)
+        ref_loss, ref_grads = reference_drift_loss_grad(rows)
+        assert loss == ref_loss
+        assert np.array_equal(grads, ref_grads)

@@ -294,7 +294,7 @@ def reference_layer_norm_backward(dy, cache):
 def reference_recurrent_backward(params, cache, drows):
     """Backprop through time with np.outer: the reference for the broadcasts."""
     blocks = params.blocks
-    grad, grads = params.zero_grads()
+    grad, grads, _ = params.zero_grads()
     states = cache["states"]
     inputs = cache["inputs"]
     ds_carry = np.zeros_like(states[0])
@@ -356,6 +356,179 @@ class TestBitIdentity:
         assert np.array_equal(got, reference_recurrent_backward(params, cache, drows))
 
 
+def reference_attention_forward(a, blocks, prefix, num_heads):
+    """Three separate Q, K and V projections: the reference for the stacked one."""
+    n, d = a.shape
+    dh = d // num_heads
+    q = a @ blocks[prefix + "attn_wq"]
+    k = a @ blocks[prefix + "attn_wk"]
+    v = a @ blocks[prefix + "attn_wv"]
+    qh = q.reshape(n, num_heads, dh).transpose(1, 0, 2)
+    kh = k.reshape(n, num_heads, dh).transpose(1, 0, 2)
+    vh = v.reshape(n, num_heads, dh).transpose(1, 0, 2)
+    scale = 1.0 / np.sqrt(dh)
+    scores = (qh @ kh.transpose(0, 2, 1)) * scale
+    attn = one_shot._softmax_rows(scores)
+    ctx = (attn @ vh).transpose(1, 0, 2).reshape(n, d)
+    out = ctx @ blocks[prefix + "attn_wo"]
+    return out, (a, qh, kh, vh, attn, ctx, scale)
+
+
+def reference_attention_backward(dout, cache, blocks, prefix, grads):
+    a, qh, kh, vh, attn, ctx, scale = cache
+    n, d = a.shape
+    num_heads = qh.shape[0]
+    dh = d // num_heads
+    grads[prefix + "attn_wo"] += ctx.T @ dout
+    dctx = (dout @ blocks[prefix + "attn_wo"].T).reshape(n, num_heads, dh).transpose(1, 0, 2)
+    dattn = dctx @ vh.transpose(0, 2, 1)
+    dvh = attn.transpose(0, 2, 1) @ dctx
+    dscores = attn * (dattn - (dattn * attn).sum(axis=-1, keepdims=True))
+    dscores *= scale
+    dqh = dscores @ kh
+    dkh = dscores.transpose(0, 2, 1) @ qh
+    dq = dqh.transpose(1, 0, 2).reshape(n, d)
+    dk = dkh.transpose(1, 0, 2).reshape(n, d)
+    dv = dvh.transpose(1, 0, 2).reshape(n, d)
+    grads[prefix + "attn_wq"] += a.T @ dq
+    grads[prefix + "attn_wk"] += a.T @ dk
+    grads[prefix + "attn_wv"] += a.T @ dv
+    return (
+        dq @ blocks[prefix + "attn_wq"].T
+        + dk @ blocks[prefix + "attn_wk"].T
+        + dv @ blocks[prefix + "attn_wv"].T
+    )
+
+
+def reference_one_shot_backward(params, cache, dlogits):
+    """Per-block backward with separate Q/K/V and np.add.at for every position row."""
+    blocks = params.blocks
+    grad = np.zeros_like(params.flat)
+    grads = params.views(grad)
+    grads["head"] += cache["z"].T @ dlogits
+    dz = dlogits @ blocks["head"].T
+    dx, dgamma, dbeta = one_shot._layer_norm_backward(dz, cache["final_ln"])
+    grads["final_ln_gamma"] += dgamma
+    grads["final_ln_beta"] += dbeta
+    for layer_cache in reversed(cache["layers"]):
+        prefix = layer_cache["prefix"]
+        grads[prefix + "ffn_w2"] += layer_cache["r"].T @ dx
+        grads[prefix + "ffn_b2"] += dx.sum(axis=0)
+        dr = dx @ blocks[prefix + "ffn_w2"].T
+        du = one_shot._gelu_backward(dr, layer_cache["u"], layer_cache["gelu_t"])
+        grads[prefix + "ffn_w1"] += layer_cache["f_in"].T @ du
+        grads[prefix + "ffn_b1"] += du.sum(axis=0)
+        df_in = du @ blocks[prefix + "ffn_w1"].T
+        dx1_from_ffn, dgamma, dbeta = one_shot._layer_norm_backward(df_in, layer_cache["ln2"])
+        grads[prefix + "ln2_gamma"] += dgamma
+        grads[prefix + "ln2_beta"] += dbeta
+        dx1 = dx + dx1_from_ffn
+        da_in = reference_attention_backward(dx1, layer_cache["attn"], blocks, prefix, grads)
+        dx0_from_attn, dgamma, dbeta = one_shot._layer_norm_backward(da_in, layer_cache["ln1"])
+        grads[prefix + "ln1_gamma"] += dgamma
+        grads[prefix + "ln1_beta"] += dbeta
+        dx = dx1 + dx0_from_attn
+    slots, pois, hours = cache["ends"]
+    np.add.at(grads["position_embeddings"], cache["pos_idx"], dx)
+    np.add.at(grads["poi_embeddings"], pois, dx[slots])
+    np.add.at(grads["time_embeddings"], hours, dx[slots])
+    grads["mask_embedding"] += dx[1:-1].sum(axis=0)
+    return grad
+
+
+def trained_params(arch, seed, **kw):
+    """Parameters after a few steps, so no block is still at its initial value."""
+    trajs = toy_trajectories()
+    cfg = tiny_config(arch=arch, epochs=2, seed=seed, **kw)
+    return train(trajs, build_guidance_matrix(trajs, k=K), cfg).params
+
+
+class TestStackedAttention:
+    @pytest.mark.parametrize("num_heads, embed_dim", [(1, 8), (2, 8), (4, 8), (2, 32)])
+    @pytest.mark.parametrize("n", [1, 2, 3, M_MAX, M_MAX + 2])
+    def test_matches_separate_projections(self, num_heads, embed_dim, n):
+        params = trained_params(ARCH_ONE_SHOT, n, num_layers=2, num_heads=num_heads, embed_dim=embed_dim)
+        rng = np.random.default_rng(n)
+        for layer, prefix in enumerate(("layer0.", "layer1.")):
+            a = rng.standard_normal((n, embed_dim))
+            dout = rng.standard_normal((n, embed_dim))
+            wqkv, wo = params.qkv[layer], params.blocks[prefix + "attn_wo"]
+            out, cache = one_shot._attention_forward(a, wqkv, wo, num_heads)
+            ref_out, ref_cache = reference_attention_forward(a, params.blocks, prefix, num_heads)
+            assert np.array_equal(out, ref_out)
+            for got, want in zip(cache, ref_cache):
+                assert np.array_equal(got, want)
+            buffer = params.zero_grads()
+            da = one_shot._attention_backward(
+                dout, cache, wqkv, wo, buffer.qkv[layer], buffer.blocks[prefix + "attn_wo"]
+            )
+            ref_grads = params.views(np.zeros_like(params.flat))
+            ref_da = reference_attention_backward(dout, ref_cache, params.blocks, prefix, ref_grads)
+            assert np.array_equal(da, ref_da)
+            for name in ("attn_wq", "attn_wk", "attn_wv", "attn_wo"):
+                assert np.array_equal(buffer.blocks[prefix + name], ref_grads[prefix + name])
+
+    def test_qkv_views_share_memory_with_the_blocks(self):
+        params = init_params(tiny_config(num_layers=2), k=K, m_max=M_MAX)
+        for layer, wqkv in enumerate(params.qkv):
+            prefix = f"layer{layer}."
+            assert wqkv.shape == (3, 8, 8) and np.shares_memory(wqkv, params.flat)
+            for i, name in enumerate(("attn_wq", "attn_wk", "attn_wv")):
+                assert np.array_equal(wqkv[i], params.blocks[prefix + name])
+                params.blocks[prefix + name][0, 0] += 1.0
+                assert wqkv[i][0, 0] == params.blocks[prefix + name][0, 0]
+        assert init_params(tiny_config(arch=ARCH_RECURRENT), k=K, m_max=M_MAX).qkv == ()
+
+    @pytest.mark.parametrize("num_layers", [0, 1, 2])
+    @pytest.mark.parametrize("n", [1, 2, 3, M_MAX, M_MAX + 2])
+    def test_backward_matches_per_block_reference(self, num_layers, n):
+        params = trained_params(ARCH_ONE_SHOT, 10 + n, num_layers=num_layers)
+        q = Query(p_s=1, t_s=3600, p_e=4, t_e=7200 * n, n=n)
+        logits, cache = one_shot.forward_with_cache(q, params)
+        dlogits = np.random.default_rng(n).standard_normal(logits.shape)
+        want = reference_one_shot_backward(params, cache, dlogits)
+        assert np.array_equal(one_shot.backward(params, cache, dlogits), want)
+        # a used buffer is zeroed first, not added to
+        buffer = params.zero_grads()
+        buffer.flat[...] = 7.0
+        got = one_shot.backward(params, cache, dlogits, buffer)
+        assert got is buffer.flat
+        assert np.array_equal(got, want)
+
+
+def forward_for_backward(arch, params, traj):
+    """Score rows, cache and the architecture's backward for one trajectory."""
+    q = Query(p_s=traj.pois[0], t_s=traj.times[0], p_e=traj.pois[-1], t_e=traj.times[-1], n=len(traj))
+    if arch == ARCH_ONE_SHOT:
+        return (*one_shot.forward_with_cache(q, params), one_shot.backward)
+    return (*forward_teacher(q, traj.pois, params), recurrent.backward)
+
+
+class TestGradientBuffer:
+    @pytest.mark.parametrize("arch", [ARCH_ONE_SHOT, ARCH_RECURRENT])
+    def test_without_a_buffer_each_call_returns_a_new_vector(self, arch):
+        params = trained_params(arch, 3)
+        rows, cache, backward = forward_for_backward(arch, params, toy_trajectories()[0])
+        drows = np.random.default_rng(0).standard_normal(rows.shape)
+        first = backward(params, cache, drows)
+        kept = first.copy()
+        second = backward(params, cache, drows)
+        assert not np.shares_memory(first, second)
+        assert not np.shares_memory(first, params.flat)
+        assert np.array_equal(first, kept) and np.array_equal(second, kept)
+
+    @pytest.mark.parametrize("arch", [ARCH_ONE_SHOT, ARCH_RECURRENT])
+    def test_with_a_buffer_the_gradient_is_written_into_it(self, arch):
+        params = trained_params(arch, 3)
+        pm = build_guidance_matrix(toy_trajectories(), k=K)
+        buffer = params.zero_grads()
+        for traj in toy_trajectories():
+            _, fresh = loss_and_grads(traj, params, pm, 1.0)
+            _, got = loss_and_grads(traj, params, pm, 1.0, buffer)
+            assert got is buffer.flat
+            assert np.array_equal(got, fresh)
+
+
 class _DictAdam:
     """Per-block Adam over a dict of arrays: the reference for the flat update."""
 
@@ -401,6 +574,22 @@ class TestTrain:
         cfg = tiny_config(arch=arch, epochs=4, seed=7, alpha=alpha)
         result = train(trajs, pm, cfg)
         ref_params, ref_losses = reference_train(trajs, pm, cfg)
+        assert result.epoch_losses == ref_losses
+        assert np.array_equal(result.params.flat, ref_params.flat)
+
+    @pytest.mark.parametrize("arch", [ARCH_ONE_SHOT, ARCH_RECURRENT])
+    @pytest.mark.parametrize("alpha", [0.0, 1.0])
+    def test_flat_adam_matches_reference_two_layers_past_the_horizon(self, arch, alpha):
+        # the guidance horizon comes from the short routes, so the long one
+        # runs past m_max and takes the np.add.at scatter of position rows
+        trajs = toy_trajectories()
+        pm = build_guidance_matrix(trajs, k=K)
+        long = Trajectory(pois=(5, 0, 2, 4, 3, 1, 2), times=tuple(3600 * i for i in range(7)))
+        assert len(long) > pm.m_max
+        cfg = tiny_config(arch=arch, num_layers=2, epochs=3, seed=9, alpha=alpha)
+        with pytest.warns(UserWarning, match="horizon"):
+            result = train([*trajs, long], pm, cfg)
+            ref_params, ref_losses = reference_train([*trajs, long], pm, cfg)
         assert result.epoch_losses == ref_losses
         assert np.array_equal(result.params.flat, ref_params.flat)
 
