@@ -3,14 +3,15 @@
     PYTHONPATH=src python scripts/artifact_hashes.py OUT_DIR
 
 For each architecture it trains one bundle on Glasgow with the criterion-8
-flags, then evaluates it with greedy, top_k and adaptive decoding, each with
-the no-repeat mask off and on, and runs `analyze` and `recommend` once each
-with adaptive decoding; `recommend` asks for the corpus's first trajectory
-(its endpoints, their times and its length).  The Markov baseline is
-evaluated over the same six settings.  The model shape of the mechanism
-study (the defaults: 2 layers, embed 32, hidden 64) is trained too, for each
-architecture with alpha 0 and 1, one epoch each; of those runs only
-`params.bin` and `loss_trace.csv` are kept.  Commands run in-process through
+flags, then evaluates it with greedy, top_k, top_p, adaptive (temperature
+mode) and adaptive in threshold mode, each with the no-repeat mask off and
+on, and runs `analyze` and `recommend` once each with adaptive decoding;
+`recommend` asks for the corpus's first trajectory (its endpoints, their
+times and its length).  The Markov baseline is evaluated with greedy,
+top_k, top_p and adaptive, each with the mask off and on.  The model shape
+of the mechanism study (the defaults: 2 layers, embed 32, hidden 64) is
+trained too, for each architecture with alpha 0 and 1, one epoch each; of
+those runs only `params.bin` and `loss_trace.csv` are kept.  Commands run in-process through
 `artrip.cli.main` and their console output goes to stderr.  Standard output is one
 `sha256  path` line per file under OUT_DIR, sorted by path, so running it
 against two checkouts (point PYTHONPATH at each `src`) and diffing the two
@@ -45,7 +46,16 @@ CRITERION_8_FLAGS = (
 STUDY_FLAGS = ("--epochs", "1")
 STUDY_ALPHAS = ("0", "1")
 ARCHS = ("one_shot", "recurrent")
-STRATEGIES = ("greedy", "top_k", "adaptive")
+# (directory name, decode flags)
+STRATEGIES = (
+    ("greedy", ["--strategy", "greedy"]),
+    ("top_k", ["--strategy", "top_k"]),
+    ("top_p", ["--strategy", "top_p"]),
+    ("adaptive", ["--strategy", "adaptive"]),
+    ("adaptive-threshold", ["--strategy", "adaptive", "--adaptive-mode", "threshold"]),
+)
+# the Markov baseline has no confidence model, so no threshold mode
+MARKOV_STRATEGIES = STRATEGIES[:4]
 MASKS = ("false", "true")
 
 
@@ -56,11 +66,11 @@ def _run(argv: list[str]) -> None:
         raise RuntimeError(f"artrip {' '.join(argv)} exited with {code}")
 
 
-def _evaluations():
-    for strategy in STRATEGIES:
+def _evaluations(strategies):
+    for strategy, flags in strategies:
         for mask in MASKS:
             name = f"{strategy}-mask-{'on' if mask == 'true' else 'off'}"
-            yield name, ["--strategy", strategy, "--no-repeat-mask", mask]
+            yield name, [*flags, "--no-repeat-mask", mask]
 
 
 def _recommend_flags(flags: list[str]) -> list[str]:
@@ -99,14 +109,14 @@ def write_artifacts(out_dir: Path, flags=CRITERION_8_FLAGS) -> None:
         arch_dir = out_dir / arch
         common = [*flags, "--arch", arch, "--output-dir", str(arch_dir)]
         _run(["train", *common])
-        for name, decode_flags in _evaluations():
+        for name, decode_flags in _evaluations(STRATEGIES):
             _run(["evaluate", *common, *decode_flags])
             (arch_dir / name).mkdir()
             for artifact in ("metrics.csv", "trips.csv"):
                 (arch_dir / artifact).rename(arch_dir / name / artifact)
         _run(["analyze", *common, "--strategy", "adaptive"])
         _run(["recommend", *common, "--strategy", "adaptive", *recommend])
-    for name, decode_flags in _evaluations():
+    for name, decode_flags in _evaluations(MARKOV_STRATEGIES):
         target = out_dir / "markov" / name
         _run(["evaluate", *flags, "--generator", "markov", "--output-dir", str(target), *decode_flags])
     _train_study_shape(out_dir, flags)

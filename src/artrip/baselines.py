@@ -9,12 +9,14 @@ to loop, which makes it a useful repetition yardstick.
 from __future__ import annotations
 
 import warnings
+from dataclasses import replace
 
 import numpy as np
 
+from artrip import decoding
 from artrip.analysis import TransitionMatrix
 from artrip.data import Query, Trajectory
-from artrip.decoding import DecodeConfig, Trip, greedy_pick, mask_repeats, top_k_sample, top_p_sample
+from artrip.decoding import DecodeConfig, Trip, mask_repeats
 
 
 def build_popularity(train: list[Trajectory], k: int) -> np.ndarray:
@@ -59,25 +61,19 @@ def markov_decode(query: Query, matrices: list[TransitionMatrix], cfg: DecodeCon
             RuntimeWarning,
             stacklevel=2,
         )
+        cfg = replace(cfg, strategy="top_p")
     rng = None if cfg.strategy == "greedy" else np.random.default_rng(cfg.seed)
     pois = [query.p_s]
     used = {query.p_s, query.p_e}
     current = query.p_s
     for position in range(2, query.n):
-        table = matrices[min(position - 2, len(matrices) - 1)]
-        probs = table.values[current]
-        with np.errstate(divide="ignore"):
-            row = np.log(probs)
+        probs = matrices[min(position - 2, len(matrices) - 1)].values[current]
+        # zero probability scores -inf; `where` skips log(0) and its warning
+        row = np.log(probs, out=np.full(probs.shape[0], -np.inf), where=probs > 0)
         if cfg.no_repeat_mask:
             row = mask_repeats(row, used, position)
-        if cfg.strategy == "greedy":
-            choice = greedy_pick(row)
-        elif cfg.strategy == "top_k":
-            choice = top_k_sample(row, cfg.top_k, rng)
-        else:
-            choice = top_p_sample(row, cfg.top_p, rng)
-        pois.append(choice)
-        used.add(choice)
-        current = choice
+        current = decoding._select(row, position, None, cfg, rng, None)
+        pois.append(current)
+        used.add(current)
     pois.append(query.p_e)
     return Trip(pois=tuple(pois))

@@ -198,13 +198,13 @@ def cmd_evaluate(config: ExperimentConfig, strategy_flag: str | None) -> int:
 
 
 def cmd_recommend(config: ExperimentConfig, args: argparse.Namespace) -> int:
-    catalog, _, _, _ = _load_corpus(config)
-    bundle = _bundle_for(config, catalog)
     if args.length < 2:
         raise ConfigError("trip length must be at least 2")
+    catalog, _, _, _ = _load_corpus(config)
     for poi in (args.start, args.end):
         if poi not in catalog:
             raise ConfigError(f"POI id {poi} not in the catalog")
+    bundle = _bundle_for(config, catalog)
     query = Query(
         p_s=catalog.index_of(args.start),
         t_s=args.start_time,

@@ -20,6 +20,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from artrip import guidance
 from artrip.data import Query
 from artrip.guidance import ConfidenceVector, GuidanceMatrix, apply_guidance
 from artrip.model.params import ARCH_ONE_SHOT, ModelParams
@@ -69,58 +70,53 @@ class Trip:
         return len(self.pois)
 
 
-def softmax(row: np.ndarray) -> np.ndarray:
-    shifted = row - row.max()
-    e = np.exp(shifted)
-    return e / e.sum()
-
-
 def greedy_pick(row: np.ndarray) -> int:
     """Highest score wins; ties go to the lowest index (np.argmax order)."""
     return int(np.argmax(row))
 
 
-def _stable_desc_order(probs: np.ndarray) -> np.ndarray:
-    return np.argsort(-probs, kind="stable")
+def _draw(row: np.ndarray, rng, trace, p: float = 1.0, k: int | None = None, tau: float = 1.0) -> int:
+    """Softmax of row / tau, truncated, renormalized and sampled in one pass.
 
-
-def _sample(probs: np.ndarray, candidates: np.ndarray, rng, trace) -> int:
-    """Draw one candidate in proportion to its probability.
-
-    This is `Generator.choice(candidates, p=sel)`'s own inverse-CDF draw
+    The candidates are the k most probable POIs, or else the smallest
+    stable-ordered prefix whose mass reaches p.  The draw is
+    `Generator.choice(candidates, p=sel / sel.sum())`'s own inverse CDF
     without its argument handling: the same pick from the same single
     `rng.random()`, so the stream stays where `choice` would leave it.
     """
-    sel = probs[candidates]
-    sel = sel / sel.sum()
+    if tau != 1.0:
+        row = row / tau
+    probs = row - np.maximum.reduce(row)
+    np.exp(probs, out=probs)
+    probs /= np.add.reduce(probs)
+    order = np.argsort(-probs, kind="stable")
+    if k is None:
+        ranked = probs[order]
+        cut = int(ranked.cumsum().searchsorted(p - _CUM_TOL)) + 1
+        sel = ranked[:cut]
+    else:
+        cut = k
+        sel = probs[order[:cut]]
+    candidates = order[:cut]
+    sel = sel / np.add.reduce(sel)
     if not np.minimum.reduce(sel) >= 0.0:
         raise ValueError("probabilities contain NaN or are negative")
     cdf = sel.cumsum()
     cdf /= cdf[-1]
     choice = int(candidates[cdf.searchsorted(rng.random(), side="right")])
     if trace is not None:
-        trace.append((tuple(int(c) for c in candidates), choice))
+        trace.append((tuple(candidates.tolist()), choice))
     return choice
 
 
 def top_k_sample(row: np.ndarray, k: int, rng, trace=None) -> int:
     """Sample among the k highest-probability POIs, renormalized."""
-    probs = softmax(row)
-    order = _stable_desc_order(probs)
-    return _sample(probs, order[: min(k, len(order))], rng, trace)
-
-
-def nucleus_candidates(probs: np.ndarray, p: float) -> np.ndarray:
-    """Smallest stable-ordered prefix whose mass reaches p."""
-    order = _stable_desc_order(probs)
-    cum = np.cumsum(probs[order])
-    cut = int(np.searchsorted(cum, p - _CUM_TOL)) + 1
-    return order[:cut]
+    return _draw(row, rng, trace, k=k)
 
 
 def top_p_sample(row: np.ndarray, p: float, rng, trace=None) -> int:
-    probs = softmax(row)
-    return _sample(probs, nucleus_candidates(probs, p), rng, trace)
+    """Sample from the smallest stable-ordered prefix whose mass reaches p."""
+    return _draw(row, rng, trace, p=p)
 
 
 def adaptive_sample(
@@ -139,10 +135,8 @@ def adaptive_sample(
     confidence drops, p_j = 1 - c * (1 - p).
     """
     if cfg.adaptive_mode == "temperature":
-        tau = 1.0 + cfg.lam * (1.0 - confidence)
-        return top_p_sample(row / tau, cfg.top_p, rng, trace)
-    p_j = 1.0 - confidence * (1.0 - cfg.top_p)
-    return top_p_sample(row, p_j, rng, trace)
+        return _draw(row, rng, trace, p=cfg.top_p, tau=1.0 + cfg.lam * (1.0 - confidence))
+    return _draw(row, rng, trace, p=1.0 - confidence * (1.0 - cfg.top_p))
 
 
 def mask_repeats(row: np.ndarray, used: set[int], position: int) -> np.ndarray:
@@ -204,11 +198,13 @@ def decode_trip(
             pois.append(choice)
             used.add(choice)
     else:
+        # row j of the factor is position j + 2's guidance, as apply_guidance scales it
+        factor = 1.0 + guidance.guidance_columns(pm, 2, query.n - 2)
         state = init_recurrent_state(query, params)
         prev = query.p_s
         for position in range(2, query.n):
             raw, state = forward_recurrent_step(state, prev, params)
-            row = apply_guidance(raw[None, :], pm, first_position=position)[0]
+            row = raw * factor[position - 2]
             if cfg.no_repeat_mask:
                 row = mask_repeats(row, used, position)
             choice = _select(row, position, conf, cfg, rng, trace)

@@ -25,32 +25,50 @@ def _pois(seq) -> tuple[int, ...]:
     return tuple(seq)
 
 
-def f1_score(pred, truth) -> float:
-    """Harmonic mean of set precision and recall; 0.0 when degenerate."""
-    pred_set = set(_pois(pred))
-    truth_set = set(_pois(truth))
-    if not pred_set or not truth_set:
+def _ranks(truth) -> dict[int, int]:
+    """First-occurrence rank of every POI of a sequence, in visiting order."""
+    ranks: dict[int, int] = {}
+    for poi in _pois(truth):
+        ranks.setdefault(poi, len(ranks))
+    return ranks
+
+
+def _harmonic(hits: int, n_pred: int, n_truth: int) -> float:
+    if not n_pred or not n_truth:
         return 0.0
-    hits = len(pred_set & truth_set)
-    precision = hits / len(pred_set)
-    recall = hits / len(truth_set)
+    precision = hits / n_pred
+    recall = hits / n_truth
     if precision + recall == 0.0:
         return 0.0
     return 2.0 * precision * recall / (precision + recall)
 
 
-def _dedup(seq: tuple[int, ...]) -> tuple[int, ...]:
-    seen: set[int] = set()
-    out = []
-    for poi in seq:
-        if poi not in seen:
-            seen.add(poi)
-            out.append(poi)
-    return tuple(out)
+def _score(pred: tuple[int, ...], ranks: dict[int, int]) -> tuple[float, float, float]:
+    """F1, PairsF1 and REP of a non-empty trip against the truth's `_ranks`.
+
+    An ordered pair of distinct predicted POIs is a PairsF1 hit when the
+    truth visits both, first occurrences in the same order.
+    """
+    if not pred:
+        raise ValueError("empty trip has no repetition ratio")
+    seq = tuple(dict.fromkeys(pred))
+    # truth ranks of the predicted POIs the truth visits, in predicted order
+    hit_ranks = [ranks[poi] for poi in seq if poi in ranks]
+    f1 = _harmonic(len(hit_ranks), len(seq), len(ranks))
+    pred_pairs = len(seq) * (len(seq) - 1) // 2
+    truth_pairs = len(ranks) * (len(ranks) - 1) // 2
+    if pred_pairs and truth_pairs:
+        hits = sum(r < s for i, r in enumerate(hit_ranks) for s in hit_ranks[i + 1 :])
+        pairs = _harmonic(hits, pred_pairs, truth_pairs)
+    else:
+        pairs = 1.0 if seq == tuple(ranks) else 0.0
+    return f1, pairs, (len(pred) - len(seq)) / len(pred)
 
 
-def _ordered_pairs(seq: tuple[int, ...]) -> set[tuple[int, int]]:
-    return {(seq[i], seq[j]) for i in range(len(seq)) for j in range(i + 1, len(seq))}
+def f1_score(pred, truth) -> float:
+    """Harmonic mean of set precision and recall; 0.0 when degenerate."""
+    pred = _pois(pred)
+    return _score(pred, _ranks(truth))[0] if pred else 0.0
 
 
 def pairs_f1(pred, truth) -> float:
@@ -59,28 +77,15 @@ def pairs_f1(pred, truth) -> float:
     Single-POI sequences have no pairs; the score is then 1.0 exactly
     when the deduplicated sequences are identical, else 0.0.
     """
-    pred_seq = _dedup(_pois(pred))
-    truth_seq = _dedup(_pois(truth))
-    pred_pairs = _ordered_pairs(pred_seq)
-    truth_pairs = _ordered_pairs(truth_seq)
-    if not pred_pairs or not truth_pairs:
-        if not pred_pairs and not truth_pairs:
-            return 1.0 if pred_seq == truth_seq else 0.0
-        return 0.0
-    hits = len(pred_pairs & truth_pairs)
-    precision = hits / len(pred_pairs)
-    recall = hits / len(truth_pairs)
-    if precision + recall == 0.0:
-        return 0.0
-    return 2.0 * precision * recall / (precision + recall)
+    pred, ranks = _pois(pred), _ranks(truth)
+    if not pred:
+        return 0.0 if ranks else 1.0
+    return _score(pred, ranks)[1]
 
 
 def trip_repetition(trip) -> float:
     """Fraction of a single trip's positions that revisit an earlier POI."""
-    pois = _pois(trip)
-    if not pois:
-        raise ValueError("empty trip has no repetition ratio")
-    return (len(pois) - len(set(pois))) / len(pois)
+    return _score(_pois(trip), {})[2]
 
 
 def rep_score(trips) -> float:
@@ -119,23 +124,16 @@ def evaluate_decoder(decode_fn, test: list[Trajectory], repeats: int, base_seed:
         raise ValueError("empty test split")
     rows: list[dict] = []
     per_repeat = {"f1": [], "pairs_f1": [], "rep": []}
+    queries = [(make_query(truth), _ranks(truth)) for truth in test]
     for r in range(repeats):
         repeat_seed = base_seed + r
         f1s, pairs, reps = [], [], []
-        for ordinal, truth in enumerate(test):
-            query = make_query(truth)
-            trip = decode_fn(query, ordinal, repeat_seed)
-            row = {
-                "repeat": r,
-                "query": ordinal,
-                "f1": f1_score(trip, truth),
-                "pairs_f1": pairs_f1(trip, truth),
-                "rep": trip_repetition(trip),
-            }
-            rows.append(row)
-            f1s.append(row["f1"])
-            pairs.append(row["pairs_f1"])
-            reps.append(row["rep"])
+        for ordinal, (query, ranks) in enumerate(queries):
+            f1, pair, rep = _score(_pois(decode_fn(query, ordinal, repeat_seed)), ranks)
+            rows.append({"repeat": r, "query": ordinal, "f1": f1, "pairs_f1": pair, "rep": rep})
+            f1s.append(f1)
+            pairs.append(pair)
+            reps.append(rep)
         per_repeat["f1"].append(float(np.mean(f1s)))
         per_repeat["pairs_f1"].append(float(np.mean(pairs)))
         per_repeat["rep"].append(float(np.mean(reps)))

@@ -10,15 +10,18 @@ A bundle is a directory of three files:
   guidance.bin   (k+1) x m_max little-endian float64: the k guidance
                  rows followed by the per-position confidence row
 
-Loading reverses saving exactly, so save -> load -> save reproduces
-identical bytes.  A block table that disagrees with the config is
-rejected at load time.
+Saving writes a sibling directory and swaps it into place.  Loading
+reverses saving exactly, so save -> load -> save reproduces identical
+bytes.  A manifest whose block table disagrees with the config, whose
+mechanism keys differ from MECHANISM_KEYS, or whose vocabulary or
+guidance totals do not have length k is rejected at load time.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import shutil
 from dataclasses import asdict, dataclass
 from itertools import zip_longest
 from pathlib import Path
@@ -30,6 +33,7 @@ from artrip.model.params import ModelConfig, ModelParams
 
 BUNDLE_FORMAT = "trip-bundle-v1"
 MECHANISM_KEYS = ("guiding", "drifting", "adapting")
+BUNDLE_FILES = ("manifest.json", "params.bin", "guidance.bin")
 
 
 @dataclass
@@ -60,7 +64,11 @@ def save_bundle(
     mechanisms: dict[str, bool],
     vocab_ids: list[int],
 ) -> None:
-    """Write manifest.json, params.bin and guidance.bin under `path`."""
+    """Write manifest.json, params.bin and guidance.bin under `path`.
+
+    An existing bundle at `path` is replaced whole; anything else there is
+    refused.
+    """
     if sorted(mechanisms) != sorted(MECHANISM_KEYS):
         raise ValueError(f"mechanisms must have exactly the keys {MECHANISM_KEYS}")
     if len(vocab_ids) != params.k or pm.k != params.k:
@@ -68,7 +76,8 @@ def save_bundle(
     if pm.m_max != params.m_max or len(confidence.values) != pm.m_max:
         raise ValueError("params and guidance disagree on m_max")
     path = Path(path)
-    path.mkdir(parents=True, exist_ok=True)
+    if path.exists() and not (path.is_dir() and {p.name for p in path.iterdir()} <= set(BUNDLE_FILES)):
+        raise ValueError(f"{path} is not a bundle directory; not replacing it")
     manifest = {
         "format": BUNDLE_FORMAT,
         "config": asdict(params.config),
@@ -81,10 +90,25 @@ def save_bundle(
         "guidance_totals": [int(t) for t in pm.poi_totals],
     }
     text = json.dumps(manifest, sort_keys=True, separators=(",", ":")) + "\n"
-    (path / "manifest.json").write_text(text, encoding="ascii")
-    (path / "params.bin").write_bytes(params.flat.astype("<f8", copy=False).tobytes())
     guidance = np.vstack([pm.values, confidence.values[None, :]])
-    (path / "guidance.bin").write_bytes(guidance.astype("<f8").tobytes(order="C"))
+    # write a sibling directory, then swap it in: a crash leaves the old
+    # bundle, the new one or none at `path`, never a mix of the two
+    path.parent.mkdir(parents=True, exist_ok=True)
+    partial, old = path.with_name(f".{path.name}.partial"), path.with_name(f".{path.name}.old")
+    for stale in (partial, old):
+        shutil.rmtree(stale, ignore_errors=True)
+    partial.mkdir()
+    (partial / "manifest.json").write_text(text, encoding="ascii")
+    (partial / "params.bin").write_bytes(params.flat.astype("<f8", copy=False).tobytes())
+    (partial / "guidance.bin").write_bytes(guidance.astype("<f8").tobytes(order="C"))
+    if path.exists():
+        path.rename(old)
+    partial.rename(path)
+    shutil.rmtree(old, ignore_errors=True)
+
+
+def _manifest_error(field: str, found, want) -> ValueError:
+    return ValueError(f"manifest.json: {field} is {found}, expected {want}")
 
 
 def load_bundle(path) -> Bundle:
@@ -96,13 +120,22 @@ def load_bundle(path) -> Bundle:
     config = ModelConfig(**manifest["config"])
     k = manifest["k"]
     m_max = manifest["m_max"]
+    mechanisms = manifest.get("mechanisms")
+    if not isinstance(mechanisms, dict) or sorted(mechanisms) != sorted(MECHANISM_KEYS):
+        keys = sorted(mechanisms) if isinstance(mechanisms, dict) else mechanisms
+        raise _manifest_error("mechanisms", f"keyed {keys}", f"the keys {sorted(MECHANISM_KEYS)}")
+    for field in ("vocab_ids", "guidance_totals"):
+        values = manifest.get(field)
+        if not isinstance(values, list) or len(values) != k:
+            found = f"of length {len(values)}" if isinstance(values, list) else repr(values)
+            raise _manifest_error(field, found, f"a list of length k={k}")
     params = ModelParams(config=config, k=k, m_max=m_max)
     expected = _block_table(params)
     table = manifest.get("blocks")
     if table != expected:
         pairs = zip_longest(table if isinstance(table, list) else [], expected)
         i, (found, want) = next((i, pair) for i, pair in enumerate(pairs) if pair[0] != pair[1])
-        raise ValueError(f"manifest.json: block table entry {i} is {found}, expected {want}")
+        raise _manifest_error(f"block table entry {i}", found, want)
     raw = np.frombuffer((path / "params.bin").read_bytes(), dtype="<f8")
     if raw.size != params.flat.size:
         raise ValueError("params.bin size does not match the manifest block table")
@@ -121,6 +154,6 @@ def load_bundle(path) -> Bundle:
         params=params,
         pm=pm,
         confidence=confidence,
-        mechanisms=dict(manifest["mechanisms"]),
+        mechanisms=dict(mechanisms),
         manifest=manifest,
     )

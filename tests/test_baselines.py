@@ -1,12 +1,24 @@
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from artrip.analysis import TransitionMatrix, empirical_transitions
+from artrip.analysis import TransitionMatrix, empirical_transitions, perturb
+from artrip import decoding
 from artrip.baselines import build_popularity, markov_decode, popularity_decode
 from artrip.data import Query, Trajectory
-from artrip.decoding import DecodeConfig
+from artrip.decoding import (
+    STRATEGIES,
+    DecodeConfig,
+    Trip,
+    greedy_pick,
+    mask_repeats,
+    top_k_sample,
+    top_p_sample,
+)
 from artrip.metrics import trip_repetition
 
 
@@ -146,3 +158,68 @@ class TestMarkov:
         q = Query(p_s=0, t_s=0, p_e=1, t_e=7200, n=3)
         with pytest.raises(ValueError):
             markov_decode(q, [], DecodeConfig())
+
+
+def reference_markov_decode(query, matrices, cfg, rows):
+    """The Markov walk with its own copy of the strategy switch; `rows`
+    collects the bytes of each scored row."""
+    rng = None if cfg.strategy == "greedy" else np.random.default_rng(cfg.seed)
+    pois, used, current = [query.p_s], {query.p_s, query.p_e}, query.p_s
+    for position in range(2, query.n):
+        probs = matrices[min(position - 2, len(matrices) - 1)].values[current]
+        with np.errstate(divide="ignore"):
+            row = np.log(probs)
+        if cfg.no_repeat_mask:
+            row = mask_repeats(row, used, position)
+        rows.append(row.tobytes())
+        if cfg.strategy == "greedy":
+            current = greedy_pick(row)
+        elif cfg.strategy == "top_k":
+            current = top_k_sample(row, cfg.top_k, rng)
+        else:
+            current = top_p_sample(row, cfg.top_p, rng)
+        pois.append(current)
+        used.add(current)
+    return Trip(pois=(*pois, query.p_e))
+
+
+routes = st.lists(st.integers(0, 9), min_size=2, max_size=7)
+
+
+@pytest.mark.filterwarnings("ignore:no-repeat mask:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:the Markov baseline:RuntimeWarning")
+@settings(max_examples=200, deadline=None)
+@given(
+    corpus_routes=st.lists(routes, min_size=1, max_size=25),
+    start=st.integers(0, 9),
+    end=st.integers(0, 9),
+    n=st.integers(2, 10),
+    strategy=st.sampled_from(STRATEGIES),
+    mask=st.booleans(),
+    top_k=st.integers(1, 10),
+    top_p=st.floats(0.05, 1.0),
+    seed=st.integers(0, 2**32 - 1),
+    sigma=st.sampled_from([0.0, 0.01, 0.3]),
+)
+def test_markov_trips_equal_the_reference_walk(corpus_routes, start, end, n, strategy, mask, top_k, top_p, seed, sigma):
+    ts = [Trajectory(pois=tuple(r), times=tuple(range(len(r)))) for r in corpus_routes]
+    # noise leaves small and zero probabilities, whose logs must match too
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        mats = [perturb(m, sigma, seed + i) for i, m in enumerate(empirical_transitions(ts, k=10))]
+    q = Query(p_s=start, t_s=0, p_e=end, t_e=3600 * n, n=n)
+    cfg = DecodeConfig(strategy=strategy, top_k=top_k, top_p=top_p, no_repeat_mask=mask, seed=seed)
+    # adaptive runs as top_p: the baseline has no confidence model
+    ref_cfg = DecodeConfig(strategy="top_p" if strategy == "adaptive" else strategy, top_k=top_k,
+                           top_p=top_p, no_repeat_mask=mask, seed=seed)
+    rows, ref_rows = [], []
+
+    def recording_select(row, *args):
+        rows.append(row.tobytes())
+        return select(row, *args)
+
+    select = decoding._select
+    with mock.patch.object(decoding, "_select", recording_select):
+        trip = markov_decode(q, mats, cfg)
+    assert trip == reference_markov_decode(q, mats, ref_cfg, ref_rows)
+    assert rows == ref_rows

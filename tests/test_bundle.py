@@ -166,3 +166,76 @@ class TestValidation:
     def test_missing_file_raises_oserror(self, tmp_path):
         with pytest.raises(OSError):
             load_bundle(tmp_path / "nope")
+
+
+def edit_manifest(path, **changes):
+    manifest = json.loads((path / "manifest.json").read_text())
+    manifest.update(changes)
+    (path / "manifest.json").write_text(json.dumps(manifest))
+
+
+class TestManifestFields:
+    def saved(self, tmp_path):
+        params, pm, conf = build_artifacts()
+        save_bundle(tmp_path / "model", params, pm, conf, MECHS, VOCAB)
+        return tmp_path / "model"
+
+    @pytest.mark.parametrize(
+        "mechanisms",
+        [dict(MECHS, extra=True), {"guiding": True, "drifting": False}, ["guiding", "drifting", "adapting"]],
+        ids=["extra", "missing", "not-a-mapping"],
+    )
+    def test_mechanism_keys_must_match(self, tmp_path, mechanisms):
+        path = self.saved(tmp_path)
+        edit_manifest(path, mechanisms=mechanisms)
+        with pytest.raises(ValueError, match=r"manifest\.json: mechanisms"):
+            load_bundle(path)
+
+    def test_vocab_ids_must_have_length_k(self, tmp_path):
+        path = self.saved(tmp_path)
+        edit_manifest(path, vocab_ids=VOCAB[:-1])
+        with pytest.raises(ValueError, match=r"manifest\.json: vocab_ids is of length 5, expected .*k=6"):
+            load_bundle(path)
+
+    def test_guidance_totals_must_have_length_k(self, tmp_path):
+        path = self.saved(tmp_path)
+        manifest = json.loads((path / "manifest.json").read_text())
+        edit_manifest(path, guidance_totals=manifest["guidance_totals"] + [0])
+        with pytest.raises(ValueError, match=r"manifest\.json: guidance_totals is of length 7, expected .*k=6"):
+            load_bundle(path)
+
+
+class TestAtomicSave:
+    def test_resave_replaces_the_bundle_and_leaves_no_siblings(self, tmp_path):
+        params, pm, conf = build_artifacts(seed=0)
+        other, _, _ = build_artifacts(seed=1)
+        save_bundle(tmp_path / "model", params, pm, conf, MECHS, VOCAB)
+        save_bundle(tmp_path / "model", other, pm, conf, MECHS, VOCAB)
+        assert np.array_equal(load_bundle(tmp_path / "model").params.flat, other.flat)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["model"]
+
+    def test_crash_mid_write_keeps_the_old_bundle(self, tmp_path, monkeypatch):
+        params, pm, conf = build_artifacts(seed=0)
+        other, _, _ = build_artifacts(seed=1)
+        save_bundle(tmp_path / "model", params, pm, conf, MECHS, VOCAB)
+        before = {p.name: p.read_bytes() for p in (tmp_path / "model").iterdir()}
+
+        def crash(self, data):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(type(tmp_path), "write_bytes", crash)
+        with pytest.raises(OSError, match="disk full"):
+            save_bundle(tmp_path / "model", other, pm, conf, MECHS, VOCAB)
+        monkeypatch.undo()
+        assert {p.name: p.read_bytes() for p in (tmp_path / "model").iterdir()} == before
+        # the next save clears the partial directory the crash left behind
+        save_bundle(tmp_path / "model", other, pm, conf, MECHS, VOCAB)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["model"]
+
+    def test_refuses_a_directory_with_other_files(self, tmp_path):
+        params, pm, conf = build_artifacts()
+        (tmp_path / "model").mkdir()
+        (tmp_path / "model" / "notes.txt").write_text("keep me\n")
+        with pytest.raises(ValueError, match="not a bundle directory"):
+            save_bundle(tmp_path / "model", params, pm, conf, MECHS, VOCAB)
+        assert (tmp_path / "model" / "notes.txt").read_text() == "keep me\n"

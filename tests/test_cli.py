@@ -209,6 +209,21 @@ class TestRecommend:
         assert "length" in capsys.readouterr().err
 
 
+    def test_unknown_poi_fails_before_the_bundle_is_read(self, base_flags, capsys):
+        # no bundle was trained: the unknown POI is what must be reported
+        args = ["recommend", *base_flags, "--start", "999", "--end", "102", "--length", "3"]
+        assert main(args) == 1
+        err = capsys.readouterr().err
+        assert "999" in err and "manifest" not in err
+
+    def test_degenerate_length_fails_before_any_file_is_read(self, tmp_path, capsys):
+        # neither a corpus nor a bundle exists: the length is what must be reported
+        args = ["recommend", "--output-dir", str(tmp_path / "none"), "--start", "1", "--end", "2", "--length", "1"]
+        assert main(args) == 1
+        err = capsys.readouterr().err
+        assert "length" in err and "poi_file" not in err and "manifest" not in err
+
+
 class TestAnalyze:
     def test_writes_all_reports(self, base_flags, tmp_path, capsys):
         assert main(["train", *base_flags]) == 0
@@ -388,10 +403,14 @@ class TestArtifactHashes:
             script.write_artifacts(tmp_path / run, flags)
             listings.append(script.hash_lines(tmp_path / run))
         first = listings[0]
-        # per arch: 3 bundle files, the loss trace, 6 x (metrics, trips) and
-        # the 4 analyze reports plus trip.csv; Markov: 6 x (metrics, trips);
+        # per arch: 3 bundle files, the loss trace, 10 x (metrics, trips) and
+        # the 4 analyze reports plus trip.csv; Markov: 8 x (metrics, trips);
         # the study shape: 2 archs x 2 alphas x (params.bin, loss_trace.csv)
-        assert len(first) == 2 * (4 + 12 + 5) + 12 + 8
+        assert len(first) == 2 * (4 + 20 + 5) + 16 + 8
+        names = {line.split("  ", 1)[1] for line in first}
+        assert {"one_shot/top_p-mask-on/trips.csv", "recurrent/adaptive-threshold-mask-off/trips.csv"} <= names
+        assert "markov/top_p-mask-off/metrics.csv" in names
+        assert "markov/adaptive-threshold-mask-off/metrics.csv" not in names
         assert "study/recurrent-alpha-1/params.bin" in {line.split("  ", 1)[1] for line in first}
         assert "one_shot/model/params.bin" in {line.split("  ", 1)[1] for line in first}
         assert first == sorted(first, key=lambda line: line.split("  ", 1)[1])

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,19 +15,19 @@ from artrip.decoding import (
     decode_trip,
     greedy_pick,
     mask_repeats,
-    nucleus_candidates,
     query_seed,
-    softmax,
     top_k_sample,
     top_p_sample,
 )
 from artrip.guidance import (
     ConfidenceVector,
+    apply_guidance,
     build_confidence,
     build_guidance_matrix,
     zero_guidance,
 )
 from artrip.model import ARCH_ONE_SHOT, ARCH_RECURRENT, ModelConfig, init_params
+from artrip.model.recurrent import forward_recurrent_step, init_recurrent_state
 
 K = 6
 
@@ -67,19 +69,23 @@ class TestGreedy:
         assert greedy_pick(np.array([3.0, 5.0, 5.0, 1.0])) == 1
 
 
+def nucleus_of(probs, p):
+    """The candidates top_p_sample keeps for a row whose softmax is `probs`."""
+    trace = []
+    top_p_sample(np.log(np.asarray(probs, dtype=np.float64)), p, np.random.default_rng(0), trace)
+    return trace[0][0]
+
+
 class TestNucleus:
     def test_candidates_cover_requested_mass(self):
-        probs = np.array([0.5, 0.3, 0.15, 0.05])
-        np.testing.assert_array_equal(nucleus_candidates(probs, 0.8), [0, 1])
+        assert nucleus_of([0.5, 0.3, 0.15, 0.05], 0.8) == (0, 1)
 
     def test_exact_boundary_is_kept(self):
-        probs = np.array([0.5, 0.3, 0.2])
-        # cumulative hits 0.8 exactly after two entries
-        np.testing.assert_array_equal(nucleus_candidates(probs, 0.8), [0, 1])
+        # cumulative hits 0.8 after two entries, up to the rounding of log and exp
+        assert nucleus_of([0.5, 0.3, 0.2], 0.8) == (0, 1)
 
     def test_p_one_keeps_everything(self):
-        probs = np.array([0.5, 0.3, 0.15, 0.05])
-        assert len(nucleus_candidates(probs, 1.0)) == 4
+        assert len(nucleus_of([0.5, 0.3, 0.15, 0.05], 1.0)) == 4
 
     def test_renormalized_sampling_frequencies(self):
         row = log_probs(0.5, 0.3, 0.15, 0.05)
@@ -154,35 +160,87 @@ class TestAdaptive:
         assert trace[0][0] == (0, 1)
 
 
-def reference_sample(probs, candidates, rng):
-    """The draw through Generator.choice: the reference for the inverse CDF."""
+# The softmax -> candidates -> Generator.choice chain that the fused draw
+# replaced, kept as the reference for its picks and its random stream.
+
+
+def reference_softmax(row):
+    shifted = row - row.max()
+    e = np.exp(shifted)
+    return e / e.sum()
+
+
+def reference_order(probs):
+    return np.argsort(-probs, kind="stable")
+
+
+def reference_nucleus(probs, p):
+    order = reference_order(probs)
+    cum = np.cumsum(probs[order])
+    cut = int(np.searchsorted(cum, p - 1e-12)) + 1
+    return order[:cut]
+
+
+def reference_draw(row, strategy, rng, k=5, p=0.8, confidence=1.0, lam=1.0):
+    """(pick, candidates) of one selection through Generator.choice."""
+    if strategy == "top_k":
+        probs = reference_softmax(row)
+        candidates = reference_order(probs)[: min(k, len(row))]
+    elif strategy == "top_p":
+        probs = reference_softmax(row)
+        candidates = reference_nucleus(probs, p)
+    elif strategy == "temperature":
+        probs = reference_softmax(row / (1.0 + lam * (1.0 - confidence)))
+        candidates = reference_nucleus(probs, p)
+    else:
+        probs = reference_softmax(row)
+        candidates = reference_nucleus(probs, 1.0 - confidence * (1.0 - p))
     sel = probs[candidates]
     sel = sel / sel.sum()
-    return int(rng.choice(candidates, p=sel))
+    return int(rng.choice(candidates, p=sel)), tuple(int(c) for c in candidates)
+
+
+def sampler_draw(row, strategy, rng, trace, k=5, p=0.8, confidence=1.0, lam=1.0):
+    if strategy == "top_k":
+        return top_k_sample(row, k, rng, trace)
+    if strategy == "top_p":
+        return top_p_sample(row, p, rng, trace)
+    cfg = DecodeConfig(strategy="adaptive", adaptive_mode=strategy, top_p=p, lam=lam)
+    return adaptive_sample(row, confidence, cfg, rng, trace)
+
+
+def assert_matches_choice(row, strategy, seed, **knobs):
+    ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+    trace = []
+    pick = sampler_draw(row, strategy, ours, trace, **knobs)
+    want, candidates = reference_draw(row, strategy, theirs, **knobs)
+    assert pick == want
+    assert trace == [(candidates, pick)]
+    # both leave the stream at the same place
+    assert ours.random() == theirs.random()
+    return candidates
+
+
+class FixedDraw:
+    """A stand-in generator whose every draw is u."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def random(self):
+        return self.u
 
 
 class TestSample:
-    def assert_matches_choice(self, probs, candidates, seed):
-        ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
-        trace = []
-        pick = decoding._sample(probs, candidates, ours, trace)
-        assert pick == reference_sample(probs, candidates, theirs)
-        assert trace == [(tuple(int(c) for c in candidates), pick)]
-        # both leave the stream at the same place
-        assert ours.random() == theirs.random()
-
     @pytest.mark.parametrize("seed", range(4))
     def test_matches_generator_choice(self, seed):
         gen = np.random.default_rng(seed)
         for _ in range(300):
             k = int(gen.integers(1, 61))
             row = gen.standard_normal(k) * float(gen.choice([0.1, 1.0, 10.0]))
-            probs = softmax(row)
-            if gen.random() < 0.5:
-                candidates = decoding._stable_desc_order(probs)[: int(gen.integers(1, k + 1))]
-            else:
-                candidates = nucleus_candidates(probs, float(gen.uniform(0.05, 1.0)))
-            self.assert_matches_choice(probs, candidates, int(gen.integers(2**32)))
+            strategy = str(gen.choice(["top_k", "top_p"]))
+            knobs = dict(k=int(gen.integers(1, k + 1)), p=float(gen.uniform(0.05, 1.0)))
+            assert_matches_choice(row, strategy, int(gen.integers(2**32)), **knobs)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_masked_row_zero_probability_candidates(self, seed):
@@ -190,38 +248,50 @@ class TestSample:
         for _ in range(100):
             row = gen.standard_normal(K)
             used = {int(p) for p in gen.choice(K, size=int(gen.integers(1, K)), replace=False)}
-            probs = softmax(mask_repeats(row, used, position=2))
             # every POI is a candidate, so the masked ones carry probability 0
-            candidates = decoding._stable_desc_order(probs)
-            assert (probs[candidates] == 0.0).any()
-            self.assert_matches_choice(probs, candidates, int(gen.integers(2**32)))
+            masked = mask_repeats(row, used, position=2)
+            candidates = assert_matches_choice(masked, "top_k", int(gen.integers(2**32)), k=K)
+            assert np.isneginf(masked[list(candidates)]).any()
 
     def test_single_candidate_nucleus(self):
-        probs = softmax(np.array([9.0, 0.0, -1.0, 0.5]))
-        candidates = nucleus_candidates(probs, 0.5)
-        assert len(candidates) == 1
+        row = np.array([9.0, 0.0, -1.0, 0.5])
         for seed in range(20):
-            self.assert_matches_choice(probs, candidates, seed)
+            assert len(assert_matches_choice(row, "top_p", seed, p=0.5)) == 1
 
     def test_draws_on_a_cdf_step_skip_zero_probability_candidates(self):
-        class FixedDraw:
-            def __init__(self, u):
-                self.u = u
+        with np.errstate(divide="ignore"):
+            row = np.log(np.array([0.0, 0.25, 0.0, 0.75]))
+        # candidates in stable order are (3, 1, 0, 2); u lands on the cdf
+        # values 0 and 0.75, and just below 1 where the zero-mass tail begins
+        assert top_k_sample(row, 4, FixedDraw(0.0)) == 3
+        assert top_k_sample(row, 4, FixedDraw(0.75)) == 1
+        assert top_k_sample(row, 4, FixedDraw(np.nextafter(1.0, 0.0))) == 1
 
-            def random(self):
-                return self.u
+    def test_draws_on_every_cdf_step_match_choice(self):
+        # Generator.choice builds its cdf from p = sel / sel.sum(); a draw
+        # that lands exactly on a step must pick as that cdf says
+        gen = np.random.default_rng(7)
+        for _ in range(300):
+            size = int(gen.integers(2, 40))
+            row = gen.standard_normal(size) * float(gen.choice([0.1, 1.0, 10.0]))
+            probs = reference_softmax(row)
+            candidates = reference_order(probs)
+            sel = probs[candidates]
+            cdf = (sel / sel.sum()).cumsum()
+            cdf /= cdf[-1]
+            # random() never returns 1.0
+            for u in cdf[cdf < 1.0]:
+                for v in (u, np.nextafter(u, 0.0)):
+                    want = int(candidates[cdf.searchsorted(v, side="right")])
+                    assert top_k_sample(row, size, FixedDraw(v)) == want
 
-        probs = np.array([0.0, 0.25, 0.0, 0.75])
-        candidates = np.arange(4)
-        # u lands exactly on the cdf values 0 and 0.25
-        assert decoding._sample(probs, candidates, FixedDraw(0.0), None) == 1
-        assert decoding._sample(probs, candidates, FixedDraw(0.25), None) == 3
-
-    @pytest.mark.parametrize("bad", [np.nan, -0.25])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_rejects_nan_or_negative_probabilities(self, bad):
-        probs = np.array([0.5, bad, 0.75])
-        with pytest.raises(ValueError, match="probabilities"):
-            decoding._sample(probs, np.arange(3), np.random.default_rng(0), None)
+        # exp never goes negative, so NaN (a NaN score, or inf - inf) is
+        # what the check can meet
+        row = np.array([0.5, bad, 0.75])
+        with pytest.raises(ValueError, match="probabilities"), np.errstate(invalid="ignore"):
+            top_k_sample(row, 3, np.random.default_rng(0))
 
     def test_nan_scores_raise_from_every_sampler(self):
         row = np.array([0.1, np.nan, 0.3, -0.2])
@@ -233,6 +303,46 @@ class TestSample:
             cfg = DecodeConfig(strategy="adaptive", adaptive_mode=mode)
             with pytest.raises(ValueError):
                 adaptive_sample(row, 0.5, cfg, np.random.default_rng(0))
+
+    def test_extreme_scores_draw_like_choice(self):
+        # a naive exp would overflow; the max shift keeps every mass finite
+        row = np.array([1000.0, 999.0, -5.0])
+        for seed in range(20):
+            assert assert_matches_choice(row, "top_p", seed, p=1.0) == (0, 1)
+            assert len(assert_matches_choice(row, "top_k", seed, k=3)) == 3
+
+
+def markov_row(gen, k):
+    """Log transition probabilities with zero entries, as the Markov baseline scores."""
+    probs = gen.dirichlet(np.ones(k)) * (gen.random(k) < 0.5)
+    probs[int(gen.integers(k))] += 1.0
+    probs /= probs.sum()
+    with np.errstate(divide="ignore"):
+        return np.log(probs)
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    size=st.integers(1, 60),
+    kind=st.sampled_from(["plain", "masked", "markov"]),
+    strategy=st.sampled_from(["top_k", "top_p", "temperature", "threshold"]),
+    k=st.integers(1, 70),
+    p=st.floats(0.01, 1.0),
+    confidence=st.floats(0.0, 1.0),
+    lam=st.floats(0.0, 5.0),
+)
+def test_fused_draw_matches_generator_choice(seed, size, kind, strategy, k, p, confidence, lam):
+    gen = np.random.default_rng(seed)
+    row = gen.standard_normal(size) * float(gen.choice([0.1, 1.0, 10.0, 100.0]))
+    if kind == "masked":
+        used = {int(i) for i in gen.choice(size, size=int(gen.integers(0, size + 1)), replace=False)}
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            row = mask_repeats(row, used, position=2)
+    elif kind == "markov":
+        row = markov_row(gen, size)
+    assert_matches_choice(row, strategy, int(gen.integers(2**32)), k=k, p=p, confidence=confidence, lam=lam)
 
 
 class TestMask:
@@ -395,6 +505,46 @@ def test_decoded_trips_keep_their_shape_and_ignore_memo_state(arch, strategy, ma
     assert decode_trip(query, cold, PROPERTY_PM, PROPERTY_CONF, cfg) == trip
 
 
+def reference_recurrent_decode(query, params, pm, conf, cfg, trace):
+    """The recurrent loop that guided each step through apply_guidance."""
+    rng = None if cfg.strategy == "greedy" else np.random.default_rng(cfg.seed)
+    pois, used = [query.p_s], {query.p_s, query.p_e}
+    state, prev = init_recurrent_state(query, params), query.p_s
+    for position in range(2, query.n):
+        raw, state = forward_recurrent_step(state, prev, params)
+        row = apply_guidance(raw[None, :], pm, first_position=position)[0]
+        if cfg.no_repeat_mask:
+            row = mask_repeats(row, used, position)
+        prev = decoding._select(row, position, conf, cfg, rng, trace)
+        pois.append(prev)
+        used.add(prev)
+    return Trip(pois=(*pois, query.p_e))
+
+
+def decode_with_warnings(decode, *args):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        trip = decode(*args)
+    return trip, [(type(w.message), str(w.message)) for w in caught]
+
+
+@pytest.mark.parametrize("mask", [False, True])
+@pytest.mark.parametrize("strategy", decoding.STRATEGIES)
+@settings(max_examples=25, deadline=None)
+@given(query=queries, seed=st.integers(0, 2**16), mode=st.sampled_from(decoding.ADAPTIVE_MODES))
+def test_recurrent_guidance_sliced_once_matches_per_step_guidance(strategy, mask, query, seed, mode):
+    cfg = DecodeConfig(strategy=strategy, top_k=3, adaptive_mode=mode, no_repeat_mask=mask, seed=seed)
+    params = WARM_PARAMS[ARCH_RECURRENT]
+    args = (query, params, PROPERTY_PM, PROPERTY_CONF, cfg)
+    trace, ref_trace = [], []
+    trip, warned = decode_with_warnings(decode_trip, *args, trace)
+    ref, ref_warned = decode_with_warnings(reference_recurrent_decode, *args, ref_trace)
+    assert trip == ref
+    assert trace == ref_trace
+    # one horizon warning per row past m_max, mask releases where they were
+    assert sorted(warned) == sorted(ref_warned)
+
+
 class TestSeeds:
     def test_query_seed_is_xor(self):
         assert query_seed(12, 5) == 12 ^ 5
@@ -415,10 +565,3 @@ class TestSeeds:
 def test_trip_equality_and_len():
     assert Trip(pois=(1, 2, 3)) == Trip(pois=(1, 2, 3))
     assert len(Trip(pois=(1, 2, 3))) == 3
-
-
-def test_softmax_sums_to_one():
-    row = np.array([1000.0, 999.0, -5.0])
-    s = softmax(row)
-    assert s.sum() == pytest.approx(1.0)
-    assert np.isfinite(s).all()
