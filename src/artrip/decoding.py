@@ -37,7 +37,11 @@ _CUM_TOL = 1e-12
 
 @dataclass
 class DecodeConfig:
-    """Selection strategy settings; `seed` drives all sampling."""
+    """Selection strategy settings; `seed` drives all sampling.
+
+    `seed` is anything `np.random.default_rng` takes: an int, or the
+    (base seed, ordinal) pair of `query_seed`.
+    """
 
     strategy: str = "greedy"
     top_k: int = 5
@@ -45,7 +49,7 @@ class DecodeConfig:
     lam: float = 1.0
     adaptive_mode: str = "temperature"
     no_repeat_mask: bool = False
-    seed: int = 0
+    seed: int | tuple[int, int] = 0
 
     def __post_init__(self):
         if self.strategy not in STRATEGIES:
@@ -215,10 +219,16 @@ def decode_trip(
     return Trip(pois=tuple(pois))
 
 
-def query_seed(base_seed: int, ordinal: int) -> int:
-    """Stable per-query seed; XOR keeps distinct queries on distinct streams."""
-    return base_seed ^ ordinal
+def query_seed(base_seed: int, ordinal: int) -> tuple[int, int]:
+    """Stable per-query seed: the pair itself, which `default_rng` takes as entropy.
+
+    Distinct pairs are distinct SeedSequence entropy, so every (base seed,
+    ordinal) gets its own stream; folding the two into one int would let
+    pairs such as (1, 0) and (0, 1) share one.
+    """
+    return base_seed, ordinal
 
 
 def decode_config_for_query(cfg: DecodeConfig, base_seed: int, ordinal: int) -> DecodeConfig:
+    """`cfg` with the seed of query `ordinal` under `base_seed`; nothing else changes."""
     return replace(cfg, seed=query_seed(base_seed, ordinal))

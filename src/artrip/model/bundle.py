@@ -3,8 +3,9 @@
 A bundle is a directory of three files:
 
   manifest.json  config, vocabulary (original POI ids plus a sha256),
-                 the parameter block table and the mechanism switches,
-                 serialized with sorted keys and compact separators
+                 the parameter block table, the mechanism switches and
+                 the sha256 of the two binary files, serialized with
+                 sorted keys and compact separators
   params.bin     the flat parameter vector, little-endian float64, with
                  its blocks in declaration order
   guidance.bin   (k+1) x m_max little-endian float64: the k guidance
@@ -12,9 +13,11 @@ A bundle is a directory of three files:
 
 Saving writes a sibling directory and swaps it into place.  Loading
 reverses saving exactly, so save -> load -> save reproduces identical
-bytes.  A manifest whose block table disagrees with the config, whose
-mechanism keys differ from MECHANISM_KEYS, or whose vocabulary or
-guidance totals do not have length k is rejected at load time.
+bytes.  Loading rejects a binary file whose size or sha256 disagrees with
+the manifest, and a manifest whose block table disagrees with the config,
+whose mechanisms are not booleans under exactly MECHANISM_KEYS, whose
+vocabulary does not have length k or does not match its hash, or whose
+guidance totals do not have length k or are negative.
 """
 
 from __future__ import annotations
@@ -34,6 +37,8 @@ from artrip.model.params import ModelConfig, ModelParams
 BUNDLE_FORMAT = "trip-bundle-v1"
 MECHANISM_KEYS = ("guiding", "drifting", "adapting")
 BUNDLE_FILES = ("manifest.json", "params.bin", "guidance.bin")
+# manifest field holding each binary file's sha256
+_HASH_FIELDS = {"params.bin": "params_sha256", "guidance.bin": "guidance_sha256"}
 
 
 @dataclass
@@ -89,8 +94,13 @@ def save_bundle(
         "mechanisms": {key: bool(mechanisms[key]) for key in MECHANISM_KEYS},
         "guidance_totals": [int(t) for t in pm.poi_totals],
     }
+    payloads = {
+        "params.bin": params.flat.astype("<f8", copy=False).tobytes(),
+        "guidance.bin": np.vstack([pm.values, confidence.values[None, :]]).astype("<f8").tobytes(),
+    }
+    for name, payload in payloads.items():
+        manifest[_HASH_FIELDS[name]] = hashlib.sha256(payload).hexdigest()
     text = json.dumps(manifest, sort_keys=True, separators=(",", ":")) + "\n"
-    guidance = np.vstack([pm.values, confidence.values[None, :]])
     # write a sibling directory, then swap it in: a crash leaves the old
     # bundle, the new one or none at `path`, never a mix of the two
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -99,8 +109,8 @@ def save_bundle(
         shutil.rmtree(stale, ignore_errors=True)
     partial.mkdir()
     (partial / "manifest.json").write_text(text, encoding="ascii")
-    (partial / "params.bin").write_bytes(params.flat.astype("<f8", copy=False).tobytes())
-    (partial / "guidance.bin").write_bytes(guidance.astype("<f8").tobytes(order="C"))
+    for name, payload in payloads.items():
+        (partial / name).write_bytes(payload)
     if path.exists():
         path.rename(old)
     partial.rename(path)
@@ -109,6 +119,18 @@ def save_bundle(
 
 def _manifest_error(field: str, found, want) -> ValueError:
     return ValueError(f"manifest.json: {field} is {found}, expected {want}")
+
+
+def _read_checked(path: Path, name: str, manifest: dict, size: int) -> np.ndarray:
+    """The float64 contents of bundle file `name`, once its size and sha256 match."""
+    payload = (path / name).read_bytes()
+    if len(payload) != 8 * size:
+        raise ValueError(f"{name} size is {len(payload)} bytes, expected {8 * size} from manifest.json")
+    field = _HASH_FIELDS[name]
+    digest = hashlib.sha256(payload).hexdigest()
+    if digest != manifest.get(field):
+        raise ValueError(f"{name}: sha256 is {digest}, manifest.json {field} is {manifest.get(field)!r}")
+    return np.frombuffer(payload, dtype="<f8")
 
 
 def load_bundle(path) -> Bundle:
@@ -124,11 +146,20 @@ def load_bundle(path) -> Bundle:
     if not isinstance(mechanisms, dict) or sorted(mechanisms) != sorted(MECHANISM_KEYS):
         keys = sorted(mechanisms) if isinstance(mechanisms, dict) else mechanisms
         raise _manifest_error("mechanisms", f"keyed {keys}", f"the keys {sorted(MECHANISM_KEYS)}")
+    for key in MECHANISM_KEYS:
+        if not isinstance(mechanisms[key], bool):
+            raise _manifest_error(f"mechanisms.{key}", repr(mechanisms[key]), "true or false")
     for field in ("vocab_ids", "guidance_totals"):
         values = manifest.get(field)
         if not isinstance(values, list) or len(values) != k:
             found = f"of length {len(values)}" if isinstance(values, list) else repr(values)
             raise _manifest_error(field, found, f"a list of length k={k}")
+    want = vocab_sha256(manifest["vocab_ids"])
+    if manifest.get("vocab_sha256") != want:
+        raise _manifest_error("vocab_sha256", repr(manifest.get("vocab_sha256")), f"{want}, the hash of vocab_ids")
+    negative = [t for t in manifest["guidance_totals"] if t < 0]
+    if negative:
+        raise _manifest_error("guidance_totals", f"negative ({negative[0]})", "non-negative counts")
     params = ModelParams(config=config, k=k, m_max=m_max)
     expected = _block_table(params)
     table = manifest.get("blocks")
@@ -136,14 +167,8 @@ def load_bundle(path) -> Bundle:
         pairs = zip_longest(table if isinstance(table, list) else [], expected)
         i, (found, want) = next((i, pair) for i, pair in enumerate(pairs) if pair[0] != pair[1])
         raise _manifest_error(f"block table entry {i}", found, want)
-    raw = np.frombuffer((path / "params.bin").read_bytes(), dtype="<f8")
-    if raw.size != params.flat.size:
-        raise ValueError("params.bin size does not match the manifest block table")
-    params.flat[:] = raw
-    grid = np.frombuffer((path / "guidance.bin").read_bytes(), dtype="<f8")
-    if grid.size != (k + 1) * m_max:
-        raise ValueError("guidance.bin size does not match k and m_max")
-    grid = grid.reshape(k + 1, m_max)
+    params.flat[:] = _read_checked(path, "params.bin", manifest, params.flat.size)
+    grid = _read_checked(path, "guidance.bin", manifest, (k + 1) * m_max).reshape(k + 1, m_max)
     pm = GuidanceMatrix(
         values=grid[:k].astype(np.float64),
         m_max=m_max,

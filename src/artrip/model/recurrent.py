@@ -47,19 +47,24 @@ def forward_teacher(query: Query, pois, params: ModelParams):
     """Teacher-forced pass over a full trajectory.
 
     `pois` is the length-n index sequence; the returned (n-1, k) score
-    matrix has one row per position 2..n.  The cache feeds `backward`.
+    matrix has one row per position 2..n.  Every input is known up front,
+    so the input projection is one product over the trajectory and only
+    the state recurrence steps.  Its rows match `forward_recurrent_step`'s
+    to rounding, not bit for bit.  The cache feeds `backward`.
     """
     blocks = params.blocks
     qvec, sources = _query_vector(query, params)
-    s0 = np.tanh(qvec @ blocks["query_w"] + blocks["query_b"])
-    states = [s0]
-    inputs = list(pois[:-1])
-    for poi in inputs:
-        x = blocks["poi_embeddings"][poi]
-        s = np.tanh(x @ blocks["input_w"] + states[-1] @ blocks["state_w"] + blocks["state_b"])
-        states.append(s)
-    rows = np.stack(states[1:]) @ blocks["head"]
-    cache = {"qvec": qvec, "sources": sources, "states": states, "inputs": inputs}
+    inputs = np.array(pois[:-1], dtype=np.intp)
+    x = blocks["poi_embeddings"][inputs]
+    xw = x @ blocks["input_w"]
+    state_w, state_b = blocks["state_w"], blocks["state_b"]
+    # row 0 is the query state, row t the state after consuming inputs[t - 1]
+    states = np.empty((len(inputs) + 1, params.config.embed_dim))
+    np.tanh(qvec @ blocks["query_w"] + blocks["query_b"], out=states[0])
+    for t in range(len(inputs)):
+        np.tanh(xw[t] + states[t] @ state_w + state_b, out=states[t + 1])
+    rows = states[1:] @ blocks["head"]
+    cache = {"qvec": qvec, "sources": sources, "states": states, "inputs": inputs, "x": x}
     return rows, cache
 
 
@@ -69,27 +74,31 @@ def backward(
     """Backpropagate through time into a vector laid out like `params.flat`.
 
     That vector is `buffer.flat`, overwritten, when a buffer from
-    `params.zero_grads()` is given, and a new one otherwise.
+    `params.zero_grads()` is given, and a new one otherwise.  Only the
+    carry through `state_w` steps; every weight gradient is one product
+    over the trajectory.
     """
     blocks = params.blocks
     grad, grads, _ = params.zero_grads() if buffer is None else buffer.zeroed()
     states = cache["states"]
     inputs = cache["inputs"]
-    steps = len(inputs)
-    ds_carry = np.zeros_like(states[0])
-    for t in range(steps, 0, -1):
-        s = states[t]
-        ds = drows[t - 1] @ blocks["head"].T + ds_carry
-        grads["head"] += s[:, None] * drows[t - 1]
-        dpre = ds * (1.0 - s**2)
-        grads["input_w"] += blocks["poi_embeddings"][inputs[t - 1]][:, None] * dpre
-        grads["state_w"] += states[t - 1][:, None] * dpre
-        grads["state_b"] += dpre
-        grads["poi_embeddings"][inputs[t - 1]] += dpre @ blocks["input_w"].T
-        ds_carry = dpre @ blocks["state_w"].T
+    # d(state t) from its own scores, and tanh's derivative at every state
+    dstates = drows @ blocks["head"].T
+    gate = 1.0 - states**2
+    state_wt = blocks["state_w"].T
+    dpre = np.empty_like(dstates)
+    carry = np.zeros(states.shape[1])
+    for t in range(len(inputs) - 1, -1, -1):
+        np.multiply(dstates[t] + carry, gate[t + 1], out=dpre[t])
+        carry = dpre[t] @ state_wt
+    np.matmul(states[1:].T, drows, out=grads["head"])
+    np.matmul(cache["x"].T, dpre, out=grads["input_w"])
+    np.matmul(states[:-1].T, dpre, out=grads["state_w"])
+    np.add.reduce(dpre, axis=0, out=grads["state_b"])
+    # inputs can repeat a POI: np.add.at sums every row, fancy += would not
+    np.add.at(grads["poi_embeddings"], inputs, dpre @ blocks["input_w"].T)
     # initial state came from the query projection
-    s0 = states[0]
-    dq_pre = ds_carry * (1.0 - s0**2)
+    dq_pre = carry * gate[0]
     grads["query_w"] += cache["qvec"][:, None] * dq_pre
     grads["query_b"] += dq_pre
     dqvec = dq_pre @ blocks["query_w"].T

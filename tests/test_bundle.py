@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -203,6 +204,55 @@ class TestManifestFields:
         edit_manifest(path, guidance_totals=manifest["guidance_totals"] + [0])
         with pytest.raises(ValueError, match=r"manifest\.json: guidance_totals is of length 7, expected .*k=6"):
             load_bundle(path)
+
+    @pytest.mark.parametrize("value", [1, "true", None], ids=["int", "string", "null"])
+    def test_mechanism_values_must_be_booleans(self, tmp_path, value):
+        path = self.saved(tmp_path)
+        edit_manifest(path, mechanisms=dict(MECHS, drifting=value))
+        with pytest.raises(ValueError, match=r"manifest\.json: mechanisms\.drifting is .*expected true or false"):
+            load_bundle(path)
+
+    def test_guidance_totals_must_be_non_negative(self, tmp_path):
+        path = self.saved(tmp_path)
+        manifest = json.loads((path / "manifest.json").read_text())
+        edit_manifest(path, guidance_totals=[-1] + manifest["guidance_totals"][1:])
+        with pytest.raises(ValueError, match=r"manifest\.json: guidance_totals is negative \(-1\)"):
+            load_bundle(path)
+
+    def test_vocab_ids_must_match_their_hash(self, tmp_path):
+        path = self.saved(tmp_path)
+        edit_manifest(path, vocab_ids=[VOCAB[1], VOCAB[0], *VOCAB[2:]])
+        with pytest.raises(ValueError, match=r"manifest\.json: vocab_sha256 is .*the hash of vocab_ids"):
+            load_bundle(path)
+
+
+class TestFileHashes:
+    def test_manifest_holds_the_sha256_of_each_binary_file(self, tmp_path):
+        params, pm, conf = build_artifacts()
+        save_bundle(tmp_path / "model", params, pm, conf, MECHS, VOCAB)
+        manifest = json.loads((tmp_path / "model" / "manifest.json").read_text())
+        for name, field in (("params.bin", "params_sha256"), ("guidance.bin", "guidance_sha256")):
+            assert manifest[field] == hashlib.sha256((tmp_path / "model" / name).read_bytes()).hexdigest()
+
+    @pytest.mark.parametrize("name, field", [("params.bin", "params_sha256"), ("guidance.bin", "guidance_sha256")])
+    def test_a_flipped_bit_is_rejected_before_parsing(self, tmp_path, name, field):
+        params, pm, conf = build_artifacts()
+        save_bundle(tmp_path / "model", params, pm, conf, MECHS, VOCAB)
+        payload = bytearray((tmp_path / "model" / name).read_bytes())
+        payload[3] ^= 1  # same size, different value
+        (tmp_path / "model" / name).write_bytes(bytes(payload))
+        with pytest.raises(ValueError, match=rf"{name}: sha256 is [0-9a-f]{{64}}, manifest\.json {field} is"):
+            load_bundle(tmp_path / "model")
+
+    @pytest.mark.parametrize("field", ["params_sha256", "guidance_sha256"])
+    def test_a_missing_hash_is_rejected(self, tmp_path, field):
+        params, pm, conf = build_artifacts()
+        save_bundle(tmp_path / "model", params, pm, conf, MECHS, VOCAB)
+        manifest = json.loads((tmp_path / "model" / "manifest.json").read_text())
+        del manifest[field]
+        (tmp_path / "model" / "manifest.json").write_text(json.dumps(manifest))
+        with pytest.raises(ValueError, match=rf"manifest\.json {field} is None"):
+            load_bundle(tmp_path / "model")
 
 
 class TestAtomicSave:

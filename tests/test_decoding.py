@@ -1,4 +1,5 @@
 import warnings
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ from artrip.guidance import (
     build_guidance_matrix,
     zero_guidance,
 )
+from artrip.metrics import evaluate_decoder
 from artrip.model import ARCH_ONE_SHOT, ARCH_RECURRENT, ModelConfig, init_params
 from artrip.model.recurrent import forward_recurrent_step, init_recurrent_state
 
@@ -546,19 +548,34 @@ def test_recurrent_guidance_sliced_once_matches_per_step_guidance(strategy, mask
 
 
 class TestSeeds:
-    def test_query_seed_is_xor(self):
-        assert query_seed(12, 5) == 12 ^ 5
-        assert query_seed(0, 0) == 0
+    def test_no_two_queries_of_one_evaluation_share_a_stream(self):
+        # 5 repeats x 50 queries; XOR seeds gave (repeat 1, query 0) and
+        # (repeat 0, query 1) the same stream
+        cfg = DecodeConfig(strategy="top_p")
+        draws = {}
+
+        def decode_fn(query, ordinal, repeat_seed):
+            seed = decode_config_for_query(cfg, repeat_seed, ordinal).seed
+            draws[(repeat_seed, ordinal)] = np.random.default_rng(seed).random()
+            return Trip(pois=(query.p_s,) * (query.n - 1) + (query.p_e,))
+
+        test = [Trajectory(pois=(i % 7, 9, 8), times=(0, 3600, 7200)) for i in range(50)]
+        evaluate_decoder(decode_fn, test, repeats=5, base_seed=0)
+        assert len(draws) == 250
+        assert draws[(1, 0)] != draws[(0, 1)]
+        assert len(set(draws.values())) == 250
 
     def test_distinct_ordinals_get_distinct_streams(self):
         seeds = {query_seed(1234, i) for i in range(50)}
         assert len(seeds) == 50
 
     def test_decode_config_for_query_only_touches_seed(self):
-        cfg = DecodeConfig(strategy="top_k", top_k=3, seed=0)
+        cfg = DecodeConfig(strategy="top_k", top_k=3, lam=0.5, no_repeat_mask=True, seed=0)
         out = decode_config_for_query(cfg, base_seed=10, ordinal=4)
-        assert out.seed == 14
-        assert out.strategy == "top_k" and out.top_k == 3
+        assert out.seed == query_seed(10, 4)
+        for f in fields(DecodeConfig):
+            if f.name != "seed":
+                assert getattr(out, f.name) == getattr(cfg, f.name), f.name
         assert cfg.seed == 0  # original untouched
 
 

@@ -1,3 +1,5 @@
+import warnings
+
 import pytest
 
 from artrip.data import Trajectory
@@ -17,6 +19,7 @@ CORPUS = [
     Trajectory(pois=(0, 2, 3, 4), times=(0, 3600, 7200, 10800)),
 ]
 K = 6
+M_MAX = 4  # the longest CORPUS trajectory
 
 
 def setup_check(arch, seed=0):
@@ -33,6 +36,20 @@ def test_analytic_gradients_match_numeric(arch, alpha):
     report = grad_check(TRAJ, params, pm, alpha=alpha)
     assert report.passed, f"worst block {report.worst_block}: {report.max_rel_error}"
     assert report.max_rel_error <= 1e-4
+
+
+@pytest.mark.parametrize("n", range(2, M_MAX + 3))
+@pytest.mark.parametrize("alpha", [0.0, 1.0])
+def test_recurrent_gradients_with_repeated_inputs(n, alpha):
+    # the inputs pois[:-1] revisit POIs 0 and 3, and 0 is also the start
+    pois = (0, 3, 0, 3, 3, 0)[: n - 1] + (1,)
+    traj = Trajectory(pois=pois, times=tuple(3600 * i for i in range(n)))
+    params, pm = setup_check(ARCH_RECURRENT, seed=n)
+    with warnings.catch_warnings():
+        # positions past m_max are unguided, with a warning
+        warnings.filterwarnings("ignore", message="position .* exceeds trained horizon")
+        report = grad_check(traj, params, pm, alpha=alpha)
+    assert report.passed, f"worst block {report.worst_block}: {report.max_rel_error}"
 
 
 def test_report_covers_every_block():

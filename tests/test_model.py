@@ -143,6 +143,18 @@ class TestForward:
             row, state = forward_recurrent_step(state, prev, params)
             np.testing.assert_allclose(row, rows[i], atol=1e-12)
 
+    @pytest.mark.parametrize("n", range(2, M_MAX + 3))
+    def test_recurrent_teacher_rows_match_decode_steps(self, n):
+        params = init_params(tiny_config(arch=ARCH_RECURRENT, seed=n), k=K, m_max=M_MAX)
+        pois = tuple(int(p) for p in np.random.default_rng(n).integers(0, 3, size=n))
+        q = Query(p_s=pois[0], t_s=0, p_e=pois[-1], t_e=3600 * n, n=n)
+        rows, cache = forward_teacher(q, pois, params)
+        state = init_recurrent_state(q, params)
+        for i, prev in enumerate(pois[:-1]):
+            row, state = forward_recurrent_step(state, prev, params)
+            np.testing.assert_allclose(row, rows[i], rtol=1e-12, atol=1e-15)
+            np.testing.assert_allclose(state, cache["states"][i + 1], rtol=1e-12, atol=1e-15)
+
     def test_recurrent_rows_cover_positions_two_to_n(self):
         params = init_params(tiny_config(arch=ARCH_RECURRENT, seed=4), k=K, m_max=M_MAX)
         q = Query(p_s=0, t_s=0, p_e=1, t_e=7200, n=3)
@@ -353,7 +365,10 @@ class TestBitIdentity:
         rows, cache = forward_teacher(q, pois, params)
         drows = rng.standard_normal(rows.shape)
         got = recurrent.backward(params, cache, drows)
-        assert np.array_equal(got, reference_recurrent_backward(params, cache, drows))
+        # whole-trajectory products sum in another order than the per-step loop
+        np.testing.assert_allclose(
+            got, reference_recurrent_backward(params, cache, drows), rtol=1e-12, atol=1e-15
+        )
 
 
 def reference_attention_forward(a, blocks, prefix, num_heads):
