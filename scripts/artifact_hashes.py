@@ -8,7 +8,9 @@ mode) and adaptive in threshold mode, each with the no-repeat mask off and
 on, and runs `analyze` and `recommend` once each with adaptive decoding;
 `recommend` asks for the corpus's first trajectory (its endpoints, their
 times and its length).  The Markov baseline is evaluated with greedy,
-top_k, top_p and adaptive, each with the mask off and on.  The model shape
+top_k, top_p and adaptive, each with the mask off and on.  One more sampled
+run per architecture (adaptive) and for Markov (top_p) uses decode seed 2**32,
+whose per-query seeds do not fit one uint32 word each.  The model shape
 of the mechanism study (the defaults: 2 layers, embed 32, hidden 64) is
 trained too, for each architecture with alpha 0 and 1, one epoch each; of
 those runs only `params.bin` and `loss_trace.csv` are kept.  Commands run in-process through
@@ -57,6 +59,8 @@ STRATEGIES = (
 # the Markov baseline has no confidence model, so no threshold mode
 MARKOV_STRATEGIES = STRATEGIES[:4]
 MASKS = ("false", "true")
+# decode seed 2**32 does not fit one uint32 word, so per-query seeds go to numpy as given
+WIDE_SEED = ["--decode-seed", str(2**32)]
 
 
 def _run(argv: list[str]) -> None:
@@ -109,14 +113,16 @@ def write_artifacts(out_dir: Path, flags=CRITERION_8_FLAGS) -> None:
         arch_dir = out_dir / arch
         common = [*flags, "--arch", arch, "--output-dir", str(arch_dir)]
         _run(["train", *common])
-        for name, decode_flags in _evaluations(STRATEGIES):
+        wide = ("adaptive-seed-2p32", ["--strategy", "adaptive", *WIDE_SEED])
+        for name, decode_flags in [*_evaluations(STRATEGIES), wide]:
             _run(["evaluate", *common, *decode_flags])
             (arch_dir / name).mkdir()
             for artifact in ("metrics.csv", "trips.csv"):
                 (arch_dir / artifact).rename(arch_dir / name / artifact)
         _run(["analyze", *common, "--strategy", "adaptive"])
         _run(["recommend", *common, "--strategy", "adaptive", *recommend])
-    for name, decode_flags in _evaluations(MARKOV_STRATEGIES):
+    wide = ("top_p-seed-2p32", ["--strategy", "top_p", *WIDE_SEED])
+    for name, decode_flags in [*_evaluations(MARKOV_STRATEGIES), wide]:
         target = out_dir / "markov" / name
         _run(["evaluate", *flags, "--generator", "markov", "--output-dir", str(target), *decode_flags])
     _train_study_shape(out_dir, flags)

@@ -62,7 +62,7 @@ def markov_decode(query: Query, matrices: list[TransitionMatrix], cfg: DecodeCon
             stacklevel=2,
         )
         cfg = replace(cfg, strategy="top_p")
-    rng = None if cfg.strategy == "greedy" else np.random.default_rng(cfg.seed)
+    rng = decoding._rng(cfg)
     pois = [query.p_s]
     used = {query.p_s, query.p_e}
     current = query.p_s

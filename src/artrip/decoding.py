@@ -90,10 +90,14 @@ def _draw(row: np.ndarray, rng, trace, p: float = 1.0, k: int | None = None, tau
     """
     if tau != 1.0:
         row = row / tau
-    probs = row - np.maximum.reduce(row)
+    # a finite maximum gives probabilities in [0, 1]; otherwise all would be NaN
+    top = np.maximum.reduce(row)
+    if not -np.inf < top < np.inf:
+        raise ValueError("probabilities contain NaN or are negative")
+    probs = row - top
     np.exp(probs, out=probs)
     probs /= np.add.reduce(probs)
-    order = np.argsort(-probs, kind="stable")
+    order = (-probs).argsort(kind="stable")
     if k is None:
         ranked = probs[order]
         cut = int(ranked.cumsum().searchsorted(p - _CUM_TOL)) + 1
@@ -103,8 +107,6 @@ def _draw(row: np.ndarray, rng, trace, p: float = 1.0, k: int | None = None, tau
         sel = probs[order[:cut]]
     candidates = order[:cut]
     sel = sel / np.add.reduce(sel)
-    if not np.minimum.reduce(sel) >= 0.0:
-        raise ValueError("probabilities contain NaN or are negative")
     cdf = sel.cumsum()
     cdf /= cdf[-1]
     choice = int(candidates[cdf.searchsorted(rng.random(), side="right")])
@@ -147,7 +149,8 @@ def mask_repeats(row: np.ndarray, used: set[int], position: int) -> np.ndarray:
     """Score already-visited POIs at -inf; release the mask if it empties the row."""
     out = row.copy()
     out[list(used)] = -np.inf
-    if not np.isfinite(out).any():
+    top = np.maximum.reduce(out, initial=-np.inf)  # only +inf or NaN needs the full test
+    if top == -np.inf or (not top < np.inf and not np.isfinite(out).any()):
         warnings.warn(
             f"no-repeat mask exhausted the vocabulary at position {position}; releasing it",
             RuntimeWarning,
@@ -188,8 +191,7 @@ def decode_trip(
     """
     if query.n < 2:
         raise ValueError("trips need at least the two endpoint positions")
-    # greedy never draws, so it needs no generator
-    rng = None if cfg.strategy == "greedy" else np.random.default_rng(cfg.seed)
+    rng = _rng(cfg)
     pois = [query.p_s]
     used = {query.p_s, query.p_e}
     if params.config.arch == ARCH_ONE_SHOT:
@@ -217,6 +219,15 @@ def decode_trip(
             prev = choice
     pois.append(query.p_e)
     return Trip(pois=tuple(pois))
+
+
+def _rng(cfg: DecodeConfig):
+    """`default_rng(cfg.seed)`, or None for greedy; ints below 2**32 go in as numpy's own uint32 words."""
+    if cfg.strategy == "greedy":
+        return None
+    words = cfg.seed if type(cfg.seed) is tuple else (cfg.seed,)
+    fast = len(words) <= 2 and all(type(w) is int and 0 <= w < 1 << 32 for w in words)
+    return np.random.default_rng(np.array(words, dtype=np.uint32) if fast else cfg.seed)
 
 
 def query_seed(base_seed: int, ordinal: int) -> tuple[int, int]:

@@ -10,6 +10,7 @@ a POI already visited earlier in the same trip, averaged over trips.
 from __future__ import annotations
 
 import csv
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -58,7 +59,7 @@ def _score(pred: tuple[int, ...], ranks: dict[int, int]) -> tuple[float, float, 
     pred_pairs = len(seq) * (len(seq) - 1) // 2
     truth_pairs = len(ranks) * (len(ranks) - 1) // 2
     if pred_pairs and truth_pairs:
-        hits = sum(r < s for i, r in enumerate(hit_ranks) for s in hit_ranks[i + 1 :])
+        hits = sum(r < s for r, s in itertools.combinations(hit_ranks, 2))
         pairs = _harmonic(hits, pred_pairs, truth_pairs)
     else:
         pairs = 1.0 if seq == tuple(ranks) else 0.0

@@ -139,6 +139,9 @@ def load_bundle(path) -> Bundle:
     manifest = json.loads((path / "manifest.json").read_text(encoding="ascii"))
     if manifest.get("format") != BUNDLE_FORMAT:
         raise ValueError(f"unsupported bundle format {manifest.get('format')!r}")
+    for field in _HASH_FIELDS.values():
+        if manifest.get(field) is None:
+            raise ValueError(f"manifest.json {field} is None: the bundle predates file hashes; save it again")
     config = ModelConfig(**manifest["config"])
     k = manifest["k"]
     m_max = manifest["m_max"]

@@ -254,6 +254,18 @@ class TestFileHashes:
         with pytest.raises(ValueError, match=rf"manifest\.json {field} is None"):
             load_bundle(tmp_path / "model")
 
+    def test_a_bundle_from_before_file_hashes_is_named_as_such(self, tmp_path):
+        # such a bundle carries neither field; it is rejected before either
+        # binary file is read, so a short params.bin does not hide the cause
+        params, pm, conf = build_artifacts()
+        save_bundle(tmp_path / "model", params, pm, conf, MECHS, VOCAB)
+        manifest = json.loads((tmp_path / "model" / "manifest.json").read_text())
+        del manifest["params_sha256"], manifest["guidance_sha256"]
+        (tmp_path / "model" / "manifest.json").write_text(json.dumps(manifest))
+        (tmp_path / "model" / "params.bin").write_bytes(b"")
+        with pytest.raises(ValueError, match=r"manifest\.json params_sha256 is None: the bundle predates file hashes"):
+            load_bundle(tmp_path / "model")
+
 
 class TestAtomicSave:
     def test_resave_replaces_the_bundle_and_leaves_no_siblings(self, tmp_path):

@@ -403,13 +403,14 @@ class TestArtifactHashes:
             script.write_artifacts(tmp_path / run, flags)
             listings.append(script.hash_lines(tmp_path / run))
         first = listings[0]
-        # per arch: 3 bundle files, the loss trace, 10 x (metrics, trips) and
-        # the 4 analyze reports plus trip.csv; Markov: 8 x (metrics, trips);
+        # per arch: 3 bundle files, the loss trace, 11 x (metrics, trips) and
+        # the 4 analyze reports plus trip.csv; Markov: 9 x (metrics, trips);
         # the study shape: 2 archs x 2 alphas x (params.bin, loss_trace.csv)
-        assert len(first) == 2 * (4 + 20 + 5) + 16 + 8
+        assert len(first) == 2 * (4 + 22 + 5) + 18 + 8
         names = {line.split("  ", 1)[1] for line in first}
         assert {"one_shot/top_p-mask-on/trips.csv", "recurrent/adaptive-threshold-mask-off/trips.csv"} <= names
         assert "markov/top_p-mask-off/metrics.csv" in names
+        assert {"recurrent/adaptive-seed-2p32/trips.csv", "markov/top_p-seed-2p32/trips.csv"} <= names
         assert "markov/adaptive-threshold-mask-off/metrics.csv" not in names
         assert "study/recurrent-alpha-1/params.bin" in {line.split("  ", 1)[1] for line in first}
         assert "one_shot/model/params.bin" in {line.split("  ", 1)[1] for line in first}

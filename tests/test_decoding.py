@@ -347,6 +347,56 @@ def test_fused_draw_matches_generator_choice(seed, size, kind, strategy, k, p, c
     assert_matches_choice(row, strategy, int(gen.integers(2**32)), k=k, p=p, confidence=confidence, lam=lam)
 
 
+@pytest.mark.parametrize("strategy", ["top_k", "top_p", "temperature", "threshold"])
+@pytest.mark.parametrize(
+    "row",
+    [[0.1, np.nan, 0.3], [0.1, np.inf, 0.3], [-np.inf, -np.inf, -np.inf], [np.nan, np.inf, -np.inf]],
+    ids=["nan", "inf", "all-minus-inf", "mixed"],
+)
+def test_non_finite_rows_raise_before_the_stream_moves(strategy, row):
+    rng = np.random.default_rng(11)
+    with pytest.raises(ValueError, match="probabilities"):
+        sampler_draw(np.array(row), strategy, rng, None, k=2, confidence=0.5)
+    assert rng.random() == np.random.default_rng(11).random()
+
+
+def reference_mask_repeats(row, used, position):
+    """The mask before its release test read the row maximum."""
+    out = row.copy()
+    out[list(used)] = -np.inf
+    if not np.isfinite(out).any():
+        warnings.warn(
+            f"no-repeat mask exhausted the vocabulary at position {position}; releasing it",
+            RuntimeWarning,
+            stacklevel=2,
+        )
+        return row.copy()
+    return out
+
+
+def masked_with_warnings(mask, row, used):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        out = mask(row, used, 4)
+    return out.tobytes(), [(w.category, str(w.message)) for w in caught]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    row=st.lists(
+        st.one_of(st.floats(-50, 50), st.sampled_from([-np.inf, np.inf, np.nan])), min_size=1, max_size=12
+    ),
+    data=st.data(),
+)
+def test_mask_release_matches_the_full_finiteness_test(row, data):
+    row = np.array(row)
+    # used sets from empty to the whole row
+    used = data.draw(st.sets(st.integers(0, row.size - 1), max_size=row.size))
+    if data.draw(st.booleans()):
+        used = set(range(row.size))
+    assert masked_with_warnings(mask_repeats, row, used) == masked_with_warnings(reference_mask_repeats, row, used)
+
+
 class TestMask:
     def test_masks_used_entries(self):
         row = np.array([5.0, 4.0, 3.0])
@@ -577,6 +627,25 @@ class TestSeeds:
             if f.name != "seed":
                 assert getattr(out, f.name) == getattr(cfg, f.name), f.name
         assert cfg.seed == 0  # original untouched
+
+
+SEEDS = [0, 2**32 - 1, 2**32, 2**40, (2**32 - 1, 5), (2**32, 5), (np.uint32(7), np.int64(9)), True, (3, 4), 12345]
+
+
+@pytest.mark.parametrize("seed", SEEDS, ids=repr)
+def test_sampling_rng_streams_like_default_rng(seed):
+    for strategy in ("top_k", "top_p", "adaptive"):
+        rng = decoding._rng(DecodeConfig(strategy=strategy, seed=seed))
+        assert rng.bit_generator.state == np.random.default_rng(seed).bit_generator.state
+        assert np.array_equal(rng.random(8), np.random.default_rng(seed).random(8))
+
+
+@pytest.mark.parametrize("seed", [-1, (-1, 5), (5, -1), (-(2**40), 0)], ids=repr)
+def test_negative_seeds_raise_as_default_rng_does(seed):
+    with pytest.raises(Exception) as want:
+        np.random.default_rng(seed)
+    with pytest.raises(want.type):
+        decoding._rng(DecodeConfig(strategy="top_p", seed=seed))
 
 
 def test_trip_equality_and_len():
