@@ -10,7 +10,10 @@ on, and runs `analyze` and `recommend` once each with adaptive decoding;
 times and its length).  The Markov baseline is evaluated with greedy,
 top_k, top_p and adaptive, each with the mask off and on.  One more sampled
 run per architecture (adaptive) and for Markov (top_p) uses decode seed 2**32,
-whose per-query seeds do not fit one uint32 word each.  The model shape
+whose per-query seeds do not fit one uint32 word each.  Two more runs per
+architecture pass no `--strategy` flag, with `adapting` at its default and
+with `--adapting false`, so the strategy comes from the config's own rule.
+The popularity baseline is evaluated once.  The model shape
 of the mechanism study (the defaults: 2 layers, embed 32, hidden 64) is
 trained too, for each architecture with alpha 0 and 1, one epoch each; of
 those runs only `params.bin` and `loss_trace.csv` are kept.  Commands run in-process through
@@ -59,6 +62,11 @@ STRATEGIES = (
 # the Markov baseline has no confidence model, so no threshold mode
 MARKOV_STRATEGIES = STRATEGIES[:4]
 MASKS = ("false", "true")
+# no --strategy flag: `adapting` decides the strategy
+UNSET_STRATEGY = (
+    ("unset-strategy-adapting-true", []),
+    ("unset-strategy-adapting-false", ["--adapting", "false"]),
+)
 # decode seed 2**32 does not fit one uint32 word, so per-query seeds go to numpy as given
 WIDE_SEED = ["--decode-seed", str(2**32)]
 
@@ -114,7 +122,7 @@ def write_artifacts(out_dir: Path, flags=CRITERION_8_FLAGS) -> None:
         common = [*flags, "--arch", arch, "--output-dir", str(arch_dir)]
         _run(["train", *common])
         wide = ("adaptive-seed-2p32", ["--strategy", "adaptive", *WIDE_SEED])
-        for name, decode_flags in [*_evaluations(STRATEGIES), wide]:
+        for name, decode_flags in [*_evaluations(STRATEGIES), wide, *UNSET_STRATEGY]:
             _run(["evaluate", *common, *decode_flags])
             (arch_dir / name).mkdir()
             for artifact in ("metrics.csv", "trips.csv"):
@@ -125,6 +133,7 @@ def write_artifacts(out_dir: Path, flags=CRITERION_8_FLAGS) -> None:
     for name, decode_flags in [*_evaluations(MARKOV_STRATEGIES), wide]:
         target = out_dir / "markov" / name
         _run(["evaluate", *flags, "--generator", "markov", "--output-dir", str(target), *decode_flags])
+    _run(["evaluate", *flags, "--generator", "popularity", "--output-dir", str(out_dir / "popularity")])
     _train_study_shape(out_dir, flags)
 
 

@@ -29,7 +29,7 @@ from artrip.guidance import (
 )
 from artrip.model import ModelConfig, ModelParams, init_params, train
 from artrip.decoding import DecodeConfig, Trip, decode_trip
-from artrip.metrics import MetricReport, evaluate, f1_score, pairs_f1, rep_score
+from artrip.metrics import MetricReport, f1_score, pairs_f1, rep_score
 
 __all__ = [
     "ConfidenceVector",
@@ -50,7 +50,6 @@ __all__ = [
     "build_confidence",
     "build_guidance_matrix",
     "decode_trip",
-    "evaluate",
     "extract_trajectories",
     "f1_score",
     "init_params",

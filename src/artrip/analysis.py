@@ -127,10 +127,6 @@ def pmr_series(
     return PmrResult(terms=terms, value=float(sum(terms)), converged=converged)
 
 
-def pmr(matrices, k: int, xi: float, j_max: int = 10) -> float:
-    return pmr_series(matrices, k, xi, j_max).value
-
-
 def empirical_transitions(trajectories: list[Trajectory], k: int) -> list[TransitionMatrix]:
     """Per-position transition estimates from a trajectory corpus.
 

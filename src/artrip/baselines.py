@@ -16,7 +16,7 @@ import numpy as np
 from artrip import decoding
 from artrip.analysis import TransitionMatrix
 from artrip.data import Query, Trajectory
-from artrip.decoding import DecodeConfig, Trip, mask_repeats
+from artrip.decoding import DecodeConfig, Trip
 
 
 def build_popularity(train: list[Trajectory], k: int) -> np.ndarray:
@@ -36,6 +36,7 @@ def popularity_decode(query: Query, counts: np.ndarray) -> Trip:
     Endpoints come from the query and are excluded from the ranking, so
     the result never contains a duplicate.
     """
+    decoding._check_length(query)
     ranked = np.argsort(-counts, kind="stable")
     interior = [int(p) for p in ranked if p != query.p_s and p != query.p_e]
     need = query.n - 2
@@ -62,18 +63,10 @@ def markov_decode(query: Query, matrices: list[TransitionMatrix], cfg: DecodeCon
             stacklevel=2,
         )
         cfg = replace(cfg, strategy="top_p")
-    rng = decoding._rng(cfg)
-    pois = [query.p_s]
-    used = {query.p_s, query.p_e}
-    current = query.p_s
-    for position in range(2, query.n):
-        probs = matrices[min(position - 2, len(matrices) - 1)].values[current]
+
+    def next_row(position: int, prev: int) -> np.ndarray:
+        probs = matrices[min(position - 2, len(matrices) - 1)].values[prev]
         # zero probability scores -inf; `where` skips log(0) and its warning
-        row = np.log(probs, out=np.full(probs.shape[0], -np.inf), where=probs > 0)
-        if cfg.no_repeat_mask:
-            row = mask_repeats(row, used, position)
-        current = decoding._select(row, position, None, cfg, rng, None)
-        pois.append(current)
-        used.add(current)
-    pois.append(query.p_e)
-    return Trip(pois=tuple(pois))
+        return np.log(probs, out=np.full(probs.shape[0], -np.inf), where=probs > 0)
+
+    return decoding._walk(query, next_row, None, cfg, None)

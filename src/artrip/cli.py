@@ -23,13 +23,14 @@ from artrip.data import (
     IngestError,
     PoiCatalog,
     Query,
+    Trajectory,
     extract_trajectories,
     load_poi_catalog,
     load_visits,
     make_query,
     split_corpus,
 )
-from artrip.decoding import decode_config_for_query, decode_trip
+from artrip.decoding import decode_trip, query_seed
 from artrip.guidance import build_confidence, build_guidance_matrix, zero_guidance
 from artrip.model import load_bundle, save_bundle, train
 from artrip.model.bundle import vocab_sha256
@@ -75,13 +76,6 @@ def _out_dir(config: ExperimentConfig) -> Path:
     out = Path(config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     return out
-
-
-def _effective_strategy(config: ExperimentConfig, flag: str | None) -> str:
-    """An explicit --strategy flag wins; otherwise adapting implies adaptive."""
-    if flag is not None:
-        return flag
-    return "adaptive" if config.adapting else config.strategy
 
 
 def cmd_ingest(config: ExperimentConfig) -> int:
@@ -135,49 +129,40 @@ def cmd_train(config: ExperimentConfig) -> int:
     return 0
 
 
-def _bundle_for(config: ExperimentConfig, catalog: PoiCatalog):
+def _decoder(config: ExperimentConfig, catalog: PoiCatalog, train: list[Trajectory]):
+    """`decode(query, seed)` for the configured generator, built once per command.
+
+    Decode-time mechanism switches follow the current config, not the bundle.
+    """
+    if config.generator == "popularity":
+        counts = baselines.build_popularity(train, len(catalog))
+        return lambda query, seed: baselines.popularity_decode(query, counts)
+    decode_cfg = config.decode_config()
+    if config.generator == "markov":
+        matrices = analysis.empirical_transitions(train, len(catalog))
+        return lambda query, seed: baselines.markov_decode(
+            query, matrices, replace(decode_cfg, seed=seed)
+        )
     bundle = load_bundle(Path(config.output_dir) / "model")
     if bundle.manifest["vocab_sha256"] != vocab_sha256(catalog.ids):
         raise ConfigError("bundle vocabulary does not match the ingested corpus")
-    return bundle
+    pm = bundle.pm if config.guiding else zero_guidance(bundle.pm.k, bundle.pm.m_max)
+    return lambda query, seed: decode_trip(
+        query, bundle.params, pm, bundle.confidence, replace(decode_cfg, seed=seed)
+    )
 
 
-def cmd_evaluate(config: ExperimentConfig, strategy_flag: str | None) -> int:
+def cmd_evaluate(config: ExperimentConfig) -> int:
     catalog, _, _, trajectories = _load_corpus(config)
     split = _split(config, trajectories)
     if not split.test:
         raise ConfigError("test split is empty; adjust ratios or corpus")
+    decode = _decoder(config, catalog, split.train)
     trips: dict[tuple[int, int], tuple[int, ...]] = {}
-    if config.generator == "model":
-        bundle = _bundle_for(config, catalog)
-        # decode-time mechanism switches follow the current config
-        strategy = _effective_strategy(config, strategy_flag)
-        decode_cfg = config.decode_config(strategy)
-        pm = bundle.pm if config.guiding else zero_guidance(bundle.pm.k, bundle.pm.m_max)
-        conf = bundle.confidence
-
-        def decode_fn(query: Query, ordinal: int, repeat_seed: int):
-            per_query = decode_config_for_query(decode_cfg, repeat_seed, ordinal)
-            return decode_trip(query, bundle.params, pm, conf, per_query)
-
-    elif config.generator == "popularity":
-        counts = baselines.build_popularity(split.train, len(catalog))
-
-        def decode_fn(query: Query, ordinal: int, repeat_seed: int):
-            return baselines.popularity_decode(query, counts)
-
-    else:
-        matrices = analysis.empirical_transitions(split.train, len(catalog))
-        decode_cfg = config.decode_config(_effective_strategy(config, strategy_flag))
-
-        def decode_fn(query: Query, ordinal: int, repeat_seed: int):
-            per_query = decode_config_for_query(decode_cfg, repeat_seed, ordinal)
-            return baselines.markov_decode(query, matrices, per_query)
 
     def recording_decode(query: Query, ordinal: int, repeat_seed: int):
-        trip = decode_fn(query, ordinal, repeat_seed)
-        repeat = repeat_seed - config.decode_seed
-        trips[(repeat, ordinal)] = trip.pois
+        trip = decode(query, query_seed(repeat_seed, ordinal))
+        trips[(repeat_seed - config.decode_seed, ordinal)] = trip.pois
         return trip
 
     report = metrics.evaluate_decoder(recording_decode, split.test, config.repeats, config.decode_seed)
@@ -200,11 +185,11 @@ def cmd_evaluate(config: ExperimentConfig, strategy_flag: str | None) -> int:
 def cmd_recommend(config: ExperimentConfig, args: argparse.Namespace) -> int:
     if args.length < 2:
         raise ConfigError("trip length must be at least 2")
-    catalog, _, _, _ = _load_corpus(config)
+    catalog, _, _, trajectories = _load_corpus(config)
     for poi in (args.start, args.end):
         if poi not in catalog:
             raise ConfigError(f"POI id {poi} not in the catalog")
-    bundle = _bundle_for(config, catalog)
+    decode = _decoder(config, catalog, _split(config, trajectories).train)
     query = Query(
         p_s=catalog.index_of(args.start),
         t_s=args.start_time,
@@ -212,10 +197,7 @@ def cmd_recommend(config: ExperimentConfig, args: argparse.Namespace) -> int:
         t_e=args.end_time,
         n=args.length,
     )
-    strategy = _effective_strategy(config, args.strategy)
-    decode_cfg = config.decode_config(strategy)
-    pm = bundle.pm if config.guiding else zero_guidance(bundle.pm.k, bundle.pm.m_max)
-    trip = decode_trip(query, bundle.params, pm, bundle.confidence, decode_cfg)
+    trip = decode(query, config.decode_seed)
     out = _out_dir(config)
     with open(out / "trip.csv", "w", newline="") as fh:
         writer = _writer(fh)
@@ -228,11 +210,13 @@ def cmd_recommend(config: ExperimentConfig, args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_analyze(config: ExperimentConfig, strategy_flag: str | None) -> int:
+def cmd_analyze(config: ExperimentConfig) -> int:
     catalog, _, _, trajectories = _load_corpus(config)
     split = _split(config, trajectories)
     if not split.test:
         raise ConfigError("test split is empty; adjust ratios or corpus")
+    # a missing bundle fails here, before any report is written
+    decode = _decoder(config, catalog, split.train)
     out = _out_dir(config)
     matrices = analysis.empirical_transitions(split.train, len(catalog))
     with open(out / "sparsity.csv", "w", newline="") as fh:
@@ -255,14 +239,10 @@ def cmd_analyze(config: ExperimentConfig, strategy_flag: str | None) -> int:
             writer.writerow([j, repr(term), repr(running)])
         status = "converged" if series.converged else "non-convergent"
         writer.writerow(["status", status, repr(series.value)])
-    bundle = _bundle_for(config, catalog)
-    strategy = _effective_strategy(config, strategy_flag)
-    decode_cfg = config.decode_config(strategy)
-    pm = bundle.pm if config.guiding else zero_guidance(bundle.pm.k, bundle.pm.m_max)
-    trips = []
-    for ordinal, truth in enumerate(split.test):
-        per_query = decode_config_for_query(decode_cfg, config.decode_seed, ordinal)
-        trips.append(decode_trip(make_query(truth), bundle.params, pm, bundle.confidence, per_query))
+    trips = [
+        decode(make_query(truth), query_seed(config.decode_seed, ordinal))
+        for ordinal, truth in enumerate(split.test)
+    ]
     histogram = analysis.repeat_histogram(trips)
     with open(out / "repeat_positions.csv", "w", newline="") as fh:
         writer = _writer(fh)
@@ -274,10 +254,9 @@ def cmd_analyze(config: ExperimentConfig, strategy_flag: str | None) -> int:
         writer.writerow(["gap", "count"])
         for gap in range(1, len(histogram.gap_counts)):
             writer.writerow([gap, int(histogram.gap_counts[gap])])
-    pmr_status = "converged" if series.converged else "non-convergent"
     print(
         f"analyzed {len(matrices)} transition positions: mean xi {xi_mean:.4f}, "
-        f"PMR {series.value:.6f} ({pmr_status}), {histogram.total} repeats in decoded trips"
+        f"PMR {series.value:.6f} ({status}), {histogram.total} repeats in decoded trips"
     )
     print(f"reports -> {out}")
     return 0
@@ -321,10 +300,10 @@ def main(argv=None) -> int:
         if args.command == "train":
             return cmd_train(config)
         if args.command == "evaluate":
-            return cmd_evaluate(config, args.strategy)
+            return cmd_evaluate(config)
         if args.command == "recommend":
             return cmd_recommend(config, args)
-        return cmd_analyze(config, args.strategy)
+        return cmd_analyze(config)
     except (ConfigError, IngestError, ValueError, RuntimeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -50,7 +50,7 @@ class ExperimentConfig:
     drifting: bool = True
     adapting: bool = True
     # decoding
-    strategy: str = "greedy"
+    strategy: str | None = None
     top_k: int = 5
     top_p: float = 0.8
     lam: float = 1.0
@@ -77,9 +77,13 @@ class ExperimentConfig:
             seed=self.model_seed,
         )
 
-    def decode_config(self, strategy: str | None = None) -> DecodeConfig:
+    def decode_config(self) -> DecodeConfig:
+        """A set `strategy` (file or flag) wins; unset, `adapting` picks adaptive or greedy."""
+        strategy = self.strategy
+        if strategy is None:
+            strategy = "adaptive" if self.adapting else "greedy"
         return DecodeConfig(
-            strategy=strategy or self.strategy,
+            strategy=strategy,
             top_k=self.top_k,
             top_p=self.top_p,
             lam=self.lam,

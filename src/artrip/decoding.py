@@ -189,34 +189,50 @@ def decode_trip(
     released with a warning.  `trace`, if given, collects
     (candidate_ids, chosen_id) per interior position.
     """
-    if query.n < 2:
-        raise ValueError("trips need at least the two endpoint positions")
-    rng = _rng(cfg)
-    pois = [query.p_s]
-    used = {query.p_s, query.p_e}
+    # the forward passes cannot take a shorter query
+    _check_length(query)
     if params.config.arch == ARCH_ONE_SHOT:
         guided = apply_guidance(forward_one_shot(query, params), pm)
-        for position in range(2, query.n):
-            row = guided[position - 1]
-            if cfg.no_repeat_mask:
-                row = mask_repeats(row, used, position)
-            choice = _select(row, position, conf, cfg, rng, trace)
-            pois.append(choice)
-            used.add(choice)
+
+        def next_row(position: int, prev: int) -> np.ndarray:
+            return guided[position - 1]
+
     else:
         # row j of the factor is position j + 2's guidance, as apply_guidance scales it
         factor = 1.0 + guidance.guidance_columns(pm, 2, query.n - 2)
         state = init_recurrent_state(query, params)
-        prev = query.p_s
-        for position in range(2, query.n):
+
+        def next_row(position: int, prev: int) -> np.ndarray:
+            nonlocal state
             raw, state = forward_recurrent_step(state, prev, params)
-            row = raw * factor[position - 2]
-            if cfg.no_repeat_mask:
-                row = mask_repeats(row, used, position)
-            choice = _select(row, position, conf, cfg, rng, trace)
-            pois.append(choice)
-            used.add(choice)
-            prev = choice
+            return raw * factor[position - 2]
+
+    return _walk(query, next_row, conf, cfg, trace)
+
+
+def _check_length(query: Query) -> None:
+    if query.n < 2:
+        raise ValueError("trips need at least the two endpoint positions")
+
+
+def _walk(query: Query, next_row, conf: ConfidenceVector | None, cfg: DecodeConfig, trace) -> Trip:
+    """The decode loop every walking generator shares; the endpoints come from the query.
+
+    Each interior position scores the stop after `prev` by `next_row(position, prev)`,
+    masks repeats if the config asks, and selects one POI.
+    """
+    _check_length(query)
+    rng = _rng(cfg)
+    pois = [query.p_s]
+    used = {query.p_s, query.p_e}
+    prev = query.p_s
+    for position in range(2, query.n):
+        row = next_row(position, prev)
+        if cfg.no_repeat_mask:
+            row = mask_repeats(row, used, position)
+        prev = _select(row, position, conf, cfg, rng, trace)
+        pois.append(prev)
+        used.add(prev)
     pois.append(query.p_e)
     return Trip(pois=tuple(pois))
 

@@ -15,9 +15,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from artrip.data import Query, Trajectory, make_query
-from artrip.decoding import DecodeConfig, Trip, decode_config_for_query, decode_trip
-from artrip.guidance import ConfidenceVector, GuidanceMatrix
+from artrip.data import Trajectory, make_query
+from artrip.decoding import Trip, decode_trip  # noqa: F401 - perfbench wraps metrics.decode_trip
 
 
 def _pois(seq) -> tuple[int, ...]:
@@ -148,23 +147,6 @@ def evaluate_decoder(decode_fn, test: list[Trajectory], repeats: int, base_seed:
         repeats=repeats,
         rows=rows,
     )
-
-
-def evaluate(
-    params,
-    pm: GuidanceMatrix,
-    conf: ConfidenceVector,
-    test: list[Trajectory],
-    cfg: DecodeConfig,
-    repeats: int = 1,
-) -> MetricReport:
-    """Decode every test query with the model and score the trips."""
-
-    def decode_fn(query: Query, ordinal: int, repeat_seed: int) -> Trip:
-        per_query = decode_config_for_query(cfg, repeat_seed, ordinal)
-        return decode_trip(query, params, pm, conf, per_query)
-
-    return evaluate_decoder(decode_fn, test, repeats, cfg.seed)
 
 
 def write_metrics_csv(report: MetricReport, path) -> None:

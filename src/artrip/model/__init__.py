@@ -10,7 +10,6 @@ bundles are bit-reproducible.
 from artrip.model.params import ARCH_ONE_SHOT, ARCH_RECURRENT, ModelConfig, ModelParams, init_params
 from artrip.model.one_shot import forward_one_shot
 from artrip.model.recurrent import forward_recurrent_step, init_recurrent_state
-from artrip.model.losses import drift_loss, recommendation_loss, total_loss
 from artrip.model.train import TrainResult, train
 from artrip.model.gradcheck import GradCheckReport, grad_check
 from artrip.model.bundle import Bundle, load_bundle, save_bundle
@@ -23,15 +22,12 @@ __all__ = [
     "ModelConfig",
     "ModelParams",
     "TrainResult",
-    "drift_loss",
     "forward_one_shot",
     "forward_recurrent_step",
     "grad_check",
     "init_params",
     "init_recurrent_state",
     "load_bundle",
-    "recommendation_loss",
     "save_bundle",
-    "total_loss",
     "train",
 ]

@@ -19,13 +19,8 @@ import numpy as np
 PROB_EPS = 1e-6
 
 
-def recommendation_loss(rows: np.ndarray, targets) -> float:
-    """Mean cross entropy of score rows against target POI indices."""
-    loss, _ = recommendation_loss_grad(rows, targets)
-    return loss
-
-
 def recommendation_loss_grad(rows: np.ndarray, targets) -> tuple[float, np.ndarray]:
+    """Mean cross entropy of score rows against target POI indices, and its gradient."""
     targets = np.asarray(targets, dtype=np.int64)
     m = rows.shape[0]
     if m == 0 or m != targets.shape[0]:
@@ -42,12 +37,6 @@ def recommendation_loss_grad(rows: np.ndarray, targets) -> tuple[float, np.ndarr
     return loss, drows
 
 
-def drift_loss(rows: np.ndarray) -> float:
-    """Pairwise repetition penalty over all position pairs."""
-    loss, _ = drift_loss_grad(rows)
-    return loss
-
-
 @functools.lru_cache(maxsize=64)
 def _pairs(m: int) -> tuple[np.ndarray, np.ndarray]:
     """Row and column of every pair i < j, row-major: the order of np.triu's mask.
@@ -61,6 +50,7 @@ def _pairs(m: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def drift_loss_grad(rows: np.ndarray) -> tuple[float, np.ndarray]:
+    """Pairwise repetition penalty over all position pairs, and its gradient."""
     m = rows.shape[0]
     if m < 2:
         return 0.0, np.zeros_like(rows)
@@ -112,11 +102,6 @@ def _drift_loss_grad_zero_rows(rows, norms, valid):
     proj = (dunit * unit).sum(axis=1, keepdims=True)
     grads[valid] = (dunit[valid] - proj[valid] * unit[valid]) / norms[valid, None]
     return loss, grads
-
-
-def total_loss(rows: np.ndarray, targets, alpha: float) -> float:
-    loss, _ = total_loss_grad(rows, targets, alpha)
-    return loss
 
 
 def total_loss_grad(rows: np.ndarray, targets, alpha: float) -> tuple[float, np.ndarray]:

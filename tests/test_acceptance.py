@@ -24,14 +24,14 @@ from artrip.data import (
     load_visits,
     split_corpus,
 )
-from artrip.decoding import DecodeConfig, greedy_pick
+from artrip.decoding import DecodeConfig, decode_config_for_query, decode_trip, greedy_pick
 from artrip.guidance import (
     apply_guidance,
     build_confidence,
     build_guidance_matrix,
     zero_guidance,
 )
-from artrip.metrics import evaluate, f1_score, pairs_f1, trip_repetition
+from artrip.metrics import evaluate_decoder, f1_score, pairs_f1, trip_repetition
 from artrip.model import (
     ARCH_ONE_SHOT,
     ARCH_RECURRENT,
@@ -209,14 +209,12 @@ def mechanism_study():
                 decode_config = DecodeConfig(
                     strategy="adaptive" if mechanisms_on else "greedy", seed=seed
                 )
-                report = evaluate(
-                    trained.params,
-                    pm if mechanisms_on else zero,
-                    conf,
-                    split.test,
-                    decode_config,
-                    repeats=1,
-                )
+
+                def decode_fn(query, ordinal, repeat_seed):
+                    per_query = decode_config_for_query(decode_config, repeat_seed, ordinal)
+                    return decode_trip(query, trained.params, pm if mechanisms_on else zero, conf, per_query)
+
+                report = evaluate_decoder(decode_fn, split.test, 1, decode_config.seed)
                 f1s.append(report.f1_mean)
                 reps.append(report.rep_mean)
             results[(arch, mechanisms_on)] = {

@@ -8,7 +8,6 @@ from artrip.analysis import (
     TransitionMatrix,
     empirical_transitions,
     perturb,
-    pmr,
     pmr_series,
     repeat_histogram,
     sparsity_xi,
@@ -114,11 +113,11 @@ class TestPmr:
         for j in range(1, 4):
             product = product @ m @ m
             expected += np.trace(product) / (3 * xi) ** j
-        assert pmr([m], k=3, xi=xi, j_max=3) == pytest.approx(expected, abs=1e-12)
+        assert pmr_series([m], k=3, xi=xi, j_max=3).value == pytest.approx(expected, abs=1e-12)
 
     def test_wrapped_matrices_accepted(self):
         tm = TransitionMatrix(values=np.full((2, 2), 0.5))
-        assert pmr([tm], k=2, xi=1.0) == pytest.approx(0.9990234375, abs=1e-9)
+        assert pmr_series([tm], k=2, xi=1.0).value == pytest.approx(0.9990234375, abs=1e-9)
 
     def test_validates_inputs(self):
         with pytest.raises(ValueError):

@@ -63,6 +63,12 @@ class TestPopularity:
         q = Query(p_s=0, t_s=0, p_e=1, t_e=7200, n=5)
         assert trip_repetition(popularity_decode(q, counts)) == 0.0
 
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_degenerate_length_raises(self, n):
+        q = Query(p_s=0, t_s=0, p_e=1, t_e=7200, n=n)
+        with pytest.raises(ValueError, match="endpoint"):
+            popularity_decode(q, np.array([5, 4, 3, 2, 1, 0]))
+
     def test_vocabulary_exhaustion_raises(self):
         counts = np.array([1, 1, 1])
         q = Query(p_s=0, t_s=0, p_e=1, t_e=7200, n=5)
@@ -80,6 +86,12 @@ class TestMarkov:
         q = Query(p_s=0, t_s=0, p_e=0, t_e=14400, n=5)
         trip = markov_decode(q, self.chain(), DecodeConfig())
         assert trip.pois == (0, 1, 2, 0, 0)
+
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_degenerate_length_raises(self, n):
+        q = Query(p_s=0, t_s=0, p_e=1, t_e=7200, n=n)
+        with pytest.raises(ValueError, match="endpoint"):
+            markov_decode(q, self.chain(), DecodeConfig())
 
     def test_self_loop_produces_repeats(self):
         values = np.array([[1.0, 0.0], [0.5, 0.5]])

@@ -180,8 +180,27 @@ class TestEvaluate:
         assert main(["evaluate", *base_flags, "--strategy", "greedy"]) == 0
         assert (out / "trips.csv").read_bytes() == greedy
 
+    def test_strategy_in_the_config_file_beats_adapting(self, base_flags, tmp_path):
+        # adapting stays at its default (true); a strategy set in the file still wins
+        assert main(["train", *base_flags]) == 0
+        out = tmp_path / "out"
+        cfg = tmp_path / "top_k.cfg"
+        cfg.write_text("strategy = top_k\n")
+        assert main(["evaluate", "--config", str(cfg), *base_flags]) == 0
+        from_file = (out / "trips.csv").read_bytes()
+        assert main(["evaluate", *base_flags, "--strategy", "top_k"]) == 0
+        assert (out / "trips.csv").read_bytes() == from_file
+        assert main(["evaluate", *base_flags]) == 0
+        assert (out / "trips.csv").read_bytes() != from_file
+
 
 class TestRecommend:
+    def test_popularity_generator_needs_no_bundle(self, base_flags, tmp_path):
+        args = ["recommend", *base_flags, "--start", "101", "--end", "102", "--length", "4"]
+        assert main([*args, "--generator", "popularity"]) == 0
+        rows = read_rows(tmp_path / "out" / "trip.csv")
+        assert [row[1] for row in rows[1:]] == ["101", "103", "105", "102"]
+
     def test_prints_and_writes_trip(self, base_flags, tmp_path, capsys):
         assert main(["train", *base_flags]) == 0
         capsys.readouterr()
@@ -225,6 +244,17 @@ class TestRecommend:
 
 
 class TestAnalyze:
+    def test_missing_bundle_fails_before_any_report_is_written(self, base_flags, tmp_path, capsys):
+        assert main(["analyze", *base_flags]) == 1
+        assert "error:" in capsys.readouterr().err
+        out = tmp_path / "out"
+        assert not (out / "sparsity.csv").exists() and not (out / "pmr.csv").exists()
+
+    def test_markov_generator_needs_no_bundle(self, base_flags, tmp_path, capsys):
+        assert main(["analyze", *base_flags, "--generator", "markov", "--strategy", "greedy"]) == 0
+        assert (tmp_path / "out" / "repeat_gaps.csv").exists()
+        assert "analyzed" in capsys.readouterr().out
+
     def test_writes_all_reports(self, base_flags, tmp_path, capsys):
         assert main(["train", *base_flags]) == 0
         assert main(["analyze", *base_flags]) == 0
@@ -311,6 +341,20 @@ class TestConfigPrecedence:
     def test_bad_ratio_sum_fails(self, base_flags, capsys):
         assert main(["ingest", *base_flags, "--train-ratio", "0.9"]) == 1
         assert "sum to 1" in capsys.readouterr().err
+
+
+class TestStrategyRule:
+    @pytest.mark.parametrize(
+        "overrides, strategy",
+        [
+            ({}, "adaptive"),
+            ({"adapting": "false"}, "greedy"),
+            ({"strategy": "top_k"}, "top_k"),
+            ({"strategy": "top_p", "adapting": "false"}, "top_p"),
+        ],
+    )
+    def test_a_set_strategy_wins_else_adapting_decides(self, overrides, strategy):
+        assert load_config(None, overrides).decode_config().strategy == strategy
 
 
 class TestConfigValidation:
@@ -403,15 +447,18 @@ class TestArtifactHashes:
             script.write_artifacts(tmp_path / run, flags)
             listings.append(script.hash_lines(tmp_path / run))
         first = listings[0]
-        # per arch: 3 bundle files, the loss trace, 11 x (metrics, trips) and
+        # per arch: 3 bundle files, the loss trace, 13 x (metrics, trips) and
         # the 4 analyze reports plus trip.csv; Markov: 9 x (metrics, trips);
+        # popularity: metrics, trips;
         # the study shape: 2 archs x 2 alphas x (params.bin, loss_trace.csv)
-        assert len(first) == 2 * (4 + 22 + 5) + 18 + 8
+        assert len(first) == 2 * (4 + 26 + 5) + 18 + 2 + 8
         names = {line.split("  ", 1)[1] for line in first}
         assert {"one_shot/top_p-mask-on/trips.csv", "recurrent/adaptive-threshold-mask-off/trips.csv"} <= names
         assert "markov/top_p-mask-off/metrics.csv" in names
         assert {"recurrent/adaptive-seed-2p32/trips.csv", "markov/top_p-seed-2p32/trips.csv"} <= names
         assert "markov/adaptive-threshold-mask-off/metrics.csv" not in names
+        assert {"one_shot/unset-strategy-adapting-true/trips.csv", "recurrent/unset-strategy-adapting-false/trips.csv"} <= names
+        assert "popularity/trips.csv" in names
         assert "study/recurrent-alpha-1/params.bin" in {line.split("  ", 1)[1] for line in first}
         assert "one_shot/model/params.bin" in {line.split("  ", 1)[1] for line in first}
         assert first == sorted(first, key=lambda line: line.split("  ", 1)[1])

@@ -448,6 +448,13 @@ class TestDecodeTrip:
         with pytest.raises(ValueError):
             decode_trip(q, self.params(), self.pm, self.conf, DecodeConfig())
 
+    @pytest.mark.parametrize("arch", [ARCH_ONE_SHOT, ARCH_RECURRENT])
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_degenerate_length_is_named_before_the_forward_pass(self, arch, n):
+        q = Query(p_s=0, t_s=0, p_e=1, t_e=3600, n=n)
+        with pytest.raises(ValueError, match="endpoint"):
+            decode_trip(q, self.params(arch), self.pm, self.conf, DecodeConfig())
+
     def test_greedy_is_deterministic_across_seeds(self):
         q = Query(p_s=0, t_s=0, p_e=1, t_e=14400, n=5)
         a = decode_trip(q, self.params(), self.pm, self.conf, DecodeConfig(seed=0))

@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from artrip.model import drift_loss, recommendation_loss, total_loss
 from artrip.model.losses import (
     PROB_EPS,
     drift_loss_grad,
@@ -33,21 +32,21 @@ def fd_grad(fn, rows, step=1e-6):
 class TestRecommendationLoss:
     def test_uniform_rows_give_log_k(self):
         rows = np.zeros((3, 4))
-        assert recommendation_loss(rows, [0, 1, 2]) == pytest.approx(math.log(4))
+        assert recommendation_loss_grad(rows, [0, 1, 2])[0] == pytest.approx(math.log(4))
 
     def test_half_probability_gives_log_two(self):
         # logits (log 3, 0, 0, 0): softmax puts exactly 3/6 = 0.5 on index 0
         rows = np.array([[math.log(3.0), 0.0, 0.0, 0.0]])
-        assert recommendation_loss(rows, [0]) == pytest.approx(math.log(2))
+        assert recommendation_loss_grad(rows, [0])[0] == pytest.approx(math.log(2))
 
     def test_mean_over_positions(self):
         rows = np.array([[math.log(3.0), 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0]])
         expected = (math.log(2) + math.log(4)) / 2
-        assert recommendation_loss(rows, [0, 3]) == pytest.approx(expected)
+        assert recommendation_loss_grad(rows, [0, 3])[0] == pytest.approx(expected)
 
     def test_large_logits_are_stable(self):
         rows = np.array([[1000.0, 0.0], [0.0, 1000.0]])
-        loss = recommendation_loss(rows, [0, 1])
+        loss = recommendation_loss_grad(rows, [0, 1])[0]
         assert np.isfinite(loss)
         assert loss == pytest.approx(0.0, abs=1e-9)
 
@@ -62,30 +61,30 @@ class TestRecommendationLoss:
         rows = rng.standard_normal((4, 6))
         targets = [5, 0, 2, 2]
         _, grad = recommendation_loss_grad(rows, targets)
-        num = fd_grad(lambda r: recommendation_loss(r, targets), rows)
+        num = fd_grad(lambda r: recommendation_loss_grad(r, targets)[0], rows)
         np.testing.assert_allclose(grad, num, atol=1e-8)
 
 
 class TestDriftLoss:
     def test_orthogonal_rows_cost_log_two(self):
         rows = np.array([[1.0, 0.0], [0.0, 1.0]])
-        assert drift_loss(rows) == pytest.approx(math.log(2))
+        assert drift_loss_grad(rows)[0] == pytest.approx(math.log(2))
 
     def test_parallel_rows_hit_the_clip(self):
         rows = np.array([[2.0, 0.0], [5.0, 0.0]])
-        assert drift_loss(rows) == pytest.approx(-math.log(1e-6))
+        assert drift_loss_grad(rows)[0] == pytest.approx(-math.log(1e-6))
 
     def test_opposite_rows_cost_almost_nothing(self):
         rows = np.array([[1.0, 0.0], [-1.0, 0.0]])
-        assert drift_loss(rows) == pytest.approx(-math.log(1.0 - 1e-6))
+        assert drift_loss_grad(rows)[0] == pytest.approx(-math.log(1.0 - 1e-6))
 
     def test_sums_over_all_pairs_without_normalizing(self):
         # three mutually orthogonal rows: 3 pairs, log 2 each
         rows = np.eye(3)
-        assert drift_loss(rows) == pytest.approx(3 * math.log(2))
+        assert drift_loss_grad(rows)[0] == pytest.approx(3 * math.log(2))
 
     def test_single_row_is_free(self):
-        assert drift_loss(np.array([[3.0, 1.0]])) == 0.0
+        assert drift_loss_grad(np.array([[3.0, 1.0]]))[0] == 0.0
 
     def test_zero_norm_row_warns_and_charges_half(self):
         rows = np.array([[1.0, 0.0], [0.0, 0.0]])
@@ -97,13 +96,13 @@ class TestDriftLoss:
     def test_scale_invariance_of_loss(self):
         rng = np.random.default_rng(3)
         rows = rng.standard_normal((3, 5))
-        assert drift_loss(rows) == pytest.approx(drift_loss(rows * 17.0))
+        assert drift_loss_grad(rows)[0] == pytest.approx(drift_loss_grad(rows * 17.0)[0])
 
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(11)
         rows = rng.standard_normal((4, 5))
         _, grad = drift_loss_grad(rows)
-        num = fd_grad(lambda r: drift_loss(r), rows)
+        num = fd_grad(lambda r: drift_loss_grad(r)[0], rows)
         np.testing.assert_allclose(grad, num, atol=1e-6)
 
     def test_clamped_pairs_carry_no_gradient(self):
@@ -115,18 +114,18 @@ class TestDriftLoss:
 class TestTotalLoss:
     def test_alpha_zero_is_pure_cross_entropy(self):
         rows = np.array([[1.0, 0.0], [1.0, 0.0]])
-        assert total_loss(rows, [0, 0], alpha=0.0) == pytest.approx(
-            recommendation_loss(rows, [0, 0])
+        assert total_loss_grad(rows, [0, 0], alpha=0.0)[0] == pytest.approx(
+            recommendation_loss_grad(rows, [0, 0])[0]
         )
 
     def test_alpha_scales_the_penalty(self):
         rng = np.random.default_rng(5)
         rows = rng.standard_normal((3, 4))
         targets = [0, 1, 2]
-        base = recommendation_loss(rows, targets)
-        drift = drift_loss(rows)
+        base = recommendation_loss_grad(rows, targets)[0]
+        drift = drift_loss_grad(rows)[0]
         for alpha in (0.5, 1.0, 2.0):
-            assert total_loss(rows, targets, alpha) == pytest.approx(
+            assert total_loss_grad(rows, targets, alpha)[0] == pytest.approx(
                 base + alpha * drift
             )
 
@@ -135,7 +134,7 @@ class TestTotalLoss:
         rows = rng.standard_normal((3, 4))
         targets = [1, 3, 0]
         _, grad = total_loss_grad(rows, targets, alpha=0.7)
-        num = fd_grad(lambda r: total_loss(r, targets, alpha=0.7), rows)
+        num = fd_grad(lambda r: total_loss_grad(r, targets, alpha=0.7)[0], rows)
         np.testing.assert_allclose(grad, num, atol=1e-6)
 
 
