@@ -2,11 +2,12 @@
 
     PYTHONPATH=src python scripts/artifact_hashes.py OUT_DIR
 
-For each architecture it trains one bundle on Glasgow with the criterion-8
-flags, then evaluates it with greedy, top_k, top_p, adaptive (temperature
-mode) and adaptive in threshold mode, each with the no-repeat mask off and
-on, and runs `analyze` and `recommend` once each with adaptive decoding;
-`recommend` asks for the corpus's first trajectory (its endpoints, their
+It first runs `ingest` into `ingest/` (`corpus.csv`, `summary.csv`), so the
+CSV loader's output is covered too.  For each architecture it trains one
+bundle on Glasgow with the criterion-8 flags, then evaluates it with
+greedy, top_k, top_p, adaptive (temperature mode) and adaptive in threshold
+mode, each with the no-repeat mask off and on, and runs `analyze` and
+`recommend` once each with adaptive decoding; `recommend` asks for the corpus's first trajectory (its endpoints, their
 times and its length).  The Markov baseline is evaluated with greedy,
 top_k, top_p and adaptive, each with the mask off and on.  One more sampled
 run per architecture (adaptive) and for Markov (top_p) uses decode seed 2**32,
@@ -117,6 +118,7 @@ def write_artifacts(out_dir: Path, flags=CRITERION_8_FLAGS) -> None:
     """Train and evaluate every setting into its own directory under out_dir."""
     flags = list(flags)
     recommend = _recommend_flags(flags)
+    _run(["ingest", *flags, "--output-dir", str(out_dir / "ingest")])
     for arch in ARCHS:
         arch_dir = out_dir / arch
         common = [*flags, "--arch", arch, "--output-dir", str(arch_dir)]

@@ -129,17 +129,22 @@ def cmd_train(config: ExperimentConfig) -> int:
     return 0
 
 
-def _decoder(config: ExperimentConfig, catalog: PoiCatalog, train: list[Trajectory]):
+def _decoder(
+    config: ExperimentConfig, catalog: PoiCatalog, train: list[Trajectory], matrices=None
+):
     """`decode(query, seed)` for the configured generator, built once per command.
 
     Decode-time mechanism switches follow the current config, not the bundle.
+    The Markov generator walks `matrices` when given, the empirical
+    transitions of `train` otherwise.
     """
     if config.generator == "popularity":
         counts = baselines.build_popularity(train, len(catalog))
         return lambda query, seed: baselines.popularity_decode(query, counts)
     decode_cfg = config.decode_config()
     if config.generator == "markov":
-        matrices = analysis.empirical_transitions(train, len(catalog))
+        if matrices is None:
+            matrices = analysis.empirical_transitions(train, len(catalog))
         return lambda query, seed: baselines.markov_decode(
             query, matrices, replace(decode_cfg, seed=seed)
         )
@@ -215,10 +220,10 @@ def cmd_analyze(config: ExperimentConfig) -> int:
     split = _split(config, trajectories)
     if not split.test:
         raise ConfigError("test split is empty; adjust ratios or corpus")
-    # a missing bundle fails here, before any report is written
-    decode = _decoder(config, catalog, split.train)
-    out = _out_dir(config)
     matrices = analysis.empirical_transitions(split.train, len(catalog))
+    # a missing bundle fails here, before any report is written
+    decode = _decoder(config, catalog, split.train, matrices)
+    out = _out_dir(config)
     with open(out / "sparsity.csv", "w", newline="") as fh:
         writer = _writer(fh)
         writer.writerow(["position", "xi"])

@@ -14,6 +14,8 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
+from operator import itemgetter
+from typing import NamedTuple
 
 import numpy as np
 
@@ -63,8 +65,7 @@ class PoiCatalog:
         return list(self._ids)
 
 
-@dataclass(frozen=True)
-class Visit:
+class Visit(NamedTuple):
     user_id: str
     seq_id: int
     poi_id: int
@@ -149,11 +150,14 @@ def load_poi_catalog(path: str) -> PoiCatalog:
 def load_visits(path: str, catalog: PoiCatalog) -> tuple[list[Visit], int]:
     """Read visit rows, dropping (and counting) rows whose POI is not catalogued.
 
-    Returns the visits sorted by (user_id, seq_id, timestamp) together with
-    the number of dropped rows.
+    Returns the visits sorted by (user_id, seq_id, timestamp), ties kept in
+    file order, together with the number of dropped rows.  Blank lines are
+    skipped; a row with the wrong field count or an unparseable integer
+    raises `IngestError` naming the file and line.
     """
     visits: list[Visit] = []
     dropped = 0
+    index = catalog._index
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
@@ -162,23 +166,27 @@ def load_visits(path: str, catalog: PoiCatalog) -> tuple[list[Visit], int]:
             raise IngestError(f"{path}: empty visits file") from None
         _check_header(header, VISIT_HEADER, path)
         for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(VISIT_HEADER):
-                raise IngestError(f"{path} line {lineno}: expected 4 fields, got {len(row)}")
+            # the rare cases (blank line, wrong field count, bad integer) are
+            # told apart only after unpacking or converting has failed
             try:
-                seq_id = int(row[1])
-                poi_id = int(row[2])
-                timestamp = int(row[3])
+                user_id, seq_id, poi_id, timestamp = row
+                visit = Visit(user_id, int(seq_id), int(poi_id), int(timestamp))
             except ValueError:
+                if not row:
+                    continue
+                if len(row) != len(VISIT_HEADER):
+                    raise IngestError(
+                        f"{path} line {lineno}: expected 4 fields, got {len(row)}"
+                    ) from None
                 raise IngestError(
                     f"{path} line {lineno}: unparseable field in {row!r}"
                 ) from None
-            if poi_id not in catalog:
+            if visit.poi_id in index:
+                visits.append(visit)
+            else:
                 dropped += 1
-                continue
-            visits.append(Visit(row[0], seq_id, poi_id, timestamp))
-    visits.sort(key=lambda v: (v.user_id, v.seq_id, v.timestamp))
+    # list.sort is stable, so equal (user, seq, timestamp) keep file order
+    visits.sort(key=itemgetter(0, 1, 3))
     return visits, dropped
 
 
@@ -193,25 +201,23 @@ def extract_trajectories(
     exist in the data.
     """
     out: list[Trajectory] = []
+    index = catalog._index
     group_pois: list[int] = []
     group_times: list[int] = []
-    current: tuple[str, int] | None = None
-
-    def flush() -> None:
-        if len(group_pois) >= min_len:
-            out.append(Trajectory(tuple(group_pois), tuple(group_times)))
-
-    for v in visits:
-        key = (v.user_id, v.seq_id)
-        idx = catalog.index_of(v.poi_id)
-        if key != current:
-            flush()
-            group_pois, group_times = [idx], [v.timestamp]
-            current = key
+    current_user: str | None = None
+    current_seq: int | None = None
+    for user_id, seq_id, poi_id, timestamp in visits:
+        idx = index[poi_id]
+        if seq_id != current_seq or user_id != current_user:
+            if len(group_pois) >= min_len:
+                out.append(Trajectory(tuple(group_pois), tuple(group_times)))
+            group_pois, group_times = [idx], [timestamp]
+            current_user, current_seq = user_id, seq_id
         elif group_pois[-1] != idx:
             group_pois.append(idx)
-            group_times.append(v.timestamp)
-    flush()
+            group_times.append(timestamp)
+    if len(group_pois) >= min_len:
+        out.append(Trajectory(tuple(group_pois), tuple(group_times)))
     return out
 
 

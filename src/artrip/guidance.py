@@ -54,12 +54,14 @@ def build_guidance_matrix(train: list[Trajectory], k: int) -> GuidanceMatrix:
     if not train:
         raise ValueError("cannot build guidance from an empty training set")
     m_max = max(len(t) for t in train)
+    pois = np.array([poi for t in train for poi in t.pois], dtype=np.intp)
+    positions = np.array([pos for t in train for pos in range(len(t))], dtype=np.intp)
+    over = np.flatnonzero(pois >= k)
+    if over.size:
+        raise ValueError(f"POI index {int(pois[over[0]])} out of range for k={k}")
     counts = np.zeros((k, m_max), dtype=np.float64)
-    for t in train:
-        for pos, poi in enumerate(t.pois):
-            if poi >= k:
-                raise ValueError(f"POI index {poi} out of range for k={k}")
-            counts[poi, pos] += 1.0
+    # whole counts, so the float sums equal a one-by-one loop in any order
+    np.add.at(counts, (pois, positions), 1.0)
     totals = counts.sum(axis=1)
     values = np.zeros_like(counts)
     visited = totals > 0
@@ -90,6 +92,8 @@ def guidance_columns(pm: GuidanceMatrix, first_position: int, m: int) -> np.ndar
     """
     if first_position < 1:
         raise ValueError(f"positions are 1-based, got {first_position}")
+    if m < 0:
+        raise ValueError(f"m must be non-negative, got {m}")
     # the slice stops at m_max; copied, so the result is a new C-ordered array
     inside = pm.values.T[first_position - 1 : first_position - 1 + m]
     if inside.shape[0] == m:

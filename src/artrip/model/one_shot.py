@@ -92,6 +92,8 @@ def build_input(query: Query, params: ModelParams):
     """
     blocks = params.blocks
     n, p_s, p_e, h_s, h_e = input_key(query)
+    if n < 1:
+        raise ValueError(f"query length n must be at least 1, got {n}")
     d = params.config.embed_dim
     x = np.zeros((n, d), dtype=np.float64)
     pos_idx = np.minimum(np.arange(n), params.m_max - 1)

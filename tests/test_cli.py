@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from artrip import analysis
 from artrip.cli import main
 from artrip.config import ConfigError, load_config
 
@@ -255,6 +256,18 @@ class TestAnalyze:
         assert (tmp_path / "out" / "repeat_gaps.csv").exists()
         assert "analyzed" in capsys.readouterr().out
 
+    def test_markov_generator_estimates_the_transitions_once(self, base_flags, monkeypatch):
+        calls = []
+        estimate = analysis.empirical_transitions
+
+        def counting(*args):
+            calls.append(args)
+            return estimate(*args)
+
+        monkeypatch.setattr(analysis, "empirical_transitions", counting)
+        assert main(["analyze", *base_flags, "--generator", "markov", "--strategy", "greedy"]) == 0
+        assert len(calls) == 1
+
     def test_writes_all_reports(self, base_flags, tmp_path, capsys):
         assert main(["train", *base_flags]) == 0
         assert main(["analyze", *base_flags]) == 0
@@ -447,12 +460,14 @@ class TestArtifactHashes:
             script.write_artifacts(tmp_path / run, flags)
             listings.append(script.hash_lines(tmp_path / run))
         first = listings[0]
+        # ingest: corpus.csv, summary.csv;
         # per arch: 3 bundle files, the loss trace, 13 x (metrics, trips) and
         # the 4 analyze reports plus trip.csv; Markov: 9 x (metrics, trips);
         # popularity: metrics, trips;
         # the study shape: 2 archs x 2 alphas x (params.bin, loss_trace.csv)
-        assert len(first) == 2 * (4 + 26 + 5) + 18 + 2 + 8
+        assert len(first) == 2 + 2 * (4 + 26 + 5) + 18 + 2 + 8
         names = {line.split("  ", 1)[1] for line in first}
+        assert {"ingest/corpus.csv", "ingest/summary.csv"} <= names
         assert {"one_shot/top_p-mask-on/trips.csv", "recurrent/adaptive-threshold-mask-off/trips.csv"} <= names
         assert "markov/top_p-mask-off/metrics.csv" in names
         assert {"recurrent/adaptive-seed-2p32/trips.csv", "markov/top_p-seed-2p32/trips.csv"} <= names

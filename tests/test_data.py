@@ -1,9 +1,18 @@
+import csv
+from dataclasses import dataclass
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from artrip.data import (
     IngestError,
+    Poi,
+    PoiCatalog,
     Trajectory,
+    Visit,
     extract_trajectories,
     hour_bucket,
     load_poi_catalog,
@@ -11,6 +20,7 @@ from artrip.data import (
     make_query,
     split_corpus,
 )
+from artrip.guidance import build_guidance_matrix
 
 POI_CSV = """poiID,poiName,lat,long,theme
 3,Castle,55.9,-3.2,Castle
@@ -157,3 +167,241 @@ def test_split_ratio_rounding_keeps_everything():
         split = split_corpus(_toy_trajectories(n))
         assert len(split.train) + len(split.val) + len(split.test) == n
         assert len(split.train) == round(n * 0.8)
+
+
+# --- row-by-row ingest references: the loaders must match them exactly ---
+
+DATA = Path(__file__).resolve().parents[1] / "data"
+CITIES = ("edinburgh", "glasgow", "osaka", "toronto")
+
+
+@dataclass(frozen=True)
+class ReferenceVisit:
+    user_id: str
+    seq_id: int
+    poi_id: int
+    timestamp: int
+
+
+def reference_load_visits(path, catalog):
+    """One dataclass per row, sorted through a per-row key."""
+    visits = []
+    dropped = 0
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise IngestError(f"{path}: empty visits file") from None
+        if [c.strip() for c in header] != ["userID", "seqID", "poiID", "dateTaken"]:
+            raise IngestError(f"{path}: header")
+        for lineno, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            if len(row) != 4:
+                raise IngestError(f"{path} line {lineno}: expected 4 fields, got {len(row)}")
+            try:
+                seq_id = int(row[1])
+                poi_id = int(row[2])
+                timestamp = int(row[3])
+            except ValueError:
+                raise IngestError(
+                    f"{path} line {lineno}: unparseable field in {row!r}"
+                ) from None
+            if poi_id not in catalog:
+                dropped += 1
+                continue
+            visits.append(ReferenceVisit(row[0], seq_id, poi_id, timestamp))
+    visits.sort(key=lambda v: (v.user_id, v.seq_id, v.timestamp))
+    return visits, dropped
+
+
+def reference_extract_trajectories(visits, catalog, min_len=3):
+    out = []
+    group_pois, group_times = [], []
+    current = None
+
+    def flush():
+        if len(group_pois) >= min_len:
+            out.append(Trajectory(tuple(group_pois), tuple(group_times)))
+
+    for v in visits:
+        key = (v.user_id, v.seq_id)
+        idx = catalog.index_of(v.poi_id)
+        if key != current:
+            flush()
+            group_pois, group_times = [idx], [v.timestamp]
+            current = key
+        elif group_pois[-1] != idx:
+            group_pois.append(idx)
+            group_times.append(v.timestamp)
+    flush()
+    return out
+
+
+def reference_guidance_counts(train, k):
+    """Position counts one element at a time, as the guidance build did."""
+    m_max = max(len(t) for t in train)
+    counts = np.zeros((k, m_max), dtype=np.float64)
+    for t in train:
+        for pos, poi in enumerate(t.pois):
+            if poi >= k:
+                raise ValueError(f"POI index {poi} out of range for k={k}")
+            counts[poi, pos] += 1.0
+    return counts
+
+
+def as_rows(visits):
+    return [(v.user_id, v.seq_id, v.poi_id, v.timestamp) for v in visits]
+
+
+def load_or_error(load, path, catalog):
+    try:
+        return load(path, catalog)
+    except IngestError as exc:
+        return str(exc)
+
+
+def assert_guidance_matches_reference(train, k):
+    pm = build_guidance_matrix(train, k)
+    counts = reference_guidance_counts(train, k)
+    assert pm.m_max == counts.shape[1]
+    assert pm.poi_totals.tobytes() == counts.sum(axis=1).tobytes()
+    expected = np.zeros_like(counts)
+    visited = pm.poi_totals > 0
+    expected[visited] = counts[visited] / pm.poi_totals[visited, None]
+    assert pm.values.tobytes() == expected.tobytes()
+
+
+def write_visits(path, rows):
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["userID", "seqID", "poiID", "dateTaken"])
+        writer.writerows(rows)
+
+
+def test_visits_are_immutable_hashable_tuples(tmp_path, catalog):
+    path = tmp_path / "visits.csv"
+    path.write_text(VISITS_CSV)
+    visits, _ = load_visits(path, catalog)
+    v = visits[0]
+    assert isinstance(v, Visit) and isinstance(v, tuple)
+    assert Visit._fields == ("user_id", "seq_id", "poi_id", "timestamp")
+    assert v == Visit("u1", 1, 1, 1000) and hash(v) == hash(Visit("u1", 1, 1, 1000))
+    with pytest.raises(AttributeError):
+        v.poi_id = 2
+
+
+def test_load_visits_keeps_ties_in_file_order_and_sorts_by_code_point(tmp_path, catalog):
+    path = tmp_path / "visits.csv"
+    write_visits(path, [
+        ["ü", 1, 3, 100],
+        ["u1", 2, 2, 100],
+        ["u1", 2, 1, 100],
+        ["u1", 1, 3, 500],
+        ["u1", 2, 3, 100],
+    ])
+    visits, dropped = load_visits(path, catalog)
+    assert dropped == 0
+    assert as_rows(visits) == [
+        ("u1", 1, 3, 500),
+        ("u1", 2, 2, 100),
+        ("u1", 2, 1, 100),
+        ("u1", 2, 3, 100),
+        ("ü", 1, 3, 100),
+    ]
+
+
+@pytest.mark.parametrize(
+    "row, message",
+    [
+        ("u1,1,2", "line 4: expected 4 fields, got 3"),
+        ("u1,1,2,3,4", "line 4: expected 4 fields, got 5"),
+        ("u1,1,x,3", "line 4: unparseable field in ['u1', '1', 'x', '3']"),
+        ("u1,1,777,1.5", "line 4: unparseable field in ['u1', '1', '777', '1.5']"),
+    ],
+)
+def test_load_visits_error_texts_count_blank_lines(tmp_path, catalog, row, message):
+    path = tmp_path / "visits.csv"
+    path.write_text(f"userID,seqID,poiID,dateTaken\nu1,1,1,1000\n\n{row}\n")
+    with pytest.raises(IngestError) as caught:
+        load_visits(path, catalog)
+    assert str(caught.value) == f"{path} {message}"
+    assert str(caught.value) == load_or_error(reference_load_visits, path, catalog)
+
+
+# numbers as the files may spell them; int() accepts all of these
+numbers = st.tuples(st.integers(-2, 6), st.sampled_from(["{}", " {}", "{} ", "+{}", "0{}"])).map(
+    lambda pair: pair[1].format(pair[0])
+)
+users = st.sampled_from(["u1", "u2", "U1", "ü", "日本", "a,b", 'q"x', "", "12@N00"]) | st.text(
+    st.characters(blacklist_categories=("Cs",), blacklist_characters="\x00\r\n"), max_size=4
+)
+good_rows = st.tuples(users, numbers, st.integers(0, 6).map(str), st.integers(0, 4).map(str)).map(list)
+bad_rows = st.one_of(
+    good_rows.map(lambda row: row[:3]),
+    good_rows.map(lambda row: row + ["extra"]),
+    st.tuples(good_rows, st.integers(1, 3), st.sampled_from(["", "x", "1.5", "1e3", "--1"])).map(
+        lambda t: [*t[0][: t[1]], t[2], *t[0][t[1] + 1 :]]
+    ),
+)
+
+
+SMALL_CATALOG = PoiCatalog([Poi(poi_id, f"P{poi_id}", 0.0, 0.0, "T") for poi_id in (1, 2, 3, 5)])
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    rows=st.lists(good_rows | st.just([]), max_size=40),
+    bad=st.none() | st.tuples(st.integers(0, 40), bad_rows),
+    min_len=st.integers(1, 4),
+)
+def test_ingest_matches_the_row_by_row_reference(tmp_path_factory, rows, bad, min_len):
+    # rows name POIs 0..6, so the ones outside the catalog are dropped as unknown
+    catalog = SMALL_CATALOG
+    if bad is not None:
+        rows = [*rows[: bad[0]], bad[1], *rows[bad[0] :]]
+    path = tmp_path_factory.mktemp("visits") / "visits.csv"
+    write_visits(path, rows)
+    got = load_or_error(load_visits, path, catalog)
+    expected = load_or_error(reference_load_visits, path, catalog)
+    if isinstance(expected, str):
+        assert got == expected
+        return
+    (visits, dropped), (ref_visits, ref_dropped) = got, expected
+    assert as_rows(visits) == as_rows(ref_visits) and dropped == ref_dropped
+    trajectories = extract_trajectories(visits, catalog, min_len=min_len)
+    assert trajectories == reference_extract_trajectories(ref_visits, catalog, min_len=min_len)
+    if trajectories:
+        assert_guidance_matches_reference(trajectories, len(catalog))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    routes=st.lists(st.lists(st.integers(0, 9), min_size=1, max_size=9), min_size=1, max_size=12),
+    k=st.integers(1, 10),
+)
+def test_guidance_counts_match_the_element_loop(routes, k):
+    train = [Trajectory(tuple(r), tuple(range(len(r)))) for r in routes]
+    try:
+        reference_guidance_counts(train, k)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as caught:
+            build_guidance_matrix(train, k)
+        assert str(caught.value) == str(exc)
+        return
+    assert_guidance_matches_reference(train, k)
+
+
+@pytest.mark.parametrize("city", CITIES)
+def test_committed_cities_ingest_like_the_reference(city):
+    catalog = load_poi_catalog(DATA / city / f"POI-{city}.csv")
+    path = DATA / city / f"userVisits-{city}.csv"
+    visits, dropped = load_visits(path, catalog)
+    ref_visits, ref_dropped = reference_load_visits(path, catalog)
+    assert as_rows(visits) == as_rows(ref_visits)
+    assert dropped == ref_dropped
+    trajectories = extract_trajectories(visits, catalog)
+    assert trajectories == reference_extract_trajectories(ref_visits, catalog)
+    assert_guidance_matches_reference(trajectories, len(catalog))
+    assert_guidance_matches_reference(split_corpus(trajectories).train, len(catalog))

@@ -140,3 +140,9 @@ def test_guidance_columns_reject_positions_below_one():
     pm = build_guidance_matrix(TWO_ROUTES, k=3)
     with pytest.raises(ValueError, match="1-based"):
         guidance_columns(pm, 0, 2)
+
+
+def test_guidance_columns_reject_a_negative_row_count_naming_m():
+    pm = build_guidance_matrix(TWO_ROUTES, k=3)
+    with pytest.raises(ValueError, match="m must be non-negative, got -1"):
+        guidance_columns(pm, 1, -1)

@@ -133,6 +133,13 @@ class TestForward:
         q = Query(p_s=0, t_s=0, p_e=1, t_e=10800, n=5)
         assert forward_one_shot(q, params).shape == (5, K)
 
+    def test_one_shot_rejects_an_empty_query_naming_n(self):
+        params = init_params(tiny_config(seed=2), k=K, m_max=M_MAX)
+        q = Query(p_s=0, t_s=0, p_e=1, t_e=10800, n=0)
+        with pytest.raises(ValueError, match="n must be at least 1, got 0"):
+            forward_one_shot(q, params)
+        assert forward_one_shot(Query(p_s=0, t_s=0, p_e=1, t_e=10800, n=1), params).shape == (1, K)
+
     def test_recurrent_teacher_matches_stepwise(self):
         params = init_params(tiny_config(arch=ARCH_RECURRENT, seed=4), k=K, m_max=M_MAX)
         pois = (0, 2, 4, 1)
