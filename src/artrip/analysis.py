@@ -12,12 +12,13 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from artrip.data import Trajectory
 from artrip.decoding import Trip
+from artrip.guidance import count_visits
 
 
 @dataclass
@@ -55,11 +56,7 @@ def perturb(matrix: TransitionMatrix, sigma: float, seed: int = 0) -> Transition
     if not 0.0 <= sigma < math.inf:
         raise ValueError(f"sigma must be finite and non-negative, got {sigma}")
     if sigma == 0.0:
-        return TransitionMatrix(
-            values=matrix.values.copy(),
-            position=matrix.position,
-            uniform_rows=matrix.uniform_rows,
-        )
+        return replace(matrix, values=matrix.values.copy())
     rng = np.random.default_rng(seed)
     noisy = np.clip(matrix.values + rng.normal(0.0, sigma, matrix.values.shape), 0.0, None)
     sums = noisy.sum(axis=1)
@@ -72,11 +69,7 @@ def perturb(matrix: TransitionMatrix, sigma: float, seed: int = 0) -> Transition
         )
         noisy[dead] = 1.0 / matrix.k
         sums[dead] = 1.0
-    return TransitionMatrix(
-        values=noisy / sums[:, None],
-        position=matrix.position,
-        uniform_rows=tuple(int(r) for r in dead),
-    )
+    return replace(matrix, values=noisy / sums[:, None], uniform_rows=tuple(int(r) for r in dead))
 
 
 @dataclass
@@ -137,24 +130,22 @@ def empirical_transitions(trajectories: list[Trajectory], k: int) -> list[Transi
     if not trajectories:
         raise ValueError("empty corpus")
     horizon = max(len(t) for t in trajectories) - 1
-    out: list[TransitionMatrix] = []
-    for pos in range(horizon):
-        counts = np.zeros((k, k), dtype=np.float64)
-        for t in trajectories:
-            if len(t) > pos + 1:
-                counts[t.pois[pos], t.pois[pos + 1]] += 1.0
-        sums = counts.sum(axis=1)
-        dead = np.flatnonzero(sums == 0.0)
-        counts[dead] = 1.0 / k
-        sums[dead] = 1.0
-        out.append(
-            TransitionMatrix(
-                values=counts / sums[:, None],
-                position=pos + 1,
-                uniform_rows=tuple(int(r) for r in dead),
-            )
-        )
-    return out
+
+    def steps(pois, positions):
+        # consecutive visits of one route; the next route restarts at position 0
+        step = np.flatnonzero(positions[1:] == positions[:-1] + 1)
+        return positions[step], pois[step], pois[step + 1]
+
+    counts = count_visits(trajectories, k, (horizon, k, k), steps)
+    sums = counts.sum(axis=2)
+    dead = sums == 0.0
+    counts[dead] = 1.0 / k
+    sums[dead] = 1.0
+    values = counts / sums[..., None]
+    return [
+        TransitionMatrix(values[pos], pos + 1, tuple(int(r) for r in np.flatnonzero(dead[pos])))
+        for pos in range(horizon)
+    ]
 
 
 @dataclass
@@ -183,15 +174,16 @@ def repeat_histogram(trips: list[Trip] | list[tuple[int, ...]]) -> RepetitionHis
     if not trips:
         raise ValueError("no trips to analyze")
     seqs = [t.pois if isinstance(t, Trip) else tuple(t) for t in trips]
-    longest = max(len(s) for s in seqs)
-    position_counts = np.zeros(longest + 1, dtype=np.int64)
-    gap_counts = np.zeros(longest + 1, dtype=np.int64)
+    size = max(len(s) for s in seqs) + 1
+    positions, gaps = [], []
     for seq in seqs:
         first_seen: dict[int, int] = {}
         for j, poi in enumerate(seq, start=1):
-            if poi in first_seen:
-                position_counts[j] += 1
-                gap_counts[j - first_seen[poi]] += 1
-            else:
-                first_seen[poi] = j
-    return RepetitionHistogram(position_counts=position_counts, gap_counts=gap_counts)
+            first = first_seen.setdefault(poi, j)
+            if first < j:
+                positions.append(j)
+                gaps.append(j - first)
+    return RepetitionHistogram(
+        position_counts=np.bincount(np.array(positions, dtype=np.int64), minlength=size),
+        gap_counts=np.bincount(np.array(gaps, dtype=np.int64), minlength=size),
+    )

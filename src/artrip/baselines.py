@@ -17,17 +17,14 @@ from artrip import decoding
 from artrip.analysis import TransitionMatrix
 from artrip.data import Query, Trajectory
 from artrip.decoding import DecodeConfig, Trip
+from artrip.guidance import check_horizon, count_visits
 
 
 def build_popularity(train: list[Trajectory], k: int) -> np.ndarray:
     """Visit counts per POI over the whole training corpus, endpoints included."""
     if not train:
         raise ValueError("empty training corpus")
-    counts = np.zeros(k, dtype=np.int64)
-    for t in train:
-        for poi in t.pois:
-            counts[poi] += 1
-    return counts
+    return count_visits(train, k, k, lambda pois, positions: pois, np.int64)
 
 
 def popularity_decode(query: Query, counts: np.ndarray) -> Trip:
@@ -48,7 +45,8 @@ def popularity_decode(query: Query, counts: np.ndarray) -> Trip:
 def markov_decode(query: Query, matrices: list[TransitionMatrix], cfg: DecodeConfig) -> Trip:
     """Walk position-indexed transitions from the start POI.
 
-    Positions past the estimated horizon reuse the last matrix.  Zero
+    Matrix i steps from position i + 1, so `len(matrices) + 1` is the
+    horizon: a longer query raises ValueError before any step.  Zero
     transition probability becomes a -inf score so the selection
     strategies apply unchanged; the adaptive strategy degrades to plain
     nucleus sampling here, with a RuntimeWarning, because the baseline
@@ -56,6 +54,7 @@ def markov_decode(query: Query, matrices: list[TransitionMatrix], cfg: DecodeCon
     """
     if not matrices:
         raise ValueError("need at least one transition matrix")
+    check_horizon(query.n, len(matrices) + 1)
     if cfg.strategy == "adaptive":
         warnings.warn(
             "the Markov baseline has no confidence model; adaptive decoding runs as top_p",
@@ -65,7 +64,7 @@ def markov_decode(query: Query, matrices: list[TransitionMatrix], cfg: DecodeCon
         cfg = replace(cfg, strategy="top_p")
 
     def next_row(position: int, prev: int) -> np.ndarray:
-        probs = matrices[min(position - 2, len(matrices) - 1)].values[prev]
+        probs = matrices[position - 2].values[prev]
         # zero probability scores -inf; `where` skips log(0) and its warning
         return np.log(probs, out=np.full(probs.shape[0], -np.inf), where=probs > 0)
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import csv
 import sys
+from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
@@ -31,7 +32,7 @@ from artrip.data import (
     split_corpus,
 )
 from artrip.decoding import decode_trip, query_seed
-from artrip.guidance import build_confidence, build_guidance_matrix, zero_guidance
+from artrip.guidance import build_confidence, build_guidance_matrix, check_horizon, zero_guidance
 from artrip.model import load_bundle, save_bundle, train
 from artrip.model.bundle import vocab_sha256
 
@@ -87,9 +88,7 @@ def cmd_ingest(config: ExperimentConfig) -> int:
         for tid, traj in enumerate(trajectories):
             for pos, (poi, ts) in enumerate(zip(traj.pois, traj.times), start=1):
                 writer.writerow([tid, pos, catalog.id_of(poi), ts])
-    lengths: dict[int, int] = {}
-    for traj in trajectories:
-        lengths[len(traj)] = lengths.get(len(traj), 0) + 1
+    lengths = Counter(len(traj) for traj in trajectories)
     with open(out / "summary.csv", "w", newline="") as fh:
         writer = _writer(fh)
         writer.writerow(["key", "value"])
@@ -130,13 +129,14 @@ def cmd_train(config: ExperimentConfig) -> int:
 
 
 def _decoder(
-    config: ExperimentConfig, catalog: PoiCatalog, train: list[Trajectory], matrices=None
+    config: ExperimentConfig, catalog: PoiCatalog, train: list[Trajectory], longest: int, matrices=None
 ):
     """`decode(query, seed)` for the configured generator, built once per command.
 
     Decode-time mechanism switches follow the current config, not the bundle.
     The Markov generator walks `matrices` when given, the empirical
-    transitions of `train` otherwise.
+    transitions of `train` otherwise.  A `longest` trip length past a
+    positional generator's horizon raises ValueError here, before any decode.
     """
     if config.generator == "popularity":
         counts = baselines.build_popularity(train, len(catalog))
@@ -145,12 +145,14 @@ def _decoder(
     if config.generator == "markov":
         if matrices is None:
             matrices = analysis.empirical_transitions(train, len(catalog))
+        check_horizon(longest, len(matrices) + 1)
         return lambda query, seed: baselines.markov_decode(
             query, matrices, replace(decode_cfg, seed=seed)
         )
     bundle = load_bundle(Path(config.output_dir) / "model")
     if bundle.manifest["vocab_sha256"] != vocab_sha256(catalog.ids):
         raise ConfigError("bundle vocabulary does not match the ingested corpus")
+    check_horizon(longest, bundle.params.m_max)
     pm = bundle.pm if config.guiding else zero_guidance(bundle.pm.k, bundle.pm.m_max)
     return lambda query, seed: decode_trip(
         query, bundle.params, pm, bundle.confidence, replace(decode_cfg, seed=seed)
@@ -162,7 +164,7 @@ def cmd_evaluate(config: ExperimentConfig) -> int:
     split = _split(config, trajectories)
     if not split.test:
         raise ConfigError("test split is empty; adjust ratios or corpus")
-    decode = _decoder(config, catalog, split.train)
+    decode = _decoder(config, catalog, split.train, max(len(t) for t in split.test))
     trips: dict[tuple[int, int], tuple[int, ...]] = {}
 
     def recording_decode(query: Query, ordinal: int, repeat_seed: int):
@@ -194,7 +196,7 @@ def cmd_recommend(config: ExperimentConfig, args: argparse.Namespace) -> int:
     for poi in (args.start, args.end):
         if poi not in catalog:
             raise ConfigError(f"POI id {poi} not in the catalog")
-    decode = _decoder(config, catalog, _split(config, trajectories).train)
+    decode = _decoder(config, catalog, _split(config, trajectories).train, args.length)
     query = Query(
         p_s=catalog.index_of(args.start),
         t_s=args.start_time,
@@ -221,8 +223,8 @@ def cmd_analyze(config: ExperimentConfig) -> int:
     if not split.test:
         raise ConfigError("test split is empty; adjust ratios or corpus")
     matrices = analysis.empirical_transitions(split.train, len(catalog))
-    # a missing bundle fails here, before any report is written
-    decode = _decoder(config, catalog, split.train, matrices)
+    # a missing bundle or an over-long test route fails here, before any report is written
+    decode = _decoder(config, catalog, split.train, max(len(t) for t in split.test), matrices)
     out = _out_dir(config)
     with open(out / "sparsity.csv", "w", newline="") as fh:
         writer = _writer(fh)

@@ -20,9 +20,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from artrip import guidance
 from artrip.data import Query
-from artrip.guidance import ConfidenceVector, GuidanceMatrix, apply_guidance
+from artrip.guidance import ConfidenceVector, GuidanceMatrix, apply_guidance, check_horizon, guidance_factor
 from artrip.model.params import ARCH_ONE_SHOT, ModelParams
 from artrip.model.one_shot import forward_one_shot
 from artrip.model.recurrent import forward_recurrent_step, init_recurrent_state
@@ -187,10 +186,12 @@ def decode_trip(
     mask on, every already-emitted POI (both endpoints included) scores
     -inf until the mask would empty a row, at which point it is
     released with a warning.  `trace`, if given, collects
-    (candidate_ids, chosen_id) per interior position.
+    (candidate_ids, chosen_id) per interior position.  A query longer
+    than the model's horizon `params.m_max` raises ValueError.
     """
     # the forward passes cannot take a shorter query
     _check_length(query)
+    check_horizon(query.n, params.m_max)
     if params.config.arch == ARCH_ONE_SHOT:
         guided = apply_guidance(forward_one_shot(query, params), pm)
 
@@ -199,7 +200,7 @@ def decode_trip(
 
     else:
         # row j of the factor is position j + 2's guidance, as apply_guidance scales it
-        factor = 1.0 + guidance.guidance_columns(pm, 2, query.n - 2)
+        factor = guidance_factor(pm, 2, query.n - 2)
         state = init_recurrent_state(query, params)
 
         def next_row(position: int, prev: int) -> np.ndarray:

@@ -8,7 +8,6 @@ and when adapting the sampling temperature during decoding.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,13 +39,34 @@ class ConfidenceVector:
     values: np.ndarray
 
     def at(self, position: int) -> float:
-        """Confidence at a 1-based position; 1.0 beyond the trained horizon
-        (no POI was ever observed past m_max)."""
+        """Confidence at a 1-based position in 1..m_max; later positions raise ValueError."""
         if position < 1:
             raise ValueError(f"positions are 1-based, got {position}")
-        if position > len(self.values):
-            return 1.0
+        check_horizon(position, len(self.values), "position")
         return float(self.values[position - 1])
+
+
+def check_horizon(n: int, m_max: int, what: str = "trip length n") -> None:
+    """Refuse a length or position past ``m_max``, the longest training route."""
+    if n > m_max:
+        raise ValueError(f"{what}={n} exceeds the horizon m_max={m_max}, the longest training route")
+
+
+def count_visits(trajectories: list[Trajectory], k: int, shape, index, dtype=np.float64) -> np.ndarray:
+    """Count visits into a zero `shape` array by one `np.add.at` at `index(pois, positions)`.
+
+    Both arrays run over every visit in route order, positions 0-based.  A POI
+    outside 0..k-1 raises ValueError naming the first one.
+    """
+    pois = np.array([poi for t in trajectories for poi in t.pois], dtype=np.intp)
+    positions = np.array([pos for t in trajectories for pos in range(len(t))], dtype=np.intp)
+    bad = np.flatnonzero((pois < 0) | (pois >= k))
+    if bad.size:
+        raise ValueError(f"POI index {int(pois[bad[0]])} out of range for k={k}")
+    counts = np.zeros(shape, dtype=dtype)
+    # whole counts, so the float sums equal a one-by-one loop in any order
+    np.add.at(counts, index(pois, positions), 1)
+    return counts
 
 
 def build_guidance_matrix(train: list[Trajectory], k: int) -> GuidanceMatrix:
@@ -54,14 +74,7 @@ def build_guidance_matrix(train: list[Trajectory], k: int) -> GuidanceMatrix:
     if not train:
         raise ValueError("cannot build guidance from an empty training set")
     m_max = max(len(t) for t in train)
-    pois = np.array([poi for t in train for poi in t.pois], dtype=np.intp)
-    positions = np.array([pos for t in train for pos in range(len(t))], dtype=np.intp)
-    over = np.flatnonzero(pois >= k)
-    if over.size:
-        raise ValueError(f"POI index {int(pois[over[0]])} out of range for k={k}")
-    counts = np.zeros((k, m_max), dtype=np.float64)
-    # whole counts, so the float sums equal a one-by-one loop in any order
-    np.add.at(counts, (pois, positions), 1.0)
+    counts = count_visits(train, k, (k, m_max), lambda pois, positions: (pois, positions))
     totals = counts.sum(axis=1)
     values = np.zeros_like(counts)
     visited = totals > 0
@@ -85,27 +98,19 @@ def build_confidence(pm: GuidanceMatrix, k: int) -> ConfidenceVector:
 
 
 def guidance_columns(pm: GuidanceMatrix, first_position: int, m: int) -> np.ndarray:
-    """Guidance aligned to ``m`` logit rows starting at a 1-based position.
-
-    Rows beyond the trained horizon get a zero column (identity guidance);
-    a warning is recorded since such queries exceed every training route.
-    """
+    """Guidance for ``m`` logit rows from a 1-based position; the last may not pass ``pm.m_max``."""
     if first_position < 1:
         raise ValueError(f"positions are 1-based, got {first_position}")
     if m < 0:
         raise ValueError(f"m must be non-negative, got {m}")
-    # the slice stops at m_max; copied, so the result is a new C-ordered array
-    inside = pm.values.T[first_position - 1 : first_position - 1 + m]
-    if inside.shape[0] == m:
-        return inside.copy()
-    cols = np.zeros((m, pm.values.shape[0]), dtype=np.float64)
-    cols[: inside.shape[0]] = inside
-    for pos in range(first_position + inside.shape[0], first_position + m):
-        warnings.warn(
-            f"position {pos} exceeds trained horizon m_max={pm.m_max}; "
-            "guidance is identity there"
-        )
-    return cols
+    check_horizon(first_position - 1 + m, pm.m_max, "last position")
+    # copied, so the result is a new C-ordered array
+    return pm.values.T[first_position - 1 : first_position - 1 + m].copy()
+
+
+def guidance_factor(pm: GuidanceMatrix, first_position: int, m: int) -> np.ndarray:
+    """The ``1 + pm`` factor that scales ``m`` logit rows from a 1-based position."""
+    return 1.0 + guidance_columns(pm, first_position, m)
 
 
 def apply_guidance(
@@ -118,5 +123,4 @@ def apply_guidance(
     No renormalization is applied.
     """
     h = np.asarray(h, dtype=np.float64)
-    cols = guidance_columns(pm, first_position, h.shape[0])
-    return h * (1.0 + cols)
+    return h * guidance_factor(pm, first_position, h.shape[0])

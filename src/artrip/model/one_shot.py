@@ -19,6 +19,7 @@ import copy
 import numpy as np
 
 from artrip.data import Query, hour_bucket
+from artrip.guidance import check_horizon
 from artrip.model.params import GradBuffer, ModelParams
 
 LN_EPS = 1e-5
@@ -85,19 +86,18 @@ def input_key(query: Query) -> tuple[int, int, int, int, int]:
 def build_input(query: Query, params: ModelParams):
     """Embed a query into the (n, d) slot matrix.
 
-    Returns the matrix plus the bookkeeping needed to scatter gradients
-    back into the embedding tables: the position row of every slot, and
-    the slots that carry an endpoint with their POI and hour rows.
-    Positions past the trained horizon reuse the last position row.
+    Slot i takes position row i, so n must lie in 1..m_max.  Also returns
+    what backward scatters into the embedding tables: the endpoint slots
+    with their POI and hour rows.
     """
     blocks = params.blocks
     n, p_s, p_e, h_s, h_e = input_key(query)
     if n < 1:
         raise ValueError(f"query length n must be at least 1, got {n}")
+    check_horizon(n, params.m_max)
     d = params.config.embed_dim
     x = np.zeros((n, d), dtype=np.float64)
-    pos_idx = np.minimum(np.arange(n), params.m_max - 1)
-    x += blocks["position_embeddings"][pos_idx]
+    x += blocks["position_embeddings"][:n]
     slots = [0, n - 1][: min(n, 2)]
     pois = [p_s, p_e][: len(slots)]
     hours = [h_s, h_e][: len(slots)]
@@ -105,7 +105,7 @@ def build_input(query: Query, params: ModelParams):
         x[slot] += blocks["poi_embeddings"][poi]
         x[slot] += blocks["time_embeddings"][hour]
     x[1 : n - 1] += blocks["mask_embedding"]
-    return x, pos_idx, (slots, pois, hours)
+    return x, (slots, pois, hours)
 
 
 def _attention_forward(a: np.ndarray, wqkv: np.ndarray, wo: np.ndarray, num_heads: int):
@@ -147,8 +147,8 @@ def forward_with_cache(query: Query, params: ModelParams):
     """Run the encoder and keep every intermediate needed for backward."""
     blocks = params.blocks
     config = params.config
-    x, pos_idx, ends = build_input(query, params)
-    cache: dict = {"pos_idx": pos_idx, "ends": ends, "layers": []}
+    x, ends = build_input(query, params)
+    cache: dict = {"ends": ends, "layers": []}
     for layer in range(config.num_layers):
         prefix = f"layer{layer}."
         a_in, ln1_cache = _layer_norm(x, blocks[prefix + "ln1_gamma"], blocks[prefix + "ln1_beta"])
@@ -256,12 +256,8 @@ def backward(
         grads[prefix + "ln1_beta"] += dbeta
         dx = dx1 + dx0_from_attn
     slots, pois, hours = cache["ends"]
-    n = dx.shape[0]
-    if n <= params.m_max:
-        # distinct rows 0..n-1: the same sums as np.add.at
-        grads["position_embeddings"][:n] += dx
-    else:
-        np.add.at(grads["position_embeddings"], cache["pos_idx"], dx)
+    # slot i took position row i: distinct rows, the same sums as np.add.at
+    grads["position_embeddings"][: dx.shape[0]] += dx
     np.add.at(grads["poi_embeddings"], pois, dx[slots])
     np.add.at(grads["time_embeddings"], hours, dx[slots])
     grads["mask_embedding"] += dx[1:-1].sum(axis=0)

@@ -11,15 +11,17 @@ from __future__ import annotations
 import numpy as np
 
 from artrip.data import Query, hour_bucket
+from artrip.guidance import check_horizon
 from artrip.model.params import GradBuffer, ModelParams
 
 
 def _query_vector(query: Query, params: ModelParams):
-    """Concatenated (3d,) conditioning vector and its embedding sources."""
+    """Concatenated (3d,) conditioning vector and its embedding sources; n may not pass m_max."""
+    check_horizon(query.n, params.m_max)
     blocks = params.blocks
     start_t = hour_bucket(query.t_s)
     end_t = hour_bucket(query.t_e)
-    pos = min(query.n, params.m_max) - 1
+    pos = query.n - 1
     start_vec = blocks["poi_embeddings"][query.p_s] + blocks["time_embeddings"][start_t]
     end_vec = blocks["poi_embeddings"][query.p_e] + blocks["time_embeddings"][end_t]
     qvec = np.concatenate([start_vec, end_vec, blocks["position_embeddings"][pos]])

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from artrip.data import Trajectory, make_query
-from artrip.guidance import GuidanceMatrix, guidance_columns
+from artrip.guidance import GuidanceMatrix, check_horizon, guidance_factor
 from artrip.model import one_shot, recurrent
 from artrip.model.losses import total_loss_grad
 from artrip.model.params import (
@@ -83,7 +83,7 @@ def loss_and_grads(
         rows, cache = recurrent.forward_teacher(query, traj.pois, params)
         first_position = 2
         targets = traj.pois[1:]
-    factor = 1.0 + guidance_columns(pm, first_position, rows.shape[0])
+    factor = guidance_factor(pm, first_position, rows.shape[0])
     loss, dguided = total_loss_grad(rows * factor, targets, alpha)
     if not np.isfinite(loss):
         # let the caller abort; backprop on a non-finite loss is garbage
@@ -101,11 +101,14 @@ def train(trajectories: list[Trajectory], pm: GuidanceMatrix, config: ModelConfi
 
     Vocabulary size and the position horizon are taken from the
     guidance matrix, which ties the model tables to the same training
-    split the matrix was built from.  Raises RuntimeError as soon as a
-    non-finite loss shows up.
+    split the matrix was built from.  A trajectory longer than that
+    horizon raises ValueError before the first step.  Raises RuntimeError
+    as soon as a non-finite loss shows up.
     """
     if not trajectories:
         raise ValueError("empty training corpus")
+    for idx, traj in enumerate(trajectories):
+        check_horizon(len(traj), pm.m_max, f"trajectory {idx}: length n")
     params = init_params(config, pm.k, pm.m_max)
     adam = _AdamState(params)
     # one gradient vector for the whole run, zeroed by each backward pass

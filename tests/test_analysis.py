@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from artrip.analysis import (
     PmrResult,
@@ -200,6 +202,31 @@ class TestRepeatHistogram:
     def test_rejects_empty_batch(self):
         with pytest.raises(ValueError):
             repeat_histogram([])
+
+
+def reference_repeat_histogram(seqs):
+    """The per-element tally that bincount replaced."""
+    longest = max(len(s) for s in seqs)
+    position_counts = np.zeros(longest + 1, dtype=np.int64)
+    gap_counts = np.zeros(longest + 1, dtype=np.int64)
+    for seq in seqs:
+        first_seen = {}
+        for j, poi in enumerate(seq, start=1):
+            if poi in first_seen:
+                position_counts[j] += 1
+                gap_counts[j - first_seen[poi]] += 1
+            else:
+                first_seen[poi] = j
+    return position_counts, gap_counts
+
+
+@settings(max_examples=200, deadline=None)
+@given(trips=st.lists(st.lists(st.integers(0, 4), min_size=1, max_size=12), min_size=1, max_size=8))
+def test_repeat_histogram_matches_the_element_loop(trips):
+    hist = repeat_histogram([Trip(pois=tuple(t)) for t in trips])
+    positions, gaps = reference_repeat_histogram(trips)
+    for got, want in ((hist.position_counts, positions), (hist.gap_counts, gaps)):
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
 def test_pmr_result_is_a_plain_record():

@@ -76,11 +76,16 @@ class TestPopularity:
             popularity_decode(q, counts)
 
 
+def stationary(values, n):
+    """The same transitions at every step of an n-stop walk: n - 1 matrices."""
+    return [TransitionMatrix(values=values, position=p) for p in range(1, n)]
+
+
 class TestMarkov:
-    def chain(self):
+    def chain(self, n=5):
         # deterministic cycle 0 -> 1 -> 2 -> 0 at every position
         values = np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [1.0, 0.0, 0.0]])
-        return [TransitionMatrix(values=values, position=1)]
+        return stationary(values, n)
 
     def test_greedy_follows_the_chain(self):
         q = Query(p_s=0, t_s=0, p_e=0, t_e=14400, n=5)
@@ -95,7 +100,7 @@ class TestMarkov:
 
     def test_self_loop_produces_repeats(self):
         values = np.array([[1.0, 0.0], [0.5, 0.5]])
-        chain = [TransitionMatrix(values=values)]
+        chain = stationary(values, 5)
         q = Query(p_s=0, t_s=0, p_e=1, t_e=14400, n=5)
         trip = markov_decode(q, chain, DecodeConfig())
         assert trip.pois == (0, 0, 0, 0, 1)
@@ -110,23 +115,25 @@ class TestMarkov:
                 [0.25, 0.25, 0.25, 0.25],
             ]
         )
-        chain = [TransitionMatrix(values=values)]
+        chain = stationary(values, 4)
         q = Query(p_s=0, t_s=0, p_e=2, t_e=14400, n=4)
         trip = markov_decode(q, chain, DecodeConfig(no_repeat_mask=True))
         assert len(set(trip.pois)) == len(trip.pois)
 
-    def test_positions_past_horizon_reuse_last_matrix(self):
+    def test_positions_past_horizon_are_rejected(self):
         first = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
         second = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 1.0], [0.0, 0.0, 1.0]])
         chain = [TransitionMatrix(values=first, position=1), TransitionMatrix(values=second, position=2)]
-        q = Query(p_s=0, t_s=0, p_e=1, t_e=21600, n=6)
-        trip = markov_decode(q, chain, DecodeConfig())
-        # interior: pos2 via first (0->1), then second pins everything at 2
-        assert trip.pois == (0, 1, 2, 2, 2, 1)
+        # two matrices: routes of up to 3 stops, pos2 via first (0->1)
+        q = Query(p_s=0, t_s=0, p_e=2, t_e=21600, n=3)
+        assert markov_decode(q, chain, DecodeConfig()).pois == (0, 1, 2)
+        long = Query(p_s=0, t_s=0, p_e=1, t_e=21600, n=4)
+        with pytest.raises(ValueError, match="trip length n=4 exceeds the horizon m_max=3"):
+            markov_decode(long, chain, DecodeConfig())
 
     def test_sampling_respects_zero_mass(self):
         values = np.array([[0.0, 0.6, 0.4], [0.0, 0.0, 1.0], [1.0, 0.0, 0.0]])
-        chain = [TransitionMatrix(values=values)]
+        chain = stationary(values, 3)
         q = Query(p_s=0, t_s=0, p_e=2, t_e=14400, n=3)
         for seed in range(10):
             cfg = DecodeConfig(strategy="top_p", top_p=1.0, seed=seed)
@@ -135,7 +142,7 @@ class TestMarkov:
 
     def test_top_k_restricts_candidates(self):
         values = np.array([[0.05, 0.5, 0.45], [1.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
-        chain = [TransitionMatrix(values=values)]
+        chain = stationary(values, 3)
         q = Query(p_s=0, t_s=0, p_e=0, t_e=14400, n=3)
         seen = set()
         for seed in range(30):
@@ -154,7 +161,7 @@ class TestMarkov:
 
     def test_other_strategies_do_not_warn(self):
         mats = empirical_transitions(corpus(), k=5)
-        q = Query(p_s=0, t_s=0, p_e=1, t_e=14400, n=5)
+        q = Query(p_s=0, t_s=0, p_e=1, t_e=14400, n=4)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             for strategy in ("greedy", "top_k", "top_p"):
@@ -162,7 +169,7 @@ class TestMarkov:
 
     def test_determinism_per_seed(self):
         mats = empirical_transitions(corpus(), k=5)
-        q = Query(p_s=0, t_s=0, p_e=1, t_e=14400, n=5)
+        q = Query(p_s=0, t_s=0, p_e=1, t_e=14400, n=4)
         cfg = DecodeConfig(strategy="top_p", top_p=0.9, seed=3)
         assert markov_decode(q, mats, cfg) == markov_decode(q, mats, cfg)
 
@@ -221,6 +228,11 @@ def test_markov_trips_equal_the_reference_walk(corpus_routes, start, end, n, str
         mats = [perturb(m, sigma, seed + i) for i, m in enumerate(empirical_transitions(ts, k=10))]
     q = Query(p_s=start, t_s=0, p_e=end, t_e=3600 * n, n=n)
     cfg = DecodeConfig(strategy=strategy, top_k=top_k, top_p=top_p, no_repeat_mask=mask, seed=seed)
+    if n > len(mats) + 1:
+        # longer than every corpus route: refused before any step
+        with pytest.raises(ValueError, match=f"n={n} exceeds the horizon m_max={len(mats) + 1}"):
+            markov_decode(q, mats, cfg)
+        return
     # adaptive runs as top_p: the baseline has no confidence model
     ref_cfg = DecodeConfig(strategy="top_p" if strategy == "adaptive" else strategy, top_k=top_k,
                            top_p=top_p, no_repeat_mask=mask, seed=seed)

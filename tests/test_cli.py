@@ -4,9 +4,10 @@ from pathlib import Path
 
 import pytest
 
-from artrip import analysis
+from artrip import analysis, baselines, cli
 from artrip.cli import main
 from artrip.config import ConfigError, load_config
+from artrip.data import Trajectory, split_corpus
 
 POI_HEADER = ["poiID", "poiName", "lat", "long", "theme"]
 VISIT_HEADER = ["userID", "seqID", "poiID", "dateTaken"]
@@ -35,9 +36,7 @@ ROUTES = [
 ]
 
 
-@pytest.fixture(scope="module")
-def corpus_dir(tmp_path_factory):
-    root = tmp_path_factory.mktemp("corpus")
+def write_corpus(root, routes):
     with open(root / "pois.csv", "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(POI_HEADER)
@@ -45,12 +44,27 @@ def corpus_dir(tmp_path_factory):
     with open(root / "visits.csv", "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(VISIT_HEADER)
-        for seq, route in enumerate(ROUTES, start=1):
+        for seq, route in enumerate(routes, start=1):
             ts = 1357030800 + seq * 86400
             for poi in route:
                 writer.writerow([f"{seq:08d}@N00", seq, poi, ts])
                 ts += 3600
     return root
+
+
+@pytest.fixture(scope="module")
+def corpus_dir(tmp_path_factory):
+    return write_corpus(tmp_path_factory.mktemp("corpus"), ROUTES)
+
+
+@pytest.fixture(scope="module")
+def long_test_corpus_dir(tmp_path_factory):
+    """ROUTES with the default split's one test route grown to 6 stops, past the train horizon of 4."""
+    marks = [Trajectory(pois=(i,), times=(0,)) for i in range(len(ROUTES))]
+    (test_mark,) = split_corpus(marks).test
+    routes = [list(r) for r in ROUTES]
+    routes[test_mark.pois[0]] = [101, 102, 103, 104, 105, 106]
+    return write_corpus(tmp_path_factory.mktemp("long_test_corpus"), routes)
 
 
 @pytest.fixture
@@ -229,6 +243,23 @@ class TestRecommend:
         assert "length" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("generator, arch", [("model", "one_shot"), ("model", "recurrent"), ("markov", "one_shot")])
+    def test_length_past_the_horizon_fails_before_any_decode_or_write(self, base_flags, tmp_path, capsys, monkeypatch, generator, arch):
+        flags = [*base_flags, "--generator", generator, "--arch", arch]
+        assert main(["train", *flags]) == 0
+        capsys.readouterr()
+
+        def no_decode(*args):
+            raise AssertionError("an over-long trip was decoded")
+
+        monkeypatch.setattr(cli, "decode_trip", no_decode)
+        monkeypatch.setattr(baselines, "markov_decode", no_decode)
+        # the training routes have at most 4 stops
+        args = ["recommend", *flags, "--start", "101", "--end", "102", "--length", "5"]
+        assert main(args) == 1
+        assert "trip length n=5 exceeds the horizon m_max=4" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "trip.csv").exists()
+
     def test_unknown_poi_fails_before_the_bundle_is_read(self, base_flags, capsys):
         # no bundle was trained: the unknown POI is what must be reported
         args = ["recommend", *base_flags, "--start", "999", "--end", "102", "--length", "3"]
@@ -292,6 +323,40 @@ class TestAnalyze:
         assert main(["analyze", *base_flags, "--jmax", "4"]) == 0
         pmr_rows = read_rows(tmp_path / "out" / "pmr.csv")
         assert len(pmr_rows) == 1 + 4 + 1  # header, terms, status
+
+
+class TestHorizon:
+    @pytest.fixture
+    def long_flags(self, base_flags, long_test_corpus_dir):
+        flags = list(base_flags)
+        flags[1] = str(long_test_corpus_dir / "pois.csv")
+        flags[3] = str(long_test_corpus_dir / "visits.csv")
+        return flags
+
+    @pytest.mark.parametrize("command", ["evaluate", "analyze"])
+    @pytest.mark.parametrize("generator, arch", [("model", "one_shot"), ("model", "recurrent"), ("markov", "one_shot")])
+    def test_an_over_long_test_route_fails_before_any_decode_or_report(
+        self, long_flags, tmp_path, capsys, monkeypatch, command, generator, arch
+    ):
+        flags = [*long_flags, "--generator", generator, "--arch", arch]
+        assert main(["train", *flags]) == 0
+        out = tmp_path / "out"
+        before = sorted(p.relative_to(out) for p in out.rglob("*"))
+        capsys.readouterr()
+
+        def no_decode(*args):
+            raise AssertionError("an over-long trip was decoded")
+
+        monkeypatch.setattr(cli, "decode_trip", no_decode)
+        monkeypatch.setattr(baselines, "markov_decode", no_decode)
+        assert main([command, *flags]) == 1
+        assert "trip length n=6 exceeds the horizon m_max=4" in capsys.readouterr().err
+        assert sorted(p.relative_to(out) for p in out.rglob("*")) == before
+
+    def test_popularity_has_no_horizon(self, long_flags, tmp_path):
+        assert main(["evaluate", *long_flags, "--generator", "popularity"]) == 0
+        trips = read_rows(tmp_path / "out" / "trips.csv")
+        assert max(int(row[2]) for row in trips[1:]) == 6
 
 
 class TestConfigPrecedence:

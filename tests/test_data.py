@@ -20,6 +20,8 @@ from artrip.data import (
     make_query,
     split_corpus,
 )
+from artrip.analysis import empirical_transitions
+from artrip.baselines import build_popularity
 from artrip.guidance import build_guidance_matrix
 
 POI_CSV = """poiID,poiName,lat,long,theme
@@ -405,3 +407,91 @@ def test_committed_cities_ingest_like_the_reference(city):
     assert trajectories == reference_extract_trajectories(ref_visits, catalog)
     assert_guidance_matches_reference(trajectories, len(catalog))
     assert_guidance_matches_reference(split_corpus(trajectories).train, len(catalog))
+
+
+def reference_transitions(trajectories, k):
+    """Per-position transition counts one element at a time, one corpus walk per position."""
+    horizon = max(len(t) for t in trajectories) - 1
+    out = []
+    for pos in range(horizon):
+        counts = np.zeros((k, k), dtype=np.float64)
+        for t in trajectories:
+            if len(t) > pos + 1:
+                counts[t.pois[pos], t.pois[pos + 1]] += 1.0
+        sums = counts.sum(axis=1)
+        dead = np.flatnonzero(sums == 0.0)
+        counts[dead] = 1.0 / k
+        sums[dead] = 1.0
+        out.append((counts / sums[:, None], pos + 1, tuple(int(r) for r in dead)))
+    return out
+
+
+def reference_popularity(train, k):
+    """Visit counts one element at a time, as the popularity baseline did."""
+    counts = np.zeros(k, dtype=np.int64)
+    for t in train:
+        for poi in t.pois:
+            counts[poi] += 1
+    return counts
+
+
+def assert_counts_match_the_element_loops(train, k):
+    got = empirical_transitions(train, k)
+    want = reference_transitions(train, k)
+    assert len(got) == len(want)
+    for matrix, (values, position, uniform_rows) in zip(got, want):
+        assert matrix.values.dtype == values.dtype and matrix.values.shape == values.shape
+        assert matrix.values.tobytes() == values.tobytes()
+        assert (matrix.position, matrix.uniform_rows) == (position, uniform_rows)
+    popularity = build_popularity(train, k)
+    assert popularity.dtype == np.int64
+    assert popularity.tobytes() == reference_popularity(train, k).tobytes()
+    assert_guidance_matches_reference(train, k)
+
+
+def as_routes(routes):
+    return [Trajectory(tuple(r), tuple(range(len(r)))) for r in routes]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    routes=st.lists(st.lists(st.integers(0, 3), min_size=1, max_size=8), min_size=1, max_size=10),
+    k=st.integers(4, 6),
+    copies=st.integers(1, 3),
+)
+def test_transition_and_popularity_counts_match_the_element_loops(routes, k, copies):
+    # four POIs, self-loops allowed and whole routes copied: transitions repeat
+    assert_counts_match_the_element_loops(as_routes(routes) * copies, k)
+
+
+def test_repeated_transitions_count_once_each():
+    train = as_routes([[0, 1, 0, 1], [0, 1, 1], [0, 1, 0, 1]])
+    first = empirical_transitions(train, 3)[0]
+    assert first.values[0].tolist() == [0.0, 1.0, 0.0]
+    assert_counts_match_the_element_loops(train, 3)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    routes=st.lists(st.lists(st.integers(-3, 8), min_size=1, max_size=6), min_size=1, max_size=6),
+    k=st.integers(1, 6),
+)
+def test_every_count_names_the_first_out_of_range_poi(routes, k):
+    train = as_routes(routes)
+    bad = [poi for r in routes for poi in r if not 0 <= poi < k]
+    for build in (build_guidance_matrix, build_popularity, empirical_transitions):
+        if not bad:
+            build(train, k)
+            continue
+        with pytest.raises(ValueError) as caught:
+            build(train, k)
+        assert str(caught.value) == f"POI index {bad[0]} out of range for k={k}"
+
+
+@pytest.mark.parametrize("city", CITIES)
+def test_committed_cities_count_like_the_element_loops(city):
+    catalog = load_poi_catalog(DATA / city / f"POI-{city}.csv")
+    visits, _ = load_visits(DATA / city / f"userVisits-{city}.csv", catalog)
+    trajectories = extract_trajectories(visits, catalog)
+    assert_counts_match_the_element_loops(trajectories, len(catalog))
+    assert_counts_match_the_element_loops(split_corpus(trajectories).train, len(catalog))

@@ -422,6 +422,8 @@ class TestDecodeTrip:
             Trajectory(pois=(0, 2, 3, 1), times=(0, 3600, 7200, 10800)),
             Trajectory(pois=(0, 4, 1), times=(0, 3600, 7200)),
             Trajectory(pois=(5, 2, 4, 1), times=(0, 3600, 7200)),
+            # the longest route sets the horizon the 5-stop queries below need
+            Trajectory(pois=(0, 3, 2, 4, 1), times=(0, 3600, 7200, 10800, 14400)),
         ]
         self.pm = build_guidance_matrix(corpus, k=K)
         self.conf = build_confidence(self.pm, k=K)
@@ -487,14 +489,31 @@ class TestDecodeTrip:
         trip = decode_trip(q, self.params(arch), self.pm, self.conf, cfg)
         assert len(set(trip.pois)) == len(trip.pois)
 
-    @pytest.mark.filterwarnings("ignore:position .* exceeds trained horizon")
     def test_mask_releases_when_trip_exceeds_vocab(self):
-        # 6 POIs but 8 slots: the mask must eventually give way
-        q = Query(p_s=0, t_s=0, p_e=1, t_e=28800, n=8)
-        cfg = DecodeConfig(no_repeat_mask=True)
-        with pytest.warns(RuntimeWarning, match="releasing"):
-            trip = decode_trip(q, self.params(), self.pm, self.conf, cfg)
-        assert len(trip) == 8
+        # 3 POIs but 5 slots, inside the horizon: the mask must eventually give way
+        small = [Trajectory(pois=(0, 2, 1, 2, 1), times=(0, 3600, 7200, 10800, 14400))]
+        pm = build_guidance_matrix(small, k=3)
+        q = Query(p_s=0, t_s=0, p_e=1, t_e=14400, n=5)
+        for arch in (ARCH_ONE_SHOT, ARCH_RECURRENT):
+            cfg = ModelConfig(arch=arch, embed_dim=8, num_layers=1, num_heads=2, hidden_dim=16, seed=0)
+            params = init_params(cfg, k=3, m_max=pm.m_max)
+            with pytest.warns(RuntimeWarning, match="releasing"):
+                trip = decode_trip(q, params, pm, build_confidence(pm, k=3), DecodeConfig(no_repeat_mask=True))
+            assert len(trip) == 5
+
+    @pytest.mark.parametrize("arch", [ARCH_ONE_SHOT, ARCH_RECURRENT])
+    @pytest.mark.parametrize("strategy", decoding.STRATEGIES)
+    def test_trip_past_the_horizon_is_rejected_before_any_step(self, arch, strategy, monkeypatch):
+        params = self.params(arch)
+        q = Query(p_s=0, t_s=0, p_e=1, t_e=14400, n=self.pm.m_max + 1)
+
+        def no_work(*args):
+            raise AssertionError("decoding started on an over-long query")
+
+        for name in ("forward_one_shot", "init_recurrent_state", "_walk"):
+            monkeypatch.setattr(decoding, name, no_work)
+        with pytest.raises(ValueError, match=f"trip length n={q.n} exceeds the horizon m_max={self.pm.m_max}"):
+            decode_trip(q, params, self.pm, self.conf, DecodeConfig(strategy=strategy))
 
     def test_trace_covers_interior_positions(self):
         q = Query(p_s=0, t_s=0, p_e=1, t_e=14400, n=5)
@@ -540,11 +559,10 @@ queries = st.builds(
     t_s=st.integers(0, 3 * 3600),
     p_e=st.integers(0, K - 1),
     t_e=st.integers(0, 2 * 86400),
-    n=st.integers(2, PROPERTY_PM.m_max + 2),
+    n=st.integers(2, PROPERTY_PM.m_max),
 )
 
 
-@pytest.mark.filterwarnings("ignore:position:UserWarning")
 @pytest.mark.filterwarnings("ignore:no-repeat mask:RuntimeWarning")
 @pytest.mark.parametrize("mask", [False, True])
 @pytest.mark.parametrize("strategy", decoding.STRATEGIES)
@@ -600,7 +618,7 @@ def test_recurrent_guidance_sliced_once_matches_per_step_guidance(strategy, mask
     ref, ref_warned = decode_with_warnings(reference_recurrent_decode, *args, ref_trace)
     assert trip == ref
     assert trace == ref_trace
-    # one horizon warning per row past m_max, mask releases where they were
+    # mask releases where they were
     assert sorted(warned) == sorted(ref_warned)
 
 

@@ -1,5 +1,3 @@
-import warnings
-
 import pytest
 
 from artrip.data import Trajectory
@@ -45,10 +43,11 @@ def test_recurrent_gradients_with_repeated_inputs(n, alpha):
     pois = (0, 3, 0, 3, 3, 0)[: n - 1] + (1,)
     traj = Trajectory(pois=pois, times=tuple(3600 * i for i in range(n)))
     params, pm = setup_check(ARCH_RECURRENT, seed=n)
-    with warnings.catch_warnings():
-        # positions past m_max are unguided, with a warning
-        warnings.filterwarnings("ignore", message="position .* exceeds trained horizon")
-        report = grad_check(traj, params, pm, alpha=alpha)
+    if n > M_MAX:
+        with pytest.raises(ValueError, match=f"n={n} exceeds the horizon m_max={M_MAX}"):
+            grad_check(traj, params, pm, alpha=alpha)
+        return
+    report = grad_check(traj, params, pm, alpha=alpha)
     assert report.passed, f"worst block {report.worst_block}: {report.max_rel_error}"
 
 

@@ -10,6 +10,7 @@ from artrip.guidance import (
     build_confidence,
     build_guidance_matrix,
     guidance_columns,
+    guidance_factor,
     zero_guidance,
 )
 
@@ -47,7 +48,8 @@ def test_confidence_lookup_is_one_based():
     conf = ConfidenceVector(values=np.array([0.5, 0.25]))
     assert conf.at(1) == 0.5
     assert conf.at(2) == 0.25
-    assert conf.at(3) == 1.0  # beyond the trained horizon
+    with pytest.raises(ValueError, match="position=3 exceeds the horizon m_max=2"):
+        conf.at(3)
     with pytest.raises(ValueError):
         conf.at(0)
 
@@ -68,13 +70,13 @@ def test_apply_guidance_multiplies_by_one_plus_ratio():
     np.testing.assert_allclose(out[2], [1.0, 1.5, 1.5])
 
 
-def test_apply_guidance_beyond_horizon_warns_and_passes_through():
+def test_apply_guidance_beyond_horizon_raises():
     pm = build_guidance_matrix(TWO_ROUTES, k=3)
-    h = np.full((5, 3), 2.0)
-    with pytest.warns(UserWarning, match="horizon"):
-        out = apply_guidance(h, pm)
-    np.testing.assert_array_equal(out[3:], h[3:])
-    assert not np.array_equal(out[0], h[0])
+    np.testing.assert_array_equal(apply_guidance(np.full((3, 3), 2.0), pm)[2], [2.0, 3.0, 3.0])
+    with pytest.raises(ValueError, match="last position=4 exceeds the horizon m_max=3"):
+        apply_guidance(np.full((4, 3), 2.0), pm)
+    with pytest.raises(ValueError, match="last position=4 exceeds the horizon m_max=3"):
+        apply_guidance(np.full((1, 3), 2.0), pm, first_position=4)
 
 
 def test_build_guidance_rejects_empty_or_out_of_range():
@@ -94,25 +96,21 @@ def test_guidance_preserves_score_order_within_position():
 
 
 def reference_guidance_columns(pm, first_position, m):
-    """The per-row loop that the horizon slice replaces."""
+    """The per-row loop that the horizon slice replaces; rows past m_max now raise."""
+    last = first_position - 1 + m
+    if last > pm.m_max:
+        raise ValueError(f"last position={last} exceeds the horizon m_max={pm.m_max}, the longest training route")
     cols = np.zeros((m, pm.values.shape[0]), dtype=np.float64)
     for row in range(m):
-        pos = first_position + row
-        if pos <= pm.m_max:
-            cols[row] = pm.values[:, pos - 1]
-        else:
-            warnings.warn(
-                f"position {pos} exceeds trained horizon m_max={pm.m_max}; "
-                "guidance is identity there"
-            )
+        cols[row] = pm.values[:, first_position + row - 1]
     return cols
 
 
-def columns_with_warnings(fn, pm, first_position, m):
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        cols = fn(pm, first_position, m)
-    return cols, [(w.category, str(w.message)) for w in caught]
+def columns_or_error(fn, pm, first_position, m):
+    try:
+        return fn(pm, first_position, m), None
+    except ValueError as exc:
+        return None, str(exc)
 
 
 def test_guidance_columns_match_the_row_loop_inside_across_and_past_the_horizon():
@@ -125,15 +123,27 @@ def test_guidance_columns_match_the_row_loop_inside_across_and_past_the_horizon(
     assert pm.m_max == 6
     for first_position in range(1, pm.m_max + 3):
         for m in range(0, pm.m_max + 4):
-            cols, warned = columns_with_warnings(guidance_columns, pm, first_position, m)
-            ref, ref_warned = columns_with_warnings(reference_guidance_columns, pm, first_position, m)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                cols, error = columns_or_error(guidance_columns, pm, first_position, m)
+            ref, ref_error = columns_or_error(reference_guidance_columns, pm, first_position, m)
+            # rows that cross or start past the horizon raise, naming the last position
+            assert error == ref_error
+            assert (error is None) == (first_position - 1 + m <= pm.m_max)
+            if error is not None:
+                continue
             assert np.array_equal(cols, ref)
             assert cols.flags.c_contiguous and cols.dtype == np.float64
-            assert warned == ref_warned
-            assert len(warned) == min(m, max(0, first_position + m - 1 - pm.m_max))
             # the result is a copy: writing to it leaves the matrix alone
             cols[...] = -1.0
             assert (pm.values >= 0.0).all()
+
+
+def test_guidance_factor_is_one_plus_the_columns():
+    pm = build_guidance_matrix(TWO_ROUTES, k=3)
+    for first_position, m in ((1, 3), (2, 2), (3, 1), (2, 0)):
+        want = 1.0 + guidance_columns(pm, first_position, m)
+        assert guidance_factor(pm, first_position, m).tobytes() == want.tobytes()
 
 
 def test_guidance_columns_reject_positions_below_one():

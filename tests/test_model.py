@@ -1,3 +1,4 @@
+import importlib
 import math
 
 import numpy as np
@@ -128,10 +129,12 @@ class TestForward:
         assert logits.shape == (4, K)
         np.testing.assert_array_equal(logits, forward_one_shot(q, params))
 
-    def test_one_shot_handles_lengths_past_horizon(self):
+    def test_one_shot_rejects_lengths_past_horizon(self):
         params = init_params(tiny_config(seed=2), k=K, m_max=3)
-        q = Query(p_s=0, t_s=0, p_e=1, t_e=10800, n=5)
-        assert forward_one_shot(q, params).shape == (5, K)
+        assert forward_one_shot(Query(p_s=0, t_s=0, p_e=1, t_e=10800, n=3), params).shape == (3, K)
+        q = Query(p_s=0, t_s=0, p_e=1, t_e=10800, n=4)
+        with pytest.raises(ValueError, match="trip length n=4 exceeds the horizon m_max=3"):
+            forward_one_shot(q, params)
 
     def test_one_shot_rejects_an_empty_query_naming_n(self):
         params = init_params(tiny_config(seed=2), k=K, m_max=M_MAX)
@@ -155,6 +158,11 @@ class TestForward:
         params = init_params(tiny_config(arch=ARCH_RECURRENT, seed=n), k=K, m_max=M_MAX)
         pois = tuple(int(p) for p in np.random.default_rng(n).integers(0, 3, size=n))
         q = Query(p_s=pois[0], t_s=0, p_e=pois[-1], t_e=3600 * n, n=n)
+        if n > M_MAX:
+            for run in (lambda: forward_teacher(q, pois, params), lambda: init_recurrent_state(q, params)):
+                with pytest.raises(ValueError, match=f"n={n} exceeds the horizon m_max={M_MAX}"):
+                    run()
+            return
         rows, cache = forward_teacher(q, pois, params)
         state = init_recurrent_state(q, params)
         for i, prev in enumerate(pois[:-1]):
@@ -369,6 +377,10 @@ class TestBitIdentity:
         rng = np.random.default_rng(n)
         pois = tuple(int(p) for p in rng.integers(0, K, size=n))
         q = Query(p_s=pois[0], t_s=0, p_e=pois[-1], t_e=3600 * n, n=n)
+        if n > M_MAX:
+            with pytest.raises(ValueError, match=f"n={n} exceeds the horizon m_max={M_MAX}"):
+                forward_teacher(q, pois, params)
+            return
         rows, cache = forward_teacher(q, pois, params)
         drows = rng.standard_normal(rows.shape)
         got = recurrent.backward(params, cache, drows)
@@ -451,7 +463,7 @@ def reference_one_shot_backward(params, cache, dlogits):
         grads[prefix + "ln1_beta"] += dbeta
         dx = dx1 + dx0_from_attn
     slots, pois, hours = cache["ends"]
-    np.add.at(grads["position_embeddings"], cache["pos_idx"], dx)
+    np.add.at(grads["position_embeddings"], np.arange(dx.shape[0]), dx)
     np.add.at(grads["poi_embeddings"], pois, dx[slots])
     np.add.at(grads["time_embeddings"], hours, dx[slots])
     grads["mask_embedding"] += dx[1:-1].sum(axis=0)
@@ -459,8 +471,11 @@ def reference_one_shot_backward(params, cache, dlogits):
 
 
 def trained_params(arch, seed, **kw):
-    """Parameters after a few steps, so no block is still at its initial value."""
-    trajs = toy_trajectories()
+    """Parameters after a few steps, so no block is still at its initial value.
+
+    One route has M_MAX stops, so every position row is trained.
+    """
+    trajs = [*toy_trajectories(), route((5, 0, 2, 4, 1))]
     cfg = tiny_config(arch=arch, epochs=2, seed=seed, **kw)
     return train(trajs, build_guidance_matrix(trajs, k=K), cfg).params
 
@@ -505,7 +520,12 @@ class TestStackedAttention:
     @pytest.mark.parametrize("n", [1, 2, 3, M_MAX, M_MAX + 2])
     def test_backward_matches_per_block_reference(self, num_layers, n):
         params = trained_params(ARCH_ONE_SHOT, 10 + n, num_layers=num_layers)
+        assert params.m_max == M_MAX
         q = Query(p_s=1, t_s=3600, p_e=4, t_e=7200 * n, n=n)
+        if n > M_MAX:
+            with pytest.raises(ValueError, match=f"n={n} exceeds the horizon m_max={M_MAX}"):
+                one_shot.forward_with_cache(q, params)
+            return
         logits, cache = one_shot.forward_with_cache(q, params)
         dlogits = np.random.default_rng(n).standard_normal(logits.shape)
         want = reference_one_shot_backward(params, cache, dlogits)
@@ -516,6 +536,10 @@ class TestStackedAttention:
         got = one_shot.backward(params, cache, dlogits, buffer)
         assert got is buffer.flat
         assert np.array_equal(got, want)
+
+
+def route(pois):
+    return Trajectory(pois=pois, times=tuple(3600 * i for i in range(len(pois))))
 
 
 def forward_for_backward(arch, params, traj):
@@ -602,18 +626,33 @@ class TestTrain:
     @pytest.mark.parametrize("arch", [ARCH_ONE_SHOT, ARCH_RECURRENT])
     @pytest.mark.parametrize("alpha", [0.0, 1.0])
     def test_flat_adam_matches_reference_two_layers_past_the_horizon(self, arch, alpha):
-        # the guidance horizon comes from the short routes, so the long one
-        # runs past m_max and takes the np.add.at scatter of position rows
+        # a horizon from the short routes refuses the long one before any step;
+        # a horizon from all routes trains on it, every position row included
         trajs = toy_trajectories()
-        pm = build_guidance_matrix(trajs, k=K)
-        long = Trajectory(pois=(5, 0, 2, 4, 3, 1, 2), times=tuple(3600 * i for i in range(7)))
-        assert len(long) > pm.m_max
+        long = route((5, 0, 2, 4, 3, 1, 2))
         cfg = tiny_config(arch=arch, num_layers=2, epochs=3, seed=9, alpha=alpha)
-        with pytest.warns(UserWarning, match="horizon"):
-            result = train([*trajs, long], pm, cfg)
-            ref_params, ref_losses = reference_train([*trajs, long], pm, cfg)
+        short_pm = build_guidance_matrix(trajs, k=K)
+        with pytest.raises(ValueError, match="trajectory 4: length n=7 exceeds the horizon m_max=4"):
+            train([*trajs, long], short_pm, cfg)
+        pm = build_guidance_matrix([*trajs, long], k=K)
+        assert pm.m_max == len(long)
+        result = train([*trajs, long], pm, cfg)
+        ref_params, ref_losses = reference_train([*trajs, long], pm, cfg)
         assert result.epoch_losses == ref_losses
         assert np.array_equal(result.params.flat, ref_params.flat)
+
+    @pytest.mark.parametrize("arch", [ARCH_ONE_SHOT, ARCH_RECURRENT])
+    def test_one_over_long_trajectory_is_rejected_before_any_step(self, arch, monkeypatch):
+        trajs = toy_trajectories()
+        pm = build_guidance_matrix(trajs, k=K)
+
+        def no_step(*args):
+            raise AssertionError("a training step ran")
+
+        monkeypatch.setattr(importlib.import_module("artrip.model.train"), "loss_and_grads", no_step)
+        corpus = [*trajs[:2], route((0, 2, 3, 4, 1)), *trajs[2:]]
+        with pytest.raises(ValueError, match="trajectory 2: length n=5 exceeds the horizon m_max=4"):
+            train(corpus, pm, tiny_config(arch=arch))
 
     @pytest.mark.parametrize("arch", [ARCH_ONE_SHOT, ARCH_RECURRENT])
     def test_loss_decreases(self, arch):
