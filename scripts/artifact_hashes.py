@@ -14,7 +14,10 @@ run per architecture (adaptive) and for Markov (top_p) uses decode seed 2**32,
 whose per-query seeds do not fit one uint32 word each.  Two more runs per
 architecture pass no `--strategy` flag, with `adapting` at its default and
 with `--adapting false`, so the strategy comes from the config's own rule.
-The popularity baseline is evaluated once.  The model shape
+The popularity baseline is evaluated once.  Each architecture is also
+trained and evaluated with `--guiding false --drifting false` into
+`mechanisms-off/<arch>/`, so the zero guidance of training and decoding and
+the zeroed alpha are covered.  The model shape
 of the mechanism study (the defaults: 2 layers, embed 32, hidden 64) is
 trained too, for each architecture with alpha 0 and 1, one epoch each; of
 those runs only `params.bin` and `loss_trace.csv` are kept.  Commands run in-process through
@@ -68,6 +71,8 @@ UNSET_STRATEGY = (
     ("unset-strategy-adapting-true", []),
     ("unset-strategy-adapting-false", ["--adapting", "false"]),
 )
+# training and decoding without guidance, training without the drift loss
+MECHANISMS_OFF = ["--guiding", "false", "--drifting", "false"]
 # decode seed 2**32 does not fit one uint32 word, so per-query seeds go to numpy as given
 WIDE_SEED = ["--decode-seed", str(2**32)]
 
@@ -131,6 +136,9 @@ def write_artifacts(out_dir: Path, flags=CRITERION_8_FLAGS) -> None:
                 (arch_dir / artifact).rename(arch_dir / name / artifact)
         _run(["analyze", *common, "--strategy", "adaptive"])
         _run(["recommend", *common, "--strategy", "adaptive", *recommend])
+        off = [*flags, "--arch", arch, *MECHANISMS_OFF, "--output-dir", str(out_dir / "mechanisms-off" / arch)]
+        _run(["train", *off])
+        _run(["evaluate", *off])
     wide = ("top_p-seed-2p32", ["--strategy", "top_p", *WIDE_SEED])
     for name, decode_flags in [*_evaluations(MARKOV_STRATEGIES), wide]:
         target = out_dir / "markov" / name

@@ -33,7 +33,7 @@ def popularity_decode(query: Query, counts: np.ndarray) -> Trip:
     Endpoints come from the query and are excluded from the ranking, so
     the result never contains a duplicate.
     """
-    decoding._check_length(query)
+    decoding._check_query(query, len(counts))
     ranked = np.argsort(-counts, kind="stable")
     interior = [int(p) for p in ranked if p != query.p_s and p != query.p_e]
     need = query.n - 2
@@ -46,7 +46,8 @@ def markov_decode(query: Query, matrices: list[TransitionMatrix], cfg: DecodeCon
     """Walk position-indexed transitions from the start POI.
 
     Matrix i steps from position i + 1, so `len(matrices) + 1` is the
-    horizon: a longer query raises ValueError before any step.  Zero
+    horizon: a longer query, or one with an endpoint outside the
+    matrices' vocabulary, raises ValueError before any step.  Zero
     transition probability becomes a -inf score so the selection
     strategies apply unchanged; the adaptive strategy degrades to plain
     nucleus sampling here, with a RuntimeWarning, because the baseline
@@ -54,6 +55,7 @@ def markov_decode(query: Query, matrices: list[TransitionMatrix], cfg: DecodeCon
     """
     if not matrices:
         raise ValueError("need at least one transition matrix")
+    decoding._check_query(query, len(matrices[0].values))
     check_horizon(query.n, len(matrices) + 1)
     if cfg.strategy == "adaptive":
         warnings.warn(

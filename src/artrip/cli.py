@@ -32,7 +32,7 @@ from artrip.data import (
     split_corpus,
 )
 from artrip.decoding import decode_trip, query_seed
-from artrip.guidance import build_confidence, build_guidance_matrix, check_horizon, zero_guidance
+from artrip.guidance import build_confidence, build_guidance_matrix, check_horizon
 from artrip.model import load_bundle, save_bundle, train
 from artrip.model.bundle import vocab_sha256
 
@@ -103,14 +103,11 @@ def cmd_ingest(config: ExperimentConfig) -> int:
 
 
 def cmd_train(config: ExperimentConfig) -> int:
-    model_config = config.model_config()
     catalog, _, _, trajectories = _load_corpus(config)
     split = _split(config, trajectories)
     pm = build_guidance_matrix(split.train, len(catalog))
     conf = build_confidence(pm, len(catalog))
-    pm_train = pm if config.guiding else zero_guidance(pm.k, pm.m_max)
-    effective = replace(model_config, alpha=model_config.alpha if config.drifting else 0.0)
-    result = train(split.train, pm_train, effective)
+    result = train(split.train, config.guidance(pm), config.model)
     out = _out_dir(config)
     mechanisms = {"guiding": config.guiding, "drifting": config.drifting, "adapting": config.adapting}
     save_bundle(out / "model", result.params, pm, conf, mechanisms, catalog.ids)
@@ -121,8 +118,8 @@ def cmd_train(config: ExperimentConfig) -> int:
             writer.writerow([epoch, repr(loss)])
     final = result.epoch_losses[-1] if result.epoch_losses else float("nan")
     print(
-        f"trained {model_config.arch} on {len(split.train)} trajectories "
-        f"(k={pm.k}, m_max={pm.m_max}, epochs={model_config.epochs}, final loss {final:.6f})"
+        f"trained {config.model.arch} on {len(split.train)} trajectories "
+        f"(k={pm.k}, m_max={pm.m_max}, epochs={config.model.epochs}, final loss {final:.6f})"
     )
     print(f"bundle -> {out / 'model'}")
     return 0
@@ -141,21 +138,20 @@ def _decoder(
     if config.generator == "popularity":
         counts = baselines.build_popularity(train, len(catalog))
         return lambda query, seed: baselines.popularity_decode(query, counts)
-    decode_cfg = config.decode_config()
     if config.generator == "markov":
         if matrices is None:
             matrices = analysis.empirical_transitions(train, len(catalog))
         check_horizon(longest, len(matrices) + 1)
         return lambda query, seed: baselines.markov_decode(
-            query, matrices, replace(decode_cfg, seed=seed)
+            query, matrices, replace(config.decode, seed=seed)
         )
     bundle = load_bundle(Path(config.output_dir) / "model")
     if bundle.manifest["vocab_sha256"] != vocab_sha256(catalog.ids):
         raise ConfigError("bundle vocabulary does not match the ingested corpus")
     check_horizon(longest, bundle.params.m_max)
-    pm = bundle.pm if config.guiding else zero_guidance(bundle.pm.k, bundle.pm.m_max)
+    pm = config.guidance(bundle.pm)
     return lambda query, seed: decode_trip(
-        query, bundle.params, pm, bundle.confidence, replace(decode_cfg, seed=seed)
+        query, bundle.params, pm, bundle.confidence, replace(config.decode, seed=seed)
     )
 
 
@@ -169,10 +165,10 @@ def cmd_evaluate(config: ExperimentConfig) -> int:
 
     def recording_decode(query: Query, ordinal: int, repeat_seed: int):
         trip = decode(query, query_seed(repeat_seed, ordinal))
-        trips[(repeat_seed - config.decode_seed, ordinal)] = trip.pois
+        trips[(repeat_seed - config.decode.seed, ordinal)] = trip.pois
         return trip
 
-    report = metrics.evaluate_decoder(recording_decode, split.test, config.repeats, config.decode_seed)
+    report = metrics.evaluate_decoder(recording_decode, split.test, config.repeats, config.decode.seed)
     out = _out_dir(config)
     metrics.write_metrics_csv(report, out / "metrics.csv")
     with open(out / "trips.csv", "w", newline="") as fh:
@@ -204,7 +200,7 @@ def cmd_recommend(config: ExperimentConfig, args: argparse.Namespace) -> int:
         t_e=args.end_time,
         n=args.length,
     )
-    trip = decode(query, config.decode_seed)
+    trip = decode(query, config.decode.seed)
     out = _out_dir(config)
     with open(out / "trip.csv", "w", newline="") as fh:
         writer = _writer(fh)
@@ -247,7 +243,7 @@ def cmd_analyze(config: ExperimentConfig) -> int:
         status = "converged" if series.converged else "non-convergent"
         writer.writerow(["status", status, repr(series.value)])
     trips = [
-        decode(make_query(truth), query_seed(config.decode_seed, ordinal))
+        decode(make_query(truth), query_seed(config.decode.seed, ordinal))
         for ordinal, truth in enumerate(split.test)
     ]
     histogram = analysis.repeat_histogram(trips)

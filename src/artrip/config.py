@@ -1,18 +1,22 @@
 """Flat `key = value` experiment configuration.
 
 One schema drives everything: file parsing, CLI override flags and the
-defaults.  Precedence is command-line flags over the ARTRIP_OUTPUT_DIR
-environment variable (which can only move the output directory) over
-the config file over built-in defaults.
+defaults.  Each key is declared once, with its type and default, as a
+field of `ExperimentConfig` (data, mechanism switches, evaluation) or of
+the `ModelConfig` and `DecodeConfig` it holds, whose `seed`s are the keys
+`model_seed` and `decode_seed`.  Precedence is command-line flags over the
+ARTRIP_OUTPUT_DIR environment variable (which can only move the output
+directory) over the config file over built-in defaults.
 """
 
 from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 
 from artrip.decoding import DecodeConfig
+from artrip.guidance import GuidanceMatrix, zero_guidance
 from artrip.model import ModelConfig
 
 OUTPUT_DIR_ENV = "ARTRIP_OUTPUT_DIR"
@@ -24,8 +28,15 @@ class ConfigError(ValueError):
     """Bad config file contents or bad override values."""
 
 
-@dataclass
+@dataclass(kw_only=True)
 class ExperimentConfig:
+    """One run's settings, as `load_config` resolves them.
+
+    The switches are already applied to `model` and `decode`: with
+    `drifting` off the model's alpha is 0, and a `strategy` left unset is
+    `adaptive` with `adapting` on, `greedy` otherwise.
+    """
+
     # data
     poi_file: str = ""
     visits_file: str = ""
@@ -35,28 +46,12 @@ class ExperimentConfig:
     val_ratio: float = 0.1
     test_ratio: float = 0.1
     split_seed: int = 0
-    # model
-    arch: str = "one_shot"
-    embed_dim: int = 32
-    num_layers: int = 2
-    num_heads: int = 2
-    hidden_dim: int = 64
-    alpha: float = 1.0
-    learning_rate: float = 1e-3
-    epochs: int = 50
-    model_seed: int = 0
+    model: ModelConfig
     # mechanism switches
     guiding: bool = True
     drifting: bool = True
     adapting: bool = True
-    # decoding
-    strategy: str | None = None
-    top_k: int = 5
-    top_p: float = 0.8
-    lam: float = 1.0
-    adaptive_mode: str = "temperature"
-    no_repeat_mask: bool = False
-    decode_seed: int = 0
+    decode: DecodeConfig
     # evaluation and analysis
     generator: str = "model"
     repeats: int = 5
@@ -64,45 +59,16 @@ class ExperimentConfig:
     noise_sigma: float = 0.1
     noise_seed: int = 0
 
-    def model_config(self) -> ModelConfig:
-        return ModelConfig(
-            arch=self.arch,
-            embed_dim=self.embed_dim,
-            num_layers=self.num_layers,
-            num_heads=self.num_heads,
-            hidden_dim=self.hidden_dim,
-            alpha=self.alpha,
-            learning_rate=self.learning_rate,
-            epochs=self.epochs,
-            seed=self.model_seed,
-        )
-
-    def decode_config(self) -> DecodeConfig:
-        """A set `strategy` (file or flag) wins; unset, `adapting` picks adaptive or greedy."""
-        strategy = self.strategy
-        if strategy is None:
-            strategy = "adaptive" if self.adapting else "greedy"
-        return DecodeConfig(
-            strategy=strategy,
-            top_k=self.top_k,
-            top_p=self.top_p,
-            lam=self.lam,
-            adaptive_mode=self.adaptive_mode,
-            no_repeat_mask=self.no_repeat_mask,
-            seed=self.decode_seed,
-        )
-
-    def validate(self) -> None:
-        # the model and decode settings are checked by the objects the
-        # commands build from them; their messages name the key
-        for build in (self.model_config, self.decode_config):
-            try:
-                build()
-            except ValueError as exc:
-                raise ConfigError(str(exc)) from exc
-        for key in ("split_seed", "model_seed", "decode_seed", "noise_seed"):
-            if getattr(self, key) < 0:
-                raise ConfigError(f"{key} must be non-negative, got {getattr(self, key)}")
+    def __post_init__(self):
+        seeds = {
+            "split_seed": self.split_seed,
+            "model_seed": self.model.seed,
+            "decode_seed": self.decode.seed,
+            "noise_seed": self.noise_seed,
+        }
+        for key, seed in seeds.items():
+            if seed < 0:
+                raise ConfigError(f"{key} must be non-negative, got {seed}")
         for key in ("train_ratio", "val_ratio", "test_ratio"):
             # NaN fails this comparison too
             if not 0.0 <= getattr(self, key) <= 1.0:
@@ -121,14 +87,34 @@ class ExperimentConfig:
         if not 0.0 <= self.noise_sigma < math.inf:
             raise ConfigError(f"noise_sigma must be finite and non-negative, got {self.noise_sigma}")
 
+    def guidance(self, pm: GuidanceMatrix) -> GuidanceMatrix:
+        """The guidance training and decoding apply: `pm`, or zero guidance with `guiding` off."""
+        return pm if self.guiding else zero_guidance(pm.k, pm.m_max)
 
-_FIELD_TYPES = {f.name: f.type for f in fields(ExperimentConfig)}
 
-CONFIG_KEYS = tuple(f.name for f in fields(ExperimentConfig))
+_SECTIONS = {"model": ModelConfig, "decode": DecodeConfig}
+
+
+def _schema() -> dict:
+    """Flat key -> (section, dataclass field) in declaration order; section None is a key of the run's own."""
+    schema = {}
+    for own in fields(ExperimentConfig):
+        if own.name not in _SECTIONS:
+            schema[own.name] = (None, own)
+            continue
+        for field in fields(_SECTIONS[own.name]):
+            schema[f"{own.name}_seed" if field.name == "seed" else field.name] = (own.name, field)
+    return schema
+
+
+_SCHEMA = _schema()
+
+CONFIG_KEYS = tuple(_SCHEMA)
 
 
 def _coerce(key: str, raw: str):
-    kind = _FIELD_TYPES[key]
+    # a union, such as DecodeConfig.seed's `int | tuple[int, int]`, coerces as its first type
+    kind = _SCHEMA[key][1].type.split(" | ")[0]
     raw = raw.strip()
     if kind == "bool":
         lowered = raw.lower()
@@ -157,7 +143,7 @@ def parse_config_file(path: str) -> dict:
                 raise ConfigError(f"{path}:{lineno}: expected key = value, got {line.strip()!r}")
             key, raw = stripped.split("=", 1)
             key = key.strip()
-            if key not in _FIELD_TYPES:
+            if key not in _SCHEMA:
                 raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
             if key in values:
                 raise ConfigError(f"{path}:{lineno}: duplicate key {key!r}")
@@ -174,9 +160,21 @@ def load_config(path: str | None, overrides: dict | None = None) -> ExperimentCo
     if env_out:
         values["output_dir"] = env_out
     for key, raw in (overrides or {}).items():
-        if key not in _FIELD_TYPES:
+        if key not in _SCHEMA:
             raise ConfigError(f"unknown config key {key!r}")
         values[key] = _coerce(key, raw) if isinstance(raw, str) else raw
-    config = ExperimentConfig(**values)
-    config.validate()
-    return config
+    sections: dict = {None: {}, "model": {}, "decode": {}}
+    for key, value in values.items():
+        section, field = _SCHEMA[key]
+        sections[section][field.name] = value
+    own, model, decode = sections.values()
+    decode.setdefault("strategy", "adaptive" if own.get("adapting", ExperimentConfig.adapting) else "greedy")
+    try:
+        model, decode = ModelConfig(**model), DecodeConfig(**decode)
+    except ValueError as exc:
+        # their messages name the key
+        raise ConfigError(str(exc)) from exc
+    if not own.get("drifting", ExperimentConfig.drifting):
+        # only after ModelConfig has refused a bad alpha
+        model = replace(model, alpha=0.0)
+    return ExperimentConfig(model=model, decode=decode, **own)

@@ -79,6 +79,10 @@ class Trajectory:
     pois: tuple[int, ...]
     times: tuple[int, ...]
 
+    def __post_init__(self):
+        if len(self.pois) != len(self.times):
+            raise ValueError(f"trajectory has {len(self.pois)} pois and {len(self.times)} times")
+
     def __len__(self) -> int:
         return len(self.pois)
 

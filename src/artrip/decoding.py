@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from artrip.data import Query
-from artrip.guidance import ConfidenceVector, GuidanceMatrix, apply_guidance, check_horizon, guidance_factor
+from artrip.guidance import ConfidenceVector, GuidanceMatrix, apply_guidance, check_horizon, check_pois, guidance_factor
 from artrip.model.params import ARCH_ONE_SHOT, ModelParams
 from artrip.model.one_shot import forward_one_shot
 from artrip.model.recurrent import forward_recurrent_step, init_recurrent_state
@@ -187,10 +187,10 @@ def decode_trip(
     -inf until the mask would empty a row, at which point it is
     released with a warning.  `trace`, if given, collects
     (candidate_ids, chosen_id) per interior position.  A query longer
-    than the model's horizon `params.m_max` raises ValueError.
+    than the model's horizon `params.m_max`, or with an endpoint outside
+    the vocabulary, raises ValueError before the forward pass.
     """
-    # the forward passes cannot take a shorter query
-    _check_length(query)
+    _check_query(query, params.k)
     check_horizon(query.n, params.m_max)
     if params.config.arch == ARCH_ONE_SHOT:
         guided = apply_guidance(forward_one_shot(query, params), pm)
@@ -211,18 +211,20 @@ def decode_trip(
     return _walk(query, next_row, conf, cfg, trace)
 
 
-def _check_length(query: Query) -> None:
+def _check_query(query: Query, k: int) -> None:
+    """What every generator checks first: two stops at least, both endpoints in 0..k-1."""
     if query.n < 2:
         raise ValueError("trips need at least the two endpoint positions")
+    check_pois((query.p_s, query.p_e), k)
 
 
 def _walk(query: Query, next_row, conf: ConfidenceVector | None, cfg: DecodeConfig, trace) -> Trip:
-    """The decode loop every walking generator shares; the endpoints come from the query.
+    """The decode loop every walking generator shares, on a query `_check_query` passed.
 
-    Each interior position scores the stop after `prev` by `next_row(position, prev)`,
-    masks repeats if the config asks, and selects one POI.
+    The endpoints come from the query.  Each interior position scores the stop
+    after `prev` by `next_row(position, prev)`, masks repeats if the config
+    asks, and selects one POI.
     """
-    _check_length(query)
     rng = _rng(cfg)
     pois = [query.p_s]
     used = {query.p_s, query.p_e}

@@ -52,6 +52,13 @@ def check_horizon(n: int, m_max: int, what: str = "trip length n") -> None:
         raise ValueError(f"{what}={n} exceeds the horizon m_max={m_max}, the longest training route")
 
 
+def check_pois(pois, k: int, what: str = "") -> None:
+    """Refuse a POI index outside 0..k-1, naming the first such POI."""
+    for poi in pois:
+        if not 0 <= poi < k:
+            raise ValueError(f"{what}POI index {poi} out of range for k={k}")
+
+
 def count_visits(trajectories: list[Trajectory], k: int, shape, index, dtype=np.float64) -> np.ndarray:
     """Count visits into a zero `shape` array by one `np.add.at` at `index(pois, positions)`.
 

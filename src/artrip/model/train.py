@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from artrip.data import Trajectory, make_query
-from artrip.guidance import GuidanceMatrix, check_horizon, guidance_factor
+from artrip.guidance import GuidanceMatrix, check_horizon, check_pois, guidance_factor
 from artrip.model import one_shot, recurrent
 from artrip.model.losses import total_loss_grad
 from artrip.model.params import (
@@ -102,13 +102,15 @@ def train(trajectories: list[Trajectory], pm: GuidanceMatrix, config: ModelConfi
     Vocabulary size and the position horizon are taken from the
     guidance matrix, which ties the model tables to the same training
     split the matrix was built from.  A trajectory longer than that
-    horizon raises ValueError before the first step.  Raises RuntimeError
+    horizon, or holding a POI outside 0..k-1, raises ValueError before the
+    first step.  Raises RuntimeError
     as soon as a non-finite loss shows up.
     """
     if not trajectories:
         raise ValueError("empty training corpus")
     for idx, traj in enumerate(trajectories):
         check_horizon(len(traj), pm.m_max, f"trajectory {idx}: length n")
+        check_pois(traj.pois, pm.k, f"trajectory {idx}: ")
     params = init_params(config, pm.k, pm.m_max)
     adam = _AdamState(params)
     # one gradient vector for the whole run, zeroed by each backward pass

@@ -69,6 +69,12 @@ class TestPopularity:
         with pytest.raises(ValueError, match="endpoint"):
             popularity_decode(q, np.array([5, 4, 3, 2, 1, 0]))
 
+    @pytest.mark.parametrize("p_s, p_e, bad", [(-1, 3, -1), (0, 4, 4)])
+    def test_an_endpoint_outside_the_vocabulary_is_rejected(self, p_s, p_e, bad):
+        q = Query(p_s=p_s, t_s=0, p_e=p_e, t_e=7200, n=4)
+        with pytest.raises(ValueError, match=f"POI index {bad} out of range for k=4"):
+            popularity_decode(q, np.array([5, 3, 2, 1]))
+
     def test_vocabulary_exhaustion_raises(self):
         counts = np.array([1, 1, 1])
         q = Query(p_s=0, t_s=0, p_e=1, t_e=7200, n=5)
@@ -97,6 +103,13 @@ class TestMarkov:
         q = Query(p_s=0, t_s=0, p_e=1, t_e=7200, n=n)
         with pytest.raises(ValueError, match="endpoint"):
             markov_decode(q, self.chain(), DecodeConfig())
+
+    @pytest.mark.parametrize("p_s, p_e, bad", [(-1, 2, -1), (0, 3, 3)])
+    def test_an_endpoint_outside_the_vocabulary_is_rejected_before_any_step(self, p_s, p_e, bad):
+        q = Query(p_s=p_s, t_s=0, p_e=p_e, t_e=14400, n=5)
+        with mock.patch.object(decoding, "_walk", side_effect=AssertionError("a step ran")):
+            with pytest.raises(ValueError, match=f"POI index {bad} out of range for k=3"):
+                markov_decode(q, self.chain(), DecodeConfig())
 
     def test_self_loop_produces_repeats(self):
         values = np.array([[1.0, 0.0], [0.5, 0.5]])

@@ -432,7 +432,7 @@ class TestStrategyRule:
         ],
     )
     def test_a_set_strategy_wins_else_adapting_decides(self, overrides, strategy):
-        assert load_config(None, overrides).decode_config().strategy == strategy
+        assert load_config(None, overrides).decode.strategy == strategy
 
 
 class TestConfigValidation:
@@ -502,6 +502,198 @@ class TestConfigValidation:
         assert "strategy" in err and "poi_file" not in err
 
 
+# key -> (flag, coercion type, default); the golden record of the config surface.
+# A `strategy` left unset is decided by `adapting` (see TestConfigSurface).
+SURFACE = {
+    "poi_file": ("--poi-file", "str", ""),
+    "visits_file": ("--visits-file", "str", ""),
+    "output_dir": ("--output-dir", "str", "out"),
+    "min_traj_len": ("--min-traj-len", "int", 3),
+    "train_ratio": ("--train-ratio", "float", 0.8),
+    "val_ratio": ("--val-ratio", "float", 0.1),
+    "test_ratio": ("--test-ratio", "float", 0.1),
+    "split_seed": ("--split-seed", "int", 0),
+    "arch": ("--arch", "str", "one_shot"),
+    "embed_dim": ("--embed-dim", "int", 32),
+    "num_layers": ("--num-layers", "int", 2),
+    "num_heads": ("--num-heads", "int", 2),
+    "hidden_dim": ("--hidden-dim", "int", 64),
+    "alpha": ("--alpha", "float", 1.0),
+    "learning_rate": ("--learning-rate", "float", 1e-3),
+    "epochs": ("--epochs", "int", 50),
+    "model_seed": ("--model-seed", "int", 0),
+    "guiding": ("--guiding", "bool", True),
+    "drifting": ("--drifting", "bool", True),
+    "adapting": ("--adapting", "bool", True),
+    "strategy": ("--strategy", "str", "adaptive"),
+    "top_k": ("--top-k", "int", 5),
+    "top_p": ("--top-p", "float", 0.8),
+    "lam": ("--lam", "float", 1.0),
+    "adaptive_mode": ("--adaptive-mode", "str", "temperature"),
+    "no_repeat_mask": ("--no-repeat-mask", "bool", False),
+    "decode_seed": ("--decode-seed", "int", 0),
+    "generator": ("--generator", "str", "model"),
+    "repeats": ("--repeats", "int", 5),
+    "j_max": ("--jmax", "int", 10),
+    "noise_sigma": ("--noise-sigma", "float", 0.1),
+    "noise_seed": ("--noise-seed", "int", 0),
+}
+# config key -> the field of the object the library receives
+MODEL_FIELDS = {key: key for key in ("arch", "embed_dim", "num_layers", "num_heads", "hidden_dim", "alpha", "learning_rate", "epochs")}
+MODEL_FIELDS["model_seed"] = "seed"
+DECODE_FIELDS = {key: key for key in ("strategy", "top_k", "top_p", "lam", "adaptive_mode", "no_repeat_mask")}
+DECODE_FIELDS["decode_seed"] = "seed"
+# every key set away from its default
+EVERY_KEY = {
+    "min_traj_len": "2",
+    "train_ratio": "0.7",
+    "val_ratio": "0.1",
+    "test_ratio": "0.2",
+    "split_seed": "3",
+    "arch": "recurrent",
+    "embed_dim": "8",
+    "num_layers": "1",
+    "num_heads": "1",
+    "hidden_dim": "16",
+    "alpha": "0.5",
+    "learning_rate": "0.01",
+    "epochs": "2",
+    "model_seed": "4",
+    "guiding": "false",
+    "drifting": "true",
+    "adapting": "false",
+    "strategy": "top_k",
+    "top_k": "3",
+    "top_p": "0.9",
+    "lam": "2.0",
+    "adaptive_mode": "threshold",
+    "no_repeat_mask": "true",
+    "decode_seed": "7",
+    "generator": "markov",
+    "repeats": "2",
+    "j_max": "4",
+    "noise_sigma": "0.5",
+    "noise_seed": "6",
+}
+
+
+class Received(Exception):
+    """Stops a command at the library call whose arguments a test reads."""
+
+
+def received(monkeypatch, argv, corpus=()):
+    """All 32 keys as the library receives them from `artrip ... *argv`.
+
+    The data, switch and evaluation keys come from the collected config;
+    the model keys from the ModelConfig `train` is given, and the decode
+    keys from the DecodeConfig of the Markov walk `recommend` starts.
+    Also returns whether `train` was given any non-zero guidance.
+    """
+    config = cli._collect(cli.build_parser().parse_args(["ingest", *corpus, *argv]))
+    values = {key: getattr(config, key) for key in SURFACE if key not in MODEL_FIELDS and key not in DECODE_FIELDS}
+
+    def stop(*args):
+        raise Received(*args)
+
+    monkeypatch.setattr(cli, "train", stop)
+    with pytest.raises(Received) as model_call:
+        main(["train", *corpus, *argv])
+    _, pm, model = model_call.value.args
+    values.update({key: getattr(model, name) for key, name in MODEL_FIELDS.items()})
+    monkeypatch.setattr(baselines, "markov_decode", stop)
+    trip = ["--generator", "markov", "--start", "101", "--end", "102", "--length", "3"]
+    with pytest.raises(Received) as decode_call:
+        main(["recommend", *corpus, *argv, *trip])
+    decode = decode_call.value.args[2]
+    values.update({key: getattr(decode, name) for key, name in DECODE_FIELDS.items()})
+    return values, bool(pm.values.any())
+
+
+class TestConfigSurface:
+    @pytest.fixture
+    def corpus(self, corpus_dir, monkeypatch):
+        monkeypatch.delenv("ARTRIP_OUTPUT_DIR", raising=False)
+        return ["--poi-file", str(corpus_dir / "pois.csv"), "--visits-file", str(corpus_dir / "visits.csv")]
+
+    def test_every_key_has_its_flag_and_no_other_key_exists(self):
+        assert len(SURFACE) == 32
+        trip = ["--start", "1", "--end", "2", "--length", "3"]
+        for name in ("ingest", "train", "evaluate", "recommend", "analyze"):
+            args = cli.build_parser().parse_args([name, "--config", "c.cfg", *(trip if name == "recommend" else [])])
+            assert set(vars(args)) - {"command", "config", "start", "end", "length", "start_time", "end_time"} == set(SURFACE)
+        flags = [token for key, (flag, _, _) in SURFACE.items() for token in (flag, f"v-{key}")]
+        args = cli.build_parser().parse_args(["ingest", *flags])
+        assert {key: getattr(args, key) for key in SURFACE} == {key: f"v-{key}" for key in SURFACE}
+
+    @pytest.mark.parametrize("key", [key for key, (_, kind, _) in SURFACE.items() if kind != "str"])
+    def test_each_typed_flag_names_its_key_and_type_on_a_bad_value(self, key, capsys):
+        flag, kind, _ = SURFACE[key]
+        assert main(["ingest", flag, "x"]) == 1
+        expects = "true or false" if kind == "bool" else kind
+        assert capsys.readouterr().err == f"error: {key} expects {expects}, got 'x'\n"
+
+    def test_defaults(self, corpus, monkeypatch):
+        values, guided = received(monkeypatch, [], corpus)
+        defaults = {key: default for key, (_, _, default) in SURFACE.items()}
+        defaults.update(poi_file=corpus[1], visits_file=corpus[3])
+        assert values == defaults
+        assert guided
+        for key, (_, kind, _) in SURFACE.items():
+            assert type(values[key]).__name__ == kind, key
+
+    def test_every_key_reaches_the_library_with_its_type(self, corpus, monkeypatch, tmp_path):
+        flags = [token for key, raw in EVERY_KEY.items() for token in (SURFACE[key][0], raw)]
+        values, guided = received(monkeypatch, [*flags, "--output-dir", str(tmp_path / "o")], corpus)
+        cast = {"bool": lambda raw: raw == "true", "int": int, "float": float, "str": str}
+        expected = {key: cast[SURFACE[key][1]](raw) for key, raw in EVERY_KEY.items()}
+        expected.update(poi_file=corpus[1], visits_file=corpus[3], output_dir=str(tmp_path / "o"))
+        assert values == expected
+        assert not guided
+        for key, (_, kind, _) in SURFACE.items():
+            assert type(values[key]).__name__ == kind, key
+
+    @pytest.mark.parametrize(
+        "flags, strategy, alpha, guided",
+        [
+            ([], "adaptive", 1.0, True),
+            (["--adapting", "false"], "greedy", 1.0, True),
+            (["--strategy", "top_k"], "top_k", 1.0, True),
+            (["--strategy", "top_p", "--adapting", "false"], "top_p", 1.0, True),
+            (["--strategy", "greedy", "--adapting", "true"], "greedy", 1.0, True),
+            (["--drifting", "false", "--alpha", "0.5"], "adaptive", 0.0, True),
+            (["--guiding", "false"], "adaptive", 1.0, False),
+            (["--guiding", "false", "--drifting", "false", "--adapting", "false"], "greedy", 0.0, False),
+        ],
+    )
+    def test_switches_resolve_to_what_the_library_receives(self, corpus, monkeypatch, flags, strategy, alpha, guided):
+        values, got_guidance = received(monkeypatch, flags, corpus)
+        assert (values["strategy"], values["alpha"], got_guidance) == (strategy, alpha, guided)
+
+    @pytest.mark.parametrize("switch", ["--drifting", "--guiding"])
+    def test_a_bad_alpha_is_refused_whatever_the_switches(self, switch, capsys):
+        assert main(["train", "--alpha", "nan", switch, "false"]) == 1
+        assert capsys.readouterr().err == "error: alpha must be finite and non-negative, got nan\n"
+
+    def test_file_then_env_then_flag(self, corpus, monkeypatch, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(
+            f"output_dir = {tmp_path / 'file'}\n"
+            "embed_dim = 8\nnum_heads = 1\nepochs = 2\n"
+            "top_k = 3\nstrategy = top_k\nrepeats = 2\n"
+        )
+        values, _ = received(monkeypatch, ["--config", str(cfg)], corpus)
+        assert (values["output_dir"], values["embed_dim"], values["top_k"]) == (str(tmp_path / "file"), 8, 3)
+        # a strategy from the file beats the default `adapting = true`
+        assert (values["strategy"], values["epochs"], values["repeats"]) == ("top_k", 2, 2)
+        monkeypatch.setenv("ARTRIP_OUTPUT_DIR", str(tmp_path / "env"))
+        values, _ = received(monkeypatch, ["--config", str(cfg)], corpus)
+        assert values["output_dir"] == str(tmp_path / "env")
+        flags = ["--output-dir", str(tmp_path / "flag"), "--embed-dim", "4", "--top-k", "2", "--strategy", "greedy"]
+        values, _ = received(monkeypatch, ["--config", str(cfg), *flags], corpus)
+        assert (values["output_dir"], values["embed_dim"], values["top_k"]) == (str(tmp_path / "flag"), 4, 2)
+        assert (values["strategy"], values["epochs"]) == ("greedy", 2)
+
+
 def load_artifact_hashes():
     path = Path(__file__).resolve().parents[1] / "scripts" / "artifact_hashes.py"
     spec = importlib.util.spec_from_file_location("artifact_hashes", path)
@@ -527,10 +719,11 @@ class TestArtifactHashes:
         first = listings[0]
         # ingest: corpus.csv, summary.csv;
         # per arch: 3 bundle files, the loss trace, 13 x (metrics, trips) and
-        # the 4 analyze reports plus trip.csv; Markov: 9 x (metrics, trips);
-        # popularity: metrics, trips;
+        # the 4 analyze reports plus trip.csv, and with guiding and drifting
+        # off 3 bundle files, the loss trace, metrics and trips;
+        # Markov: 9 x (metrics, trips); popularity: metrics, trips;
         # the study shape: 2 archs x 2 alphas x (params.bin, loss_trace.csv)
-        assert len(first) == 2 + 2 * (4 + 26 + 5) + 18 + 2 + 8
+        assert len(first) == 2 + 2 * (4 + 26 + 5 + 6) + 18 + 2 + 8
         names = {line.split("  ", 1)[1] for line in first}
         assert {"ingest/corpus.csv", "ingest/summary.csv"} <= names
         assert {"one_shot/top_p-mask-on/trips.csv", "recurrent/adaptive-threshold-mask-off/trips.csv"} <= names
@@ -539,6 +732,7 @@ class TestArtifactHashes:
         assert "markov/adaptive-threshold-mask-off/metrics.csv" not in names
         assert {"one_shot/unset-strategy-adapting-true/trips.csv", "recurrent/unset-strategy-adapting-false/trips.csv"} <= names
         assert "popularity/trips.csv" in names
+        assert {"mechanisms-off/one_shot/model/params.bin", "mechanisms-off/recurrent/trips.csv"} <= names
         assert "study/recurrent-alpha-1/params.bin" in {line.split("  ", 1)[1] for line in first}
         assert "one_shot/model/params.bin" in {line.split("  ", 1)[1] for line in first}
         assert first == sorted(first, key=lambda line: line.split("  ", 1)[1])

@@ -134,6 +134,11 @@ def test_make_query_mirrors_trajectory():
     assert (q.p_s, q.t_s, q.p_e, q.t_e, q.n) == (4, 100, 9, 300, 3)
 
 
+def test_trajectory_refuses_pois_and_times_of_different_lengths():
+    with pytest.raises(ValueError, match="4 pois and 3 times"):
+        Trajectory(pois=(5, 2, 4, 1), times=(0, 3600, 7200))
+
+
 def _toy_trajectories(count):
     return [Trajectory(pois=(0, 1, 2), times=(i, i + 1, i + 2)) for i in range(count)]
 

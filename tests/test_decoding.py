@@ -421,7 +421,7 @@ class TestDecodeTrip:
         corpus = [
             Trajectory(pois=(0, 2, 3, 1), times=(0, 3600, 7200, 10800)),
             Trajectory(pois=(0, 4, 1), times=(0, 3600, 7200)),
-            Trajectory(pois=(5, 2, 4, 1), times=(0, 3600, 7200)),
+            Trajectory(pois=(5, 2, 4, 1), times=(0, 3600, 7200, 10800)),
             # the longest route sets the horizon the 5-stop queries below need
             Trajectory(pois=(0, 3, 2, 4, 1), times=(0, 3600, 7200, 10800, 14400)),
         ]
@@ -514,6 +514,20 @@ class TestDecodeTrip:
             monkeypatch.setattr(decoding, name, no_work)
         with pytest.raises(ValueError, match=f"trip length n={q.n} exceeds the horizon m_max={self.pm.m_max}"):
             decode_trip(q, params, self.pm, self.conf, DecodeConfig(strategy=strategy))
+
+    @pytest.mark.parametrize("arch", [ARCH_ONE_SHOT, ARCH_RECURRENT])
+    @pytest.mark.parametrize("p_s, p_e, bad", [(-1, 1, -1), (0, K, K)])
+    def test_an_endpoint_outside_the_vocabulary_is_rejected_before_any_forward(self, arch, p_s, p_e, bad, monkeypatch):
+        params = self.params(arch)
+        q = Query(p_s=p_s, t_s=0, p_e=p_e, t_e=14400, n=5)
+
+        def no_work(*args):
+            raise AssertionError("decoding started on a query outside the vocabulary")
+
+        for name in ("forward_one_shot", "init_recurrent_state", "_walk"):
+            monkeypatch.setattr(decoding, name, no_work)
+        with pytest.raises(ValueError, match=f"POI index {bad} out of range for k={K}"):
+            decode_trip(q, params, self.pm, self.conf, DecodeConfig())
 
     def test_trace_covers_interior_positions(self):
         q = Query(p_s=0, t_s=0, p_e=1, t_e=14400, n=5)

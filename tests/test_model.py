@@ -655,6 +655,20 @@ class TestTrain:
             train(corpus, pm, tiny_config(arch=arch))
 
     @pytest.mark.parametrize("arch", [ARCH_ONE_SHOT, ARCH_RECURRENT])
+    @pytest.mark.parametrize("poi", [-1, K + 1])
+    def test_a_poi_outside_the_vocabulary_is_rejected_before_any_step(self, arch, poi, monkeypatch):
+        trajs = toy_trajectories()
+        pm = build_guidance_matrix(trajs, k=K)
+
+        def no_step(*args):
+            raise AssertionError("a training step ran")
+
+        monkeypatch.setattr(importlib.import_module("artrip.model.train"), "loss_and_grads", no_step)
+        corpus = [*trajs[:3], route((0, poi, 1))]
+        with pytest.raises(ValueError, match=f"trajectory 3: POI index {poi} out of range for k={K}"):
+            train(corpus, pm, tiny_config(arch=arch))
+
+    @pytest.mark.parametrize("arch", [ARCH_ONE_SHOT, ARCH_RECURRENT])
     def test_loss_decreases(self, arch):
         trajs = toy_trajectories()
         pm = zero_guidance(K, M_MAX)
