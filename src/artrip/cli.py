@@ -10,7 +10,6 @@ re-running a command overwrites its outputs with identical bytes.
 from __future__ import annotations
 
 import argparse
-import csv
 import sys
 from collections import Counter
 from dataclasses import replace
@@ -28,8 +27,8 @@ from artrip.data import (
     extract_trajectories,
     load_poi_catalog,
     load_visits,
-    make_query,
     split_corpus,
+    write_csv,
 )
 from artrip.decoding import decode_trip, query_seed
 from artrip.guidance import build_confidence, build_guidance_matrix, check_horizon
@@ -38,10 +37,6 @@ from artrip.model.bundle import vocab_sha256
 
 # flags whose spelling differs from the config key
 _FLAG_NAMES = {"j_max": "--jmax"}
-
-
-def _writer(fh):
-    return csv.writer(fh, lineterminator="\n")
 
 
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
@@ -82,22 +77,16 @@ def _out_dir(config: ExperimentConfig) -> Path:
 def cmd_ingest(config: ExperimentConfig) -> int:
     catalog, visits, dropped, trajectories = _load_corpus(config)
     out = _out_dir(config)
-    with open(out / "corpus.csv", "w", newline="") as fh:
-        writer = _writer(fh)
-        writer.writerow(["trajectory", "position", "poi_id", "timestamp"])
-        for tid, traj in enumerate(trajectories):
-            for pos, (poi, ts) in enumerate(zip(traj.pois, traj.times), start=1):
-                writer.writerow([tid, pos, catalog.id_of(poi), ts])
+    rows = (
+        [tid, pos, catalog.id_of(poi), ts]
+        for tid, traj in enumerate(trajectories)
+        for pos, (poi, ts) in enumerate(zip(traj.pois, traj.times), start=1)
+    )
+    write_csv(out / "corpus.csv", ["trajectory", "position", "poi_id", "timestamp"], rows)
     lengths = Counter(len(traj) for traj in trajectories)
-    with open(out / "summary.csv", "w", newline="") as fh:
-        writer = _writer(fh)
-        writer.writerow(["key", "value"])
-        writer.writerow(["pois", len(catalog)])
-        writer.writerow(["visits", len(visits)])
-        writer.writerow(["dropped_visits", dropped])
-        writer.writerow(["trajectories", len(trajectories)])
-        for length in sorted(lengths):
-            writer.writerow([f"length_{length}", lengths[length]])
+    counts = dict(pois=len(catalog), visits=len(visits), dropped_visits=dropped, trajectories=len(trajectories))
+    counts.update((f"length_{length}", lengths[length]) for length in sorted(lengths))
+    write_csv(out / "summary.csv", ["key", "value"], counts.items())
     print(f"ingested {len(trajectories)} trajectories over {len(catalog)} POIs -> {out}")
     return 0
 
@@ -111,11 +100,7 @@ def cmd_train(config: ExperimentConfig) -> int:
     out = _out_dir(config)
     mechanisms = {"guiding": config.guiding, "drifting": config.drifting, "adapting": config.adapting}
     save_bundle(out / "model", result.params, pm, conf, mechanisms, catalog.ids)
-    with open(out / "loss_trace.csv", "w", newline="") as fh:
-        writer = _writer(fh)
-        writer.writerow(["epoch", "mean_loss"])
-        for epoch, loss in enumerate(result.epoch_losses):
-            writer.writerow([epoch, repr(loss)])
+    write_csv(out / "loss_trace.csv", ["epoch", "mean_loss"], enumerate(map(repr, result.epoch_losses)))
     final = result.epoch_losses[-1] if result.epoch_losses else float("nan")
     print(
         f"trained {config.model.arch} on {len(split.train)} trajectories "
@@ -155,31 +140,40 @@ def _decoder(
     )
 
 
-def cmd_evaluate(config: ExperimentConfig) -> int:
+def _score_test_split(config: ExperimentConfig, repeats: int, transitions: bool = False):
+    """Decode and score the test split; returns `(catalog, matrices, report)`.
+
+    Query i of repeat r decodes with the seed pair `(decode_seed + r, i)`.  With
+    `transitions`, `matrices` holds the training split's empirical transitions,
+    estimated once and walked by the Markov generator; otherwise it is None.
+    Nothing is written, so a failed decode leaves no report behind.
+    """
     catalog, _, _, trajectories = _load_corpus(config)
     split = _split(config, trajectories)
     if not split.test:
         raise ConfigError("test split is empty; adjust ratios or corpus")
-    decode = _decoder(config, catalog, split.train, max(len(t) for t in split.test))
-    trips: dict[tuple[int, int], tuple[int, ...]] = {}
+    matrices = analysis.empirical_transitions(split.train, len(catalog)) if transitions else None
+    decode = _decoder(config, catalog, split.train, max(len(t) for t in split.test), matrices)
 
-    def recording_decode(query: Query, ordinal: int, repeat_seed: int):
-        trip = decode(query, query_seed(repeat_seed, ordinal))
-        trips[(repeat_seed - config.decode.seed, ordinal)] = trip.pois
-        return trip
+    def decode_fn(query, i, repeat_seed):
+        return decode(query, query_seed(repeat_seed, i))
 
-    report = metrics.evaluate_decoder(recording_decode, split.test, config.repeats, config.decode.seed)
+    return catalog, matrices, metrics.evaluate_decoder(decode_fn, split.test, repeats, config.decode.seed)
+
+
+def cmd_evaluate(config: ExperimentConfig) -> int:
+    catalog, _, report = _score_test_split(config, config.repeats)
     out = _out_dir(config)
     metrics.write_metrics_csv(report, out / "metrics.csv")
-    with open(out / "trips.csv", "w", newline="") as fh:
-        writer = _writer(fh)
-        writer.writerow(["repeat", "query", "position", "poi_id"])
-        for (repeat, ordinal), pois in sorted(trips.items()):
-            for pos, poi in enumerate(pois, start=1):
-                writer.writerow([repeat, ordinal, pos, catalog.id_of(poi)])
+    rows = (
+        [row["repeat"], row["query"], pos, catalog.id_of(poi)]
+        for row in report.rows
+        for pos, poi in enumerate(row["trip"], start=1)
+    )
+    write_csv(out / "trips.csv", ["repeat", "query", "position", "poi_id"], rows)
     print(
-        f"evaluated {config.generator} on {len(split.test)} queries x {config.repeats} repeats: "
-        f"F1 {report.f1_mean:.4f}, PairsF1 {report.pairs_f1_mean:.4f}, REP {report.rep_mean:.4f}"
+        f"evaluated {config.generator} on {len(report.rows) // report.repeats} queries x {report.repeats} "
+        f"repeats: F1 {report.f1_mean:.4f}, PairsF1 {report.pairs_f1_mean:.4f}, REP {report.rep_mean:.4f}"
     )
     print(f"metrics -> {out / 'metrics.csv'}")
     return 0
@@ -202,61 +196,37 @@ def cmd_recommend(config: ExperimentConfig, args: argparse.Namespace) -> int:
     )
     trip = decode(query, config.decode.seed)
     out = _out_dir(config)
-    with open(out / "trip.csv", "w", newline="") as fh:
-        writer = _writer(fh)
-        writer.writerow(["position", "poi_id", "poi_name"])
-        for pos, poi in enumerate(trip.pois, start=1):
-            writer.writerow([pos, catalog.id_of(poi), catalog.pois[poi].name])
-    for pos, poi in enumerate(trip.pois, start=1):
-        print(f"{pos}. [{catalog.id_of(poi)}] {catalog.pois[poi].name}")
+    rows = [[pos, catalog.id_of(poi), catalog.pois[poi].name] for pos, poi in enumerate(trip.pois, start=1)]
+    write_csv(out / "trip.csv", ["position", "poi_id", "poi_name"], rows)
+    for pos, poi_id, name in rows:
+        print(f"{pos}. [{poi_id}] {name}")
     print(f"trip -> {out / 'trip.csv'}")
     return 0
 
 
 def cmd_analyze(config: ExperimentConfig) -> int:
-    catalog, _, _, trajectories = _load_corpus(config)
-    split = _split(config, trajectories)
-    if not split.test:
-        raise ConfigError("test split is empty; adjust ratios or corpus")
-    matrices = analysis.empirical_transitions(split.train, len(catalog))
-    # a missing bundle or an over-long test route fails here, before any report is written
-    decode = _decoder(config, catalog, split.train, max(len(t) for t in split.test), matrices)
+    # one repeat: query i decodes with the seed pair (decode_seed, i), as in repeat 0 of evaluate
+    catalog, matrices, report = _score_test_split(config, 1, transitions=True)
     out = _out_dir(config)
-    with open(out / "sparsity.csv", "w", newline="") as fh:
-        writer = _writer(fh)
-        writer.writerow(["position", "xi"])
-        for matrix in matrices:
-            writer.writerow([matrix.position, repr(analysis.sparsity_xi(matrix))])
+    xis = ([m.position, repr(analysis.sparsity_xi(m))] for m in matrices)
+    write_csv(out / "sparsity.csv", ["position", "xi"], xis)
     perturbed = [
         analysis.perturb(matrix, config.noise_sigma, config.noise_seed + i)
         for i, matrix in enumerate(matrices)
     ]
     xi_mean = float(np.mean([analysis.sparsity_xi(m) for m in perturbed]))
     series = analysis.pmr_series(perturbed, len(catalog), xi_mean, config.j_max)
-    with open(out / "pmr.csv", "w", newline="") as fh:
-        writer = _writer(fh)
-        writer.writerow(["j", "term", "cumulative"])
-        running = 0.0
-        for j, term in enumerate(series.terms, start=1):
-            running += term
-            writer.writerow([j, repr(term), repr(running)])
-        status = "converged" if series.converged else "non-convergent"
-        writer.writerow(["status", status, repr(series.value)])
-    trips = [
-        decode(make_query(truth), query_seed(config.decode.seed, ordinal))
-        for ordinal, truth in enumerate(split.test)
-    ]
-    histogram = analysis.repeat_histogram(trips)
-    with open(out / "repeat_positions.csv", "w", newline="") as fh:
-        writer = _writer(fh)
-        writer.writerow(["position", "count"])
-        for pos in range(1, len(histogram.position_counts)):
-            writer.writerow([pos, int(histogram.position_counts[pos])])
-    with open(out / "repeat_gaps.csv", "w", newline="") as fh:
-        writer = _writer(fh)
-        writer.writerow(["gap", "count"])
-        for gap in range(1, len(histogram.gap_counts)):
-            writer.writerow([gap, int(histogram.gap_counts[gap])])
+    status = "converged" if series.converged else "non-convergent"
+    rows, running = [], 0.0
+    for j, term in enumerate(series.terms, start=1):
+        running += term
+        rows.append([j, repr(term), repr(running)])
+    rows.append(["status", status, repr(series.value)])
+    write_csv(out / "pmr.csv", ["j", "term", "cumulative"], rows)
+    histogram = analysis.repeat_histogram([row["trip"] for row in report.rows])
+    positions, gaps = histogram.position_counts[1:].tolist(), histogram.gap_counts[1:].tolist()
+    write_csv(out / "repeat_positions.csv", ["position", "count"], enumerate(positions, 1))
+    write_csv(out / "repeat_gaps.csv", ["gap", "count"], enumerate(gaps, 1))
     print(
         f"analyzed {len(matrices)} transition positions: mean xi {xi_mean:.4f}, "
         f"PMR {series.value:.6f} ({status}), {histogram.total} repeats in decoded trips"

@@ -1,4 +1,4 @@
-"""Check-in ingestion, trajectory extraction, query derivation and corpus splits.
+"""Check-in ingestion, trajectory extraction, query derivation, corpus splits and CSV output.
 
 Raw inputs are two CSV files per city:
 
@@ -258,3 +258,14 @@ def split_corpus(
         test=shuffled[n_train + n_val :],
         seed=seed,
     )
+
+
+def write_csv(path, header: list[str], rows) -> None:
+    """Write `header` and then `rows` to `path`, every line ending in "\\n".
+
+    Every CSV the package writes goes through here, so all share one dialect.
+    """
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)

@@ -9,13 +9,12 @@ a POI already visited earlier in the same trip, averaged over trips.
 
 from __future__ import annotations
 
-import csv
 import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from artrip.data import Trajectory, make_query
+from artrip.data import Trajectory, make_query, write_csv
 from artrip.decoding import Trip, decode_trip  # noqa: F401 - perfbench wraps metrics.decode_trip
 
 
@@ -98,7 +97,7 @@ def rep_score(trips) -> float:
 
 @dataclass
 class MetricReport:
-    """Per-repeat rows plus mean/std aggregates across repeats."""
+    """One row per repeat and query (trip POIs and scores), plus mean/std aggregates across repeats."""
 
     f1_mean: float
     f1_std: float
@@ -113,10 +112,10 @@ class MetricReport:
 def evaluate_decoder(decode_fn, test: list[Trajectory], repeats: int, base_seed: int) -> MetricReport:
     """Score any query -> trip generator against held-out trajectories.
 
-    `decode_fn(query, ordinal, repeat_seed)` must return a Trip.  Each
-    repeat r runs every test query with base seed `base_seed + r`, and
-    per-query seeds are derived from the query's ordinal, so reruns are
-    reproducible row for row.
+    `decode_fn(query, ordinal, repeat_seed)` must return a Trip; its row keeps
+    the POIs as a tuple under "trip".  Each repeat r runs every test query
+    with base seed `base_seed + r`, and per-query seeds are derived from the
+    query's ordinal, so reruns are reproducible row for row.
     """
     if repeats < 1:
         raise ValueError("repeats must be at least 1")
@@ -129,8 +128,9 @@ def evaluate_decoder(decode_fn, test: list[Trajectory], repeats: int, base_seed:
         repeat_seed = base_seed + r
         f1s, pairs, reps = [], [], []
         for ordinal, (query, ranks) in enumerate(queries):
-            f1, pair, rep = _score(_pois(decode_fn(query, ordinal, repeat_seed)), ranks)
-            rows.append({"repeat": r, "query": ordinal, "f1": f1, "pairs_f1": pair, "rep": rep})
+            trip = _pois(decode_fn(query, ordinal, repeat_seed))
+            f1, pair, rep = _score(trip, ranks)
+            rows.append({"repeat": r, "query": ordinal, "trip": trip, "f1": f1, "pairs_f1": pair, "rep": rep})
             f1s.append(f1)
             pairs.append(pair)
             reps.append(rep)
@@ -151,12 +151,13 @@ def evaluate_decoder(decode_fn, test: list[Trajectory], repeats: int, base_seed:
 
 def write_metrics_csv(report: MetricReport, path) -> None:
     """Per-query rows plus mean and std summary rows, stable ordering."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["repeat", "query", "f1", "pairs_f1", "rep"])
-        for row in report.rows:
-            writer.writerow(
-                [row["repeat"], row["query"], repr(row["f1"]), repr(row["pairs_f1"]), repr(row["rep"])]
-            )
-        writer.writerow(["mean", "", repr(report.f1_mean), repr(report.pairs_f1_mean), repr(report.rep_mean)])
-        writer.writerow(["std", "", repr(report.f1_std), repr(report.pairs_f1_std), repr(report.rep_std)])
+    scores = ("f1", "pairs_f1", "rep")
+    write_csv(
+        path,
+        ["repeat", "query", *scores],
+        [
+            *([row["repeat"], row["query"], *(repr(row[key]) for key in scores)] for row in report.rows),
+            ["mean", "", repr(report.f1_mean), repr(report.pairs_f1_mean), repr(report.rep_mean)],
+            ["std", "", repr(report.f1_std), repr(report.pairs_f1_std), repr(report.rep_std)],
+        ],
+    )

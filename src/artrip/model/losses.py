@@ -50,7 +50,10 @@ def _pairs(m: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def drift_loss_grad(rows: np.ndarray) -> tuple[float, np.ndarray]:
-    """Pairwise repetition penalty over all position pairs, and its gradient."""
+    """Pairwise repetition penalty over all position pairs, and its gradient.
+
+    A zero row has no direction: its pairs cost log 2 and carry no gradient.
+    """
     m = rows.shape[0]
     if m < 2:
         return 0.0, np.zeros_like(rows)
@@ -62,46 +65,22 @@ def drift_loss_grad(rows: np.ndarray) -> tuple[float, np.ndarray]:
             RuntimeWarning,
             stacklevel=2,
         )
-        return _drift_loss_grad_zero_rows(rows, norms, valid)
-    # every row has a direction: _drift_loss_grad_zero_rows without its
-    # masks (the same values in the same summation order)
-    unit = rows / norms[:, None]
+    unit = np.divide(rows, norms[:, None], out=np.zeros_like(rows), where=valid[:, None])
     cos = unit @ unit.T
     i, j = _pairs(m)
+    both = valid[i] & valid[j]
     pr_raw = (cos[i, j] + 1.0) / 2.0
     pr = np.clip(pr_raw, PROB_EPS, 1.0 - PROB_EPS)
-    loss = float(-np.log(1.0 - pr).sum())
+    loss = float(-np.log(1.0 - pr[both]).sum() + (~both).sum() * np.log(2.0))
     # clamped pairs carry no gradient
     live = (pr_raw > PROB_EPS) & (pr_raw < 1.0 - PROB_EPS)
+    live &= both
     weight = np.zeros((m, m), dtype=np.float64)
     weight[i[live], j[live]] = 0.5 / (1.0 - pr[live])
     weight = weight + weight.T
     dunit = weight @ unit
     proj = (dunit * unit).sum(axis=1, keepdims=True)
-    return loss, (dunit - proj * unit) / norms[:, None]
-
-
-def _drift_loss_grad_zero_rows(rows, norms, valid):
-    """A zero row has no direction: its pairs cost log 2 and carry no gradient."""
-    m = rows.shape[0]
-    grads = np.zeros_like(rows)
-    unit = np.zeros_like(rows)
-    unit[valid] = rows[valid] / norms[valid, None]
-    cos = unit @ unit.T
-    pr_raw = (cos + 1.0) / 2.0
-    pr = np.clip(pr_raw, PROB_EPS, 1.0 - PROB_EPS)
-    pair = np.triu(np.ones((m, m), dtype=bool), k=1)
-    pair_valid = pair & np.outer(valid, valid)
-    pair_invalid = pair & ~np.outer(valid, valid)
-    loss = float(-np.log(1.0 - pr[pair_valid]).sum() + pair_invalid.sum() * np.log(2.0))
-    live = pair_valid & (pr_raw > PROB_EPS) & (pr_raw < 1.0 - PROB_EPS)
-    weight = np.zeros((m, m), dtype=np.float64)
-    weight[live] = 0.5 / (1.0 - pr[live])
-    weight = weight + weight.T
-    dunit = weight @ unit
-    proj = (dunit * unit).sum(axis=1, keepdims=True)
-    grads[valid] = (dunit[valid] - proj[valid] * unit[valid]) / norms[valid, None]
-    return loss, grads
+    return loss, np.divide(dunit - proj * unit, norms[:, None], out=np.zeros_like(rows), where=valid[:, None])
 
 
 def total_loss_grad(rows: np.ndarray, targets, alpha: float) -> tuple[float, np.ndarray]:

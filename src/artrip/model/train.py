@@ -101,14 +101,16 @@ def train(trajectories: list[Trajectory], pm: GuidanceMatrix, config: ModelConfi
 
     Vocabulary size and the position horizon are taken from the
     guidance matrix, which ties the model tables to the same training
-    split the matrix was built from.  A trajectory longer than that
-    horizon, or holding a POI outside 0..k-1, raises ValueError before the
-    first step.  Raises RuntimeError
-    as soon as a non-finite loss shows up.
+    split the matrix was built from.  A trajectory with fewer than two stops
+    or longer than that horizon, or holding a POI outside 0..k-1, raises
+    ValueError before the first step.  Raises RuntimeError as soon as a
+    non-finite loss shows up.
     """
     if not trajectories:
         raise ValueError("empty training corpus")
     for idx, traj in enumerate(trajectories):
+        if len(traj) < 2:
+            raise ValueError(f"trajectory {idx}: length n={len(traj)} is below the two endpoint positions")
         check_horizon(len(traj), pm.m_max, f"trajectory {idx}: length n")
         check_pois(traj.pois, pm.k, f"trajectory {idx}: ")
     params = init_params(config, pm.k, pm.m_max)

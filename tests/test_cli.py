@@ -276,6 +276,9 @@ class TestRecommend:
 
 
 class TestAnalyze:
+    # a 6/1/3 split of the ten routes: three test queries
+    THREE_TEST_QUERIES = ["--train-ratio", "0.6", "--val-ratio", "0.1", "--test-ratio", "0.3"]
+
     def test_missing_bundle_fails_before_any_report_is_written(self, base_flags, tmp_path, capsys):
         assert main(["analyze", *base_flags]) == 1
         assert "error:" in capsys.readouterr().err
@@ -317,6 +320,42 @@ class TestAnalyze:
         assert positions[0] == ["position", "count"]
         assert gaps[0] == ["gap", "count"]
         assert "analyzed" in capsys.readouterr().out
+
+    def test_repeat_histograms_are_those_of_the_first_evaluate_repeat(self, base_flags, tmp_path):
+        flags = [*base_flags, *self.THREE_TEST_QUERIES]
+        assert main(["train", *flags]) == 0
+        assert main(["evaluate", *flags]) == 0
+        assert main(["analyze", *flags]) == 0
+        out = tmp_path / "out"
+        trips: dict[str, list[int]] = {}
+        for repeat, query, _, poi in read_rows(out / "trips.csv")[1:]:
+            if repeat == "0":
+                trips.setdefault(query, []).append(int(poi))
+        assert len(trips) == 3
+        histogram = analysis.repeat_histogram(list(trips.values()))
+        assert histogram.total > 0
+        positions = read_rows(out / "repeat_positions.csv")
+        gaps = read_rows(out / "repeat_gaps.csv")
+        assert positions[1:] == [[str(j), str(c)] for j, c in enumerate(histogram.position_counts[1:], 1)]
+        assert gaps[1:] == [[str(j), str(c)] for j, c in enumerate(histogram.gap_counts[1:], 1)]
+
+    def test_a_failed_decode_leaves_no_report(self, base_flags, tmp_path, capsys, monkeypatch):
+        flags = [*base_flags, *self.THREE_TEST_QUERIES, "--generator", "markov", "--strategy", "greedy"]
+        decode = baselines.markov_decode
+        calls = []
+
+        def fail_second(*args):
+            calls.append(args)
+            if len(calls) == 2:
+                raise RuntimeError("decode failed on the second query")
+            return decode(*args)
+
+        monkeypatch.setattr(baselines, "markov_decode", fail_second)
+        assert main(["analyze", *flags]) == 1
+        assert "decode failed on the second query" in capsys.readouterr().err
+        assert len(calls) == 2
+        out = tmp_path / "out"
+        assert not (out / "sparsity.csv").exists() and not (out / "pmr.csv").exists()
 
     def test_jmax_flag_controls_series_length(self, base_flags, tmp_path):
         assert main(["train", *base_flags]) == 0

@@ -139,7 +139,7 @@ class TestTotalLoss:
 
 
 def reference_drift_loss_grad(rows):
-    """The masked drift loss that the all-rows-nonzero fast path replaces."""
+    """The masked drift loss, the reference `drift_loss_grad` must match bit for bit."""
     m = rows.shape[0]
     grads = np.zeros_like(rows)
     if m < 2:

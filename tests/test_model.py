@@ -669,6 +669,20 @@ class TestTrain:
             train(corpus, pm, tiny_config(arch=arch))
 
     @pytest.mark.parametrize("arch", [ARCH_ONE_SHOT, ARCH_RECURRENT])
+    @pytest.mark.parametrize("pois", [(), (3,)])
+    def test_a_route_below_two_stops_is_rejected_before_any_step(self, arch, pois, monkeypatch):
+        trajs = toy_trajectories()
+        pm = build_guidance_matrix(trajs, k=K)
+
+        def no_step(*args):
+            raise AssertionError("a training step ran")
+
+        monkeypatch.setattr(importlib.import_module("artrip.model.train"), "loss_and_grads", no_step)
+        corpus = [*trajs[:3], route(pois), *trajs[3:]]
+        with pytest.raises(ValueError, match=f"^trajectory 3: length n={len(pois)} is below the two endpoint"):
+            train(corpus, pm, tiny_config(arch=arch))
+
+    @pytest.mark.parametrize("arch", [ARCH_ONE_SHOT, ARCH_RECURRENT])
     def test_loss_decreases(self, arch):
         trajs = toy_trajectories()
         pm = zero_guidance(K, M_MAX)

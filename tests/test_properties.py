@@ -99,6 +99,7 @@ def test_evaluate_decoder_rows_equal_per_query_scores(truths, repeats, seed):
     for row in report.rows:
         trip = decode_fn(make_query(test[row["query"]]), row["query"], seed + row["repeat"])
         truth = test[row["query"]].pois
+        assert row["trip"] == trip.pois
         assert row["f1"] == oracle_f1(trip.pois, truth)
         assert row["pairs_f1"] == reference_pairs_f1(trip.pois, truth)
         assert row["rep"] == oracle_repetition(trip.pois)
