@@ -12,53 +12,33 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from artrip.data import Trajectory
-from artrip.decoding import Trip
 from artrip.guidance import count_visits
 
 
-@dataclass
-class TransitionMatrix:
-    """Row-stochastic (or at least non-negative) POI transition table.
-
-    `position` is the 1-based trip position the rows condition on;
-    `uniform_rows` lists rows that had no data and were filled with the
-    uniform distribution.
-    """
-
-    values: np.ndarray
-    position: int = 1
-    uniform_rows: tuple[int, ...] = ()
-
-    @property
-    def k(self) -> int:
-        return self.values.shape[0]
-
-
-def sparsity_xi(matrix: TransitionMatrix | np.ndarray) -> float:
+def sparsity_xi(matrix: np.ndarray) -> float:
     """Fraction of non-zero entries."""
-    values = matrix.values if isinstance(matrix, TransitionMatrix) else np.asarray(matrix)
-    if values.size == 0:
+    if matrix.size == 0:
         raise ValueError("empty matrix has no sparsity")
-    return float(np.count_nonzero(values)) / values.size
+    return float(np.count_nonzero(matrix)) / matrix.size
 
 
-def perturb(matrix: TransitionMatrix, sigma: float, seed: int = 0) -> TransitionMatrix:
+def perturb(matrix: np.ndarray, sigma: float, seed: int = 0) -> np.ndarray:
     """Add iid Gaussian noise, clip at zero and renormalize each row.
 
-    Rows that end up all zero become uniform, with a warning.  With
-    sigma == 0 the matrix is returned unchanged (bit for bit).
+    Rows that end up all zero become uniform, with a warning that names
+    them.  With sigma == 0 a copy of the matrix is returned (bit for bit).
     """
     if not 0.0 <= sigma < math.inf:
         raise ValueError(f"sigma must be finite and non-negative, got {sigma}")
     if sigma == 0.0:
-        return replace(matrix, values=matrix.values.copy())
+        return matrix.copy()
     rng = np.random.default_rng(seed)
-    noisy = np.clip(matrix.values + rng.normal(0.0, sigma, matrix.values.shape), 0.0, None)
+    noisy = np.clip(matrix + rng.normal(0.0, sigma, matrix.shape), 0.0, None)
     sums = noisy.sum(axis=1)
     dead = np.flatnonzero(sums == 0.0)
     if dead.size:
@@ -67,9 +47,9 @@ def perturb(matrix: TransitionMatrix, sigma: float, seed: int = 0) -> Transition
             RuntimeWarning,
             stacklevel=2,
         )
-        noisy[dead] = 1.0 / matrix.k
+        noisy[dead] = 1.0 / len(matrix)
         sums[dead] = 1.0
-    return replace(matrix, values=noisy / sums[:, None], uniform_rows=tuple(int(r) for r in dead))
+    return noisy / sums[:, None]
 
 
 @dataclass
@@ -88,30 +68,29 @@ class PmrResult:
 
 
 def pmr_series(
-    matrices: list[TransitionMatrix] | list[np.ndarray],
+    matrices: np.ndarray,
     k: int,
     xi: float,
     j_max: int = 10,
 ) -> PmrResult:
     """Probability mass of even-length returns, truncated at j_max.
 
-    The matrix sequence is cycled when a product needs more factors
-    than were given, which covers both a single stationary matrix and a
-    short position-indexed chain.
+    The (n, k, k) chain `matrices` is cycled when a product needs more
+    factors than were given, which covers both a single stationary
+    matrix and a short position-indexed chain.
     """
-    if not matrices:
+    if len(matrices) == 0:
         raise ValueError("need at least one transition matrix")
     if k * xi <= 0.0:
         raise ValueError(f"degenerate normalization k*xi = {k * xi}")
     if j_max < 0:
         raise ValueError("j_max must be non-negative")
-    chain = [m.values if isinstance(m, TransitionMatrix) else np.asarray(m, dtype=np.float64) for m in matrices]
     product = np.eye(k, dtype=np.float64)
     terms: list[float] = []
     step = 0
     for j in range(1, j_max + 1):
-        product = product @ chain[step % len(chain)]
-        product = product @ chain[(step + 1) % len(chain)]
+        product = product @ matrices[step % len(matrices)]
+        product = product @ matrices[(step + 1) % len(matrices)]
         step += 2
         terms.append(float(np.trace(product)) / (k * xi) ** j)
     converged = all(
@@ -120,12 +99,12 @@ def pmr_series(
     return PmrResult(terms=terms, value=float(sum(terms)), converged=converged)
 
 
-def empirical_transitions(trajectories: list[Trajectory], k: int) -> list[TransitionMatrix]:
+def empirical_transitions(trajectories: list[Trajectory], k: int) -> np.ndarray:
     """Per-position transition estimates from a trajectory corpus.
 
-    Matrix i (1-based position i) maps the POI at position i to the POI
-    at position i+1.  Rows never observed at a position fall back to
-    uniform and are flagged.
+    Returns a float64 (longest route - 1, k, k) array whose matrix i
+    maps the POI at position i + 1 to the POI at position i + 2.  Rows
+    never observed at a position are uniform, 1/k each.
     """
     if not trajectories:
         raise ValueError("empty corpus")
@@ -137,15 +116,9 @@ def empirical_transitions(trajectories: list[Trajectory], k: int) -> list[Transi
         return positions[step], pois[step], pois[step + 1]
 
     counts = count_visits(trajectories, k, (horizon, k, k), steps)
-    sums = counts.sum(axis=2)
-    dead = sums == 0.0
-    counts[dead] = 1.0 / k
-    sums[dead] = 1.0
-    values = counts / sums[..., None]
-    return [
-        TransitionMatrix(values[pos], pos + 1, tuple(int(r) for r in np.flatnonzero(dead[pos])))
-        for pos in range(horizon)
-    ]
+    sums = counts.sum(axis=2, keepdims=True)
+    # a row never observed at its position stays uniform
+    return np.divide(counts, sums, out=np.full_like(counts, 1.0 / k), where=sums > 0.0)
 
 
 @dataclass
@@ -165,18 +138,17 @@ class RepetitionHistogram:
         return int(self.position_counts.sum())
 
 
-def repeat_histogram(trips: list[Trip] | list[tuple[int, ...]]) -> RepetitionHistogram:
-    """Tally repeated POIs across a batch of trips.
+def repeat_histogram(trips: list[tuple[int, ...]]) -> RepetitionHistogram:
+    """Tally repeated POIs across a batch of trips, each a tuple of POIs.
 
     A repeat at position j of a POI first seen at position j' bumps
     position bucket j and gap bucket j - j'.
     """
     if not trips:
         raise ValueError("no trips to analyze")
-    seqs = [t.pois if isinstance(t, Trip) else tuple(t) for t in trips]
-    size = max(len(s) for s in seqs) + 1
+    size = max(len(t) for t in trips) + 1
     positions, gaps = [], []
-    for seq in seqs:
+    for seq in trips:
         first_seen: dict[int, int] = {}
         for j, poi in enumerate(seq, start=1):
             first = first_seen.setdefault(poi, j)

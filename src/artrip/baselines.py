@@ -2,8 +2,8 @@
 
 Popularity fills the interior with the globally most visited POIs, so
 its trips are duplicate-free by construction.  The position-indexed
-Markov baseline walks the empirical transition matrices and is allowed
-to loop, which makes it a useful repetition yardstick.
+Markov baseline walks a (horizon, k, k) array of transition matrices
+and is allowed to loop, which makes it a useful repetition yardstick.
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ from dataclasses import replace
 import numpy as np
 
 from artrip import decoding
-from artrip.analysis import TransitionMatrix
 from artrip.data import Query, Trajectory
 from artrip.decoding import DecodeConfig, Trip
 from artrip.guidance import check_horizon, count_visits
@@ -42,20 +41,20 @@ def popularity_decode(query: Query, counts: np.ndarray) -> Trip:
     return Trip(pois=(query.p_s, *interior[:need], query.p_e))
 
 
-def markov_decode(query: Query, matrices: list[TransitionMatrix], cfg: DecodeConfig) -> Trip:
+def markov_decode(query: Query, matrices: np.ndarray, cfg: DecodeConfig) -> Trip:
     """Walk position-indexed transitions from the start POI.
 
-    Matrix i steps from position i + 1, so `len(matrices) + 1` is the
-    horizon: a longer query, or one with an endpoint outside the
-    matrices' vocabulary, raises ValueError before any step.  Zero
-    transition probability becomes a -inf score so the selection
-    strategies apply unchanged; the adaptive strategy degrades to plain
-    nucleus sampling here, with a RuntimeWarning, because the baseline
-    has no confidence model.
+    Matrix i of the (horizon, k, k) chain steps from position i + 1, so
+    `len(matrices) + 1` is the horizon: a longer query, or one with an
+    endpoint outside the matrices' vocabulary, raises ValueError before
+    any step.  Zero transition probability becomes a -inf score so the
+    selection strategies apply unchanged; the adaptive strategy degrades
+    to plain nucleus sampling here, with a RuntimeWarning, because the
+    baseline has no confidence model.
     """
-    if not matrices:
+    if len(matrices) == 0:
         raise ValueError("need at least one transition matrix")
-    decoding._check_query(query, len(matrices[0].values))
+    decoding._check_query(query, len(matrices[0]))
     check_horizon(query.n, len(matrices) + 1)
     if cfg.strategy == "adaptive":
         warnings.warn(
@@ -66,7 +65,7 @@ def markov_decode(query: Query, matrices: list[TransitionMatrix], cfg: DecodeCon
         cfg = replace(cfg, strategy="top_p")
 
     def next_row(position: int, prev: int) -> np.ndarray:
-        probs = matrices[position - 2].values[prev]
+        probs = matrices[position - 2][prev]
         # zero probability scores -inf; `where` skips log(0) and its warning
         return np.log(probs, out=np.full(probs.shape[0], -np.inf), where=probs > 0)
 

@@ -208,12 +208,12 @@ def cmd_analyze(config: ExperimentConfig) -> int:
     # one repeat: query i decodes with the seed pair (decode_seed, i), as in repeat 0 of evaluate
     catalog, matrices, report = _score_test_split(config, 1, transitions=True)
     out = _out_dir(config)
-    xis = ([m.position, repr(analysis.sparsity_xi(m))] for m in matrices)
+    xis = ([position, repr(analysis.sparsity_xi(m))] for position, m in enumerate(matrices, 1))
     write_csv(out / "sparsity.csv", ["position", "xi"], xis)
-    perturbed = [
+    perturbed = np.array([
         analysis.perturb(matrix, config.noise_sigma, config.noise_seed + i)
         for i, matrix in enumerate(matrices)
-    ]
+    ])
     xi_mean = float(np.mean([analysis.sparsity_xi(m) for m in perturbed]))
     series = analysis.pmr_series(perturbed, len(catalog), xi_mean, config.j_max)
     status = "converged" if series.converged else "non-convergent"

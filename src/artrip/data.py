@@ -101,7 +101,6 @@ class CorpusSplit:
     train: list[Trajectory]
     val: list[Trajectory]
     test: list[Trajectory]
-    seed: int = 0
 
 
 def hour_bucket(timestamp: int) -> int:
@@ -256,7 +255,6 @@ def split_corpus(
         train=shuffled[:n_train],
         val=shuffled[n_train : n_train + n_val],
         test=shuffled[n_train + n_val :],
-        seed=seed,
     )
 
 

@@ -14,7 +14,9 @@ A bundle is a directory of three files:
 Saving writes a sibling directory and swaps it into place.  Loading
 reverses saving exactly, so save -> load -> save reproduces identical
 bytes.  Loading rejects a binary file whose size or sha256 disagrees with
-the manifest, and a manifest whose block table disagrees with the config,
+the manifest, and a manifest that is not a JSON object, whose config is
+not exactly the ModelConfig fields with their types, whose k or m_max is
+not a positive integer, whose block table disagrees with the config,
 whose mechanisms are not booleans under exactly MECHANISM_KEYS, whose
 vocabulary does not have length k or does not match its hash, or whose
 guidance totals do not have length k or are negative.
@@ -25,7 +27,7 @@ from __future__ import annotations
 import hashlib
 import json
 import shutil
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from itertools import zip_longest
 from pathlib import Path
 
@@ -39,6 +41,8 @@ MECHANISM_KEYS = ("guiding", "drifting", "adapting")
 BUNDLE_FILES = ("manifest.json", "params.bin", "guidance.bin")
 # manifest field holding each binary file's sha256
 _HASH_FIELDS = {"params.bin": "params_sha256", "guidance.bin": "guidance_sha256"}
+# the JSON type of each ModelConfig field, read off its default
+_CONFIG_TYPES = {f.name: type(f.default) for f in fields(ModelConfig)}
 
 
 @dataclass
@@ -121,6 +125,24 @@ def _manifest_error(field: str, found, want) -> ValueError:
     return ValueError(f"manifest.json: {field} is {found}, expected {want}")
 
 
+def _model_config(manifest: dict) -> ModelConfig:
+    """The manifest's config, once it holds exactly the ModelConfig fields with their types."""
+    config = manifest.get("config")
+    if not isinstance(config, dict):
+        raise _manifest_error("config", repr(config) if "config" in manifest else "missing", "an object")
+    stray = sorted(set(config) ^ set(_CONFIG_TYPES))
+    if stray:
+        found = "unknown" if stray[0] in config else "missing"
+        raise _manifest_error(f"config.{stray[0]}", found, f"the keys {list(_CONFIG_TYPES)}")
+    for key, kind in _CONFIG_TYPES.items():
+        if isinstance(config[key], bool) or not isinstance(config[key], (int, float) if kind is float else kind):
+            raise _manifest_error(f"config.{key}", repr(config[key]), kind.__name__)
+    try:
+        return ModelConfig(**config)
+    except ValueError as err:
+        raise ValueError(f"manifest.json: config: {err}") from err
+
+
 def _read_checked(path: Path, name: str, manifest: dict, size: int) -> np.ndarray:
     """The float64 contents of bundle file `name`, once its size and sha256 match."""
     payload = (path / name).read_bytes()
@@ -136,15 +158,23 @@ def _read_checked(path: Path, name: str, manifest: dict, size: int) -> np.ndarra
 def load_bundle(path) -> Bundle:
     """Read a bundle directory back into live objects."""
     path = Path(path)
-    manifest = json.loads((path / "manifest.json").read_text(encoding="ascii"))
+    try:
+        manifest = json.loads((path / "manifest.json").read_text(encoding="ascii"))
+    except ValueError as err:
+        raise ValueError(f"manifest.json: not valid JSON ({err})") from err
+    if not isinstance(manifest, dict):
+        raise _manifest_error("the top level", f"a {type(manifest).__name__}", "an object")
     if manifest.get("format") != BUNDLE_FORMAT:
         raise ValueError(f"unsupported bundle format {manifest.get('format')!r}")
     for field in _HASH_FIELDS.values():
         if manifest.get(field) is None:
             raise ValueError(f"manifest.json {field} is None: the bundle predates file hashes; save it again")
-    config = ModelConfig(**manifest["config"])
-    k = manifest["k"]
-    m_max = manifest["m_max"]
+    config = _model_config(manifest)
+    for field in ("k", "m_max"):
+        value = manifest.get(field)
+        if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+            raise _manifest_error(field, repr(value) if field in manifest else "missing", "a positive integer")
+    k, m_max = manifest["k"], manifest["m_max"]
     mechanisms = manifest.get("mechanisms")
     if not isinstance(mechanisms, dict) or sorted(mechanisms) != sorted(MECHANISM_KEYS):
         keys = sorted(mechanisms) if isinstance(mechanisms, dict) else mechanisms

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -7,7 +8,6 @@ from hypothesis import strategies as st
 
 from artrip.analysis import (
     PmrResult,
-    TransitionMatrix,
     empirical_transitions,
     perturb,
     pmr_series,
@@ -15,17 +15,12 @@ from artrip.analysis import (
     sparsity_xi,
 )
 from artrip.data import Trajectory
-from artrip.decoding import Trip
 
 
 class TestSparsity:
     def test_counts_nonzero_fraction(self):
         m = np.array([[0.5, 0.5, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 0.0]])
         assert sparsity_xi(m) == pytest.approx(3 / 9)
-
-    def test_accepts_wrapped_matrix(self):
-        tm = TransitionMatrix(values=np.eye(4))
-        assert sparsity_xi(tm) == pytest.approx(1 / 4)
 
     def test_dense_matrix_is_one(self):
         assert sparsity_xi(np.full((3, 3), 0.1)) == 1.0
@@ -37,24 +32,24 @@ class TestSparsity:
 
 class TestPerturb:
     def base(self):
-        return TransitionMatrix(values=np.array([[0.7, 0.3], [0.2, 0.8]]), position=2)
+        return np.array([[0.7, 0.3], [0.2, 0.8]])
 
     def test_sigma_zero_is_bitwise_identity(self):
-        tm = self.base()
-        out = perturb(tm, sigma=0.0, seed=5)
-        np.testing.assert_array_equal(out.values, tm.values)
-        assert out.values is not tm.values  # still a private copy
-        assert out.position == 2
+        matrix = self.base()
+        out = perturb(matrix, sigma=0.0, seed=5)
+        np.testing.assert_array_equal(out, matrix)
+        assert not np.shares_memory(out, matrix)  # still a private copy
+        assert out.dtype == np.float64 and out.shape == (2, 2)
 
     def test_rows_stay_stochastic(self):
         out = perturb(self.base(), sigma=0.3, seed=1)
-        np.testing.assert_allclose(out.values.sum(axis=1), 1.0, atol=1e-12)
-        assert (out.values >= 0.0).all()
+        np.testing.assert_allclose(out.sum(axis=1), 1.0, atol=1e-12)
+        assert (out >= 0.0).all()
 
     def test_same_seed_same_noise(self):
         a = perturb(self.base(), sigma=0.2, seed=3)
         b = perturb(self.base(), sigma=0.2, seed=3)
-        np.testing.assert_array_equal(a.values, b.values)
+        np.testing.assert_array_equal(a, b)
 
     def test_negative_sigma_rejected(self):
         with pytest.raises(ValueError):
@@ -67,19 +62,19 @@ class TestPerturb:
 
     def test_dead_rows_become_uniform_with_warning(self):
         # tiny positive mass, huge negative noise: some row will zero out
-        tm = TransitionMatrix(values=np.full((4, 4), 1e-9))
-        found = None
+        matrix = np.full((4, 4), 1e-9)
+        found, dead = None, None
         for seed in range(50):
-            noisy = np.clip(tm.values + np.random.default_rng(seed).normal(0, 1.0, (4, 4)), 0, None)
+            noisy = np.clip(matrix + np.random.default_rng(seed).normal(0, 1.0, (4, 4)), 0, None)
             if (noisy.sum(axis=1) == 0).any():
-                found = seed
+                found, dead = seed, np.flatnonzero(noisy.sum(axis=1) == 0)
                 break
         assert found is not None, "no seed produced a dead row"
-        with pytest.warns(RuntimeWarning, match="uniform"):
-            out = perturb(tm, sigma=1.0, seed=found)
-        assert out.uniform_rows
-        for row in out.uniform_rows:
-            np.testing.assert_allclose(out.values[row], 0.25)
+        with pytest.warns(RuntimeWarning, match=rf"rows {re.escape(str(dead.tolist()))}; resetting them to uniform"):
+            out = perturb(matrix, sigma=1.0, seed=found)
+        for row in dead:
+            np.testing.assert_array_equal(out[row], 0.25)
+        np.testing.assert_allclose(out.sum(axis=1), 1.0, atol=1e-12)
 
 
 class TestPmr:
@@ -117,10 +112,6 @@ class TestPmr:
             expected += np.trace(product) / (3 * xi) ** j
         assert pmr_series([m], k=3, xi=xi, j_max=3).value == pytest.approx(expected, abs=1e-12)
 
-    def test_wrapped_matrices_accepted(self):
-        tm = TransitionMatrix(values=np.full((2, 2), 0.5))
-        assert pmr_series([tm], k=2, xi=1.0).value == pytest.approx(0.9990234375, abs=1e-9)
-
     def test_validates_inputs(self):
         with pytest.raises(ValueError):
             pmr_series([], k=2, xi=1.0)
@@ -144,29 +135,26 @@ class TestEmpiricalTransitions:
             Trajectory(pois=(1, 0), times=(0, 1)),
         ]
         mats = empirical_transitions(trajs, k=3)
-        assert len(mats) == 2
-        first = mats[0]
-        assert first.position == 1
+        assert mats.shape == (2, 3, 3)
+        first = mats[0]  # out of position 1
         # from POI 0 at position 1: once to 1, once to 2
-        np.testing.assert_allclose(first.values[0], [0.0, 0.5, 0.5])
-        np.testing.assert_allclose(first.values[1], [1.0, 0.0, 0.0])
-        assert 2 in first.uniform_rows  # POI 2 never starts a trip
-        np.testing.assert_allclose(first.values[2], 1 / 3)
+        np.testing.assert_allclose(first[0], [0.0, 0.5, 0.5])
+        np.testing.assert_allclose(first[1], [1.0, 0.0, 0.0])
+        np.testing.assert_array_equal(first[2], 1 / 3)  # POI 2 never starts a trip
 
     def test_second_position_matrix(self):
         trajs = [
             Trajectory(pois=(0, 1, 2), times=(0, 1, 2)),
             Trajectory(pois=(0, 2, 2), times=(0, 1, 2)),
         ]
-        second = empirical_transitions(trajs, k=3)[1]
-        assert second.position == 2
-        np.testing.assert_allclose(second.values[1], [0.0, 0.0, 1.0])
-        np.testing.assert_allclose(second.values[2], [0.0, 0.0, 1.0])
+        second = empirical_transitions(trajs, k=3)[1]  # out of position 2
+        np.testing.assert_allclose(second[1], [0.0, 0.0, 1.0])
+        np.testing.assert_allclose(second[2], [0.0, 0.0, 1.0])
+        np.testing.assert_array_equal(second[0], 1 / 3)  # POI 0 never sits at position 2
 
     def test_rows_always_sum_to_one(self):
         trajs = [Trajectory(pois=(0, 1, 2, 3), times=(0, 1, 2, 3))]
-        for tm in empirical_transitions(trajs, k=5):
-            np.testing.assert_allclose(tm.values.sum(axis=1), 1.0, atol=1e-12)
+        np.testing.assert_allclose(empirical_transitions(trajs, k=5).sum(axis=2), 1.0, atol=1e-12)
 
     def test_empty_corpus_rejected(self):
         with pytest.raises(ValueError):
@@ -195,7 +183,7 @@ class TestRepeatHistogram:
         assert hist.gap_counts[2] == 2
 
     def test_clean_trips_yield_empty_histogram(self):
-        hist = repeat_histogram([Trip(pois=(1, 2, 3)), Trip(pois=(4, 5))])
+        hist = repeat_histogram([(1, 2, 3), (4, 5)])
         assert hist.total == 0
         np.testing.assert_array_equal(hist.gap_counts, 0)
 
@@ -223,7 +211,7 @@ def reference_repeat_histogram(seqs):
 @settings(max_examples=200, deadline=None)
 @given(trips=st.lists(st.lists(st.integers(0, 4), min_size=1, max_size=12), min_size=1, max_size=8))
 def test_repeat_histogram_matches_the_element_loop(trips):
-    hist = repeat_histogram([Trip(pois=tuple(t)) for t in trips])
+    hist = repeat_histogram([tuple(t) for t in trips])
     positions, gaps = reference_repeat_histogram(trips)
     for got, want in ((hist.position_counts, positions), (hist.gap_counts, gaps)):
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes()

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from artrip.analysis import TransitionMatrix, empirical_transitions, perturb
+from artrip.analysis import empirical_transitions, perturb
 from artrip import decoding
 from artrip.baselines import build_popularity, markov_decode, popularity_decode
 from artrip.data import Query, Trajectory
@@ -83,8 +83,8 @@ class TestPopularity:
 
 
 def stationary(values, n):
-    """The same transitions at every step of an n-stop walk: n - 1 matrices."""
-    return [TransitionMatrix(values=values, position=p) for p in range(1, n)]
+    """The same transitions at every step of an n-stop walk: an (n - 1, k, k) chain."""
+    return np.array([values] * (n - 1))
 
 
 class TestMarkov:
@@ -136,7 +136,7 @@ class TestMarkov:
     def test_positions_past_horizon_are_rejected(self):
         first = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
         second = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 1.0], [0.0, 0.0, 1.0]])
-        chain = [TransitionMatrix(values=first, position=1), TransitionMatrix(values=second, position=2)]
+        chain = np.array([first, second])
         # two matrices: routes of up to 3 stops, pos2 via first (0->1)
         q = Query(p_s=0, t_s=0, p_e=2, t_e=21600, n=3)
         assert markov_decode(q, chain, DecodeConfig()).pois == (0, 1, 2)
@@ -188,8 +188,9 @@ class TestMarkov:
 
     def test_requires_matrices(self):
         q = Query(p_s=0, t_s=0, p_e=1, t_e=7200, n=3)
-        with pytest.raises(ValueError):
-            markov_decode(q, [], DecodeConfig())
+        for empty in ([], np.empty((0, 3, 3))):
+            with pytest.raises(ValueError, match="need at least one transition matrix"):
+                markov_decode(q, empty, DecodeConfig())
 
 
 def reference_markov_decode(query, matrices, cfg, rows):
@@ -198,7 +199,7 @@ def reference_markov_decode(query, matrices, cfg, rows):
     rng = None if cfg.strategy == "greedy" else np.random.default_rng(cfg.seed)
     pois, used, current = [query.p_s], {query.p_s, query.p_e}, query.p_s
     for position in range(2, query.n):
-        probs = matrices[min(position - 2, len(matrices) - 1)].values[current]
+        probs = matrices[min(position - 2, len(matrices) - 1)][current]
         with np.errstate(divide="ignore"):
             row = np.log(probs)
         if cfg.no_repeat_mask:
@@ -238,7 +239,7 @@ def test_markov_trips_equal_the_reference_walk(corpus_routes, start, end, n, str
     # noise leaves small and zero probabilities, whose logs must match too
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
-        mats = [perturb(m, sigma, seed + i) for i, m in enumerate(empirical_transitions(ts, k=10))]
+        mats = np.array([perturb(m, sigma, seed + i) for i, m in enumerate(empirical_transitions(ts, k=10))])
     q = Query(p_s=start, t_s=0, p_e=end, t_e=3600 * n, n=n)
     cfg = DecodeConfig(strategy=strategy, top_k=top_k, top_p=top_p, no_repeat_mask=mask, seed=seed)
     if n > len(mats) + 1:

@@ -1,5 +1,6 @@
 import hashlib
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from artrip.model import (
     load_bundle,
     save_bundle,
 )
+from artrip.model import bundle as bundle_module
 from artrip.model.bundle import vocab_sha256
 
 K = 6
@@ -224,6 +226,45 @@ class TestManifestFields:
         edit_manifest(path, vocab_ids=[VOCAB[1], VOCAB[0], *VOCAB[2:]])
         with pytest.raises(ValueError, match=r"manifest\.json: vocab_sha256 is .*the hash of vocab_ids"):
             load_bundle(path)
+
+
+def parsed(change):
+    """A manifest.json text edit that applies `change` to the parsed manifest."""
+    return lambda text: json.dumps(change(json.loads(text)))
+
+
+def without(key):
+    return parsed(lambda manifest: {name: value for name, value in manifest.items() if name != key})
+
+
+def with_config(**changes):
+    return parsed(lambda manifest: dict(manifest, config=dict(manifest["config"], **changes)))
+
+
+# (id, manifest.json text edit, message)
+MALFORMED_MANIFESTS = [
+    ("missing-k", without("k"), r"manifest\.json: k is missing, expected a positive integer"),
+    ("string-k", parsed(lambda m: dict(m, k="60")), r"manifest\.json: k is '60', expected a positive integer"),
+    ("missing-config", without("config"), r"manifest\.json: config is missing, expected an object"),
+    ("extra-config-key", with_config(dropout=0.1), r"manifest\.json: config\.dropout is unknown, expected the keys \['arch'"),
+    ("string-embed-dim", with_config(embed_dim="8"), r"manifest\.json: config\.embed_dim is '8', expected int"),
+    ("unknown-arch", with_config(arch="x"), r"manifest\.json: config: unknown arch 'x'"),
+    ("json-list", parsed(lambda m: [m]), r"manifest\.json: the top level is a list, expected an object"),
+    ("invalid-json", lambda text: text[:-10], r"manifest\.json: not valid JSON"),
+]
+
+
+@pytest.mark.parametrize(
+    "edit, message", [case[1:] for case in MALFORMED_MANIFESTS], ids=[case[0] for case in MALFORMED_MANIFESTS]
+)
+def test_a_malformed_manifest_is_refused_before_the_params_are_built(tmp_path, edit, message):
+    params, pm, conf = build_artifacts()
+    save_bundle(tmp_path / "model", params, pm, conf, MECHS, VOCAB)
+    path = tmp_path / "model" / "manifest.json"
+    path.write_text(edit(path.read_text()))
+    with mock.patch.object(bundle_module, "ModelParams", side_effect=AssertionError("ModelParams was built")):
+        with pytest.raises(ValueError, match=message):
+            load_bundle(tmp_path / "model")
 
 
 class TestFileHashes:

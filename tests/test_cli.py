@@ -1,5 +1,6 @@
 import csv
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -164,6 +165,16 @@ class TestEvaluate:
     def test_evaluate_without_bundle_fails(self, base_flags, capsys):
         assert main(["evaluate", *base_flags]) == 1
         assert "error:" in capsys.readouterr().err
+
+    def test_a_malformed_manifest_is_an_error_line_naming_the_file(self, base_flags, tmp_path, capsys):
+        assert main(["train", *base_flags]) == 0
+        path = tmp_path / "out" / "model" / "manifest.json"
+        manifest = json.loads(path.read_text())
+        manifest["config"]["arch"] = "x"
+        path.write_text(json.dumps(manifest))
+        capsys.readouterr()
+        assert main(["evaluate", *base_flags]) == 1
+        assert capsys.readouterr().err.splitlines() == ["error: manifest.json: config: unknown arch 'x'"]
 
     def test_rerun_is_byte_identical(self, base_flags, tmp_path):
         assert main(["train", *base_flags]) == 0
@@ -778,6 +789,14 @@ class TestArtifactHashes:
         assert listings[1] == first
         # console output of the commands stays off stdout
         assert capsys.readouterr().out == ""
+
+    def test_the_glasgow_listing_matches_the_committed_one(self, tmp_path):
+        # the default flags train and decode on Glasgow; only a planned byte
+        # epoch may regenerate tests/artifact_hashes.txt
+        script = load_artifact_hashes()
+        script.write_artifacts(tmp_path)
+        golden = (Path(__file__).resolve().parent / "artifact_hashes.txt").read_text().splitlines()
+        assert script.hash_lines(tmp_path) == golden
 
     def test_refuses_a_non_empty_output_dir(self, tmp_path, capsys):
         (tmp_path / "stale.csv").write_text("x\n")

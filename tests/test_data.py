@@ -443,11 +443,11 @@ def reference_popularity(train, k):
 def assert_counts_match_the_element_loops(train, k):
     got = empirical_transitions(train, k)
     want = reference_transitions(train, k)
-    assert len(got) == len(want)
-    for matrix, (values, position, uniform_rows) in zip(got, want):
-        assert matrix.values.dtype == values.dtype and matrix.values.shape == values.shape
-        assert matrix.values.tobytes() == values.tobytes()
-        assert (matrix.position, matrix.uniform_rows) == (position, uniform_rows)
+    assert got.dtype == np.float64 and got.shape == (len(want), k, k)
+    for i, (values, position, uniform_rows) in enumerate(want):
+        assert position == i + 1  # matrix i holds the transitions out of position i + 1
+        assert got[i].tobytes() == values.tobytes()
+        assert (got[i][list(uniform_rows)] == 1.0 / k).all()
     popularity = build_popularity(train, k)
     assert popularity.dtype == np.int64
     assert popularity.tobytes() == reference_popularity(train, k).tobytes()
@@ -472,7 +472,7 @@ def test_transition_and_popularity_counts_match_the_element_loops(routes, k, cop
 def test_repeated_transitions_count_once_each():
     train = as_routes([[0, 1, 0, 1], [0, 1, 1], [0, 1, 0, 1]])
     first = empirical_transitions(train, 3)[0]
-    assert first.values[0].tolist() == [0.0, 1.0, 0.0]
+    assert first[0].tolist() == [0.0, 1.0, 0.0]
     assert_counts_match_the_element_loops(train, 3)
 
 

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from artrip.analysis import TransitionMatrix, empirical_transitions, perturb
+from artrip.analysis import empirical_transitions, perturb
 from artrip.data import Trajectory, make_query, split_corpus
 from artrip.decoding import Trip
 from artrip.guidance import build_confidence, build_guidance_matrix
@@ -137,10 +137,17 @@ def test_split_partitions_are_disjoint_and_cover_the_corpus(ts, train, val_share
 @given(ts=trajectories(min_size=1), extra_pois=st.integers(0, 3))
 def test_empirical_transition_rows_are_stochastic(ts, extra_pois):
     k = 6 + extra_pois
-    for matrix in empirical_transitions(ts, k):
-        assert matrix.values.shape == (k, k)
-        assert (matrix.values >= 0.0).all()
-        np.testing.assert_allclose(matrix.values.sum(axis=1), 1.0, rtol=0, atol=1e-12)
+    chain = empirical_transitions(ts, k)
+    assert isinstance(chain, np.ndarray) and chain.dtype == np.float64
+    assert chain.shape == (max(len(t) for t in ts) - 1, k, k)
+    assert (chain >= 0.0).all()
+    np.testing.assert_allclose(chain.sum(axis=2), 1.0, rtol=0, atol=1e-12)
+    # matrix i, row p: POI p at position i + 1 of some route
+    observed = np.zeros(chain.shape[:2], dtype=bool)
+    for t in ts:
+        for i in range(len(t) - 1):
+            observed[i, t.pois[i]] = True
+    assert (chain[~observed] == 1.0 / k).all()
 
 
 @settings(max_examples=100, deadline=None)
@@ -148,11 +155,9 @@ def test_empirical_transition_rows_are_stochastic(ts, extra_pois):
 def test_perturb_with_zero_sigma_is_the_identity_bit_for_bit(seed, k, noise_seed):
     gen = np.random.default_rng(seed)
     values = gen.dirichlet(np.ones(k), size=k) * (gen.random((k, k)) < 0.7)
-    matrix = TransitionMatrix(values=values, position=1 + int(gen.integers(5)), uniform_rows=(0,))
-    out = perturb(matrix, 0.0, noise_seed)
-    assert out.values.tobytes() == matrix.values.tobytes()
-    assert out.values is not matrix.values
-    assert (out.position, out.uniform_rows) == (matrix.position, matrix.uniform_rows)
+    out = perturb(values, 0.0, noise_seed)
+    assert out.tobytes() == values.tobytes()
+    assert not np.shares_memory(out, values)
 
 
 # --- bundles ------------------------------------------------------------------
