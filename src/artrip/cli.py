@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import sys
 from collections import Counter
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -30,10 +29,10 @@ from artrip.data import (
     split_corpus,
     write_csv,
 )
-from artrip.decoding import decode_trip, query_seed
+from artrip.decoding import decode_config_for_query, decode_trip
 from artrip.guidance import build_confidence, build_guidance_matrix, check_horizon
-from artrip.model import load_bundle, save_bundle, train
-from artrip.model.bundle import vocab_sha256
+from artrip.model.bundle import load_bundle, save_bundle, vocab_sha256
+from artrip.model.train import train
 
 # flags whose spelling differs from the config key
 _FLAG_NAMES = {"j_max": "--jmax"}
@@ -113,31 +112,28 @@ def cmd_train(config: ExperimentConfig) -> int:
 def _decoder(
     config: ExperimentConfig, catalog: PoiCatalog, train: list[Trajectory], longest: int, matrices=None
 ):
-    """`decode(query, seed)` for the configured generator, built once per command.
+    """`decode(query, cfg)` for the configured generator, built once per command.
 
-    Decode-time mechanism switches follow the current config, not the bundle.
+    `cfg` is the DecodeConfig of that one query.  Decode-time mechanism
+    switches follow the current config, not the bundle.
     The Markov generator walks `matrices` when given, the empirical
     transitions of `train` otherwise.  A `longest` trip length past a
     positional generator's horizon raises ValueError here, before any decode.
     """
     if config.generator == "popularity":
         counts = baselines.build_popularity(train, len(catalog))
-        return lambda query, seed: baselines.popularity_decode(query, counts)
+        return lambda query, cfg: baselines.popularity_decode(query, counts)
     if config.generator == "markov":
         if matrices is None:
             matrices = analysis.empirical_transitions(train, len(catalog))
         check_horizon(longest, len(matrices) + 1)
-        return lambda query, seed: baselines.markov_decode(
-            query, matrices, replace(config.decode, seed=seed)
-        )
+        return lambda query, cfg: baselines.markov_decode(query, matrices, cfg)
     bundle = load_bundle(Path(config.output_dir) / "model")
     if bundle.manifest["vocab_sha256"] != vocab_sha256(catalog.ids):
         raise ConfigError("bundle vocabulary does not match the ingested corpus")
     check_horizon(longest, bundle.params.m_max)
     pm = config.guidance(bundle.pm)
-    return lambda query, seed: decode_trip(
-        query, bundle.params, pm, bundle.confidence, replace(config.decode, seed=seed)
-    )
+    return lambda query, cfg: decode_trip(query, bundle.params, pm, bundle.confidence, cfg)
 
 
 def _score_test_split(config: ExperimentConfig, repeats: int, transitions: bool = False):
@@ -156,7 +152,7 @@ def _score_test_split(config: ExperimentConfig, repeats: int, transitions: bool 
     decode = _decoder(config, catalog, split.train, max(len(t) for t in split.test), matrices)
 
     def decode_fn(query, i, repeat_seed):
-        return decode(query, query_seed(repeat_seed, i))
+        return decode(query, decode_config_for_query(config.decode, repeat_seed, i))
 
     return catalog, matrices, metrics.evaluate_decoder(decode_fn, split.test, repeats, config.decode.seed)
 
@@ -194,7 +190,7 @@ def cmd_recommend(config: ExperimentConfig, args: argparse.Namespace) -> int:
         t_e=args.end_time,
         n=args.length,
     )
-    trip = decode(query, config.decode.seed)
+    trip = decode(query, config.decode)
     out = _out_dir(config)
     rows = [[pos, catalog.id_of(poi), catalog.pois[poi].name] for pos, poi in enumerate(trip.pois, start=1)]
     write_csv(out / "trip.csv", ["position", "poi_id", "poi_name"], rows)

@@ -17,7 +17,7 @@ from dataclasses import dataclass, fields, replace
 
 from artrip.decoding import DecodeConfig
 from artrip.guidance import GuidanceMatrix, zero_guidance
-from artrip.model import ModelConfig
+from artrip.model.params import ModelConfig
 
 OUTPUT_DIR_ENV = "ARTRIP_OUTPUT_DIR"
 

@@ -18,8 +18,10 @@ the manifest, and a manifest that is not a JSON object, whose config is
 not exactly the ModelConfig fields with their types, whose k or m_max is
 not a positive integer, whose block table disagrees with the config,
 whose mechanisms are not booleans under exactly MECHANISM_KEYS, whose
-vocabulary does not have length k or does not match its hash, or whose
-guidance totals do not have length k or are negative.
+vocabulary does not have length k, holds an entry that is not an integer
+or does not match its hash, or whose guidance totals do not have length k
+or hold an entry that is not a non-negative integer.  A JSON `true` is not
+an integer here.
 """
 
 from __future__ import annotations
@@ -182,11 +184,14 @@ def load_bundle(path) -> Bundle:
     for key in MECHANISM_KEYS:
         if not isinstance(mechanisms[key], bool):
             raise _manifest_error(f"mechanisms.{key}", repr(mechanisms[key]), "true or false")
-    for field in ("vocab_ids", "guidance_totals"):
+    for field, kind in (("vocab_ids", "an integer"), ("guidance_totals", "a non-negative integer")):
         values = manifest.get(field)
         if not isinstance(values, list) or len(values) != k:
             found = f"of length {len(values)}" if isinstance(values, list) else repr(values)
             raise _manifest_error(field, found, f"a list of length k={k}")
+        for i, value in enumerate(values):
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise _manifest_error(f"{field} entry {i}", repr(value), kind)
     want = vocab_sha256(manifest["vocab_ids"])
     if manifest.get("vocab_sha256") != want:
         raise _manifest_error("vocab_sha256", repr(manifest.get("vocab_sha256")), f"{want}, the hash of vocab_ids")

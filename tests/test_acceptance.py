@@ -32,16 +32,10 @@ from artrip.guidance import (
     zero_guidance,
 )
 from artrip.metrics import evaluate_decoder, f1_score, pairs_f1, trip_repetition
-from artrip.model import (
-    ARCH_ONE_SHOT,
-    ARCH_RECURRENT,
-    ModelConfig,
-    forward_recurrent_step,
-    grad_check,
-    init_params,
-    init_recurrent_state,
-    train,
-)
+from artrip.model.gradcheck import grad_check
+from artrip.model.params import ARCH_ONE_SHOT, ARCH_RECURRENT, ModelConfig, init_params
+from artrip.model.recurrent import forward_recurrent_step, init_recurrent_state
+from artrip.model.train import train
 
 DATA = Path(__file__).resolve().parents[1] / "data"
 CITIES = ("edinburgh", "glasgow", "osaka", "toronto")

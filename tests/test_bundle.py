@@ -8,16 +8,9 @@ from conftest import assert_blocks_view_flat
 
 from artrip.data import Trajectory
 from artrip.guidance import build_confidence, build_guidance_matrix
-from artrip.model import (
-    ARCH_ONE_SHOT,
-    ARCH_RECURRENT,
-    ModelConfig,
-    init_params,
-    load_bundle,
-    save_bundle,
-)
 from artrip.model import bundle as bundle_module
-from artrip.model.bundle import vocab_sha256
+from artrip.model.bundle import load_bundle, save_bundle, vocab_sha256
+from artrip.model.params import ARCH_ONE_SHOT, ARCH_RECURRENT, ModelConfig, init_params
 
 K = 6
 VOCAB = [101, 102, 205, 310, 311, 400]
@@ -220,6 +213,29 @@ class TestManifestFields:
         edit_manifest(path, guidance_totals=[-1] + manifest["guidance_totals"][1:])
         with pytest.raises(ValueError, match=r"manifest\.json: guidance_totals is negative \(-1\)"):
             load_bundle(path)
+
+    @pytest.mark.parametrize(
+        "value, shown", [("3", "'3'"), (True, "True"), (2.5, "2.5")], ids=["string", "bool", "float"]
+    )
+    def test_guidance_totals_entries_must_be_integers(self, tmp_path, value, shown):
+        path = self.saved(tmp_path)
+        totals = json.loads((path / "manifest.json").read_text())["guidance_totals"]
+        edit_manifest(path, guidance_totals=totals[:2] + [value] + totals[3:])
+        want = f"manifest.json: guidance_totals entry 2 is {shown}, expected a non-negative integer"
+        with pytest.raises(ValueError) as err:
+            load_bundle(path)
+        assert str(err.value) == want
+
+    # "101" hashes as 101 does, so only the entry check can refuse it
+    @pytest.mark.parametrize(
+        "value, shown", [("101", "'101'"), (True, "True"), (101.0, "101.0")], ids=["string", "bool", "float"]
+    )
+    def test_vocab_ids_entries_must_be_integers(self, tmp_path, value, shown):
+        path = self.saved(tmp_path)
+        edit_manifest(path, vocab_ids=[value, *VOCAB[1:]])
+        with pytest.raises(ValueError) as err:
+            load_bundle(path)
+        assert str(err.value) == f"manifest.json: vocab_ids entry 0 is {shown}, expected an integer"
 
     def test_vocab_ids_must_match_their_hash(self, tmp_path):
         path = self.saved(tmp_path)

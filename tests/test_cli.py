@@ -176,6 +176,19 @@ class TestEvaluate:
         assert main(["evaluate", *base_flags]) == 1
         assert capsys.readouterr().err.splitlines() == ["error: manifest.json: config: unknown arch 'x'"]
 
+    def test_a_string_guidance_total_is_an_error_line_naming_the_entry(self, base_flags, tmp_path, capsys):
+        assert main(["train", *base_flags]) == 0
+        path = tmp_path / "out" / "model" / "manifest.json"
+        manifest = json.loads(path.read_text())
+        manifest["guidance_totals"][0] = str(manifest["guidance_totals"][0])
+        path.write_text(json.dumps(manifest))
+        capsys.readouterr()
+        assert main(["evaluate", *base_flags]) == 1
+        total = manifest["guidance_totals"][0]
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: manifest.json: guidance_totals entry 0 is '{total}', expected a non-negative integer"
+        ]
+
     def test_rerun_is_byte_identical(self, base_flags, tmp_path):
         assert main(["train", *base_flags]) == 0
         assert main(["evaluate", *base_flags]) == 0

@@ -28,7 +28,7 @@ from artrip.guidance import (
     zero_guidance,
 )
 from artrip.metrics import evaluate_decoder
-from artrip.model import ARCH_ONE_SHOT, ARCH_RECURRENT, ModelConfig, init_params
+from artrip.model.params import ARCH_ONE_SHOT, ARCH_RECURRENT, ModelConfig, init_params
 from artrip.model.recurrent import forward_recurrent_step, init_recurrent_state
 
 K = 6

@@ -2,13 +2,8 @@ import pytest
 
 from artrip.data import Trajectory
 from artrip.guidance import build_guidance_matrix
-from artrip.model import (
-    ARCH_ONE_SHOT,
-    ARCH_RECURRENT,
-    ModelConfig,
-    grad_check,
-    init_params,
-)
+from artrip.model.gradcheck import grad_check
+from artrip.model.params import ARCH_ONE_SHOT, ARCH_RECURRENT, ModelConfig, init_params
 
 TRAJ = Trajectory(pois=(0, 3, 5, 1), times=(0, 3600, 7200, 10800))
 CORPUS = [

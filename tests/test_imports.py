@@ -1,17 +1,26 @@
-"""Every import in the package is read somewhere in its module, and every
-top-level name is named somewhere outside its own definition.
+"""Every import in the package is read somewhere in its module, every
+top-level name is named somewhere outside its own definition, and every
+module imports on its own.
 
 An import that nothing reads is code that nothing uses.  A name listed in
 `__all__` counts as read, and an import line marked `# noqa: F401` is
-exempt (`metrics.decode_trip` is kept so `perfbench` can wrap it there).
+exempt (`metrics.decode_trip` is kept so `perfbench` can wrap it there, and
+`artrip.model` keeps the three names `perfbench` imports from it).
 A top-level function, class or assigned name counts as named when its word
 appears in any Python file under src, tests, scripts or perfbench, outside
 the lines that define it; a mention in a string counts, because `perfbench`
 wraps functions by name.
+Each module is also imported alone, after every module of its package is
+dropped from `sys.modules`.  The package preloads nothing, so an import
+cycle that breaks only when one particular module is imported first would
+otherwise fail for some callers and pass in the suite.
 """
 
 import ast
+import os
 import re
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -124,3 +133,45 @@ def test_the_scan_finds_a_name_used_only_by_itself():
     )
     elsewhere = Counter(WORD.findall("used(); patch('Wrapped'); _TABLE"))
     assert unnamed_definitions(source, elsewhere) == ["line 2: SPARE", "line 6: recursive"]
+
+
+# Imports each named module after dropping every module of its package from
+# sys.modules; prints one line per module that fails.
+_ALONE = """
+import importlib, sys
+package = sys.argv[1]
+for name in sys.argv[2:]:
+    for loaded in [m for m in sys.modules if m.split(".")[0] == package]:
+        del sys.modules[loaded]
+    try:
+        importlib.import_module(name)
+    except Exception as exc:
+        print(f"{name}: {type(exc).__name__}: {exc}")
+"""
+
+
+def import_failures(root: Path, package: str, names: list[str]) -> list[str]:
+    """`name: error` for each of `names` that fails to import alone from `root`."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(root), os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run(
+        [sys.executable, "-c", _ALONE, package, *names], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    return done.stdout.splitlines()
+
+
+def test_every_module_imports_on_its_own():
+    names = [".".join(p.relative_to(SRC).with_suffix("").parts).removesuffix(".__init__") for p in MODULES]
+    assert "artrip" in names and "artrip.model.train" in names
+    assert import_failures(SRC, "artrip", names) == []
+
+
+def test_the_import_check_finds_a_cycle_that_one_entry_point_hides(tmp_path):
+    (tmp_path / "cyc").mkdir()
+    (tmp_path / "cyc" / "__init__.py").write_text("")
+    (tmp_path / "cyc" / "a.py").write_text("from cyc.b import B\nA = 1\n")
+    (tmp_path / "cyc" / "b.py").write_text("B = 2\nfrom cyc.a import A\n")
+    # importing b first loads both; a alone meets b asking for a name a has not bound yet
+    failures = import_failures(tmp_path, "cyc", ["cyc.b", "cyc.a"])
+    assert [line.split(":")[0] for line in failures] == ["cyc.a"]
+    assert "partially initialized module" in failures[0]

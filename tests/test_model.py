@@ -7,20 +7,11 @@ from conftest import assert_blocks_view_flat
 
 from artrip.data import Query, Trajectory, hour_bucket
 from artrip.guidance import build_guidance_matrix, zero_guidance
-from artrip.model import (
-    ARCH_ONE_SHOT,
-    ARCH_RECURRENT,
-    ModelConfig,
-    forward_one_shot,
-    forward_recurrent_step,
-    init_params,
-    init_recurrent_state,
-    train,
-)
 from artrip.model import one_shot, recurrent
-from artrip.model.params import block_shapes
-from artrip.model.recurrent import forward_teacher
-from artrip.model.train import ADAM_BETA1, ADAM_BETA2, ADAM_EPS, loss_and_grads
+from artrip.model.one_shot import forward_one_shot
+from artrip.model.params import ARCH_ONE_SHOT, ARCH_RECURRENT, ModelConfig, block_shapes, init_params
+from artrip.model.recurrent import forward_recurrent_step, forward_teacher, init_recurrent_state
+from artrip.model.train import ADAM_BETA1, ADAM_BETA2, ADAM_EPS, loss_and_grads, train
 
 K = 6
 M_MAX = 5

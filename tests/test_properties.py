@@ -11,7 +11,8 @@ from artrip.data import Trajectory, make_query, split_corpus
 from artrip.decoding import Trip
 from artrip.guidance import build_confidence, build_guidance_matrix
 from artrip.metrics import evaluate_decoder, f1_score, pairs_f1, trip_repetition
-from artrip.model import ARCH_ONE_SHOT, ARCH_RECURRENT, ModelConfig, init_params, load_bundle, save_bundle
+from artrip.model.bundle import load_bundle, save_bundle
+from artrip.model.params import ARCH_ONE_SHOT, ARCH_RECURRENT, ModelConfig, init_params
 
 # --- metrics ---------------------------------------------------------------
 
