@@ -24,16 +24,23 @@ those runs only `params.bin` and `loss_trace.csv` are kept.  Commands run in-pro
 `artrip.cli.main` and their console output goes to stderr.  Standard output is one
 `sha256  path` line per file under OUT_DIR, sorted by path, so running it
 against two checkouts (point PYTHONPATH at each `src`) and diffing the two
-listings shows whether a change kept every output byte.
+listings shows whether a change kept every output byte.  A first `#` line
+names the arithmetic the bytes depend on: numpy's version, the SIMD
+extensions it was built for and found, and the kernel its bundled OpenBLAS
+picked for this CPU.  Two hosts that differ there may differ in the last
+bits of training, and so in the hash lines.
 """
 
 from __future__ import annotations
 
 import contextlib
+import ctypes
 import hashlib
 import shutil
 import sys
 from pathlib import Path
+
+import numpy as np
 
 from artrip.cli import main as cli_main
 from artrip.config import ExperimentConfig
@@ -155,6 +162,25 @@ def hash_lines(out_dir: Path) -> list[str]:
     ]
 
 
+def openblas_core() -> str:
+    """The kernel numpy's bundled OpenBLAS picked for this CPU, or "unknown"."""
+    for path in sorted((Path(np.__file__).resolve().parent.parent / "numpy.libs").glob("*openblas*")):
+        try:
+            corename = ctypes.CDLL(str(path)).scipy_openblas_get_corename64_
+        except (OSError, AttributeError):
+            continue
+        corename.argtypes, corename.restype = [], ctypes.c_char_p
+        return corename().decode("ascii")
+    return "unknown"
+
+
+def arithmetic_line() -> str:
+    """The listing's first line: numpy's version, its SIMD extensions and the OpenBLAS core."""
+    simd = np.show_config(mode="dicts")["SIMD Extensions"]
+    parts = [f"numpy {np.__version__}", *(f"SIMD {key} {' '.join(names)}" for key, names in simd.items())]
+    return f"# {', '.join(parts)}, OpenBLAS core {openblas_core()}"
+
+
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     if len(argv) != 1:
@@ -165,7 +191,7 @@ def main(argv=None) -> int:
         print(f"error: {out_dir} is not empty", file=sys.stderr)
         return 1
     write_artifacts(out_dir)
-    print("\n".join(hash_lines(out_dir)))
+    print("\n".join([arithmetic_line(), *hash_lines(out_dir)]))
     return 0
 
 

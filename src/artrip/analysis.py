@@ -121,28 +121,13 @@ def empirical_transitions(trajectories: list[Trajectory], k: int) -> np.ndarray:
     return np.divide(counts, sums, out=np.full_like(counts, 1.0 / k), where=sums > 0.0)
 
 
-@dataclass
-class RepetitionHistogram:
-    """Where repeats land and how far back they reach.
-
-    `position_counts[j]` counts repeats emitted at 1-based position j;
-    `gap_counts[g]` counts repeats whose first earlier occurrence sits
-    g positions back.  Index 0 is unused in both.
-    """
-
-    position_counts: np.ndarray
-    gap_counts: np.ndarray
-
-    @property
-    def total(self) -> int:
-        return int(self.position_counts.sum())
-
-
-def repeat_histogram(trips: list[tuple[int, ...]]) -> RepetitionHistogram:
+def repeat_histogram(trips: list[tuple[int, ...]]) -> tuple[np.ndarray, np.ndarray]:
     """Tally repeated POIs across a batch of trips, each a tuple of POIs.
 
-    A repeat at position j of a POI first seen at position j' bumps
-    position bucket j and gap bucket j - j'.
+    Returns `(position_counts, gap_counts)`, int64 arrays of length longest
+    trip + 1.  A repeat at 1-based position j of a POI first seen at
+    position j' bumps `position_counts[j]` and `gap_counts[j - j']`; index 0
+    is unused in both.
     """
     if not trips:
         raise ValueError("no trips to analyze")
@@ -155,7 +140,7 @@ def repeat_histogram(trips: list[tuple[int, ...]]) -> RepetitionHistogram:
             if first < j:
                 positions.append(j)
                 gaps.append(j - first)
-    return RepetitionHistogram(
-        position_counts=np.bincount(np.array(positions, dtype=np.int64), minlength=size),
-        gap_counts=np.bincount(np.array(gaps, dtype=np.int64), minlength=size),
+    return (
+        np.bincount(np.array(positions, dtype=np.int64), minlength=size),
+        np.bincount(np.array(gaps, dtype=np.int64), minlength=size),
     )

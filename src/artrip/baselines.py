@@ -1,9 +1,10 @@
 """Non-neural reference generators.
 
-Popularity fills the interior with the globally most visited POIs, so
-its trips are duplicate-free by construction.  The position-indexed
-Markov baseline walks a (horizon, k, k) array of transition matrices
-and is allowed to loop, which makes it a useful repetition yardstick.
+Both walk the shared decode loop.  Popularity walks the global visit
+counts greedily under the no-repeat mask, so its trips are duplicate-free.
+The position-indexed Markov baseline walks a (horizon, k, k) array of
+transition matrices and is allowed to loop, which makes it a useful
+repetition yardstick.
 """
 
 from __future__ import annotations
@@ -29,16 +30,17 @@ def build_popularity(train: list[Trajectory], k: int) -> np.ndarray:
 def popularity_decode(query: Query, counts: np.ndarray) -> Trip:
     """Most-visited POIs in rank order, ties toward the lower index.
 
-    Endpoints come from the query and are excluded from the ranking, so
-    the result never contains a duplicate.
+    A greedy walk under the no-repeat mask over the counts as float64,
+    exact up to 2**53.  A query with more interior stops than POIs besides
+    its endpoints raises ValueError before any step, so the mask never
+    empties a row.
     """
     decoding._check_query(query, len(counts))
-    ranked = np.argsort(-counts, kind="stable")
-    interior = [int(p) for p in ranked if p != query.p_s and p != query.p_e]
-    need = query.n - 2
-    if len(interior) < need:
+    if len(counts) - len({query.p_s, query.p_e}) < query.n - 2:
         raise ValueError(f"vocabulary too small for a {query.n}-stop trip")
-    return Trip(pois=(query.p_s, *interior[:need], query.p_e))
+    scores = np.asarray(counts, dtype=np.float64)
+    cfg = DecodeConfig(strategy="greedy", no_repeat_mask=True)
+    return decoding._walk(query, lambda position, prev: scores, None, cfg, None)
 
 
 def markov_decode(query: Query, matrices: np.ndarray, cfg: DecodeConfig) -> Trip:

@@ -19,6 +19,7 @@ import numpy as np
 from artrip import analysis, baselines, metrics
 from artrip.config import CONFIG_KEYS, ConfigError, ExperimentConfig, load_config
 from artrip.data import (
+    MIN_TRAJECTORIES,
     IngestError,
     PoiCatalog,
     Query,
@@ -56,6 +57,11 @@ def _load_corpus(config: ExperimentConfig):
     catalog = load_poi_catalog(config.poi_file)
     visits, dropped = load_visits(config.visits_file, catalog)
     trajectories = extract_trajectories(visits, catalog, min_len=config.min_traj_len)
+    if len(trajectories) < MIN_TRAJECTORIES:
+        raise IngestError(
+            f"{config.visits_file}: {len(trajectories)} trajectories of at least {config.min_traj_len} stops, "
+            f"need at least {MIN_TRAJECTORIES}"
+        )
     return catalog, visits, dropped, trajectories
 
 
@@ -219,13 +225,13 @@ def cmd_analyze(config: ExperimentConfig) -> int:
         rows.append([j, repr(term), repr(running)])
     rows.append(["status", status, repr(series.value)])
     write_csv(out / "pmr.csv", ["j", "term", "cumulative"], rows)
-    histogram = analysis.repeat_histogram([row["trip"] for row in report.rows])
-    positions, gaps = histogram.position_counts[1:].tolist(), histogram.gap_counts[1:].tolist()
+    position_counts, gap_counts = analysis.repeat_histogram([row["trip"] for row in report.rows])
+    positions, gaps = position_counts[1:].tolist(), gap_counts[1:].tolist()
     write_csv(out / "repeat_positions.csv", ["position", "count"], enumerate(positions, 1))
     write_csv(out / "repeat_gaps.csv", ["gap", "count"], enumerate(gaps, 1))
     print(
         f"analyzed {len(matrices)} transition positions: mean xi {xi_mean:.4f}, "
-        f"PMR {series.value:.6f} ({status}), {histogram.total} repeats in decoded trips"
+        f"PMR {series.value:.6f} ({status}), {sum(positions)} repeats in decoded trips"
     )
     print(f"reports -> {out}")
     return 0

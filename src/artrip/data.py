@@ -23,6 +23,8 @@ POI_HEADER = ["poiID", "poiName", "lat", "long", "theme"]
 VISIT_HEADER = ["userID", "seqID", "poiID", "dateTaken"]
 
 SECONDS_PER_HOUR = 3600
+# the fewest trajectories a corpus may hold: split_corpus needs one per partition
+MIN_TRAJECTORIES = 3
 
 
 class IngestError(ValueError):
@@ -241,8 +243,8 @@ def split_corpus(
     """
     if abs(sum(ratios) - 1.0) > 1e-9:
         raise ValueError(f"ratios must sum to 1, got {ratios}")
-    if len(ts) < 3:
-        raise ValueError(f"need at least 3 trajectories to split, got {len(ts)}")
+    if len(ts) < MIN_TRAJECTORIES:
+        raise ValueError(f"need at least {MIN_TRAJECTORIES} trajectories to split, got {len(ts)}")
     rng = np.random.default_rng(seed)
     order = rng.permutation(len(ts))
     shuffled = [ts[i] for i in order]

@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from artrip.data import Query
-from artrip.guidance import ConfidenceVector, GuidanceMatrix, apply_guidance, check_horizon, check_pois, guidance_factor
+from artrip.guidance import GuidanceMatrix, check_horizon, check_pois, guidance_factor
 from artrip.model.params import ARCH_ONE_SHOT, ModelParams
 from artrip.model.one_shot import forward_one_shot
 from artrip.model.recurrent import forward_recurrent_step, init_recurrent_state
@@ -39,7 +39,7 @@ class DecodeConfig:
     """Selection strategy settings; `seed` drives all sampling.
 
     `seed` is anything `np.random.default_rng` takes: an int, or the
-    (base seed, ordinal) pair of `query_seed`.
+    (base seed, ordinal) pair of `decode_config_for_query`.
     """
 
     strategy: str = "greedy"
@@ -159,7 +159,7 @@ def mask_repeats(row: np.ndarray, used: set[int], position: int) -> np.ndarray:
     return out
 
 
-def _select(row: np.ndarray, position: int, conf: ConfidenceVector, cfg: DecodeConfig, rng, trace):
+def _select(row: np.ndarray, position: int, conf: np.ndarray, cfg: DecodeConfig, rng, trace):
     if cfg.strategy == "greedy":
         choice = greedy_pick(row)
         if trace is not None:
@@ -169,14 +169,15 @@ def _select(row: np.ndarray, position: int, conf: ConfidenceVector, cfg: DecodeC
         return top_k_sample(row, cfg.top_k, rng, trace)
     if cfg.strategy == "top_p":
         return top_p_sample(row, cfg.top_p, rng, trace)
-    return adaptive_sample(row, conf.at(position), cfg, rng, trace)
+    check_horizon(position, len(conf), "position")
+    return adaptive_sample(row, float(conf[position - 1]), cfg, rng, trace)
 
 
 def decode_trip(
     query: Query,
     params: ModelParams,
     pm: GuidanceMatrix,
-    conf: ConfidenceVector,
+    conf: np.ndarray,
     cfg: DecodeConfig,
     trace: list | None = None,
 ) -> Trip:
@@ -186,21 +187,23 @@ def decode_trip(
     mask on, every already-emitted POI (both endpoints included) scores
     -inf until the mask would empty a row, at which point it is
     released with a warning.  `trace`, if given, collects
-    (candidate_ids, chosen_id) per interior position.  A query longer
-    than the model's horizon `params.m_max`, or with an endpoint outside
-    the vocabulary, raises ValueError before the forward pass.
+    (candidate_ids, chosen_id) per interior position; adaptive decoding
+    reads `conf[position - 1]` there.  A query longer than the model's
+    horizon `params.m_max` or than `pm.m_max + 1`, which covers the guided
+    positions 2..n-1, or with an endpoint outside the vocabulary, raises
+    ValueError before the forward pass.
     """
     _check_query(query, params.k)
     check_horizon(query.n, params.m_max)
+    # row j of the factor is position j + 2's guidance, as apply_guidance scales it
+    factor = guidance_factor(pm, 2, query.n - 2)
     if params.config.arch == ARCH_ONE_SHOT:
-        guided = apply_guidance(forward_one_shot(query, params), pm)
+        guided = forward_one_shot(query, params)[1:-1] * factor
 
         def next_row(position: int, prev: int) -> np.ndarray:
-            return guided[position - 1]
+            return guided[position - 2]
 
     else:
-        # row j of the factor is position j + 2's guidance, as apply_guidance scales it
-        factor = guidance_factor(pm, 2, query.n - 2)
         state = init_recurrent_state(query, params)
 
         def next_row(position: int, prev: int) -> np.ndarray:
@@ -218,8 +221,8 @@ def _check_query(query: Query, k: int) -> None:
     check_pois((query.p_s, query.p_e), k)
 
 
-def _walk(query: Query, next_row, conf: ConfidenceVector | None, cfg: DecodeConfig, trace) -> Trip:
-    """The decode loop every walking generator shares, on a query `_check_query` passed.
+def _walk(query: Query, next_row, conf: np.ndarray | None, cfg: DecodeConfig, trace) -> Trip:
+    """The decode loop every generator shares, on a query `_check_query` passed.
 
     The endpoints come from the query.  Each interior position scores the stop
     after `prev` by `next_row(position, prev)`, masks repeats if the config
@@ -249,16 +252,12 @@ def _rng(cfg: DecodeConfig):
     return np.random.default_rng(np.array(words, dtype=np.uint32) if fast else cfg.seed)
 
 
-def query_seed(base_seed: int, ordinal: int) -> tuple[int, int]:
-    """Stable per-query seed: the pair itself, which `default_rng` takes as entropy.
+def decode_config_for_query(cfg: DecodeConfig, base_seed: int, ordinal: int) -> DecodeConfig:
+    """`cfg` with the seed of query `ordinal` under `base_seed`; nothing else changes.
 
+    The seed is the pair itself, which `default_rng` takes as entropy.
     Distinct pairs are distinct SeedSequence entropy, so every (base seed,
     ordinal) gets its own stream; folding the two into one int would let
     pairs such as (1, 0) and (0, 1) share one.
     """
-    return base_seed, ordinal
-
-
-def decode_config_for_query(cfg: DecodeConfig, base_seed: int, ordinal: int) -> DecodeConfig:
-    """`cfg` with the seed of query `ordinal` under `base_seed`; nothing else changes."""
-    return replace(cfg, seed=query_seed(base_seed, ordinal))
+    return replace(cfg, seed=(base_seed, ordinal))

@@ -24,26 +24,15 @@ class GuidanceMatrix:
     """
 
     values: np.ndarray
-    m_max: int
     poi_totals: np.ndarray
 
     @property
     def k(self) -> int:
         return self.values.shape[0]
 
-
-@dataclass
-class ConfidenceVector:
-    """Per-position fraction of POIs with no occurrence there, shape (m_max,)."""
-
-    values: np.ndarray
-
-    def at(self, position: int) -> float:
-        """Confidence at a 1-based position in 1..m_max; later positions raise ValueError."""
-        if position < 1:
-            raise ValueError(f"positions are 1-based, got {position}")
-        check_horizon(position, len(self.values), "position")
-        return float(self.values[position - 1])
+    @property
+    def m_max(self) -> int:
+        return self.values.shape[1]
 
 
 def check_horizon(n: int, m_max: int, what: str = "trip length n") -> None:
@@ -86,22 +75,24 @@ def build_guidance_matrix(train: list[Trajectory], k: int) -> GuidanceMatrix:
     values = np.zeros_like(counts)
     visited = totals > 0
     values[visited] = counts[visited] / totals[visited, None]
-    return GuidanceMatrix(values=values, m_max=m_max, poi_totals=totals)
+    return GuidanceMatrix(values=values, poi_totals=totals)
 
 
 def zero_guidance(k: int, m_max: int) -> GuidanceMatrix:
     """All-zero guidance; applying it is the identity on logits."""
     return GuidanceMatrix(
         values=np.zeros((k, m_max), dtype=np.float64),
-        m_max=m_max,
         poi_totals=np.zeros(k, dtype=np.float64),
     )
 
 
-def build_confidence(pm: GuidanceMatrix, k: int) -> ConfidenceVector:
-    """Per position j, the fraction of POI rows whose column-j entry is zero."""
+def build_confidence(pm: GuidanceMatrix, k: int) -> np.ndarray:
+    """Per position j, the fraction of POI rows whose column-j entry is zero.
+
+    A float64 (m_max,) array: 1-based position j sits at index j - 1.
+    """
     zero_counts = (pm.values == 0.0).sum(axis=0)
-    return ConfidenceVector(values=zero_counts.astype(np.float64) / k)
+    return zero_counts.astype(np.float64) / k
 
 
 def guidance_columns(pm: GuidanceMatrix, first_position: int, m: int) -> np.ndarray:

@@ -21,22 +21,26 @@ whose mechanisms are not booleans under exactly MECHANISM_KEYS, whose
 vocabulary does not have length k, holds an entry that is not an integer
 or does not match its hash, or whose guidance totals do not have length k
 or hold an entry that is not a non-negative integer.  A JSON `true` is not
-an integer here.
+an integer here.  Both file sizes are checked against the manifest's
+config, k and m_max before any parameter array is built or either binary
+file is read, so no manifest value can make loading allocate or loop
+beyond what the files hold.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import math
 import shutil
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, fields, replace
 from itertools import zip_longest
 from pathlib import Path
 
 import numpy as np
 
-from artrip.guidance import ConfidenceVector, GuidanceMatrix
-from artrip.model.params import ModelConfig, ModelParams
+from artrip.guidance import GuidanceMatrix
+from artrip.model.params import ModelConfig, ModelParams, block_shapes
 
 BUNDLE_FORMAT = "trip-bundle-v1"
 MECHANISM_KEYS = ("guiding", "drifting", "adapting")
@@ -51,7 +55,7 @@ _CONFIG_TYPES = {f.name: type(f.default) for f in fields(ModelConfig)}
 class Bundle:
     params: ModelParams
     pm: GuidanceMatrix
-    confidence: ConfidenceVector
+    confidence: np.ndarray
     mechanisms: dict[str, bool]
     manifest: dict
 
@@ -71,7 +75,7 @@ def save_bundle(
     path,
     params: ModelParams,
     pm: GuidanceMatrix,
-    confidence: ConfidenceVector,
+    confidence: np.ndarray,
     mechanisms: dict[str, bool],
     vocab_ids: list[int],
 ) -> None:
@@ -84,7 +88,7 @@ def save_bundle(
         raise ValueError(f"mechanisms must have exactly the keys {MECHANISM_KEYS}")
     if len(vocab_ids) != params.k or pm.k != params.k:
         raise ValueError("vocabulary, params and guidance disagree on k")
-    if pm.m_max != params.m_max or len(confidence.values) != pm.m_max:
+    if pm.m_max != params.m_max or len(confidence) != pm.m_max:
         raise ValueError("params and guidance disagree on m_max")
     path = Path(path)
     if path.exists() and not (path.is_dir() and {p.name for p in path.iterdir()} <= set(BUNDLE_FILES)):
@@ -102,7 +106,7 @@ def save_bundle(
     }
     payloads = {
         "params.bin": params.flat.astype("<f8", copy=False).tobytes(),
-        "guidance.bin": np.vstack([pm.values, confidence.values[None, :]]).astype("<f8").tobytes(),
+        "guidance.bin": np.vstack([pm.values, confidence[None, :]]).astype("<f8").tobytes(),
     }
     for name, payload in payloads.items():
         manifest[_HASH_FIELDS[name]] = hashlib.sha256(payload).hexdigest()
@@ -145,11 +149,24 @@ def _model_config(manifest: dict) -> ModelConfig:
         raise ValueError(f"manifest.json: config: {err}") from err
 
 
-def _read_checked(path: Path, name: str, manifest: dict, size: int) -> np.ndarray:
-    """The float64 contents of bundle file `name`, once its size and sha256 match."""
+def _param_floats(config: ModelConfig, k: int, m_max: int) -> int:
+    """The length of the flat vector of `ModelParams(config, k, m_max)`, built nowhere.
+
+    Closed form in `num_layers`: every encoder layer adds the same blocks,
+    so no manifest value makes this loop.
+    """
+
+    def floats(layers: int) -> int:
+        shapes = block_shapes(replace(config, num_layers=layers), k, m_max)
+        return sum(math.prod(shape) for shape in shapes.values())
+
+    base = floats(0)
+    return base + config.num_layers * (floats(1) - base)
+
+
+def _read_checked(path: Path, name: str, manifest: dict) -> np.ndarray:
+    """The float64 contents of bundle file `name`, once its sha256 matches."""
     payload = (path / name).read_bytes()
-    if len(payload) != 8 * size:
-        raise ValueError(f"{name} size is {len(payload)} bytes, expected {8 * size} from manifest.json")
     field = _HASH_FIELDS[name]
     digest = hashlib.sha256(payload).hexdigest()
     if digest != manifest.get(field):
@@ -198,6 +215,10 @@ def load_bundle(path) -> Bundle:
     negative = [t for t in manifest["guidance_totals"] if t < 0]
     if negative:
         raise _manifest_error("guidance_totals", f"negative ({negative[0]})", "non-negative counts")
+    for name, floats in (("params.bin", _param_floats(config, k, m_max)), ("guidance.bin", (k + 1) * m_max)):
+        size = (path / name).stat().st_size
+        if size != 8 * floats:
+            raise ValueError(f"{name} size is {size} bytes, expected {8 * floats} from manifest.json")
     params = ModelParams(config=config, k=k, m_max=m_max)
     expected = _block_table(params)
     table = manifest.get("blocks")
@@ -205,18 +226,16 @@ def load_bundle(path) -> Bundle:
         pairs = zip_longest(table if isinstance(table, list) else [], expected)
         i, (found, want) = next((i, pair) for i, pair in enumerate(pairs) if pair[0] != pair[1])
         raise _manifest_error(f"block table entry {i}", found, want)
-    params.flat[:] = _read_checked(path, "params.bin", manifest, params.flat.size)
-    grid = _read_checked(path, "guidance.bin", manifest, (k + 1) * m_max).reshape(k + 1, m_max)
+    params.flat[:] = _read_checked(path, "params.bin", manifest)
+    grid = _read_checked(path, "guidance.bin", manifest).reshape(k + 1, m_max)
     pm = GuidanceMatrix(
         values=grid[:k].astype(np.float64),
-        m_max=m_max,
         poi_totals=np.array(manifest["guidance_totals"], dtype=np.float64),
     )
-    confidence = ConfidenceVector(values=grid[k].astype(np.float64))
     return Bundle(
         params=params,
         pm=pm,
-        confidence=confidence,
+        confidence=grid[k].astype(np.float64),
         mechanisms=dict(mechanisms),
         manifest=manifest,
     )

@@ -164,28 +164,28 @@ class TestEmpiricalTransitions:
 class TestRepeatHistogram:
     def test_positions_and_gaps(self):
         # repeats: position 3 (gap 2) and position 5 (gap 3)
-        hist = repeat_histogram([(10, 11, 10, 12, 11)])
-        assert hist.total == 2
-        assert hist.position_counts[3] == 1
-        assert hist.position_counts[5] == 1
-        assert hist.gap_counts[2] == 1
-        assert hist.gap_counts[3] == 1
+        position_counts, gap_counts = repeat_histogram([(10, 11, 10, 12, 11)])
+        assert position_counts.sum() == 2
+        assert position_counts[3] == 1
+        assert position_counts[5] == 1
+        assert gap_counts[2] == 1
+        assert gap_counts[3] == 1
 
     def test_gap_measures_to_first_occurrence(self):
         # third A at position 3 still refers back to position 1
-        hist = repeat_histogram([(7, 7, 7)])
-        assert hist.position_counts[2] == 1 and hist.position_counts[3] == 1
-        assert hist.gap_counts[1] == 1 and hist.gap_counts[2] == 1
+        position_counts, gap_counts = repeat_histogram([(7, 7, 7)])
+        assert position_counts[2] == 1 and position_counts[3] == 1
+        assert gap_counts[1] == 1 and gap_counts[2] == 1
 
     def test_counts_accumulate_across_trips(self):
-        hist = repeat_histogram([(1, 2, 1), (3, 4, 3)])
-        assert hist.position_counts[3] == 2
-        assert hist.gap_counts[2] == 2
+        position_counts, gap_counts = repeat_histogram([(1, 2, 1), (3, 4, 3)])
+        assert position_counts[3] == 2
+        assert gap_counts[2] == 2
 
     def test_clean_trips_yield_empty_histogram(self):
-        hist = repeat_histogram([(1, 2, 3), (4, 5)])
-        assert hist.total == 0
-        np.testing.assert_array_equal(hist.gap_counts, 0)
+        position_counts, gap_counts = repeat_histogram([(1, 2, 3), (4, 5)])
+        np.testing.assert_array_equal(position_counts, 0)
+        np.testing.assert_array_equal(gap_counts, 0)
 
     def test_rejects_empty_batch(self):
         with pytest.raises(ValueError):
@@ -211,9 +211,8 @@ def reference_repeat_histogram(seqs):
 @settings(max_examples=200, deadline=None)
 @given(trips=st.lists(st.lists(st.integers(0, 4), min_size=1, max_size=12), min_size=1, max_size=8))
 def test_repeat_histogram_matches_the_element_loop(trips):
-    hist = repeat_histogram([tuple(t) for t in trips])
-    positions, gaps = reference_repeat_histogram(trips)
-    for got, want in ((hist.position_counts, positions), (hist.gap_counts, gaps)):
+    got_counts = repeat_histogram([tuple(t) for t in trips])
+    for got, want in zip(got_counts, reference_repeat_histogram(trips), strict=True):
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 

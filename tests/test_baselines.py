@@ -82,6 +82,41 @@ class TestPopularity:
             popularity_decode(q, counts)
 
 
+def reference_popularity_decode(query, counts):
+    """The stable rank order popularity_decode used before it walked the decode loop."""
+    ranked = np.argsort(-counts, kind="stable")
+    interior = [int(p) for p in ranked if p != query.p_s and p != query.p_e]
+    need = query.n - 2
+    if len(interior) < need:
+        raise ValueError(f"vocabulary too small for a {query.n}-stop trip")
+    return Trip(pois=(query.p_s, *interior[:need], query.p_e))
+
+
+@st.composite
+def popularity_cases(draw):
+    # few distinct values make ties common; below 2**53 float64 holds every count exactly
+    values = draw(st.lists(st.integers(0, 2**53), min_size=1, max_size=4))
+    counts = np.array(draw(st.lists(st.sampled_from(values), min_size=2, max_size=9)), dtype=np.int64)
+    k = len(counts)
+    p_s = draw(st.integers(0, k - 1))
+    p_e = draw(st.one_of(st.just(p_s), st.integers(0, k - 1)))
+    limit = k - len({p_s, p_e}) + 2
+    return counts, Query(p_s=p_s, t_s=0, p_e=p_e, t_e=7200, n=draw(st.integers(2, limit))), limit
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=popularity_cases())
+def test_popularity_walk_equals_the_stable_rank_order(case):
+    counts, query, limit = case
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert popularity_decode(query, counts) == reference_popularity_decode(query, counts)
+    longer = Query(p_s=query.p_s, t_s=0, p_e=query.p_e, t_e=7200, n=limit + 1)
+    for decode in (popularity_decode, reference_popularity_decode):
+        with pytest.raises(ValueError, match=f"vocabulary too small for a {limit + 1}-stop trip"):
+            decode(longer, counts)
+
+
 def stationary(values, n):
     """The same transitions at every step of an n-stop walk: an (n - 1, k, k) chain."""
     return np.array([values] * (n - 1))

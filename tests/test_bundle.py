@@ -10,7 +10,7 @@ from artrip.data import Trajectory
 from artrip.guidance import build_confidence, build_guidance_matrix
 from artrip.model import bundle as bundle_module
 from artrip.model.bundle import load_bundle, save_bundle, vocab_sha256
-from artrip.model.params import ARCH_ONE_SHOT, ARCH_RECURRENT, ModelConfig, init_params
+from artrip.model.params import ARCH_ONE_SHOT, ARCH_RECURRENT, ModelConfig, ModelParams, init_params
 
 K = 6
 VOCAB = [101, 102, 205, 310, 311, 400]
@@ -43,7 +43,7 @@ def test_round_trip_restores_everything(tmp_path, arch):
         np.testing.assert_array_equal(bundle.params.blocks[name], params.blocks[name])
     np.testing.assert_array_equal(bundle.pm.values, pm.values)
     np.testing.assert_array_equal(bundle.pm.poi_totals, pm.poi_totals)
-    np.testing.assert_array_equal(bundle.confidence.values, conf.values)
+    np.testing.assert_array_equal(bundle.confidence, conf)
     assert bundle.mechanisms == MECHS
     assert bundle.manifest["vocab_ids"] == VOCAB
 
@@ -85,7 +85,7 @@ def test_guidance_bin_has_confidence_as_last_row(tmp_path):
     grid = np.frombuffer((tmp_path / "model" / "guidance.bin").read_bytes(), dtype="<f8")
     grid = grid.reshape(K + 1, pm.m_max)
     np.testing.assert_array_equal(grid[:K], pm.values)
-    np.testing.assert_array_equal(grid[K], conf.values)
+    np.testing.assert_array_equal(grid[K], conf)
 
 
 def test_vocab_hash_pins_id_order():
@@ -265,6 +265,11 @@ MALFORMED_MANIFESTS = [
     ("extra-config-key", with_config(dropout=0.1), r"manifest\.json: config\.dropout is unknown, expected the keys \['arch'"),
     ("string-embed-dim", with_config(embed_dim="8"), r"manifest\.json: config\.embed_dim is '8', expected int"),
     ("unknown-arch", with_config(arch="x"), r"manifest\.json: config: unknown arch 'x'"),
+    # sizes the model past its files: checked before the params are built, and never looped over
+    ("huge-num-layers", with_config(num_layers=10**6), r"params\.bin size is \d+ bytes, expected \d+ from"),
+    ("huge-hidden-dim", with_config(hidden_dim=10**12), r"params\.bin size is \d+ bytes, expected \d+ from"),
+    ("huge-embed-dim", with_config(embed_dim=10**12), r"params\.bin size is \d+ bytes, expected \d+ from"),
+    ("huge-m-max", parsed(lambda m: dict(m, m_max=10**30)), r"params\.bin size is \d+ bytes, expected \d+ from"),
     ("json-list", parsed(lambda m: [m]), r"manifest\.json: the top level is a list, expected an object"),
     ("invalid-json", lambda text: text[:-10], r"manifest\.json: not valid JSON"),
 ]
@@ -281,6 +286,13 @@ def test_a_malformed_manifest_is_refused_before_the_params_are_built(tmp_path, e
     with mock.patch.object(bundle_module, "ModelParams", side_effect=AssertionError("ModelParams was built")):
         with pytest.raises(ValueError, match=message):
             load_bundle(tmp_path / "model")
+
+
+@pytest.mark.parametrize("arch", [ARCH_ONE_SHOT, ARCH_RECURRENT])
+@pytest.mark.parametrize("num_layers", [0, 1, 3])
+def test_the_closed_form_param_count_is_the_flat_vector_length(arch, num_layers):
+    cfg = ModelConfig(arch=arch, embed_dim=8, num_layers=num_layers, num_heads=2, hidden_dim=16)
+    assert bundle_module._param_floats(cfg, K, 5) == ModelParams(config=cfg, k=K, m_max=5).flat.size
 
 
 class TestFileHashes:

@@ -1,6 +1,7 @@
 import csv
 import importlib.util
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -115,6 +116,21 @@ class TestIngest:
         assert "error:" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("routes", [[], ROUTES[:2]], ids=["header-only", "two-trajectories"])
+    def test_a_corpus_under_three_trajectories_is_the_same_error_for_every_command(self, routes, tmp_path, capsys):
+        corpus = write_corpus(tmp_path, routes)
+        flags = [
+            "--poi-file", str(corpus / "pois.csv"),
+            "--visits-file", str(corpus / "visits.csv"),
+            "--output-dir", str(tmp_path / "out"),
+        ]
+        want = [f"error: {corpus / 'visits.csv'}: {len(routes)} trajectories of at least 3 stops, need at least 3"]
+        for command in ("ingest", "train", "evaluate", "analyze"):
+            assert main([command, *flags]) == 1
+            assert capsys.readouterr().err.splitlines() == want, command
+        assert not (tmp_path / "out").exists()
+
+
 class TestTrain:
     def test_writes_bundle_and_loss_trace(self, base_flags, tmp_path, capsys):
         assert main(["train", *base_flags]) == 0
@@ -175,6 +191,31 @@ class TestEvaluate:
         capsys.readouterr()
         assert main(["evaluate", *base_flags]) == 1
         assert capsys.readouterr().err.splitlines() == ["error: manifest.json: config: unknown arch 'x'"]
+
+    @pytest.mark.parametrize(
+        "section, field, value",
+        [
+            ("config", "num_layers", 10**6),
+            ("config", "hidden_dim", 10**12),
+            ("config", "embed_dim", 10**12),
+            (None, "m_max", 10**30),
+        ],
+        ids=["num-layers", "hidden-dim", "embed-dim", "m-max"],
+    )
+    def test_a_manifest_sizing_the_model_past_its_files_is_an_error_line(
+        self, base_flags, tmp_path, capsys, section, field, value
+    ):
+        # the size check comes before any array is built, so nothing is allocated or looped over
+        assert main(["train", *base_flags]) == 0
+        model = tmp_path / "out" / "model"
+        manifest = json.loads((model / "manifest.json").read_text())
+        (manifest[section] if section else manifest)[field] = value
+        (model / "manifest.json").write_text(json.dumps(manifest))
+        capsys.readouterr()
+        assert main(["evaluate", *base_flags]) == 1
+        size = (model / "params.bin").stat().st_size
+        (line,) = capsys.readouterr().err.splitlines()
+        assert re.fullmatch(rf"error: params\.bin size is {size} bytes, expected \d+ from manifest\.json", line)
 
     def test_a_string_guidance_total_is_an_error_line_naming_the_entry(self, base_flags, tmp_path, capsys):
         assert main(["train", *base_flags]) == 0
@@ -356,12 +397,12 @@ class TestAnalyze:
             if repeat == "0":
                 trips.setdefault(query, []).append(int(poi))
         assert len(trips) == 3
-        histogram = analysis.repeat_histogram(list(trips.values()))
-        assert histogram.total > 0
+        position_counts, gap_counts = analysis.repeat_histogram(list(trips.values()))
+        assert position_counts.sum() > 0
         positions = read_rows(out / "repeat_positions.csv")
         gaps = read_rows(out / "repeat_gaps.csv")
-        assert positions[1:] == [[str(j), str(c)] for j, c in enumerate(histogram.position_counts[1:], 1)]
-        assert gaps[1:] == [[str(j), str(c)] for j, c in enumerate(histogram.gap_counts[1:], 1)]
+        assert positions[1:] == [[str(j), str(c)] for j, c in enumerate(position_counts[1:], 1)]
+        assert gaps[1:] == [[str(j), str(c)] for j, c in enumerate(gap_counts[1:], 1)]
 
     def test_a_failed_decode_leaves_no_report(self, base_flags, tmp_path, capsys, monkeypatch):
         flags = [*base_flags, *self.THREE_TEST_QUERIES, "--generator", "markov", "--strategy", "greedy"]
@@ -808,8 +849,23 @@ class TestArtifactHashes:
         # epoch may regenerate tests/artifact_hashes.txt
         script = load_artifact_hashes()
         script.write_artifacts(tmp_path)
-        golden = (Path(__file__).resolve().parent / "artifact_hashes.txt").read_text().splitlines()
-        assert script.hash_lines(tmp_path) == golden
+        arithmetic, *golden = (Path(__file__).resolve().parent / "artifact_hashes.txt").read_text().splitlines()
+        listing = script.hash_lines(tmp_path)
+        here = script.arithmetic_line()
+        # bytes hold per host: name a changed arithmetic before the hash lines it moved
+        if listing != golden and here != arithmetic:
+            moved = len(set(golden) - set(listing))
+            pytest.fail(f"arithmetic differs: {here!r} here, {arithmetic!r} in the golden listing; {moved} hash lines moved")
+        assert listing == golden
+
+    def test_main_prints_the_arithmetic_line_first(self, tmp_path, capsys, monkeypatch):
+        script = load_artifact_hashes()
+        monkeypatch.setattr(script, "write_artifacts", lambda out_dir: (out_dir / "a.csv").write_text("x\n"))
+        assert script.main([str(tmp_path)]) == 0
+        first, *rest = capsys.readouterr().out.splitlines()
+        assert first == script.arithmetic_line()
+        assert re.fullmatch(r"# numpy \S+, SIMD .*, OpenBLAS core \S+", first)
+        assert rest == script.hash_lines(tmp_path)
 
     def test_refuses_a_non_empty_output_dir(self, tmp_path, capsys):
         (tmp_path / "stale.csv").write_text("x\n")

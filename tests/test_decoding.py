@@ -16,18 +16,18 @@ from artrip.decoding import (
     decode_trip,
     greedy_pick,
     mask_repeats,
-    query_seed,
     top_k_sample,
     top_p_sample,
 )
 from artrip.guidance import (
-    ConfidenceVector,
+    GuidanceMatrix,
     apply_guidance,
     build_confidence,
     build_guidance_matrix,
     zero_guidance,
 )
 from artrip.metrics import evaluate_decoder
+from artrip.model.one_shot import forward_one_shot
 from artrip.model.params import ARCH_ONE_SHOT, ARCH_RECURRENT, ModelConfig, init_params
 from artrip.model.recurrent import forward_recurrent_step, init_recurrent_state
 
@@ -529,6 +529,31 @@ class TestDecodeTrip:
         with pytest.raises(ValueError, match=f"POI index {bad} out of range for k={K}"):
             decode_trip(q, params, self.pm, self.conf, DecodeConfig())
 
+    @pytest.mark.parametrize("arch", [ARCH_ONE_SHOT, ARCH_RECURRENT])
+    def test_guidance_needs_a_horizon_of_n_minus_one(self, arch):
+        # only positions 2..n-1 are guided, so the columns past n - 1 are never read
+        params = self.params(arch)
+        q = Query(p_s=0, t_s=0, p_e=1, t_e=14400, n=5)
+        short = GuidanceMatrix(values=self.pm.values[:, : q.n - 1].copy(), poi_totals=self.pm.poi_totals)
+        for cfg in (DecodeConfig(), DecodeConfig(strategy="top_p", seed=4)):
+            assert decode_trip(q, params, short, self.conf, cfg) == decode_trip(q, params, self.pm, self.conf, cfg)
+        too_short = zero_guidance(K, q.n - 2)
+        with pytest.raises(ValueError) as err:
+            decode_trip(q, params, too_short, self.conf, DecodeConfig())
+        assert str(err.value) == "last position=4 exceeds the horizon m_max=3, the longest training route"
+
+    def test_adaptive_confidence_lookup_is_one_based(self):
+        # threshold mode: confidence 1 keeps the 1e-9 nucleus, one POI; 0 widens it to every POI
+        q = Query(p_s=0, t_s=0, p_e=1, t_e=14400, n=5)
+        cfg = DecodeConfig(strategy="adaptive", adaptive_mode="threshold", top_p=1e-9, seed=3)
+        for arch in (ARCH_ONE_SHOT, ARCH_RECURRENT):
+            trace = []
+            decode_trip(q, self.params(arch), self.pm, np.array([0.0, 1.0, 0.0, 1.0, 0.0]), cfg, trace)
+            # positions 2, 3 and 4 read conf[1], conf[2] and conf[3]
+            assert [len(candidates) for candidates, _ in trace] == [1, K, 1]
+            with pytest.raises(ValueError, match=r"^position=4 exceeds the horizon m_max=3, the longest"):
+                decode_trip(q, self.params(arch), self.pm, self.conf[:3], cfg)
+
     def test_trace_covers_interior_positions(self):
         q = Query(p_s=0, t_s=0, p_e=1, t_e=14400, n=5)
         trace = []
@@ -612,6 +637,12 @@ def reference_recurrent_decode(query, params, pm, conf, cfg, trace):
     return Trip(pois=(*pois, query.p_e))
 
 
+def reference_one_shot_decode(query, params, pm, conf, cfg, trace):
+    """The one-shot decode that guided all n score rows through apply_guidance."""
+    guided = apply_guidance(forward_one_shot(query, params), pm)
+    return decoding._walk(query, lambda position, prev: guided[position - 1], conf, cfg, trace)
+
+
 def decode_with_warnings(decode, *args):
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
@@ -636,6 +667,19 @@ def test_recurrent_guidance_sliced_once_matches_per_step_guidance(strategy, mask
     assert sorted(warned) == sorted(ref_warned)
 
 
+@pytest.mark.parametrize("mask", [False, True])
+@pytest.mark.parametrize("strategy", decoding.STRATEGIES)
+@settings(max_examples=25, deadline=None)
+@given(query=queries, seed=st.integers(0, 2**16), mode=st.sampled_from(decoding.ADAPTIVE_MODES))
+def test_one_shot_interior_guidance_matches_guiding_every_row(strategy, mask, query, seed, mode):
+    cfg = DecodeConfig(strategy=strategy, top_k=3, adaptive_mode=mode, no_repeat_mask=mask, seed=seed)
+    args = (query, WARM_PARAMS[ARCH_ONE_SHOT], PROPERTY_PM, PROPERTY_CONF, cfg)
+    trace, ref_trace = [], []
+    trip, warned = decode_with_warnings(decode_trip, *args, trace)
+    ref, ref_warned = decode_with_warnings(reference_one_shot_decode, *args, ref_trace)
+    assert (trip, trace, sorted(warned)) == (ref, ref_trace, sorted(ref_warned))
+
+
 class TestSeeds:
     def test_no_two_queries_of_one_evaluation_share_a_stream(self):
         # 5 repeats x 50 queries; XOR seeds gave (repeat 1, query 0) and
@@ -655,13 +699,13 @@ class TestSeeds:
         assert len(set(draws.values())) == 250
 
     def test_distinct_ordinals_get_distinct_streams(self):
-        seeds = {query_seed(1234, i) for i in range(50)}
+        seeds = {decode_config_for_query(DecodeConfig(), 1234, i).seed for i in range(50)}
         assert len(seeds) == 50
 
     def test_decode_config_for_query_only_touches_seed(self):
         cfg = DecodeConfig(strategy="top_k", top_k=3, lam=0.5, no_repeat_mask=True, seed=0)
         out = decode_config_for_query(cfg, base_seed=10, ordinal=4)
-        assert out.seed == query_seed(10, 4)
+        assert out.seed == (10, 4)
         for f in fields(DecodeConfig):
             if f.name != "seed":
                 assert getattr(out, f.name) == getattr(cfg, f.name), f.name

@@ -5,7 +5,6 @@ import pytest
 
 from artrip.data import Trajectory
 from artrip.guidance import (
-    ConfidenceVector,
     apply_guidance,
     build_confidence,
     build_guidance_matrix,
@@ -41,17 +40,8 @@ def test_visited_rows_sum_to_one():
 def test_confidence_counts_zero_columns():
     pm = build_guidance_matrix(TWO_ROUTES, k=3)
     conf = build_confidence(pm, k=3)
-    np.testing.assert_allclose(conf.values, [2 / 3, 1 / 3, 1 / 3])
-
-
-def test_confidence_lookup_is_one_based():
-    conf = ConfidenceVector(values=np.array([0.5, 0.25]))
-    assert conf.at(1) == 0.5
-    assert conf.at(2) == 0.25
-    with pytest.raises(ValueError, match="position=3 exceeds the horizon m_max=2"):
-        conf.at(3)
-    with pytest.raises(ValueError):
-        conf.at(0)
+    assert conf.dtype == np.float64
+    np.testing.assert_allclose(conf, [2 / 3, 1 / 3, 1 / 3])
 
 
 def test_zero_guidance_is_identity():
