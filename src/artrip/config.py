@@ -15,6 +15,7 @@ import math
 import os
 from dataclasses import dataclass, fields, replace
 
+from artrip.data import open_text
 from artrip.decoding import DecodeConfig
 from artrip.guidance import GuidanceMatrix, zero_guidance
 from artrip.model.params import ModelConfig
@@ -60,6 +61,9 @@ class ExperimentConfig:
     noise_seed: int = 0
 
     def __post_init__(self):
+        for key in ("poi_file", "visits_file", "output_dir"):
+            if "\0" in getattr(self, key):
+                raise ConfigError(f"{key} holds a NUL byte, which no path can")
         seeds = {
             "split_seed": self.split_seed,
             "model_seed": self.model.seed,
@@ -134,7 +138,7 @@ def _coerce(key: str, raw: str):
 def parse_config_file(path: str) -> dict:
     """Read `key = value` lines; '#' starts a comment, blanks are skipped."""
     values: dict = {}
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path, ConfigError) as fh:
         for lineno, line in enumerate(fh, start=1):
             stripped = line.split("#", 1)[0].strip()
             if not stripped:

@@ -13,8 +13,10 @@ is a column selection plus rename, see README.
 from __future__ import annotations
 
 import csv
+import io
 from dataclasses import dataclass
 from operator import itemgetter
+from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
@@ -110,6 +112,17 @@ def hour_bucket(timestamp: int) -> int:
     return int(timestamp // SECONDS_PER_HOUR) % 24
 
 
+def open_text(path, error: type[ValueError] = IngestError) -> io.TextIOWrapper:
+    """Like `open(path, newline="", encoding="utf-8")`, but non-UTF-8 bytes raise `error` naming the line."""
+    raw = Path(path).read_bytes()
+    try:
+        raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = raw.count(b"\n", 0, exc.start) + 1
+        raise error(f"{path} line {line}: not valid UTF-8 ({exc.reason} 0x{raw[exc.start]:02x})") from None
+    return io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8", newline="")
+
+
 def _check_header(row: list[str], expected: list[str], path: str) -> None:
     if [c.strip() for c in row] != expected:
         raise IngestError(
@@ -121,7 +134,7 @@ def load_poi_catalog(path: str) -> PoiCatalog:
     """Read a POI catalog CSV; dense indices follow ascending poiID."""
     pois: list[Poi] = []
     seen: set[int] = set()
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open_text(path) as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -163,7 +176,7 @@ def load_visits(path: str, catalog: PoiCatalog) -> tuple[list[Visit], int]:
     visits: list[Visit] = []
     dropped = 0
     index = catalog._index
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open_text(path) as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)

@@ -184,7 +184,7 @@ def load_bundle(path) -> Bundle:
     if not isinstance(manifest, dict):
         raise _manifest_error("the top level", f"a {type(manifest).__name__}", "an object")
     if manifest.get("format") != BUNDLE_FORMAT:
-        raise ValueError(f"unsupported bundle format {manifest.get('format')!r}")
+        raise _manifest_error("format", repr(manifest.get("format")), repr(BUNDLE_FORMAT))
     for field in _HASH_FIELDS.values():
         if manifest.get(field) is None:
             raise ValueError(f"manifest.json {field} is None: the bundle predates file hashes; save it again")

@@ -210,17 +210,15 @@ def forward_one_shot(query: Query, params: ModelParams) -> np.ndarray:
     return logits
 
 
-def backward(
-    params: ModelParams, cache: dict, dlogits: np.ndarray, buffer: GradBuffer | None = None
-) -> np.ndarray:
-    """Backpropagate a loss gradient on the logits into a gradient vector.
+def backward(params: ModelParams, cache: dict, dlogits: np.ndarray, buffer: GradBuffer) -> np.ndarray:
+    """Backpropagate a loss gradient on the logits into `buffer` (`ModelParams.zero_grads`).
 
-    The returned vector is laid out like `params.flat`: `buffer.flat`,
-    overwritten, when a buffer from `params.zero_grads()` is given, and a
-    new vector otherwise.
+    The buffer is zeroed first; its flat vector, laid out like
+    `params.flat`, is returned.
     """
     blocks = params.blocks
-    grad, grads, grads_qkv = params.zero_grads() if buffer is None else buffer.zeroed()
+    grad, grads, grads_qkv = buffer
+    grad.fill(0.0)
     grads["head"] += cache["z"].T @ dlogits
     dz = dlogits @ blocks["head"].T
     dx, dgamma, dbeta = _layer_norm_backward(dz, cache["final_ln"])

@@ -108,11 +108,6 @@ class GradBuffer(NamedTuple):
     blocks: dict[str, np.ndarray]
     qkv: tuple[np.ndarray, ...]
 
-    def zeroed(self) -> "GradBuffer":
-        """This buffer, zeroed in place for the next gradient."""
-        self.flat.fill(0.0)
-        return self
-
 
 @dataclass
 class ModelParams:

@@ -70,18 +70,16 @@ def forward_teacher(query: Query, pois, params: ModelParams):
     return rows, cache
 
 
-def backward(
-    params: ModelParams, cache: dict, drows: np.ndarray, buffer: GradBuffer | None = None
-) -> np.ndarray:
-    """Backpropagate through time into a vector laid out like `params.flat`.
+def backward(params: ModelParams, cache: dict, drows: np.ndarray, buffer: GradBuffer) -> np.ndarray:
+    """Backpropagate through time into `buffer` (`ModelParams.zero_grads`).
 
-    That vector is `buffer.flat`, overwritten, when a buffer from
-    `params.zero_grads()` is given, and a new one otherwise.  Only the
-    carry through `state_w` steps; every weight gradient is one product
-    over the trajectory.
+    The buffer is zeroed first; its flat vector, laid out like
+    `params.flat`, is returned.  Only the carry through `state_w` steps;
+    every weight gradient is one product over the trajectory.
     """
     blocks = params.blocks
-    grad, grads, _ = params.zero_grads() if buffer is None else buffer.zeroed()
+    grad, grads, _ = buffer
+    grad.fill(0.0)
     states = cache["states"]
     inputs = cache["inputs"]
     # d(state t) from its own scores, and tanh's derivative at every state

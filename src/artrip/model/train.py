@@ -63,37 +63,26 @@ class _AdamState:
 
 
 def loss_and_grads(
-    traj: Trajectory,
-    params: ModelParams,
-    pm: GuidanceMatrix,
-    alpha: float,
-    buffer: GradBuffer | None = None,
+    traj: Trajectory, params: ModelParams, pm: GuidanceMatrix, alpha: float, buffer: GradBuffer | None
 ):
-    """Loss for one trajectory and its flat gradient (None if the loss is not finite).
+    """Loss for one trajectory and its flat gradient, `buffer.flat` (see the architectures' `backward`).
 
-    The gradient is written into `buffer` when one is given (see the
-    architectures' `backward`), and into a new vector otherwise.
+    The gradient is None, and no backward pass runs, when `buffer` is None
+    or the loss is not finite.
     """
     query = make_query(traj)
     if params.config.arch == ARCH_ONE_SHOT:
+        module, first_position, targets = one_shot, 1, traj.pois
         rows, cache = one_shot.forward_with_cache(query, params)
-        first_position = 1
-        targets = traj.pois
     else:
+        module, first_position, targets = recurrent, 2, traj.pois[1:]
         rows, cache = recurrent.forward_teacher(query, traj.pois, params)
-        first_position = 2
-        targets = traj.pois[1:]
     factor = guidance_factor(pm, first_position, rows.shape[0])
     loss, dguided = total_loss_grad(rows * factor, targets, alpha)
-    if not np.isfinite(loss):
-        # let the caller abort; backprop on a non-finite loss is garbage
+    # backprop on a non-finite loss is garbage: let the caller abort
+    if buffer is None or not np.isfinite(loss):
         return loss, None
-    drows = dguided * factor
-    if params.config.arch == ARCH_ONE_SHOT:
-        grad = one_shot.backward(params, cache, drows, buffer)
-    else:
-        grad = recurrent.backward(params, cache, drows, buffer)
-    return loss, grad
+    return loss, module.backward(params, cache, dguided * factor, buffer)
 
 
 def train(trajectories: list[Trajectory], pm: GuidanceMatrix, config: ModelConfig) -> TrainResult:

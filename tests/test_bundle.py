@@ -113,7 +113,7 @@ class TestValidation:
         manifest = json.loads((tmp_path / "model" / "manifest.json").read_text())
         manifest["format"] = "trip-bundle-v0"
         (tmp_path / "model" / "manifest.json").write_text(json.dumps(manifest))
-        with pytest.raises(ValueError, match="format"):
+        with pytest.raises(ValueError, match=r"^manifest\.json: format is 'trip-bundle-v0', expected 'trip-bundle-v1'$"):
             load_bundle(tmp_path / "model")
 
     @pytest.mark.parametrize(

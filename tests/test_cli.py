@@ -516,6 +516,14 @@ class TestConfigPrecedence:
         err = capsys.readouterr().err
         assert "not_a_key" in err and ":2:" in err
 
+    def test_an_undecodable_config_line_is_an_error_line_naming_the_file_and_line(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_bytes(b"# decode settings\ntop_k = 3\n\xff = 3\n")
+        assert main(["ingest", "--config", str(cfg)]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {cfg} line 3: not valid UTF-8 (invalid start byte 0xff)"
+        ]
+
     def test_bad_value_type_fails(self, base_flags, capsys):
         assert main(["ingest", *base_flags, "--epochs", "many"]) == 1
         assert "epochs" in capsys.readouterr().err

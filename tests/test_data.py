@@ -102,6 +102,20 @@ def test_load_visits_reports_line_number(tmp_path, catalog):
         load_visits(path, catalog)
 
 
+def test_a_latin1_poi_name_is_an_error_naming_the_catalog_and_line(tmp_path):
+    path = tmp_path / "poi.csv"
+    path.write_bytes(POI_CSV.encode() + b"99,Caf\xe9,55.9,-3.2,Cafe\n")
+    with pytest.raises(IngestError, match=r"poi\.csv line 5: not valid UTF-8 \(invalid continuation byte 0xe9\)$"):
+        load_poi_catalog(path)
+
+
+def test_undecodable_visit_bytes_are_an_error_naming_the_file_and_line(tmp_path, catalog):
+    path = tmp_path / "visits.csv"
+    path.write_bytes(VISITS_CSV.encode() + b"\xff\xfe,1,2,3\n")
+    with pytest.raises(IngestError, match=r"visits\.csv line 9: not valid UTF-8 \(invalid start byte 0xff\)$"):
+        load_visits(path, catalog)
+
+
 def test_extract_collapses_consecutive_duplicates(tmp_path, catalog):
     path = tmp_path / "visits.csv"
     path.write_text(VISITS_CSV)

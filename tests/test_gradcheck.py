@@ -1,9 +1,11 @@
+import numpy as np
 import pytest
 
 from artrip.data import Trajectory
 from artrip.guidance import build_guidance_matrix
-from artrip.model.gradcheck import grad_check
+from artrip.model.gradcheck import FD_STEP, REL_FLOOR, grad_check
 from artrip.model.params import ARCH_ONE_SHOT, ARCH_RECURRENT, ModelConfig, init_params
+from artrip.model.train import loss_and_grads
 
 TRAJ = Trajectory(pois=(0, 3, 5, 1), times=(0, 3600, 7200, 10800))
 CORPUS = [
@@ -34,9 +36,7 @@ def test_analytic_gradients_match_numeric(arch, alpha):
 @pytest.mark.parametrize("n", range(2, M_MAX + 3))
 @pytest.mark.parametrize("alpha", [0.0, 1.0])
 def test_recurrent_gradients_with_repeated_inputs(n, alpha):
-    # the inputs pois[:-1] revisit POIs 0 and 3, and 0 is also the start
-    pois = (0, 3, 0, 3, 3, 0)[: n - 1] + (1,)
-    traj = Trajectory(pois=pois, times=tuple(3600 * i for i in range(n)))
+    traj = repeated_inputs_route(n)
     params, pm = setup_check(ARCH_RECURRENT, seed=n)
     if n > M_MAX:
         with pytest.raises(ValueError, match=f"n={n} exceeds the horizon m_max={M_MAX}"):
@@ -72,3 +72,53 @@ def test_check_leaves_parameters_untouched():
     grad_check(TRAJ, params, pm, alpha=1.0)
     for name, block in params.blocks.items():
         assert (block == before[name]).all(), name
+
+
+def repeated_inputs_route(n):
+    """A route whose inputs pois[:-1] revisit POIs 0 and 3; 0 is also the start."""
+    pois = (0, 3, 0, 3, 3, 0)[: n - 1] + (1,)
+    return Trajectory(pois=pois, times=tuple(3600 * i for i in range(n)))
+
+
+def reference_report(traj, params, pm, alpha, corrupt_block=None):
+    """Max error, worst block and per-block errors from a loop that takes every loss with its gradient."""
+    _, analytic = loss_and_grads(traj, params, pm, alpha, params.zero_grads())
+    if corrupt_block is not None:
+        params.views(analytic)[corrupt_block] += 0.5
+    flat = params.flat
+    rel = np.zeros(flat.size)
+    for i in range(flat.size):
+        orig = flat[i]
+        flat[i] = orig + FD_STEP
+        up, _ = loss_and_grads(traj, params, pm, alpha, params.zero_grads())
+        flat[i] = orig - FD_STEP
+        down, _ = loss_and_grads(traj, params, pm, alpha, params.zero_grads())
+        flat[i] = orig
+        numeric = (up - down) / (2.0 * FD_STEP)
+        rel[i] = abs(analytic[i] - numeric) / max(abs(analytic[i]), abs(numeric), REL_FLOOR)
+    per_block = {name: float(block.max()) for name, block in params.views(rel).items()}
+    worst = max(reversed(per_block), key=per_block.__getitem__)
+    return per_block[worst], worst, per_block
+
+
+# (arch, seed, trajectory, alpha, corrupt_block): every check made above
+REFERENCE_CASES = [
+    *((arch, 0, TRAJ, alpha, None) for arch in (ARCH_ONE_SHOT, ARCH_RECURRENT) for alpha in (0.0, 1.0)),
+    *((ARCH_RECURRENT, n, repeated_inputs_route(n), alpha, None) for n in range(2, M_MAX + 1) for alpha in (0.0, 1.0)),
+    (ARCH_ONE_SHOT, 0, TRAJ, 0.0, "head"),
+    (ARCH_ONE_SHOT, 2, TRAJ, 1.0, None),
+]
+
+
+@pytest.mark.parametrize(
+    "arch, seed, traj, alpha, corrupt_block",
+    REFERENCE_CASES,
+    ids=[f"{a}-seed{s}-n{len(t)}-alpha{al}-{c}" for a, s, t, al, c in REFERENCE_CASES],
+)
+def test_report_equals_that_of_differencing_losses_taken_with_their_gradients(
+    arch, seed, traj, alpha, corrupt_block
+):
+    params, pm = setup_check(arch, seed=seed)
+    report = grad_check(traj, params, pm, alpha=alpha, corrupt_block=corrupt_block)
+    want = reference_report(traj, params, pm, alpha, corrupt_block)
+    assert (report.max_rel_error, report.worst_block, report.per_block) == want

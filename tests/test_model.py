@@ -270,7 +270,7 @@ class TestBackward:
         q = Query(p_s=2, t_s=3600, p_e=2, t_e=3600 + 86400, n=M_MAX)
         logits, cache = one_shot.forward_with_cache(q, params)
         dlogits = np.random.default_rng(0).standard_normal(logits.shape)
-        grads = params.views(one_shot.backward(params, cache, dlogits))
+        grads = params.views(one_shot.backward(params, cache, dlogits, params.zero_grads()))
         # positions below m_max are distinct, so their rows are the slot gradients
         dx = grads["position_embeddings"][: q.n]
         poi = np.zeros_like(grads["poi_embeddings"])
@@ -374,7 +374,7 @@ class TestBitIdentity:
             return
         rows, cache = forward_teacher(q, pois, params)
         drows = rng.standard_normal(rows.shape)
-        got = recurrent.backward(params, cache, drows)
+        got = recurrent.backward(params, cache, drows, params.zero_grads())
         # whole-trajectory products sum in another order than the per-step loop
         np.testing.assert_allclose(
             got, reference_recurrent_backward(params, cache, drows), rtol=1e-12, atol=1e-15
@@ -520,7 +520,7 @@ class TestStackedAttention:
         logits, cache = one_shot.forward_with_cache(q, params)
         dlogits = np.random.default_rng(n).standard_normal(logits.shape)
         want = reference_one_shot_backward(params, cache, dlogits)
-        assert np.array_equal(one_shot.backward(params, cache, dlogits), want)
+        assert np.array_equal(one_shot.backward(params, cache, dlogits, params.zero_grads()), want)
         # a used buffer is zeroed first, not added to
         buffer = params.zero_grads()
         buffer.flat[...] = 7.0
@@ -543,27 +543,42 @@ def forward_for_backward(arch, params, traj):
 
 class TestGradientBuffer:
     @pytest.mark.parametrize("arch", [ARCH_ONE_SHOT, ARCH_RECURRENT])
-    def test_without_a_buffer_each_call_returns_a_new_vector(self, arch):
-        params = trained_params(arch, 3)
-        rows, cache, backward = forward_for_backward(arch, params, toy_trajectories()[0])
-        drows = np.random.default_rng(0).standard_normal(rows.shape)
-        first = backward(params, cache, drows)
-        kept = first.copy()
-        second = backward(params, cache, drows)
-        assert not np.shares_memory(first, second)
-        assert not np.shares_memory(first, params.flat)
-        assert np.array_equal(first, kept) and np.array_equal(second, kept)
-
-    @pytest.mark.parametrize("arch", [ARCH_ONE_SHOT, ARCH_RECURRENT])
     def test_with_a_buffer_the_gradient_is_written_into_it(self, arch):
         params = trained_params(arch, 3)
         pm = build_guidance_matrix(toy_trajectories(), k=K)
         buffer = params.zero_grads()
         for traj in toy_trajectories():
-            _, fresh = loss_and_grads(traj, params, pm, 1.0)
+            _, fresh = loss_and_grads(traj, params, pm, 1.0, params.zero_grads())
             _, got = loss_and_grads(traj, params, pm, 1.0, buffer)
             assert got is buffer.flat
             assert np.array_equal(got, fresh)
+
+    @pytest.mark.parametrize("arch", [ARCH_ONE_SHOT, ARCH_RECURRENT])
+    @pytest.mark.parametrize("alpha", [0.0, 1.0])
+    def test_without_a_buffer_the_same_loss_comes_back_and_no_backward_runs(self, arch, alpha, monkeypatch):
+        params = trained_params(arch, 3)
+        pm = build_guidance_matrix(toy_trajectories(), k=K)
+        with pytest.raises(TypeError, match="buffer"):
+            loss_and_grads(toy_trajectories()[0], params, pm, alpha)
+
+        def no_backward(*args):
+            raise AssertionError("a backward pass ran")
+
+        for traj in toy_trajectories():
+            want, _ = loss_and_grads(traj, params, pm, alpha, params.zero_grads())
+            with monkeypatch.context() as patched:
+                patched.setattr(one_shot if arch == ARCH_ONE_SHOT else recurrent, "backward", no_backward)
+                assert loss_and_grads(traj, params, pm, alpha, None) == (want, None)
+
+    @pytest.mark.parametrize("arch", [ARCH_ONE_SHOT, ARCH_RECURRENT])
+    def test_a_non_finite_loss_leaves_the_buffer_alone(self, arch):
+        params = trained_params(arch, 3)
+        params.blocks["head"][0, 0] = math.nan
+        buffer = params.zero_grads()
+        buffer.flat[...] = 7.0
+        loss, grad = loss_and_grads(toy_trajectories()[0], params, zero_guidance(K, M_MAX), 0.0, buffer)
+        assert math.isnan(loss) and grad is None
+        assert (buffer.flat == 7.0).all()
 
 
 class _DictAdam:
@@ -595,7 +610,7 @@ def reference_train(trajectories, pm, config):
     for _ in range(config.epochs):
         total = 0.0
         for idx in shuffle_rng.permutation(len(trajectories)):
-            loss, grad = loss_and_grads(trajectories[idx], params, pm, config.alpha)
+            loss, grad = loss_and_grads(trajectories[idx], params, pm, config.alpha, params.zero_grads())
             adam.step(params, params.views(grad), config.learning_rate)
             total += loss
         epoch_losses.append(float(total / len(trajectories)))
