@@ -116,7 +116,8 @@ _SCHEMA = _schema()
 CONFIG_KEYS = tuple(_SCHEMA)
 
 
-def _coerce(key: str, raw: str):
+def _coerce(key: str, raw: str, where: str = ""):
+    # `where` is a config file's "<path>:<line>: ", prefixed to an error
     # a union, such as DecodeConfig.seed's `int | tuple[int, int]`, coerces as its first type
     kind = _SCHEMA[key][1].type.split(" | ")[0]
     raw = raw.strip()
@@ -124,14 +125,14 @@ def _coerce(key: str, raw: str):
         lowered = raw.lower()
         if lowered in ("true", "false"):
             return lowered == "true"
-        raise ConfigError(f"{key} expects true or false, got {raw!r}")
+        raise ConfigError(f"{where}{key} expects true or false, got {raw!r}")
     try:
         if kind == "int":
             return int(raw)
         if kind == "float":
             return float(raw)
     except ValueError as exc:
-        raise ConfigError(f"{key} expects {kind}, got {raw!r}") from exc
+        raise ConfigError(f"{where}{key} expects {kind}, got {raw!r}") from exc
     return raw
 
 
@@ -151,7 +152,7 @@ def parse_config_file(path: str) -> dict:
                 raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
             if key in values:
                 raise ConfigError(f"{path}:{lineno}: duplicate key {key!r}")
-            values[key] = _coerce(key, raw)
+            values[key] = _coerce(key, raw, f"{path}:{lineno}: ")
     return values
 
 

@@ -25,6 +25,7 @@ POI_HEADER = ["poiID", "poiName", "lat", "long", "theme"]
 VISIT_HEADER = ["userID", "seqID", "poiID", "dateTaken"]
 
 SECONDS_PER_HOUR = 3600
+NUM_TIME_BUCKETS = 24  # one-hour slots of the day, see hour_bucket
 # the fewest trajectories a corpus may hold: split_corpus needs one per partition
 MIN_TRAJECTORIES = 3
 
@@ -108,8 +109,8 @@ class CorpusSplit:
 
 
 def hour_bucket(timestamp: int) -> int:
-    """Hour-of-day bucket in [0, 24) for a unix timestamp."""
-    return int(timestamp // SECONDS_PER_HOUR) % 24
+    """Hour-of-day bucket in [0, NUM_TIME_BUCKETS) for a unix timestamp."""
+    return int(timestamp // SECONDS_PER_HOUR) % NUM_TIME_BUCKETS
 
 
 def open_text(path, error: type[ValueError] = IngestError) -> io.TextIOWrapper:
@@ -131,7 +132,7 @@ def _check_header(row: list[str], expected: list[str], path: str) -> None:
 
 
 def load_poi_catalog(path: str) -> PoiCatalog:
-    """Read a POI catalog CSV; dense indices follow ascending poiID."""
+    """Read a POI catalog CSV; dense indices follow ascending poiID; errors name the physical line."""
     pois: list[Poi] = []
     seen: set[int] = set()
     with open_text(path) as fh:
@@ -141,7 +142,8 @@ def load_poi_catalog(path: str) -> PoiCatalog:
         except StopIteration:
             raise IngestError(f"{path}: empty catalog") from None
         _check_header(header, POI_HEADER, path)
-        for lineno, row in enumerate(reader, start=2):
+        for row in reader:
+            lineno = reader.line_num
             if not row:
                 continue
             if len(row) != len(POI_HEADER):
@@ -171,7 +173,7 @@ def load_visits(path: str, catalog: PoiCatalog) -> tuple[list[Visit], int]:
     Returns the visits sorted by (user_id, seq_id, timestamp), ties kept in
     file order, together with the number of dropped rows.  Blank lines are
     skipped; a row with the wrong field count or an unparseable integer
-    raises `IngestError` naming the file and line.
+    raises `IngestError` naming the file and the physical line it ends on.
     """
     visits: list[Visit] = []
     dropped = 0
@@ -183,7 +185,7 @@ def load_visits(path: str, catalog: PoiCatalog) -> tuple[list[Visit], int]:
         except StopIteration:
             raise IngestError(f"{path}: empty visits file") from None
         _check_header(header, VISIT_HEADER, path)
-        for lineno, row in enumerate(reader, start=2):
+        for row in reader:
             # the rare cases (blank line, wrong field count, bad integer) are
             # told apart only after unpacking or converting has failed
             try:
@@ -194,10 +196,10 @@ def load_visits(path: str, catalog: PoiCatalog) -> tuple[list[Visit], int]:
                     continue
                 if len(row) != len(VISIT_HEADER):
                     raise IngestError(
-                        f"{path} line {lineno}: expected 4 fields, got {len(row)}"
+                        f"{path} line {reader.line_num}: expected 4 fields, got {len(row)}"
                     ) from None
                 raise IngestError(
-                    f"{path} line {lineno}: unparseable field in {row!r}"
+                    f"{path} line {reader.line_num}: unparseable field in {row!r}"
                 ) from None
             if visit.poi_id in index:
                 visits.append(visit)

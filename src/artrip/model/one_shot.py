@@ -9,12 +9,10 @@ the trip, endpoints included.
 
 Forward passes can record a cache that `backward` consumes to produce
 exact analytic gradients for every block.  `forward_one_shot`, the
-decode-time forward, memoizes its score rows per model, see its docstring.
+decode-time forward, memoizes its score rows on a frozen model, see its docstring.
 """
 
 from __future__ import annotations
-
-import copy
 
 import numpy as np
 
@@ -184,21 +182,14 @@ def forward_with_cache(query: Query, params: ModelParams):
 def forward_one_shot(query: Query, params: ModelParams) -> np.ndarray:
     """Unguided score matrix for a query, one row per trip position.
 
-    The rows depend only on the parameters and on `input_key(query)`, so
-    they are memoized on `params` and returned read-only.  Each call first
-    compares `params.config` and `params.flat` with the memo's snapshot of
-    them; any difference (a training step, an edited block, a new head
-    count, NaN parameters) empties the memo, so a cached matrix is always
-    the one a fresh forward would return.
+    The rows depend only on the parameters and on `input_key(query)`.  The
+    call first freezes `params` (`ModelParams.freeze`; `ModelConfig` is
+    frozen already), so a model that has served a decode can no longer
+    change: a training step or an edited block raises `ValueError` instead
+    of leaving a stale row.  The rows are then memoized on `params` and
+    returned read-only.
     """
-    snapshot = params.row_memo_snapshot
-    if (
-        snapshot is None
-        or params.config != snapshot[0]
-        or not np.array_equal(params.flat, snapshot[1])
-    ):
-        params.row_memo.clear()
-        params.row_memo_snapshot = (copy.copy(params.config), params.flat.copy())
+    params.freeze()
     key = input_key(query)
     logits = params.row_memo.get(key)
     if logits is None:

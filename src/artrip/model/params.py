@@ -14,16 +14,15 @@ from typing import NamedTuple
 
 import numpy as np
 
+from artrip.data import NUM_TIME_BUCKETS
+
 ARCH_ONE_SHOT = "one_shot"
 ARCH_RECURRENT = "recurrent"
 
-# Visit hours are bucketed into 24 one-hour slots, see data.hour_bucket.
-NUM_TIME_BUCKETS = 24
 
-
-@dataclass
+@dataclass(frozen=True)
 class ModelConfig:
-    """Architecture and optimizer settings.
+    """Architecture and optimizer settings; frozen, see `ModelParams.freeze`.
 
     Defaults match the reference experimental setup: 32-dim embeddings,
     two encoder layers with two heads, Adam at 1e-3 for 50 epochs and a
@@ -137,10 +136,15 @@ class ModelParams:
         self.flat = np.zeros(offset, dtype=np.float64)
         self.blocks = self.views(self.flat)
         self.qkv = self.qkv_views(self.flat)
-        # one_shot.forward_one_shot's score rows by query key, valid while
-        # `config` and `flat` equal the (config, flat) copies in the snapshot
+        # one_shot.forward_one_shot's score rows by query key, filled once frozen
         self.row_memo: dict = {}
-        self.row_memo_snapshot: tuple | None = None
+
+    def freeze(self) -> None:
+        """Make `flat` and its block and Q/K/V views read-only; O(1) once frozen."""
+        if self.flat.flags.writeable:
+            # a view made before its base was frozen would still write through
+            for array in (self.flat, *self.blocks.values(), *self.qkv):
+                array.flags.writeable = False
 
     def views(self, vec: np.ndarray) -> dict[str, np.ndarray]:
         """Named block views into any vector laid out like `flat`."""

@@ -2,11 +2,17 @@
 
 The acceptance suite registers one verdict per criterion here; the
 terminal summary prints them as a compact pass/fail checklist after
-the normal pytest output.  The parameter-store check is shared by the
-model and bundle tests.
+the normal pytest output, below the arithmetic they were computed with
+(the first line of `scripts/artifact_hashes.py`'s listing), since the
+criteria's numbers hold per BLAS kernel.  The parameter-store check is
+shared by the model and bundle tests, the script loader by the summary
+and the CLI tests.
 """
 
 from __future__ import annotations
+
+import importlib.util
+from pathlib import Path
 
 import numpy as np
 
@@ -25,10 +31,20 @@ def pytest_terminal_summary(terminalreporter):
     if not ACCEPTANCE:
         return
     terminalreporter.section("acceptance criteria")
+    terminalreporter.write_line(load_artifact_hashes().arithmetic_line())
     for criterion in sorted(ACCEPTANCE):
         passed, detail = ACCEPTANCE[criterion]
         verdict = "PASS" if passed else "FAIL"
         terminalreporter.write_line(f"criterion {criterion}: {verdict} - {detail}")
+
+
+def load_artifact_hashes():
+    """`scripts/artifact_hashes.py`, loaded as a module."""
+    path = Path(__file__).resolve().parents[1] / "scripts" / "artifact_hashes.py"
+    spec = importlib.util.spec_from_file_location("artifact_hashes", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def assert_blocks_view_flat(params) -> None:

@@ -1,10 +1,10 @@
 import csv
-import importlib.util
 import json
 import re
 from pathlib import Path
 
 import pytest
+from conftest import load_artifact_hashes
 
 from artrip import analysis, baselines, cli
 from artrip.cli import main
@@ -744,6 +744,14 @@ class TestConfigSurface:
         expects = "true or false" if kind == "bool" else kind
         assert capsys.readouterr().err == f"error: {key} expects {expects}, got 'x'\n"
 
+    @pytest.mark.parametrize("key", [key for key, (_, kind, _) in SURFACE.items() if kind != "str"])
+    def test_each_typed_key_in_a_config_file_names_the_file_and_line_on_a_bad_value(self, key, tmp_path, capsys):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(f"# a comment, then a blank line\n\n{key} = x\n")
+        assert main(["ingest", "--config", str(cfg)]) == 1
+        expects = "true or false" if SURFACE[key][1] == "bool" else SURFACE[key][1]
+        assert capsys.readouterr().err == f"error: {cfg}:3: {key} expects {expects}, got 'x'\n"
+
     def test_defaults(self, corpus, monkeypatch):
         values, guided = received(monkeypatch, [], corpus)
         defaults = {key: default for key, (_, _, default) in SURFACE.items()}
@@ -804,14 +812,6 @@ class TestConfigSurface:
         values, _ = received(monkeypatch, ["--config", str(cfg), *flags], corpus)
         assert (values["output_dir"], values["embed_dim"], values["top_k"]) == (str(tmp_path / "flag"), 4, 2)
         assert (values["strategy"], values["epochs"]) == ("greedy", 2)
-
-
-def load_artifact_hashes():
-    path = Path(__file__).resolve().parents[1] / "scripts" / "artifact_hashes.py"
-    spec = importlib.util.spec_from_file_location("artifact_hashes", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
 
 
 class TestArtifactHashes:

@@ -109,6 +109,26 @@ def test_a_latin1_poi_name_is_an_error_naming_the_catalog_and_line(tmp_path):
         load_poi_catalog(path)
 
 
+def test_catalog_rows_are_numbered_by_physical_line_as_open_text_numbers_bytes(tmp_path):
+    # row 1's quoted name spans lines 2 and 3, so row 2 starts on line 4
+    path = tmp_path / "poi.csv"
+    head = 'poiID,poiName,lat,long,theme\n1,"Two\nlines",55.9,-3.2,T\n'
+    path.write_text(head + "2,B,95.0,0,T\n")
+    with pytest.raises(IngestError, match=r"poi\.csv line 4: latitude out of range \(95\.0\)$"):
+        load_poi_catalog(path)
+    path.write_bytes(head.encode() + b"2,B\xe9,55.9,0,T\n")
+    with pytest.raises(IngestError, match=r"poi\.csv line 4: not valid UTF-8"):
+        load_poi_catalog(path)
+
+
+def test_visit_rows_are_numbered_by_physical_line(tmp_path, catalog):
+    path = tmp_path / "visits.csv"
+    path.write_text('userID,seqID,poiID,dateTaken\n"u\n1",1,1,1000\nu1,1,1,notatime\n')
+    with pytest.raises(IngestError, match=r"visits\.csv line 4: unparseable field"):
+        load_visits(path, catalog)
+    assert load_or_error(load_visits, path, catalog) == load_or_error(reference_load_visits, path, catalog)
+
+
 def test_undecodable_visit_bytes_are_an_error_naming_the_file_and_line(tmp_path, catalog):
     path = tmp_path / "visits.csv"
     path.write_bytes(VISITS_CSV.encode() + b"\xff\xfe,1,2,3\n")
@@ -216,7 +236,9 @@ def reference_load_visits(path, catalog):
             raise IngestError(f"{path}: empty visits file") from None
         if [c.strip() for c in header] != ["userID", "seqID", "poiID", "dateTaken"]:
             raise IngestError(f"{path}: header")
-        for lineno, row in enumerate(reader, start=2):
+        for row in reader:
+            # the physical line the row ends on; a quoted field may span lines
+            lineno = reader.line_num
             if not row:
                 continue
             if len(row) != 4:

@@ -1,3 +1,4 @@
+import dataclasses
 import importlib
 import math
 
@@ -183,23 +184,41 @@ class TestOneShotMemo:
         with pytest.raises(ValueError):
             rows[0, 0] = 0.0
 
-    def test_in_place_block_edit_recomputes(self):
+    def test_a_decoded_model_refuses_writes_through_flat_and_every_view(self):
         params = init_params(tiny_config(seed=2), k=K, m_max=M_MAX)
         q = Query(p_s=0, t_s=0, p_e=1, t_e=10800, n=4)
-        before = forward_one_shot(q, params)
-        params.blocks["layer0.ffn_w1"][0, 0] += 0.5
-        after = forward_one_shot(q, params)
-        assert not np.array_equal(before, after)
-        assert np.array_equal(after, fresh_rows(q, params))
+        # views made before the decode, as a caller may hold them
+        held = (params.flat, params.blocks["layer0.ffn_w1"], params.qkv[0])
+        assert all(view.flags.writeable for view in held)
+        rows = forward_one_shot(q, params)
+        after = (params.views(params.flat)["head"], params.qkv_views(params.flat)[0], params.flat[3:9])
+        for view in (*held, *params.blocks.values(), *params.qkv, *after):
+            with pytest.raises(ValueError, match="read-only"):
+                view[0] += 0.5
+        # a training step's whole-vector update
+        with pytest.raises(ValueError, match="read-only"):
+            params.flat -= 1e-3
+        assert forward_one_shot(q, params) is rows
+        assert np.array_equal(rows, fresh_rows(q, params))
 
-    def test_num_heads_change_recomputes(self):
+    def test_a_decoded_model_refuses_a_config_change(self):
         params = init_params(tiny_config(seed=2), k=K, m_max=M_MAX)
         q = Query(p_s=3, t_s=0, p_e=1, t_e=10800, n=5)
-        before = forward_one_shot(q, params)
-        params.config.num_heads = 4
-        after = forward_one_shot(q, params)
-        assert not np.array_equal(before, after)
-        assert np.array_equal(after, fresh_rows(q, params))
+        rows = forward_one_shot(q, params)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            params.config.num_heads = 4
+        assert params.config.num_heads == 2
+        assert forward_one_shot(q, params) is rows
+        assert np.array_equal(rows, fresh_rows(q, params))
+
+    def test_freezing_twice_changes_nothing(self):
+        params = init_params(tiny_config(seed=2), k=K, m_max=M_MAX)
+        before = params.flat.copy()
+        params.freeze()
+        params.freeze()
+        assert not params.flat.flags.writeable
+        assert np.array_equal(params.flat, before)
+        assert_blocks_view_flat(params)
 
     def test_queries_share_an_entry_only_within_an_hour_bucket(self):
         params = init_params(tiny_config(seed=2), k=K, m_max=M_MAX)
