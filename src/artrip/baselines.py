@@ -19,6 +19,9 @@ from artrip.data import Query, Trajectory
 from artrip.decoding import DecodeConfig, Trip
 from artrip.guidance import check_horizon, count_visits
 
+# popularity's one walk rule; safe to share because configs are frozen
+_POPULARITY_CFG = DecodeConfig(strategy="greedy", no_repeat_mask=True)
+
 
 def build_popularity(train: list[Trajectory], k: int) -> np.ndarray:
     """Visit counts per POI over the whole training corpus, endpoints included."""
@@ -39,8 +42,7 @@ def popularity_decode(query: Query, counts: np.ndarray) -> Trip:
     if len(counts) - len({query.p_s, query.p_e}) < query.n - 2:
         raise ValueError(f"vocabulary too small for a {query.n}-stop trip")
     scores = np.asarray(counts, dtype=np.float64)
-    cfg = DecodeConfig(strategy="greedy", no_repeat_mask=True)
-    return decoding._walk(query, lambda position, prev: scores, None, cfg, None)
+    return decoding._walk(query, lambda position, prev: scores, None, _POPULARITY_CFG, None)
 
 
 def markov_decode(query: Query, matrices: np.ndarray, cfg: DecodeConfig) -> Trip:

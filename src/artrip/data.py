@@ -113,6 +113,11 @@ def hour_bucket(timestamp: int) -> int:
     return int(timestamp // SECONDS_PER_HOUR) % NUM_TIME_BUCKETS
 
 
+def input_key(query: Query) -> tuple[int, int, int, int, int]:
+    """All of a query that either model reads: n, both endpoints, both hours."""
+    return query.n, query.p_s, query.p_e, hour_bucket(query.t_s), hour_bucket(query.t_e)
+
+
 def open_text(path, error: type[ValueError] = IngestError) -> io.TextIOWrapper:
     """Like `open(path, newline="", encoding="utf-8")`, but non-UTF-8 bytes raise `error` naming the line."""
     raw = Path(path).read_bytes()

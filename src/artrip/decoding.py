@@ -16,11 +16,11 @@ directly in threshold mode.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from artrip.data import Query
+from artrip.data import Query, input_key
 from artrip.guidance import GuidanceMatrix, check_horizon, check_pois, guidance_factor
 from artrip.model.params import ARCH_ONE_SHOT, ModelParams
 from artrip.model.one_shot import forward_one_shot
@@ -34,9 +34,9 @@ ADAPTIVE_MODES = ("temperature", "threshold")
 _CUM_TOL = 1e-12
 
 
-@dataclass
+@dataclass(frozen=True)
 class DecodeConfig:
-    """Selection strategy settings; `seed` drives all sampling.
+    """Selection strategy settings, frozen once validated; `seed` drives all sampling.
 
     `seed` is anything `np.random.default_rng` takes: an int, or the
     (base seed, ordinal) pair of `decode_config_for_query`.
@@ -191,7 +191,8 @@ def decode_trip(
     reads `conf[position - 1]` there.  A query longer than the model's
     horizon `params.m_max` or than `pm.m_max + 1`, which covers the guided
     positions 2..n-1, or with an endpoint outside the vocabulary, raises
-    ValueError before the forward pass.
+    ValueError before the forward pass.  `ModelParams.memo` keeps a frozen
+    model's one-shot rows and recurrent first step (row and state).
     """
     _check_query(query, params.k)
     check_horizon(query.n, params.m_max)
@@ -204,11 +205,17 @@ def decode_trip(
             return guided[position - 2]
 
     else:
-        state = init_recurrent_state(query, params)
+        state = None
 
         def next_row(position: int, prev: int) -> np.ndarray:
             nonlocal state
-            raw, state = forward_recurrent_step(state, prev, params)
+            if position == 2:
+                raw, state = params.memo(
+                    input_key(query),
+                    lambda: forward_recurrent_step(init_recurrent_state(query, params), query.p_s, params),
+                )
+            else:
+                raw, state = forward_recurrent_step(state, prev, params)
             return raw * factor[position - 2]
 
     return _walk(query, next_row, conf, cfg, trace)
@@ -258,6 +265,9 @@ def decode_config_for_query(cfg: DecodeConfig, base_seed: int, ordinal: int) -> 
     The seed is the pair itself, which `default_rng` takes as entropy.
     Distinct pairs are distinct SeedSequence entropy, so every (base seed,
     ordinal) gets its own stream; folding the two into one int would let
-    pairs such as (1, 0) and (0, 1) share one.
+    pairs such as (1, 0) and (0, 1) share one.  `cfg` is frozen and was
+    validated when made, so the copy skips `__post_init__`.
     """
-    return replace(cfg, seed=(base_seed, ordinal))
+    out = object.__new__(type(cfg))
+    vars(out).update(vars(cfg), seed=(base_seed, ordinal))
+    return out

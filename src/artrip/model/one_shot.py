@@ -9,21 +9,19 @@ the trip, endpoints included.
 
 Forward passes can record a cache that `backward` consumes to produce
 exact analytic gradients for every block.  `forward_one_shot`, the
-decode-time forward, memoizes its score rows on a frozen model, see its docstring.
+decode-time forward, memoizes its score rows on a frozen model through
+`ModelParams.memo`, as recurrent decoding memoizes its first step.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from artrip.data import Query, hour_bucket
+from artrip.data import Query, input_key
 from artrip.guidance import check_horizon
 from artrip.model.params import GradBuffer, ModelParams
 
 LN_EPS = 1e-5
-
-# most score matrices one model's memo holds; a full memo is cleared
-MEMO_CAP = 1024
 
 # tanh-form gaussian error linear unit; smooth everywhere, which keeps
 # finite-difference gradient checks clean.
@@ -74,11 +72,6 @@ def _softmax_rows(x: np.ndarray) -> np.ndarray:
     shifted = x - x.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
     return e / e.sum(axis=-1, keepdims=True)
-
-
-def input_key(query: Query) -> tuple[int, int, int, int, int]:
-    """All of a query that `build_input` reads: n, both endpoints, both hours."""
-    return query.n, query.p_s, query.p_e, hour_bucket(query.t_s), hour_bucket(query.t_e)
 
 
 def build_input(query: Query, params: ModelParams):
@@ -182,23 +175,13 @@ def forward_with_cache(query: Query, params: ModelParams):
 def forward_one_shot(query: Query, params: ModelParams) -> np.ndarray:
     """Unguided score matrix for a query, one row per trip position.
 
-    The rows depend only on the parameters and on `input_key(query)`.  The
-    call first freezes `params` (`ModelParams.freeze`; `ModelConfig` is
-    frozen already), so a model that has served a decode can no longer
-    change: a training step or an edited block raises `ValueError` instead
-    of leaving a stale row.  The rows are then memoized on `params` and
-    returned read-only.
+    The rows depend only on the parameters and on `input_key(query)`, so
+    they are memoized through `ModelParams.memo`, which freezes `params`
+    first: a model that has served a decode can no longer change, and a
+    training step or an edited block raises instead of leaving a stale
+    row.  The rows are returned read-only.
     """
-    params.freeze()
-    key = input_key(query)
-    logits = params.row_memo.get(key)
-    if logits is None:
-        if len(params.row_memo) >= MEMO_CAP:
-            params.row_memo.clear()
-        logits, _ = forward_with_cache(query, params)
-        logits.flags.writeable = False
-        params.row_memo[key] = logits
-    return logits
+    return params.memo(input_key(query), lambda: forward_with_cache(query, params)[:1])[0]
 
 
 def backward(params: ModelParams, cache: dict, dlogits: np.ndarray, buffer: GradBuffer) -> np.ndarray:

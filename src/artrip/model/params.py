@@ -9,7 +9,7 @@ models built from the same config and seed are bit-identical.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -18,6 +18,11 @@ from artrip.data import NUM_TIME_BUCKETS
 
 ARCH_ONE_SHOT = "one_shot"
 ARCH_RECURRENT = "recurrent"
+
+# most entries one model's decode memo holds
+MEMO_CAP = 1024
+# what a frozen model refuses to rebind, as its arrays refuse writes
+_FIXED = frozenset(("config", "flat", "blocks", "qkv", "layout", "k", "m_max"))
 
 
 @dataclass(frozen=True)
@@ -136,8 +141,13 @@ class ModelParams:
         self.flat = np.zeros(offset, dtype=np.float64)
         self.blocks = self.views(self.flat)
         self.qkv = self.qkv_views(self.flat)
-        # one_shot.forward_one_shot's score rows by query key, filled once frozen
+        # decode-time arrays by query key, filled by `memo` once frozen
         self.row_memo: dict = {}
+
+    def __setattr__(self, name, value):
+        if name in _FIXED and "flat" in self.__dict__ and not self.flat.flags.writeable:
+            raise FrozenInstanceError(f"cannot assign to field {name!r} of a frozen model")
+        object.__setattr__(self, name, value)
 
     def freeze(self) -> None:
         """Make `flat` and its block and Q/K/V views read-only; O(1) once frozen."""
@@ -145,6 +155,22 @@ class ModelParams:
             # a view made before its base was frozen would still write through
             for array in (self.flat, *self.blocks.values(), *self.qkv):
                 array.flags.writeable = False
+
+    def memo(self, key, build) -> tuple[np.ndarray, ...]:
+        """`build()`'s arrays for `key`, read-only and built once per frozen model.
+
+        Freezing first keeps every entry fresh; a miss on a full memo (`MEMO_CAP`) clears it.
+        """
+        self.freeze()
+        entry = self.row_memo.get(key)
+        if entry is None:
+            if len(self.row_memo) >= MEMO_CAP:
+                self.row_memo.clear()
+            entry = build()
+            for array in entry:
+                array.flags.writeable = False
+            self.row_memo[key] = entry
+        return entry
 
     def views(self, vec: np.ndarray) -> dict[str, np.ndarray]:
         """Named block views into any vector laid out like `flat`."""

@@ -4,6 +4,9 @@ The initial hidden state is a learned projection of the concatenated
 start, end and trip-length embeddings.  Each step consumes the previous
 POI embedding and scores the next position, so teacher-forced rows
 cover positions 2..n of a trajectory (position 1 is the given start).
+The initial state and first step depend only on the parameters and
+`data.input_key(query)`, so `decoding.decode_trip` memoizes the first
+step's row and state on a frozen model (`ModelParams.memo`).
 """
 
 from __future__ import annotations

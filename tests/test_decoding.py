@@ -1,5 +1,5 @@
 import warnings
-from dataclasses import fields
+from dataclasses import FrozenInstanceError, fields, replace
 
 import numpy as np
 import pytest
@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from artrip import decoding
-from artrip.data import Query, Trajectory
+from artrip.config import ConfigError, load_config
+from artrip.data import Query, Trajectory, input_key
 from artrip.decoding import (
     DecodeConfig,
     Trip,
@@ -667,6 +668,25 @@ def test_recurrent_guidance_sliced_once_matches_per_step_guidance(strategy, mask
     assert sorted(warned) == sorted(ref_warned)
 
 
+@pytest.mark.parametrize("traced", [False, True])
+@pytest.mark.parametrize("mask", [False, True])
+@pytest.mark.parametrize("strategy", decoding.STRATEGIES)
+@settings(max_examples=15, deadline=None)
+@given(query=queries, seed=st.integers(0, 2**16), mode=st.sampled_from(decoding.ADAPTIVE_MODES))
+def test_a_warm_recurrent_memo_decodes_as_an_undecoded_copy(strategy, mask, traced, query, seed, mode):
+    cfg = DecodeConfig(strategy=strategy, top_k=3, adaptive_mode=mode, no_repeat_mask=mask, seed=seed)
+    warm = WARM_PARAMS[ARCH_RECURRENT]
+    decode_trip(query, warm, PROPERTY_PM, PROPERTY_CONF, DecodeConfig())
+    assert query.n == 2 or input_key(query) in warm.row_memo
+    cold = property_params(ARCH_RECURRENT)
+    assert cold.flat.flags.writeable and not cold.row_memo
+    assert np.array_equal(cold.flat, warm.flat)
+    trace, cold_trace = ([], []) if traced else (None, None)
+    got = decode_with_warnings(decode_trip, query, warm, PROPERTY_PM, PROPERTY_CONF, cfg, trace)
+    want = decode_with_warnings(decode_trip, query, cold, PROPERTY_PM, PROPERTY_CONF, cfg, cold_trace)
+    assert (got, trace) == (want, cold_trace)
+
+
 @pytest.mark.parametrize("mask", [False, True])
 @pytest.mark.parametrize("strategy", decoding.STRATEGIES)
 @settings(max_examples=25, deadline=None)
@@ -710,6 +730,51 @@ class TestSeeds:
             if f.name != "seed":
                 assert getattr(out, f.name) == getattr(cfg, f.name), f.name
         assert cfg.seed == 0  # original untouched
+
+
+class TestFrozenDecodeConfig:
+    def test_assigning_a_field_raises(self):
+        cfg = DecodeConfig(strategy="top_p", seed=3)
+        for f in fields(DecodeConfig):
+            with pytest.raises(FrozenInstanceError):
+                setattr(cfg, f.name, getattr(cfg, f.name))
+        assert cfg == DecodeConfig(strategy="top_p", seed=3)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        cfg=st.builds(
+            DecodeConfig,
+            strategy=st.sampled_from(decoding.STRATEGIES),
+            top_k=st.integers(1, 50),
+            top_p=st.floats(0.0, 1.0, exclude_min=True),
+            lam=st.floats(0.0, 1e6),
+            adaptive_mode=st.sampled_from(decoding.ADAPTIVE_MODES),
+            no_repeat_mask=st.booleans(),
+            seed=st.one_of(st.integers(0, 2**40), st.tuples(st.integers(0, 2**16), st.integers(0, 99))),
+        ),
+        base_seed=st.integers(0, 2**40),
+        ordinal=st.integers(0, 10**6),
+    )
+    def test_the_per_query_copy_equals_replace_in_every_field(self, cfg, base_seed, ordinal):
+        out = decode_config_for_query(cfg, base_seed, ordinal)
+        want = replace(cfg, seed=(base_seed, ordinal))
+        assert type(out) is DecodeConfig and out == want
+        for f in fields(DecodeConfig):
+            assert getattr(out, f.name) == getattr(want, f.name), f.name
+        with pytest.raises(FrozenInstanceError):
+            out.seed = 0
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [("strategy", "beam"), ("adaptive_mode", "bogus"), ("top_k", 0), ("top_p", 0.0), ("top_p", 1.5), ("lam", -0.1)],
+    )
+    def test_invalid_values_still_raise(self, key, value, tmp_path):
+        with pytest.raises(ValueError, match=key):
+            DecodeConfig(**{key: value})
+        path = tmp_path / "bad.cfg"
+        path.write_text(f"{key} = {value}\n")
+        with pytest.raises(ConfigError, match=key):
+            load_config(str(path))
 
 
 SEEDS = [0, 2**32 - 1, 2**32, 2**40, (2**32 - 1, 5), (2**32, 5), (np.uint32(7), np.int64(9)), True, (3, 4), 12345]

@@ -6,11 +6,12 @@ import numpy as np
 import pytest
 from conftest import assert_blocks_view_flat
 
-from artrip.data import Query, Trajectory, hour_bucket
+from artrip.data import Query, Trajectory, hour_bucket, input_key
+from artrip.decoding import DecodeConfig, decode_trip
 from artrip.guidance import build_guidance_matrix, zero_guidance
 from artrip.model import one_shot, recurrent
 from artrip.model.one_shot import forward_one_shot
-from artrip.model.params import ARCH_ONE_SHOT, ARCH_RECURRENT, ModelConfig, block_shapes, init_params
+from artrip.model.params import ARCH_ONE_SHOT, ARCH_RECURRENT, MEMO_CAP, ModelConfig, block_shapes, init_params
 from artrip.model.recurrent import forward_recurrent_step, forward_teacher, init_recurrent_state
 from artrip.model.train import ADAM_BETA1, ADAM_BETA2, ADAM_EPS, loss_and_grads, train
 
@@ -173,6 +174,22 @@ def fresh_rows(q, params):
     return one_shot.forward_with_cache(q, params)[0]
 
 
+def first_step(q, params):
+    return forward_recurrent_step(init_recurrent_state(q, params), q.p_s, params)
+
+
+def decode_greedy(q, params):
+    return decode_trip(q, params, zero_guidance(K, M_MAX), np.ones(M_MAX), DecodeConfig())
+
+
+def assert_entry_is_fresh(entry, q, params):
+    """A memo entry equals what the model computes for q without the memo."""
+    fresh = (fresh_rows(q, params),) if params.config.arch == ARCH_ONE_SHOT else first_step(q, params)
+    for got, want in zip(entry, fresh, strict=True):
+        assert np.array_equal(got, want)
+        assert not got.flags.writeable
+
+
 class TestOneShotMemo:
     def test_repeat_query_returns_the_cached_read_only_rows(self):
         params = init_params(tiny_config(seed=2), k=K, m_max=M_MAX)
@@ -183,23 +200,6 @@ class TestOneShotMemo:
         assert not rows.flags.writeable
         with pytest.raises(ValueError):
             rows[0, 0] = 0.0
-
-    def test_a_decoded_model_refuses_writes_through_flat_and_every_view(self):
-        params = init_params(tiny_config(seed=2), k=K, m_max=M_MAX)
-        q = Query(p_s=0, t_s=0, p_e=1, t_e=10800, n=4)
-        # views made before the decode, as a caller may hold them
-        held = (params.flat, params.blocks["layer0.ffn_w1"], params.qkv[0])
-        assert all(view.flags.writeable for view in held)
-        rows = forward_one_shot(q, params)
-        after = (params.views(params.flat)["head"], params.qkv_views(params.flat)[0], params.flat[3:9])
-        for view in (*held, *params.blocks.values(), *params.qkv, *after):
-            with pytest.raises(ValueError, match="read-only"):
-                view[0] += 0.5
-        # a training step's whole-vector update
-        with pytest.raises(ValueError, match="read-only"):
-            params.flat -= 1e-3
-        assert forward_one_shot(q, params) is rows
-        assert np.array_equal(rows, fresh_rows(q, params))
 
     def test_a_decoded_model_refuses_a_config_change(self):
         params = init_params(tiny_config(seed=2), k=K, m_max=M_MAX)
@@ -260,25 +260,92 @@ class TestOneShotMemo:
             assert np.isnan(rows).any()
             assert np.array_equal(rows, fresh_rows(q, params), equal_nan=True)
 
-    def test_memo_never_holds_more_than_the_cap(self):
-        params = init_params(tiny_config(seed=2), k=K, m_max=M_MAX)
+class TestDecodeMemo:
+    """The memo both architectures share through `ModelParams.memo`."""
+
+    def recurrent(self):
+        return init_params(tiny_config(arch=ARCH_RECURRENT, seed=2), k=K, m_max=M_MAX)
+
+    def test_a_decode_memoizes_the_first_step_read_only(self):
+        params = self.recurrent()
+        q = Query(p_s=0, t_s=0, p_e=1, t_e=10800, n=4)
+        trip = decode_greedy(q, params)
+        ((key, entry),) = params.row_memo.items()
+        assert key == input_key(q)
+        assert_entry_is_fresh(entry, q, params)
+        assert decode_greedy(q, params) == trip
+        assert params.row_memo[key] is entry
+
+    def test_a_two_stop_query_builds_nothing(self):
+        params = self.recurrent()
+        assert decode_greedy(Query(p_s=3, t_s=0, p_e=1, t_e=3600, n=2), params).pois == (3, 1)
+        assert params.row_memo == {}
+
+    @pytest.mark.parametrize("arch", [ARCH_ONE_SHOT, ARCH_RECURRENT])
+    def test_a_decoded_model_refuses_writes_through_flat_and_every_view(self, arch):
+        params = init_params(tiny_config(arch=arch, seed=2), k=K, m_max=M_MAX)
+        q = Query(p_s=0, t_s=0, p_e=1, t_e=10800, n=4)
+        # views made before the decode, as a caller may hold them
+        held = (params.flat, params.blocks["poi_embeddings"], *params.qkv)
+        assert all(view.flags.writeable for view in held)
+        decode_greedy(q, params)
+        entry = params.row_memo[input_key(q)]
+        after = (params.views(params.flat)["head"], *params.qkv_views(params.flat), params.flat[3:9])
+        for view in (*held, *params.blocks.values(), *params.qkv, *after):
+            with pytest.raises(ValueError, match="read-only"):
+                view[0] += 0.5
+        # a training step's whole-vector update
+        with pytest.raises(ValueError, match="read-only"):
+            params.flat -= 1e-3
+        decode_greedy(q, params)
+        assert params.row_memo[input_key(q)] is entry
+        assert_entry_is_fresh(entry, q, params)
+
+    @pytest.mark.parametrize("arch", [ARCH_ONE_SHOT, ARCH_RECURRENT])
+    def test_memo_never_holds_more_than_the_cap(self, arch):
+        params = init_params(tiny_config(arch=arch, seed=2), k=K, m_max=M_MAX)
         queries = [
             Query(p_s=p_s, t_s=3600 * hour, p_e=p_e, t_e=0, n=n)
-            for n in (2, 3)
+            for n in (3, 4)
             for p_s in range(K)
             for p_e in range(K)
             for hour in range(24)
         ]
-        assert len(queries) > one_shot.MEMO_CAP
+        assert len(queries) > MEMO_CAP
         sizes = []
         for q in queries:
-            forward_one_shot(q, params)
+            decode_greedy(q, params)
             sizes.append(len(params.row_memo))
-        assert max(sizes) == one_shot.MEMO_CAP
+        assert max(sizes) == MEMO_CAP
         # the call after a full memo starts it over
-        assert sizes[one_shot.MEMO_CAP] == 1
+        assert sizes[MEMO_CAP] == 1
         last = queries[-1]
-        assert np.array_equal(forward_one_shot(last, params), fresh_rows(last, params))
+        assert_entry_is_fresh(params.row_memo[input_key(last)], last, params)
+
+    @pytest.mark.parametrize("arch", [ARCH_ONE_SHOT, ARCH_RECURRENT])
+    def test_a_decoded_model_refuses_to_rebind_its_config_arrays_and_layout(self, arch):
+        params = init_params(tiny_config(arch=arch, seed=2), k=K, m_max=M_MAX)
+        q = Query(p_s=3, t_s=0, p_e=1, t_e=10800, n=5)
+        trip = decode_greedy(q, params)
+        entry = params.row_memo[input_key(q)]
+        originals = {name: getattr(params, name) for name in ("config", "flat", "blocks", "qkv", "layout", "k", "m_max")}
+        other = params.flat.copy()
+        rebinds = {
+            "config": dataclasses.replace(params.config, num_heads=4),
+            "flat": other,
+            "blocks": params.views(other),
+            "qkv": params.qkv_views(other),
+            "layout": (),
+            "k": K + 1,
+            "m_max": M_MAX + 1,
+        }
+        for name, value in rebinds.items():
+            with pytest.raises(dataclasses.FrozenInstanceError, match=name):
+                setattr(params, name, value)
+            assert getattr(params, name) is originals[name]
+        assert decode_greedy(q, params) == trip
+        assert params.row_memo[input_key(q)] is entry
+        assert_entry_is_fresh(entry, q, params)
 
 
 class TestBackward:
