@@ -279,7 +279,7 @@ def main(argv=None) -> int:
         if args.command == "recommend":
             return cmd_recommend(config, args)
         return cmd_analyze(config)
-    except (ConfigError, IngestError, ValueError, RuntimeError, OSError) as exc:
+    except (ValueError, RuntimeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -129,44 +129,51 @@ def open_text(path, error: type[ValueError] = IngestError) -> io.TextIOWrapper:
     return io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8", newline="")
 
 
-def _check_header(row: list[str], expected: list[str], path: str) -> None:
-    if [c.strip() for c in row] != expected:
-        raise IngestError(
-            f"{path}: header {row!r} does not match expected {expected!r}"
-        )
+def _csv_reader(path, header: list[str], empty: str):
+    """A `csv.reader` over `path` past a first row matching `header`; an empty file is "<path>: <empty>".
+
+    `open_text` has read and closed the file, so the reader holds only memory.
+    """
+    reader = csv.reader(open_text(path))
+    try:
+        row = next(reader)
+    except StopIteration:
+        raise IngestError(f"{path}: {empty}") from None
+    if [c.strip() for c in row] != header:
+        raise IngestError(f"{path}: header {row!r} does not match expected {header!r}")
+    return reader
+
+
+def _fits(row: list[str], width: int, path, reader) -> bool:
+    """True for a row of `width` fields, False for a blank one; any other row is an error naming its line."""
+    if not row:
+        return False
+    if len(row) != width:
+        raise IngestError(f"{path} line {reader.line_num}: expected {width} fields, got {len(row)}") from None
+    return True
 
 
 def load_poi_catalog(path: str) -> PoiCatalog:
     """Read a POI catalog CSV; dense indices follow ascending poiID; errors name the physical line."""
     pois: list[Poi] = []
     seen: set[int] = set()
-    with open_text(path) as fh:
-        reader = csv.reader(fh)
+    reader = _csv_reader(path, POI_HEADER, "empty catalog")
+    for row in reader:
+        if not _fits(row, len(POI_HEADER), path, reader):
+            continue
+        lineno = reader.line_num
         try:
-            header = next(reader)
-        except StopIteration:
-            raise IngestError(f"{path}: empty catalog") from None
-        _check_header(header, POI_HEADER, path)
-        for row in reader:
-            lineno = reader.line_num
-            if not row:
-                continue
-            if len(row) != len(POI_HEADER):
-                raise IngestError(f"{path} line {lineno}: expected 5 fields, got {len(row)}")
-            try:
-                poi_id = int(row[0])
-                lat = float(row[2])
-                lon = float(row[3])
-            except ValueError as exc:
-                raise IngestError(f"{path} line {lineno}: {exc}") from None
-            if poi_id in seen:
-                raise IngestError(f"{path} line {lineno}: duplicate poi_id {poi_id}")
-            if not -90.0 <= lat <= 90.0:
-                raise IngestError(f"{path} line {lineno}: latitude out of range ({lat})")
-            if not -180.0 <= lon <= 180.0:
-                raise IngestError(f"{path} line {lineno}: longitude out of range ({lon})")
-            seen.add(poi_id)
-            pois.append(Poi(poi_id, row[1], lat, lon, row[4]))
+            poi = Poi(int(row[0]), row[1], float(row[2]), float(row[3]), row[4])
+        except ValueError as exc:
+            raise IngestError(f"{path} line {lineno}: {exc}") from None
+        if poi.poi_id in seen:
+            raise IngestError(f"{path} line {lineno}: duplicate poi_id {poi.poi_id}")
+        if not -90.0 <= poi.lat <= 90.0:
+            raise IngestError(f"{path} line {lineno}: latitude out of range ({poi.lat})")
+        if not -180.0 <= poi.lon <= 180.0:
+            raise IngestError(f"{path} line {lineno}: longitude out of range ({poi.lon})")
+        seen.add(poi.poi_id)
+        pois.append(poi)
     if not pois:
         raise IngestError(f"{path}: empty catalog")
     return PoiCatalog(pois)
@@ -183,33 +190,21 @@ def load_visits(path: str, catalog: PoiCatalog) -> tuple[list[Visit], int]:
     visits: list[Visit] = []
     dropped = 0
     index = catalog._index
-    with open_text(path) as fh:
-        reader = csv.reader(fh)
+    reader = _csv_reader(path, VISIT_HEADER, "empty visits file")
+    for row in reader:
+        # the rare cases (blank line, wrong field count, bad integer) are
+        # told apart only after unpacking or converting has failed
         try:
-            header = next(reader)
-        except StopIteration:
-            raise IngestError(f"{path}: empty visits file") from None
-        _check_header(header, VISIT_HEADER, path)
-        for row in reader:
-            # the rare cases (blank line, wrong field count, bad integer) are
-            # told apart only after unpacking or converting has failed
-            try:
-                user_id, seq_id, poi_id, timestamp = row
-                visit = Visit(user_id, int(seq_id), int(poi_id), int(timestamp))
-            except ValueError:
-                if not row:
-                    continue
-                if len(row) != len(VISIT_HEADER):
-                    raise IngestError(
-                        f"{path} line {reader.line_num}: expected 4 fields, got {len(row)}"
-                    ) from None
-                raise IngestError(
-                    f"{path} line {reader.line_num}: unparseable field in {row!r}"
-                ) from None
-            if visit.poi_id in index:
-                visits.append(visit)
-            else:
-                dropped += 1
+            user_id, seq_id, poi_id, timestamp = row
+            visit = Visit(user_id, int(seq_id), int(poi_id), int(timestamp))
+        except ValueError:
+            if not _fits(row, len(VISIT_HEADER), path, reader):
+                continue
+            raise IngestError(f"{path} line {reader.line_num}: unparseable field in {row!r}") from None
+        if visit.poi_id in index:
+            visits.append(visit)
+        else:
+            dropped += 1
     # list.sort is stable, so equal (user, seq, timestamp) keep file order
     visits.sort(key=itemgetter(0, 1, 3))
     return visits, dropped

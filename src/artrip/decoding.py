@@ -169,7 +169,6 @@ def _select(row: np.ndarray, position: int, conf: np.ndarray, cfg: DecodeConfig,
         return top_k_sample(row, cfg.top_k, rng, trace)
     if cfg.strategy == "top_p":
         return top_p_sample(row, cfg.top_p, rng, trace)
-    check_horizon(position, len(conf), "position")
     return adaptive_sample(row, float(conf[position - 1]), cfg, rng, trace)
 
 
@@ -188,14 +187,19 @@ def decode_trip(
     -inf until the mask would empty a row, at which point it is
     released with a warning.  `trace`, if given, collects
     (candidate_ids, chosen_id) per interior position; adaptive decoding
-    reads `conf[position - 1]` there.  A query longer than the model's
-    horizon `params.m_max` or than `pm.m_max + 1`, which covers the guided
-    positions 2..n-1, or with an endpoint outside the vocabulary, raises
-    ValueError before the forward pass.  `ModelParams.memo` keeps a frozen
-    model's one-shot rows and recurrent first step (row and state).
+    reads `conf[position - 1]` there.  ValueError refuses, before the forward
+    pass, an endpoint outside the vocabulary, a query longer than
+    `params.m_max` or than `pm.m_max + 1` (guidance covers positions
+    2..n-1), guidance over other than `params.k` POIs, and an adaptive
+    query whose `conf` has no entry for position n - 1.  `ModelParams.memo`
+    keeps a frozen model's one-shot rows and recurrent first step (row and state).
     """
     _check_query(query, params.k)
     check_horizon(query.n, params.m_max)
+    if pm.k != params.k:
+        raise ValueError(f"guidance matrix covers {pm.k} POIs but the model scores k={params.k}")
+    if cfg.strategy == "adaptive" and query.n > 2:
+        check_horizon(query.n - 1, len(conf), "position")
     # row j of the factor is position j + 2's guidance, as apply_guidance scales it
     factor = guidance_factor(pm, 2, query.n - 2)
     if params.config.arch == ARCH_ONE_SHOT:

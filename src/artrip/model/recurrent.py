@@ -13,22 +13,21 @@ from __future__ import annotations
 
 import numpy as np
 
-from artrip.data import Query, hour_bucket
+from artrip.data import Query, input_key
 from artrip.guidance import check_horizon
 from artrip.model.params import GradBuffer, ModelParams
 
 
 def _query_vector(query: Query, params: ModelParams):
     """Concatenated (3d,) conditioning vector and its embedding sources; n may not pass m_max."""
-    check_horizon(query.n, params.m_max)
+    n, p_s, p_e, start_t, end_t = input_key(query)
+    check_horizon(n, params.m_max)
     blocks = params.blocks
-    start_t = hour_bucket(query.t_s)
-    end_t = hour_bucket(query.t_e)
-    pos = query.n - 1
-    start_vec = blocks["poi_embeddings"][query.p_s] + blocks["time_embeddings"][start_t]
-    end_vec = blocks["poi_embeddings"][query.p_e] + blocks["time_embeddings"][end_t]
+    pos = n - 1
+    start_vec = blocks["poi_embeddings"][p_s] + blocks["time_embeddings"][start_t]
+    end_vec = blocks["poi_embeddings"][p_e] + blocks["time_embeddings"][end_t]
     qvec = np.concatenate([start_vec, end_vec, blocks["position_embeddings"][pos]])
-    sources = (query.p_s, start_t, query.p_e, end_t, pos)
+    sources = (p_s, start_t, p_e, end_t, pos)
     return qvec, sources
 
 

@@ -35,6 +35,16 @@ from artrip.model.recurrent import forward_recurrent_step, init_recurrent_state
 K = 6
 
 
+def forbid_decoding(monkeypatch, what):
+    """Make the forward passes and the decode loop raise, so a check seen to fire came before any work."""
+
+    def no_work(*args):
+        raise AssertionError(f"decoding started on {what}")
+
+    for name in ("forward_one_shot", "init_recurrent_state", "_walk"):
+        monkeypatch.setattr(decoding, name, no_work)
+
+
 def log_probs(*probs):
     """Rows whose softmax is exactly the given distribution."""
     return np.log(np.array(probs, dtype=np.float64))
@@ -507,12 +517,7 @@ class TestDecodeTrip:
     def test_trip_past_the_horizon_is_rejected_before_any_step(self, arch, strategy, monkeypatch):
         params = self.params(arch)
         q = Query(p_s=0, t_s=0, p_e=1, t_e=14400, n=self.pm.m_max + 1)
-
-        def no_work(*args):
-            raise AssertionError("decoding started on an over-long query")
-
-        for name in ("forward_one_shot", "init_recurrent_state", "_walk"):
-            monkeypatch.setattr(decoding, name, no_work)
+        forbid_decoding(monkeypatch, "an over-long query")
         with pytest.raises(ValueError, match=f"trip length n={q.n} exceeds the horizon m_max={self.pm.m_max}"):
             decode_trip(q, params, self.pm, self.conf, DecodeConfig(strategy=strategy))
 
@@ -521,14 +526,31 @@ class TestDecodeTrip:
     def test_an_endpoint_outside_the_vocabulary_is_rejected_before_any_forward(self, arch, p_s, p_e, bad, monkeypatch):
         params = self.params(arch)
         q = Query(p_s=p_s, t_s=0, p_e=p_e, t_e=14400, n=5)
-
-        def no_work(*args):
-            raise AssertionError("decoding started on a query outside the vocabulary")
-
-        for name in ("forward_one_shot", "init_recurrent_state", "_walk"):
-            monkeypatch.setattr(decoding, name, no_work)
+        forbid_decoding(monkeypatch, "a query outside the vocabulary")
         with pytest.raises(ValueError, match=f"POI index {bad} out of range for k={K}"):
             decode_trip(q, params, self.pm, self.conf, DecodeConfig())
+
+    @pytest.mark.parametrize("arch", [ARCH_ONE_SHOT, ARCH_RECURRENT])
+    @pytest.mark.parametrize("k", [1, 4])
+    def test_a_guidance_matrix_over_other_pois_is_rejected_before_any_forward(self, arch, k, monkeypatch):
+        # one column would broadcast over every POI; four would fail inside numpy after the forward pass
+        params = self.params(arch)
+        q = Query(p_s=0, t_s=0, p_e=3, t_e=14400, n=4)
+        pm = GuidanceMatrix(values=self.pm.values[:k].copy(), poi_totals=self.pm.poi_totals[:k].copy())
+        forbid_decoding(monkeypatch, "guidance over other POIs")
+        with pytest.raises(ValueError, match=f"^guidance matrix covers {k} POIs but the model scores k={K}$"):
+            decode_trip(q, params, pm, self.conf, DecodeConfig())
+
+    @pytest.mark.parametrize("arch", [ARCH_ONE_SHOT, ARCH_RECURRENT])
+    def test_a_short_confidence_vector_is_rejected_before_any_forward(self, arch, monkeypatch):
+        params = self.params(arch)
+        q = Query(p_s=0, t_s=0, p_e=1, t_e=14400, n=5)
+        # only adaptive decoding reads confidence, and only for interior positions
+        decode_trip(q, params, self.pm, self.conf[:0], DecodeConfig(strategy="top_p", seed=3))
+        decode_trip(replace(q, n=2), params, self.pm, self.conf[:0], DecodeConfig(strategy="adaptive", seed=3))
+        forbid_decoding(monkeypatch, "a query past its confidence vector")
+        with pytest.raises(ValueError, match=r"^position=4 exceeds the horizon m_max=3, the longest"):
+            decode_trip(q, params, self.pm, self.conf[:3], DecodeConfig(strategy="adaptive", seed=3))
 
     @pytest.mark.parametrize("arch", [ARCH_ONE_SHOT, ARCH_RECURRENT])
     def test_guidance_needs_a_horizon_of_n_minus_one(self, arch):

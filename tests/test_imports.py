@@ -10,6 +10,8 @@ A top-level function, class or assigned name counts as named when its word
 appears in any Python file under src, tests, scripts or perfbench, outside
 the lines that define it; a mention in a string counts, because `perfbench`
 wraps functions by name.
+The package calls `csv.reader` and `csv.writer` once each, both in
+`data.py`, so every CSV it reads or writes goes through one place.
 Each module is also imported alone, after every module of its package is
 dropped from `sys.modules`.  The package preloads nothing, so an import
 cycle that breaks only when one particular module is imported first would
@@ -133,6 +135,37 @@ def test_the_scan_finds_a_name_used_only_by_itself():
     )
     elsewhere = Counter(WORD.findall("used(); patch('Wrapped'); _TABLE"))
     assert unnamed_definitions(source, elsewhere) == ["line 2: SPARE", "line 6: recursive"]
+
+
+_CSV_CALLS = ("reader", "writer", "DictReader", "DictWriter")
+
+
+def csv_calls(sources: dict[str, str]) -> list[tuple[str, str]]:
+    """(file, function) for every call of `csv.reader`, `csv.writer` or their Dict forms, sorted."""
+    return sorted(
+        (name, node.func.attr)
+        for name, source in sources.items()
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and isinstance(node.func.value, ast.Name)
+        and node.func.value.id == "csv"
+        and node.func.attr in _CSV_CALLS
+    )
+
+
+def test_the_package_reads_and_writes_csv_in_one_place_each():
+    # data.py's loaders share one reader and its writers one writer, so all share one dialect
+    sources = {str(p.relative_to(SRC)): p.read_text() for p in MODULES}
+    assert csv_calls(sources) == [("artrip/data.py", "reader"), ("artrip/data.py", "writer")]
+
+
+def test_the_csv_scan_finds_every_reader_and_writer_call():
+    sources = {
+        "a.py": "import csv\nrows = csv.reader(fh)\ncsv.field_size_limit(10)\nout = csv.writer(fh)\n",
+        "b.py": "import csv\ndef load(fh):\n    return list(csv.DictReader(fh))\nreader(fh)\n",
+    }
+    assert csv_calls(sources) == [("a.py", "reader"), ("a.py", "writer"), ("b.py", "DictReader")]
 
 
 # Imports each named module after dropping every module of its package from
