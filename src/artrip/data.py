@@ -47,8 +47,6 @@ class PoiCatalog:
     """POI set with a dense vocabulary: poi_id <-> index in [0, k)."""
 
     def __init__(self, pois: list[Poi]):
-        if not pois:
-            raise IngestError("empty catalog")
         self.pois = sorted(pois, key=lambda p: p.poi_id)
         self._index = {p.poi_id: i for i, p in enumerate(self.pois)}
         self._ids = [p.poi_id for p in self.pois]

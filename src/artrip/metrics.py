@@ -4,7 +4,8 @@ F1 compares unordered POI sets.  PairsF1 compares visiting order: both
 sequences are first deduplicated to first occurrences, then scored on
 their sets of ordered (before, after) pairs.  REP measures repetition
 inside generated trips directly: the fraction of positions occupied by
-a POI already visited earlier in the same trip, averaged over trips.
+a POI already visited earlier in the same trip; `evaluate_decoder`
+averages it over the trips of each repeat.
 """
 
 from __future__ import annotations
@@ -85,14 +86,6 @@ def pairs_f1(pred, truth) -> float:
 def trip_repetition(trip) -> float:
     """Fraction of a single trip's positions that revisit an earlier POI."""
     return _score(_pois(trip), {})[2]
-
-
-def rep_score(trips) -> float:
-    """Mean repetition ratio over a batch of trips."""
-    trips = list(trips)
-    if not trips:
-        raise ValueError("rep_score needs at least one trip")
-    return float(np.mean([trip_repetition(t) for t in trips]))
 
 
 @dataclass

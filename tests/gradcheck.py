@@ -6,7 +6,9 @@ scores, cross entropy plus weighted repetition penalty).  The relative
 error uses a floored denominator so near-zero entries do not blow up
 the ratio.  A corruption hook exists as a negative control: a check
 run with a deliberately damaged block must fail, otherwise the checker
-itself is broken.
+itself is broken.  The package does not need it at run time, so it lives
+with the tests, which import it as `gradcheck` the way they import
+`conftest`.
 """
 
 from __future__ import annotations

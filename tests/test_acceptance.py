@@ -13,6 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from conftest import record
+from gradcheck import grad_check
 
 from artrip.analysis import pmr_series, sparsity_xi
 from artrip.cli import main as cli_main
@@ -32,7 +33,6 @@ from artrip.guidance import (
     zero_guidance,
 )
 from artrip.metrics import evaluate_decoder, f1_score, pairs_f1, trip_repetition
-from artrip.model.gradcheck import grad_check
 from artrip.model.params import ARCH_ONE_SHOT, ARCH_RECURRENT, ModelConfig, init_params
 from artrip.model.recurrent import forward_recurrent_step, init_recurrent_state
 from artrip.model.train import train

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
+from gradcheck import FD_STEP, REL_FLOOR, grad_check
 
 from artrip.data import Trajectory
 from artrip.guidance import build_guidance_matrix
-from artrip.model.gradcheck import FD_STEP, REL_FLOOR, grad_check
 from artrip.model.params import ARCH_ONE_SHOT, ARCH_RECURRENT, ModelConfig, init_params
 from artrip.model.train import loss_and_grads
 

@@ -12,6 +12,9 @@ the lines that define it; a mention in a string counts, because `perfbench`
 wraps functions by name.
 The package calls `csv.reader` and `csv.writer` once each, both in
 `data.py`, so every CSV it reads or writes goes through one place.
+Every module is imported by another module of the package, except the
+console script's module named in `pyproject.toml`: a module that only
+tests import is test code and belongs under `tests/`.
 Each module is also imported alone, after every module of its package is
 dropped from `sys.modules`.  The package preloads nothing, so an import
 cycle that breaks only when one particular module is imported first would
@@ -168,6 +171,66 @@ def test_the_csv_scan_finds_every_reader_and_writer_call():
     assert csv_calls(sources) == [("a.py", "reader"), ("a.py", "writer"), ("b.py", "DictReader")]
 
 
+_SCRIPTS = re.search(r"^\[project\.scripts\]\n(.*?)(?=^\[|\Z)", (ROOT / "pyproject.toml").read_text(), re.M | re.S)
+ENTRY_POINTS = set(re.findall(r'"([\w.]+):\w+"', _SCRIPTS.group(1)))
+
+
+def module_names(paths, root: Path) -> dict[str, str]:
+    """Dotted module name -> source for each path under `root`; a package is named by its folder."""
+    return {".".join(p.relative_to(root).with_suffix("").parts).removesuffix(".__init__"): p.read_text() for p in paths}
+
+
+def orphan_modules(sources: dict[str, str], entry_points: set[str]) -> list[str]:
+    """Modules of `sources` (dotted name -> source) that no other of them imports, entry points aside, sorted.
+
+    Importing `a.b.c` imports `a` and `a.b` too; `from m import x` counts
+    `m.x` in case x is a submodule; relative imports resolve against the
+    importing module's package.
+    """
+    packages = {name.rpartition(".")[0] for name in sources}
+    imported: set[str] = set()
+    for name, source in sources.items():
+        found: set[str] = set()
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Import):
+                targets = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                base = node.module or ""
+                if node.level:
+                    package = name if name in packages else name.rpartition(".")[0]
+                    anchor = package.rsplit(".", node.level - 1)[0] if node.level > 1 else package
+                    base = f"{anchor}.{base}" if base else anchor
+                targets = [base, *(f"{base}.{alias.name}" for alias in node.names)]
+            else:
+                continue
+            for target in targets:
+                parts = target.split(".")
+                found.update(".".join(parts[:i]) for i in range(1, len(parts) + 1))
+        imported |= found - {name}
+    return sorted(set(sources) - imported - entry_points)
+
+
+def test_every_module_is_imported_by_the_package_or_is_its_console_script():
+    assert ENTRY_POINTS == {"artrip.cli"}
+    assert orphan_modules(module_names(MODULES, SRC), ENTRY_POINTS) == []
+
+
+def test_the_orphan_scan_finds_a_module_that_only_itself_or_nothing_imports():
+    # every other module is imported once, each by a different import form
+    sources = {
+        "pkg": "",
+        "pkg.cli": "import pkg.core\n",
+        "pkg.core": "from . import helpers\nfrom .sub import X\n",
+        "pkg.helpers": "import os\n",
+        "pkg.util": "",
+        "pkg.sub": "from .leaf import X\n",
+        "pkg.sub.leaf": "from ..util import Y\n",
+        "pkg.orphan": "from pkg.core import run\n",
+        "pkg.selfish": "import pkg.selfish\n",
+    }
+    assert orphan_modules(sources, {"pkg.cli"}) == ["pkg.orphan", "pkg.selfish"]
+
+
 # Imports each named module after dropping every module of its package from
 # sys.modules; prints one line per module that fails.
 _ALONE = """
@@ -194,7 +257,7 @@ def import_failures(root: Path, package: str, names: list[str]) -> list[str]:
 
 
 def test_every_module_imports_on_its_own():
-    names = [".".join(p.relative_to(SRC).with_suffix("").parts).removesuffix(".__init__") for p in MODULES]
+    names = list(module_names(MODULES, SRC))
     assert "artrip" in names and "artrip.model.train" in names
     assert import_failures(SRC, "artrip", names) == []
 

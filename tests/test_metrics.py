@@ -10,7 +10,6 @@ from artrip.metrics import (
     evaluate_decoder,
     f1_score,
     pairs_f1,
-    rep_score,
     trip_repetition,
     write_metrics_csv,
 )
@@ -83,14 +82,6 @@ class TestRep:
     def test_empty_trip_rejected(self):
         with pytest.raises(ValueError):
             trip_repetition([])
-
-    def test_rep_score_averages(self):
-        trips = [[A, B, A, C], [A, B, C, D]]
-        assert rep_score(trips) == pytest.approx(0.125)
-
-    def test_rep_score_rejects_empty_batch(self):
-        with pytest.raises(ValueError):
-            rep_score([])
 
 
 def brute_f1(pred, truth):
@@ -188,6 +179,24 @@ class TestEvaluateDecoder:
         assert len(report.rows) == 2
         assert report.rows[0]["rep"] == pytest.approx(1 / 3)
         assert report.rows[1]["rep"] == pytest.approx(0.5)
+
+    def test_rep_is_averaged_over_each_repeats_trips_then_over_repeats(self):
+        test = self.make_test_split()
+        # repeat 0: REP 1/3 and 0, mean 1/6; repeat 1: REP 0 and 1/2, mean 1/4
+        trips = {(0, 0): (0, 0, 1), (0, 1): (3, 2, 4, 1), (1, 0): (0, 2, 1), (1, 1): (3, 3, 3, 1)}
+
+        def scripted(query, ordinal, repeat_seed):
+            return Trip(pois=trips[repeat_seed, ordinal])
+
+        report = evaluate_decoder(scripted, test, repeats=2, base_seed=0)
+        assert [row["rep"] for row in report.rows] == pytest.approx([1 / 3, 0.0, 0.0, 0.5])
+        assert report.rep_mean == pytest.approx(5 / 24)
+        assert report.rep_std == pytest.approx(1 / 24)
+
+    def test_rejects_an_empty_trip(self):
+        test = self.make_test_split()
+        with pytest.raises(ValueError, match="empty trip"):
+            evaluate_decoder(lambda q, o, s: Trip(pois=()), test, repeats=1, base_seed=0)
 
     def test_validates_arguments(self):
         test = self.make_test_split()

@@ -1,5 +1,7 @@
 """Invariants checked by hypothesis: metric oracles, corpus splits,
-transition matrices and bundle round trips."""
+transition matrices, decoded trips and bundle round trips."""
+
+import warnings
 
 import numpy as np
 import pytest
@@ -7,9 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from artrip.analysis import empirical_transitions, perturb
-from artrip.data import Trajectory, make_query, split_corpus
-from artrip.decoding import Trip
-from artrip.guidance import build_confidence, build_guidance_matrix
+from artrip.baselines import build_popularity, markov_decode, popularity_decode
+from artrip.data import Query, Trajectory, make_query, split_corpus
+from artrip.decoding import DecodeConfig, Trip, decode_trip
+from artrip.guidance import build_confidence, build_guidance_matrix, zero_guidance
 from artrip.metrics import evaluate_decoder, f1_score, pairs_f1, trip_repetition
 from artrip.model.bundle import load_bundle, save_bundle
 from artrip.model.params import ARCH_ONE_SHOT, ARCH_RECURRENT, ModelConfig, init_params
@@ -159,6 +162,83 @@ def test_perturb_with_zero_sigma_is_the_identity_bit_for_bit(seed, k, noise_seed
     out = perturb(values, 0.0, noise_seed)
     assert out.tobytes() == values.tobytes()
     assert not np.shares_memory(out, values)
+
+
+# --- decoded trips -------------------------------------------------------------
+
+STRATEGY_MODES = [
+    ("greedy", "temperature"),
+    ("top_k", "temperature"),
+    ("top_p", "temperature"),
+    ("adaptive", "temperature"),
+    ("adaptive", "threshold"),
+]
+
+
+def decode_noting_releases(decode, *args):
+    """`decode(*args)`, and whether the no-repeat mask was released on the way."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        trip = decode(*args)
+    return trip, any("no-repeat mask exhausted" in str(w.message) for w in caught)
+
+
+def check_trip(trip, query, k, distinct):
+    assert len(trip.pois) == query.n
+    assert (trip.pois[0], trip.pois[-1]) == (query.p_s, query.p_e)
+    assert all(0 <= poi < k for poi in trip.pois)
+    if distinct:
+        # only a round trip's shared endpoint occurs twice
+        assert len(set(trip.pois)) == query.n - (query.p_s == query.p_e)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    arch=st.sampled_from([ARCH_ONE_SHOT, ARCH_RECURRENT]),
+    ts=trajectories(min_size=1),
+    extra_pois=st.integers(0, 3),
+    guided=st.booleans(),
+    strategy_mode=st.sampled_from(STRATEGY_MODES),
+    mask=st.booleans(),
+    seeds=st.tuples(st.integers(0, 2**16), st.integers(0, 2**32 - 1)),
+    data=st.data(),
+)
+def test_every_generator_keeps_length_endpoints_and_vocabulary(
+    arch, ts, extra_pois, guided, strategy_mode, mask, seeds, data
+):
+    k = 6 + extra_pois
+    pm = build_guidance_matrix(ts, k)
+    poi, stamp = st.integers(0, k - 1), st.integers(0, 2 * 86_400)
+    n = data.draw(st.integers(2, pm.m_max))
+    query = Query(data.draw(poi), data.draw(stamp), data.draw(poi), data.draw(stamp), n)
+    strategy, mode = strategy_mode
+    cfg = DecodeConfig(
+        strategy=strategy,
+        top_k=data.draw(st.integers(1, k)),
+        top_p=data.draw(st.floats(0.05, 1.0)),
+        lam=data.draw(st.floats(0.0, 3.0)),
+        adaptive_mode=mode,
+        no_repeat_mask=mask,
+        seed=seeds[1],
+    )
+    model_cfg = ModelConfig(arch=arch, embed_dim=8, num_layers=1, num_heads=2, hidden_dim=8, seed=seeds[0])
+    params = init_params(model_cfg, k=k, m_max=pm.m_max)
+    guidance = pm if guided else zero_guidance(k, pm.m_max)
+    generators = [
+        (decode_trip, (query, params, guidance, build_confidence(pm, k), cfg)),
+        (markov_decode, (query, empirical_transitions(ts, k), cfg)),
+    ]
+    for decode, args in generators:
+        trip, released = decode_noting_releases(decode, *args)
+        check_trip(trip, query, k, distinct=mask and not released)
+    counts = build_popularity(ts, k)
+    if k - len({query.p_s, query.p_e}) < query.n - 2:
+        with pytest.raises(ValueError, match="vocabulary too small"):
+            popularity_decode(query, counts)
+    else:
+        trip, released = decode_noting_releases(popularity_decode, query, counts)
+        assert not released
+        check_trip(trip, query, k, distinct=True)
 
 
 # --- bundles ------------------------------------------------------------------
