@@ -118,22 +118,17 @@ CONFIG_KEYS = tuple(_SCHEMA)
 
 def _coerce(key: str, raw: str, where: str = ""):
     # `where` is a config file's "<path>:<line>: ", prefixed to an error
-    # a union, such as DecodeConfig.seed's `int | tuple[int, int]`, coerces as its first type
-    kind = _SCHEMA[key][1].type.split(" | ")[0]
+    kind = type(_SCHEMA[key][1].default)
     raw = raw.strip()
-    if kind == "bool":
+    if kind is bool:
         lowered = raw.lower()
         if lowered in ("true", "false"):
             return lowered == "true"
         raise ConfigError(f"{where}{key} expects true or false, got {raw!r}")
     try:
-        if kind == "int":
-            return int(raw)
-        if kind == "float":
-            return float(raw)
+        return kind(raw)
     except ValueError as exc:
-        raise ConfigError(f"{where}{key} expects {kind}, got {raw!r}") from exc
-    return raw
+        raise ConfigError(f"{where}{key} expects {kind.__name__}, got {raw!r}") from exc
 
 
 def parse_config_file(path: str) -> dict:

@@ -278,7 +278,7 @@ def write_csv(path, header: list[str], rows) -> None:
 
     Every CSV the package writes goes through here, so all share one dialect.
     """
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(rows)

@@ -19,7 +19,7 @@ import numpy as np
 
 from artrip.data import Query, input_key
 from artrip.guidance import check_horizon
-from artrip.model.params import GradBuffer, ModelParams
+from artrip.model.params import ModelParams
 
 LN_EPS = 1e-5
 
@@ -184,15 +184,15 @@ def forward_one_shot(query: Query, params: ModelParams) -> np.ndarray:
     return params.memo(input_key(query), lambda: forward_with_cache(query, params)[:1])[0]
 
 
-def backward(params: ModelParams, cache: dict, dlogits: np.ndarray, buffer: GradBuffer) -> np.ndarray:
-    """Backpropagate a loss gradient on the logits into `buffer` (`ModelParams.zero_grads`).
+def backward(params: ModelParams, cache: dict, dlogits: np.ndarray, buffer: ModelParams) -> np.ndarray:
+    """Backpropagate a loss gradient on the logits into `buffer`, a `params.zero_grads()` record.
 
-    The buffer is zeroed first; its flat vector, laid out like
-    `params.flat`, is returned.
+    `buffer.flat` is zeroed first, filled through `buffer.blocks` and
+    `buffer.qkv`, and returned.
     """
     blocks = params.blocks
-    grad, grads, grads_qkv = buffer
-    grad.fill(0.0)
+    grads, grads_qkv = buffer.blocks, buffer.qkv
+    buffer.flat.fill(0.0)
     grads["head"] += cache["z"].T @ dlogits
     dz = dlogits @ blocks["head"].T
     dx, dgamma, dbeta = _layer_norm_backward(dz, cache["final_ln"])
@@ -233,4 +233,4 @@ def backward(params: ModelParams, cache: dict, dlogits: np.ndarray, buffer: Grad
     np.add.at(grads["poi_embeddings"], pois, dx[slots])
     np.add.at(grads["time_embeddings"], hours, dx[slots])
     grads["mask_embedding"] += dx[1:-1].sum(axis=0)
-    return grad
+    return buffer.flat

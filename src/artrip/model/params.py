@@ -9,8 +9,7 @@ models built from the same config and seed are bit-identical.
 from __future__ import annotations
 
 import math
-from dataclasses import FrozenInstanceError, dataclass
-from typing import NamedTuple
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,8 +20,6 @@ ARCH_RECURRENT = "recurrent"
 
 # most entries one model's decode memo holds
 MEMO_CAP = 1024
-# what a frozen model refuses to rebind, as its arrays refuse writes
-_FIXED = frozenset(("config", "flat", "blocks", "qkv", "layout", "k", "m_max"))
 
 
 @dataclass(frozen=True)
@@ -105,23 +102,18 @@ def block_shapes(config: ModelConfig, k: int, m_max: int) -> dict[str, tuple[int
     return shapes
 
 
-class GradBuffer(NamedTuple):
-    """A gradient vector laid out like `ModelParams.flat` and its views."""
-
-    flat: np.ndarray
-    blocks: dict[str, np.ndarray]
-    qkv: tuple[np.ndarray, ...]
-
-
-@dataclass
+@dataclass(frozen=True, eq=False)
 class ModelParams:
-    """All trainable parameters of one model instance, initially zero.
+    """All trainable parameters of one model instance, or a gradient laid out like them; initially zero.
 
     `blocks` maps each name to a view of the contiguous vector `flat`, at
     the (name, offset, size, shape) entry of `layout`, computed once here.
     `qkv` holds one (3, d, d) view per encoder layer over its adjacent
     attn_wq, attn_wk and attn_wv blocks.  `k` is the POI vocabulary size
     and `m_max` the longest trip length the position table covers.
+    No attribute can be rebound; the arrays stay writable until `freeze`.
+    Equality and hashing are identity: two models of one config may
+    hold different weights.
     """
 
     config: ModelConfig
@@ -133,21 +125,15 @@ class ModelParams:
         for name, shape in block_shapes(self.config, self.k, self.m_max).items():
             layout.append((name, offset, math.prod(shape), shape))
             offset += layout[-1][2]
-        self.layout = tuple(layout)
-        # block_shapes declares attn_wq, attn_wk and attn_wv back to back
-        self._qkv_spans = tuple(
-            (at, at + 3 * size) for name, at, size, _ in layout if name.endswith(".attn_wq")
+        # frozen, so the derived fields are set once, here; the views read `layout` and `_qkv_spans`
+        vars(self).update(
+            layout=tuple(layout),
+            # block_shapes declares attn_wq, attn_wk and attn_wv back to back
+            _qkv_spans=tuple((at, at + 3 * size) for name, at, size, _ in layout if name.endswith(".attn_wq")),
+            flat=np.zeros(offset, dtype=np.float64),
         )
-        self.flat = np.zeros(offset, dtype=np.float64)
-        self.blocks = self.views(self.flat)
-        self.qkv = self.qkv_views(self.flat)
-        # decode-time arrays by query key, filled by `memo` once frozen
-        self.row_memo: dict = {}
-
-    def __setattr__(self, name, value):
-        if name in _FIXED and "flat" in self.__dict__ and not self.flat.flags.writeable:
-            raise FrozenInstanceError(f"cannot assign to field {name!r} of a frozen model")
-        object.__setattr__(self, name, value)
+        # `row_memo`: decode-time arrays by query key, filled by `memo` once frozen
+        vars(self).update(blocks=self.views(self.flat), qkv=self.qkv_views(self.flat), row_memo={})
 
     def freeze(self) -> None:
         """Make `flat` and its block and Q/K/V views read-only; O(1) once frozen."""
@@ -181,10 +167,9 @@ class ModelParams:
         d = self.config.embed_dim
         return tuple(vec[start:stop].reshape(3, d, d) for start, stop in self._qkv_spans)
 
-    def zero_grads(self) -> GradBuffer:
-        """A new zeroed gradient vector with its block and Q/K/V views."""
-        grad = np.zeros_like(self.flat)
-        return GradBuffer(grad, self.views(grad), self.qkv_views(grad))
+    def zero_grads(self) -> ModelParams:
+        """A new zeroed record laid out like this one, for a gradient; never frozen by this model's decodes."""
+        return ModelParams(self.config, self.k, self.m_max)
 
 
 def init_params(config: ModelConfig, k: int, m_max: int) -> ModelParams:

@@ -15,7 +15,7 @@ import numpy as np
 
 from artrip.data import Query, input_key
 from artrip.guidance import check_horizon
-from artrip.model.params import GradBuffer, ModelParams
+from artrip.model.params import ModelParams
 
 
 def _query_vector(query: Query, params: ModelParams):
@@ -72,16 +72,16 @@ def forward_teacher(query: Query, pois, params: ModelParams):
     return rows, cache
 
 
-def backward(params: ModelParams, cache: dict, drows: np.ndarray, buffer: GradBuffer) -> np.ndarray:
-    """Backpropagate through time into `buffer` (`ModelParams.zero_grads`).
+def backward(params: ModelParams, cache: dict, drows: np.ndarray, buffer: ModelParams) -> np.ndarray:
+    """Backpropagate through time into `buffer`, a `params.zero_grads()` record.
 
-    The buffer is zeroed first; its flat vector, laid out like
-    `params.flat`, is returned.  Only the carry through `state_w` steps;
-    every weight gradient is one product over the trajectory.
+    `buffer.flat` is zeroed first, filled through `buffer.blocks` and
+    returned.  Only the carry through `state_w` steps; every weight
+    gradient is one product over the trajectory.
     """
     blocks = params.blocks
-    grad, grads, _ = buffer
-    grad.fill(0.0)
+    grads = buffer.blocks
+    buffer.flat.fill(0.0)
     states = cache["states"]
     inputs = cache["inputs"]
     # d(state t) from its own scores, and tanh's derivative at every state
@@ -111,4 +111,4 @@ def backward(params: ModelParams, cache: dict, drows: np.ndarray, buffer: GradBu
     grads["poi_embeddings"][p_e] += dqvec[d : 2 * d]
     grads["time_embeddings"][end_t] += dqvec[d : 2 * d]
     grads["position_embeddings"][pos] += dqvec[2 * d :]
-    return grad
+    return buffer.flat

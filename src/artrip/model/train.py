@@ -16,13 +16,7 @@ from artrip.data import Trajectory, make_query
 from artrip.guidance import GuidanceMatrix, check_horizon, check_pois, guidance_factor
 from artrip.model import one_shot, recurrent
 from artrip.model.losses import total_loss_grad
-from artrip.model.params import (
-    ARCH_ONE_SHOT,
-    GradBuffer,
-    ModelConfig,
-    ModelParams,
-    init_params,
-)
+from artrip.model.params import ARCH_ONE_SHOT, ModelConfig, ModelParams, init_params
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -59,16 +53,17 @@ class _AdamState:
         np.multiply(np.divide(m, bc1, out=step), lr, out=step)
         np.sqrt(np.divide(v, bc2, out=denom), out=denom)
         denom += ADAM_EPS
-        params.flat -= np.divide(step, denom, out=step)
+        # in place: a frozen record cannot rebind `flat`, as `-=` would
+        np.subtract(params.flat, np.divide(step, denom, out=step), out=params.flat)
 
 
 def loss_and_grads(
-    traj: Trajectory, params: ModelParams, pm: GuidanceMatrix, alpha: float, buffer: GradBuffer | None
+    traj: Trajectory, params: ModelParams, pm: GuidanceMatrix, alpha: float, buffer: ModelParams | None
 ):
     """Loss for one trajectory and its flat gradient, `buffer.flat` (see the architectures' `backward`).
 
-    The gradient is None, and no backward pass runs, when `buffer` is None
-    or the loss is not finite.
+    `buffer` is a `params.zero_grads()` record.  The gradient is None, and
+    no backward pass runs, when `buffer` is None or the loss is not finite.
     """
     query = make_query(traj)
     if params.config.arch == ARCH_ONE_SHOT:

@@ -1,4 +1,7 @@
 import csv
+import os
+import subprocess
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -107,6 +110,28 @@ def test_a_latin1_poi_name_is_an_error_naming_the_catalog_and_line(tmp_path):
     path.write_bytes(POI_CSV.encode() + b"99,Caf\xe9,55.9,-3.2,Cafe\n")
     with pytest.raises(IngestError, match=r"poi\.csv line 5: not valid UTF-8 \(invalid continuation byte 0xe9\)$"):
         load_poi_catalog(path)
+
+
+# Writes one row through `write_csv` and prints the locale's preferred encoding.
+_WRITE_IN_C_LOCALE = """
+import locale, sys
+from artrip.data import write_csv
+write_csv(sys.argv[1], ["poi_name"], [["Caf\\u00e9"]])
+print(locale.getpreferredencoding(False))
+"""
+
+
+def test_write_csv_writes_utf8_whatever_the_locale(tmp_path):
+    path = tmp_path / "trip.csv"
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    # an ASCII locale, with neither UTF-8 mode nor locale coercion to override it
+    env = dict(os.environ, PYTHONUTF8="0", PYTHONCOERCECLOCALE="0", LC_ALL="C", PYTHONPATH=src)
+    done = subprocess.run(
+        [sys.executable, "-c", _WRITE_IN_C_LOCALE, str(path)], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    assert "utf" not in done.stdout.lower()
+    assert path.read_bytes() == "poi_name\nCaf\u00e9\n".encode("utf-8")
 
 
 def test_catalog_rows_are_numbered_by_physical_line_as_open_text_numbers_bytes(tmp_path):

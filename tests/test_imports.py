@@ -11,7 +11,9 @@ appears in any Python file under src, tests, scripts or perfbench, outside
 the lines that define it; a mention in a string counts, because `perfbench`
 wraps functions by name.
 The package calls `csv.reader` and `csv.writer` once each, both in
-`data.py`, so every CSV it reads or writes goes through one place.
+`data.py`, so every CSV it reads or writes goes through one place, and
+every text file it opens names its encoding, so no file's bytes depend on
+the host's locale.
 Every module is imported by another module of the package, except the
 console script's module named in `pyproject.toml`: a module that only
 tests import is test code and belongs under `tests/`.
@@ -169,6 +171,72 @@ def test_the_csv_scan_finds_every_reader_and_writer_call():
         "b.py": "import csv\ndef load(fh):\n    return list(csv.DictReader(fh))\nreader(fh)\n",
     }
     assert csv_calls(sources) == [("a.py", "reader"), ("a.py", "writer"), ("b.py", "DictReader")]
+
+
+# text-file calls, by function name, with the position `encoding` may take as an argument
+_TEXT_CALLS = {"open": 3, "read_text": 0, "write_text": 1, "TextIOWrapper": 1}
+
+
+def text_calls_without_encoding(sources: dict[str, str]) -> list[tuple[str, int, str]]:
+    """(file, line, function) for every text-mode `open`, `.read_text`, `.write_text`
+    or `TextIOWrapper` call that passes no encoding, sorted.
+
+    `open` counts only called by its bare name, and is text-mode unless its
+    mode is a literal holding "b".
+    """
+    found = []
+    for name, source in sources.items():
+        for node in ast.walk(ast.parse(source)):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            called = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            # a method named open, such as os.open, takes other arguments
+            if called not in _TEXT_CALLS or (called == "open" and isinstance(func, ast.Attribute)):
+                continue
+            keywords = {k.arg: k.value for k in node.keywords}
+            if called == "open":
+                mode = node.args[1] if len(node.args) > 1 else keywords.get("mode")
+                if isinstance(mode, ast.Constant) and "b" in mode.value:
+                    continue
+            if "encoding" not in keywords and len(node.args) <= _TEXT_CALLS[called]:
+                found.append((name, node.lineno, called))
+    return sorted(found)
+
+
+def test_every_text_file_the_package_opens_names_its_encoding():
+    sources = {str(p.relative_to(SRC)): p.read_text() for p in MODULES}
+    assert text_calls_without_encoding(sources) == []
+
+
+def test_the_encoding_scan_finds_every_text_call_without_one():
+    sources = {
+        "a.py": (
+            "open(p)\n"
+            "open(p, 'rb')\n"
+            "open(p, mode='wb')\n"
+            "open(p, 'w', encoding='utf-8')\n"
+            "open(p, 'w', newline='')\n"
+            "open(p, 'r', -1, 'utf-8')\n"
+            "os.open(p, flags)\n"
+        ),
+        "b.py": (
+            "P.read_text()\n"
+            "P.read_text('utf-8')\n"
+            "P.write_text(s, encoding='ascii')\n"
+            "P.write_text(s)\n"
+            "io.TextIOWrapper(b)\n"
+            "TextIOWrapper(b, 'utf-8')\n"
+            "P.read_bytes()\n"
+        ),
+    }
+    assert text_calls_without_encoding(sources) == [
+        ("a.py", 1, "open"),
+        ("a.py", 5, "open"),
+        ("b.py", 1, "read_text"),
+        ("b.py", 4, "write_text"),
+        ("b.py", 5, "TextIOWrapper"),
+    ]
 
 
 _SCRIPTS = re.search(r"^\[project\.scripts\]\n(.*?)(?=^\[|\Z)", (ROOT / "pyproject.toml").read_text(), re.M | re.S)

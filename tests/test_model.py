@@ -103,7 +103,34 @@ class TestInit:
 
     @pytest.mark.parametrize("arch", [ARCH_ONE_SHOT, ARCH_RECURRENT])
     def test_blocks_are_views_of_flat(self, arch):
-        assert_blocks_view_flat(init_params(tiny_config(arch=arch), k=K, m_max=M_MAX))
+        params = init_params(tiny_config(arch=arch), k=K, m_max=M_MAX)
+        grads = params.zero_grads()
+        decode_greedy(Query(p_s=0, t_s=0, p_e=1, t_e=10800, n=4), params)
+        # a gradient record is its own vector, writable after its model froze
+        for record in (params, grads, params.zero_grads()):
+            assert_blocks_view_flat(record)
+        for record in (grads, params.zero_grads()):
+            assert not np.shares_memory(record.flat, params.flat)
+            assert all(array.flags.writeable for array in (record.flat, *record.blocks.values(), *record.qkv))
+        assert not params.flat.flags.writeable
+
+    def test_models_compare_and_hash_by_identity(self):
+        a = init_params(tiny_config(seed=3), k=K, m_max=M_MAX)
+        b = init_params(tiny_config(seed=3), k=K, m_max=M_MAX)
+        b.blocks["head"][0, 0] += 1.0
+        assert a != b
+        assert a == a and {a: "a", b: "b"}[a] == "a"
+
+    @pytest.mark.parametrize("arch", [ARCH_ONE_SHOT, ARCH_RECURRENT])
+    def test_a_fresh_model_refuses_to_rebind_before_any_decode(self, arch):
+        params = init_params(tiny_config(arch=arch, seed=2), k=K, m_max=M_MAX)
+        rebinds = {"flat": params.flat.copy(), "config": tiny_config(arch=arch, seed=3), "row_memo": {}}
+        for name, value in rebinds.items():
+            before = getattr(params, name)
+            with pytest.raises(dataclasses.FrozenInstanceError, match=name):
+                setattr(params, name, value)
+            assert getattr(params, name) is before
+        assert params.flat.flags.writeable
 
     def test_recurrent_block_set(self):
         params = init_params(tiny_config(arch=ARCH_RECURRENT), k=K, m_max=M_MAX)
@@ -398,7 +425,8 @@ def reference_layer_norm_backward(dy, cache):
 def reference_recurrent_backward(params, cache, drows):
     """Backprop through time with np.outer: the reference for the broadcasts."""
     blocks = params.blocks
-    grad, grads, _ = params.zero_grads()
+    buffer = params.zero_grads()
+    grad, grads = buffer.flat, buffer.blocks
     states = cache["states"]
     inputs = cache["inputs"]
     ds_carry = np.zeros_like(states[0])
