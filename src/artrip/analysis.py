@@ -27,7 +27,7 @@ def sparsity_xi(matrix: np.ndarray) -> float:
     return float(np.count_nonzero(matrix)) / matrix.size
 
 
-def perturb(matrix: np.ndarray, sigma: float, seed: int = 0) -> np.ndarray:
+def perturb(matrix: np.ndarray, sigma: float, seed: int) -> np.ndarray:
     """Add iid Gaussian noise, clip at zero and renormalize each row.
 
     Rows that end up all zero become uniform, with a warning that names
@@ -67,12 +67,7 @@ class PmrResult:
     converged: bool
 
 
-def pmr_series(
-    matrices: np.ndarray,
-    k: int,
-    xi: float,
-    j_max: int = 10,
-) -> PmrResult:
+def pmr_series(matrices: np.ndarray, k: int, xi: float, j_max: int) -> PmrResult:
     """Probability mass of even-length returns, truncated at j_max.
 
     The (n, k, k) chain `matrices` is cycled when a product needs more

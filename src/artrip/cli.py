@@ -32,7 +32,7 @@ from artrip.data import (
 )
 from artrip.decoding import decode_config_for_query, decode_trip
 from artrip.guidance import build_confidence, build_guidance_matrix, check_horizon
-from artrip.model.bundle import load_bundle, save_bundle, vocab_sha256
+from artrip.model.bundle import MECHANISM_KEYS, load_bundle, save_bundle, vocab_sha256
 from artrip.model.train import train
 
 # flags whose spelling differs from the config key
@@ -52,6 +52,7 @@ def _collect(args: argparse.Namespace) -> ExperimentConfig:
 
 
 def _load_corpus(config: ExperimentConfig):
+    """`(catalog, visits, dropped, trajectories, split)`, the split seeded by the config."""
     if not config.poi_file or not config.visits_file:
         raise ConfigError("poi_file and visits_file must be set")
     catalog = load_poi_catalog(config.poi_file)
@@ -62,15 +63,8 @@ def _load_corpus(config: ExperimentConfig):
             f"{config.visits_file}: {len(trajectories)} trajectories of at least {config.min_traj_len} stops, "
             f"need at least {MIN_TRAJECTORIES}"
         )
-    return catalog, visits, dropped, trajectories
-
-
-def _split(config: ExperimentConfig, trajectories):
-    return split_corpus(
-        trajectories,
-        ratios=(config.train_ratio, config.val_ratio, config.test_ratio),
-        seed=config.split_seed,
-    )
+    ratios = (config.train_ratio, config.val_ratio, config.test_ratio)
+    return catalog, visits, dropped, trajectories, split_corpus(trajectories, ratios, config.split_seed)
 
 
 def _out_dir(config: ExperimentConfig) -> Path:
@@ -79,8 +73,8 @@ def _out_dir(config: ExperimentConfig) -> Path:
     return out
 
 
-def cmd_ingest(config: ExperimentConfig) -> int:
-    catalog, visits, dropped, trajectories = _load_corpus(config)
+def cmd_ingest(config: ExperimentConfig, args: argparse.Namespace) -> int:
+    catalog, visits, dropped, trajectories, _ = _load_corpus(config)
     out = _out_dir(config)
     rows = (
         [tid, pos, catalog.id_of(poi), ts]
@@ -96,14 +90,13 @@ def cmd_ingest(config: ExperimentConfig) -> int:
     return 0
 
 
-def cmd_train(config: ExperimentConfig) -> int:
-    catalog, _, _, trajectories = _load_corpus(config)
-    split = _split(config, trajectories)
+def cmd_train(config: ExperimentConfig, args: argparse.Namespace) -> int:
+    catalog, *_, split = _load_corpus(config)
     pm = build_guidance_matrix(split.train, len(catalog))
     conf = build_confidence(pm, len(catalog))
     result = train(split.train, config.guidance(pm), config.model)
     out = _out_dir(config)
-    mechanisms = {"guiding": config.guiding, "drifting": config.drifting, "adapting": config.adapting}
+    mechanisms = {key: getattr(config, key) for key in MECHANISM_KEYS}
     save_bundle(out / "model", result.params, pm, conf, mechanisms, catalog.ids)
     write_csv(out / "loss_trace.csv", ["epoch", "mean_loss"], enumerate(map(repr, result.epoch_losses)))
     final = result.epoch_losses[-1] if result.epoch_losses else float("nan")
@@ -150,8 +143,7 @@ def _score_test_split(config: ExperimentConfig, repeats: int, transitions: bool 
     estimated once and walked by the Markov generator; otherwise it is None.
     Nothing is written, so a failed decode leaves no report behind.
     """
-    catalog, _, _, trajectories = _load_corpus(config)
-    split = _split(config, trajectories)
+    catalog, *_, split = _load_corpus(config)
     if not split.test:
         raise ConfigError("test split is empty; adjust ratios or corpus")
     matrices = analysis.empirical_transitions(split.train, len(catalog)) if transitions else None
@@ -163,7 +155,7 @@ def _score_test_split(config: ExperimentConfig, repeats: int, transitions: bool 
     return catalog, matrices, metrics.evaluate_decoder(decode_fn, split.test, repeats, config.decode.seed)
 
 
-def cmd_evaluate(config: ExperimentConfig) -> int:
+def cmd_evaluate(config: ExperimentConfig, args: argparse.Namespace) -> int:
     catalog, _, report = _score_test_split(config, config.repeats)
     out = _out_dir(config)
     metrics.write_metrics_csv(report, out / "metrics.csv")
@@ -184,11 +176,11 @@ def cmd_evaluate(config: ExperimentConfig) -> int:
 def cmd_recommend(config: ExperimentConfig, args: argparse.Namespace) -> int:
     if args.length < 2:
         raise ConfigError("trip length must be at least 2")
-    catalog, _, _, trajectories = _load_corpus(config)
+    catalog, *_, split = _load_corpus(config)
     for poi in (args.start, args.end):
         if poi not in catalog:
             raise ConfigError(f"POI id {poi} not in the catalog")
-    decode = _decoder(config, catalog, _split(config, trajectories).train, args.length)
+    decode = _decoder(config, catalog, split.train, args.length)
     query = Query(
         p_s=catalog.index_of(args.start),
         t_s=args.start_time,
@@ -206,7 +198,7 @@ def cmd_recommend(config: ExperimentConfig, args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_analyze(config: ExperimentConfig) -> int:
+def cmd_analyze(config: ExperimentConfig, args: argparse.Namespace) -> int:
     # one repeat: query i decodes with the seed pair (decode_seed, i), as in repeat 0 of evaluate
     catalog, matrices, report = _score_test_split(config, 1, transitions=True)
     out = _out_dir(config)
@@ -237,31 +229,30 @@ def cmd_analyze(config: ExperimentConfig) -> int:
     return 0
 
 
+# subcommand -> (handler, help); every handler takes (config, args)
+COMMANDS = {
+    "ingest": (cmd_ingest, "load raw CSVs, extract trajectories, write corpus summaries"),
+    "train": (cmd_train, "train a model and save the bundle"),
+    "evaluate": (cmd_evaluate, "score the configured generator on the test split"),
+    "recommend": (cmd_recommend, "generate a single trip from a trained bundle"),
+    "analyze": (cmd_analyze, "transition sparsity, return-probability series and repeat histograms"),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="artrip",
         description="POI trip recommendation with repetition analysis and mitigation",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, text in (
-        ("ingest", "load raw CSVs, extract trajectories, write corpus summaries"),
-        ("train", "train a model and save the bundle"),
-        ("evaluate", "score the configured generator on the test split"),
-        ("recommend", "generate a single trip from a trained bundle"),
-        ("analyze", "transition sparsity, return-probability series and repeat histograms"),
-    ):
-        p = sub.add_parser(name, help=text)
-        _add_config_flags(p)
-        if name == "recommend":
-            p.add_argument("--start", type=int, required=True, help="start POI id")
-            p.add_argument("--end", type=int, required=True, help="end POI id")
-            p.add_argument("--length", type=int, required=True, help="number of stops")
-            p.add_argument(
-                "--start-time", type=int, default=36000, help="start unix time (default 10:00)"
-            )
-            p.add_argument(
-                "--end-time", type=int, default=64800, help="end unix time (default 18:00)"
-            )
+    for name, (_, text) in COMMANDS.items():
+        _add_config_flags(sub.add_parser(name, help=text))
+    trip = sub.choices["recommend"]
+    trip.add_argument("--start", type=int, required=True, help="start POI id")
+    trip.add_argument("--end", type=int, required=True, help="end POI id")
+    trip.add_argument("--length", type=int, required=True, help="number of stops")
+    trip.add_argument("--start-time", type=int, default=36000, help="start unix time (default 10:00)")
+    trip.add_argument("--end-time", type=int, default=64800, help="end unix time (default 18:00)")
     return parser
 
 
@@ -269,16 +260,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        config = _collect(args)
-        if args.command == "ingest":
-            return cmd_ingest(config)
-        if args.command == "train":
-            return cmd_train(config)
-        if args.command == "evaluate":
-            return cmd_evaluate(config)
-        if args.command == "recommend":
-            return cmd_recommend(config, args)
-        return cmd_analyze(config)
+        handler, _ = COMMANDS[args.command]
+        return handler(_collect(args), args)
     except (ValueError, RuntimeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

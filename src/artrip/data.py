@@ -208,9 +208,7 @@ def load_visits(path: str, catalog: PoiCatalog) -> tuple[list[Visit], int]:
     return visits, dropped
 
 
-def extract_trajectories(
-    visits: list[Visit], catalog: PoiCatalog, min_len: int = 3
-) -> list[Trajectory]:
+def extract_trajectories(visits: list[Visit], catalog: PoiCatalog, min_len: int) -> list[Trajectory]:
     """Group visits by (user, seq), collapse consecutive duplicate POIs and
     discard groups shorter than ``min_len``.
 

@@ -53,12 +53,12 @@ class TestPerturb:
 
     def test_negative_sigma_rejected(self):
         with pytest.raises(ValueError):
-            perturb(self.base(), sigma=-0.1)
+            perturb(self.base(), sigma=-0.1, seed=0)
 
     @pytest.mark.parametrize("sigma", [math.nan, math.inf])
     def test_non_finite_sigma_rejected(self, sigma):
         with pytest.raises(ValueError, match="finite"):
-            perturb(self.base(), sigma=sigma)
+            perturb(self.base(), sigma=sigma, seed=0)
 
     def test_dead_rows_become_uniform_with_warning(self):
         # tiny positive mass, huge negative noise: some row will zero out
@@ -114,9 +114,9 @@ class TestPmr:
 
     def test_validates_inputs(self):
         with pytest.raises(ValueError):
-            pmr_series([], k=2, xi=1.0)
+            pmr_series([], k=2, xi=1.0, j_max=10)
         with pytest.raises(ValueError):
-            pmr_series([np.eye(2)], k=2, xi=0.0)
+            pmr_series([np.eye(2)], k=2, xi=0.0, j_max=10)
         with pytest.raises(ValueError):
             pmr_series([np.eye(2)], k=2, xi=1.0, j_max=-1)
 

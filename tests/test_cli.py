@@ -1,4 +1,6 @@
+import argparse
 import csv
+import itertools
 import json
 import re
 from pathlib import Path
@@ -163,6 +165,38 @@ class TestTrain:
         assert main(["train", *flags]) == 0
         without = (tmp_path / "out" / "model" / "params.bin").read_bytes()
         assert with_mechs != without
+
+    @pytest.mark.parametrize(
+        "switches",
+        list(itertools.product([True, False], repeat=3)),
+        ids=lambda switches: "-".join("on" if on else "off" for on in switches),
+    )
+    def test_the_manifest_records_the_runs_switches(self, base_flags, tmp_path, switches):
+        mechanisms = dict(zip(("guiding", "drifting", "adapting"), switches))
+        flags = [token for key, on in mechanisms.items() for token in (f"--{key}", str(on).lower())]
+        assert main(["train", *base_flags, "--epochs", "1", *flags]) == 0
+        manifest = json.loads((tmp_path / "out" / "model" / "manifest.json").read_text())
+        assert manifest["mechanisms"] == mechanisms
+
+
+class TestCommandTable:
+    def test_the_parser_offers_exactly_the_tables_commands(self):
+        (sub,) = [a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+        assert list(sub.choices) == list(cli.COMMANDS) == ["ingest", "train", "evaluate", "recommend", "analyze"]
+        assert {a.dest: a.help for a in sub._choices_actions} == {name: text for name, (_, text) in cli.COMMANDS.items()}
+
+    def test_main_calls_each_handler_once_with_the_collected_config_and_args(self, monkeypatch, tmp_path):
+        calls = []
+        for code, (name, (_, text)) in enumerate(list(cli.COMMANDS.items()), start=10):
+            handler = lambda config, args, name=name, code=code: calls.append((name, config, args)) or code
+            monkeypatch.setitem(cli.COMMANDS, name, (handler, text))
+        trip = ["--start", "101", "--end", "102", "--length", "3"]
+        for code, name in enumerate(cli.COMMANDS, start=10):
+            argv = [name, "--output-dir", str(tmp_path / name), *(trip if name == "recommend" else [])]
+            assert main(argv) == code
+            args = cli.build_parser().parse_args(argv)
+            assert calls == [(name, cli._collect(args), args)]
+            calls.clear()
 
 
 class TestEvaluate:

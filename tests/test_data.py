@@ -469,7 +469,7 @@ def test_committed_cities_ingest_like_the_reference(city):
     ref_visits, ref_dropped = reference_load_visits(path, catalog)
     assert as_rows(visits) == as_rows(ref_visits)
     assert dropped == ref_dropped
-    trajectories = extract_trajectories(visits, catalog)
+    trajectories = extract_trajectories(visits, catalog, min_len=3)
     assert trajectories == reference_extract_trajectories(ref_visits, catalog)
     assert_guidance_matches_reference(trajectories, len(catalog))
     assert_guidance_matches_reference(split_corpus(trajectories).train, len(catalog))
@@ -558,6 +558,6 @@ def test_every_count_names_the_first_out_of_range_poi(routes, k):
 def test_committed_cities_count_like_the_element_loops(city):
     catalog = load_poi_catalog(DATA / city / f"POI-{city}.csv")
     visits, _ = load_visits(DATA / city / f"userVisits-{city}.csv", catalog)
-    trajectories = extract_trajectories(visits, catalog)
+    trajectories = extract_trajectories(visits, catalog, min_len=3)
     assert_counts_match_the_element_loops(trajectories, len(catalog))
     assert_counts_match_the_element_loops(split_corpus(trajectories).train, len(catalog))

@@ -14,6 +14,9 @@ The package calls `csv.reader` and `csv.writer` once each, both in
 `data.py`, so every CSV it reads or writes goes through one place, and
 every text file it opens names its encoding, so no file's bytes depend on
 the host's locale.
+No augmented assignment under `src/artrip` or `scripts` targets an
+attribute that `ModelParams` sets: on its frozen record `params.flat -= g`
+updates the array in place and only then raises on the rebind.
 Every module is imported by another module of the package, except the
 console script's module named in `pyproject.toml`: a module that only
 tests import is test code and belongs under `tests/`.
@@ -32,6 +35,8 @@ from collections import Counter
 from pathlib import Path
 
 import pytest
+
+from artrip.model.params import ModelConfig, ModelParams
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src"
@@ -237,6 +242,41 @@ def test_the_encoding_scan_finds_every_text_call_without_one():
         ("b.py", 4, "write_text"),
         ("b.py", 5, "TextIOWrapper"),
     ]
+
+
+def augmented_attribute_assignments(sources: dict[str, str], names) -> list[tuple[str, int, str]]:
+    """(file, line, attribute) for every `x.attr op= ...` whose attribute is in `names`, sorted."""
+    return sorted(
+        (name, node.lineno, node.target.attr)
+        for name, source in sources.items()
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.AugAssign) and isinstance(node.target, ast.Attribute) and node.target.attr in names
+    )
+
+
+def test_no_augmented_assignment_targets_a_model_params_attribute():
+    # tests/ is left out: test_model.py applies `-=` to a frozen model on purpose, inside pytest.raises
+    names = set(vars(ModelParams(ModelConfig(), 4, 5)))
+    assert {"flat", "blocks", "qkv"} <= names
+    paths = [*MODULES, *sorted((ROOT / "scripts").rglob("*.py"))]
+    sources = {str(p.relative_to(ROOT)): p.read_text() for p in paths}
+    assert augmented_attribute_assignments(sources, names) == []
+
+
+def test_the_augmented_assignment_scan_finds_every_attribute_target():
+    sources = {
+        "a.py": (
+            "params.flat -= g\n"
+            "params.flat[...] -= g\n"
+            "np.subtract(params.flat, g, out=params.flat)\n"
+            "self.blocks['w'] += 1\n"
+            "model.qkv *= 2\n"
+            "state.steps += 1\n"
+            "flat += 1\n"
+        ),
+    }
+    found = augmented_attribute_assignments(sources, {"flat", "blocks", "qkv"})
+    assert found == [("a.py", 1, "flat"), ("a.py", 5, "qkv")]
 
 
 _SCRIPTS = re.search(r"^\[project\.scripts\]\n(.*?)(?=^\[|\Z)", (ROOT / "pyproject.toml").read_text(), re.M | re.S)
