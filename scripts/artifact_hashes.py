@@ -80,7 +80,7 @@ UNSET_STRATEGY = (
 )
 # training and decoding without guidance, training without the drift loss
 MECHANISMS_OFF = ["--guiding", "false", "--drifting", "false"]
-# decode seed 2**32 does not fit one uint32 word, so per-query seeds go to numpy as given
+# decode seed 2**32 does not fit one uint32 word, so numpy's SeedSequence takes it as two
 WIDE_SEED = ["--decode-seed", str(2**32)]
 
 

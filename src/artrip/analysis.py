@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from artrip import streams
 from artrip.data import Trajectory
 from artrip.guidance import count_visits
 
@@ -37,8 +38,7 @@ def perturb(matrix: np.ndarray, sigma: float, seed: int) -> np.ndarray:
         raise ValueError(f"sigma must be finite and non-negative, got {sigma}")
     if sigma == 0.0:
         return matrix.copy()
-    rng = np.random.default_rng(seed)
-    noisy = np.clip(matrix + rng.normal(0.0, sigma, matrix.shape), 0.0, None)
+    noisy = np.clip(matrix + streams.rng("perturb", seed).normal(0.0, sigma, matrix.shape), 0.0, None)
     sums = noisy.sum(axis=1)
     dead = np.flatnonzero(sums == 0.0)
     if dead.size:

@@ -19,7 +19,7 @@ from operator import itemgetter
 from pathlib import Path
 from typing import NamedTuple
 
-import numpy as np
+from artrip import streams
 
 POI_HEADER = ["poiID", "poiName", "lat", "long", "theme"]
 VISIT_HEADER = ["userID", "seqID", "poiID", "dateTaken"]
@@ -116,15 +116,15 @@ def input_key(query: Query) -> tuple[int, int, int, int, int]:
     return query.n, query.p_s, query.p_e, hour_bucket(query.t_s), hour_bucket(query.t_e)
 
 
-def open_text(path, error: type[ValueError] = IngestError) -> io.TextIOWrapper:
+def open_text(path, error: type[ValueError] = IngestError) -> io.StringIO:
     """Like `open(path, newline="", encoding="utf-8")`, but non-UTF-8 bytes raise `error` naming the line."""
     raw = Path(path).read_bytes()
     try:
-        raw.decode("utf-8")
+        text = raw.decode("utf-8")
     except UnicodeDecodeError as exc:
         line = raw.count(b"\n", 0, exc.start) + 1
         raise error(f"{path} line {line}: not valid UTF-8 ({exc.reason} 0x{raw[exc.start]:02x})") from None
-    return io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8", newline="")
+    return io.StringIO(text, newline="")
 
 
 def _csv_reader(path, header: list[str], empty: str):
@@ -256,8 +256,7 @@ def split_corpus(
         raise ValueError(f"ratios must sum to 1, got {ratios}")
     if len(ts) < MIN_TRAJECTORIES:
         raise ValueError(f"need at least {MIN_TRAJECTORIES} trajectories to split, got {len(ts)}")
-    rng = np.random.default_rng(seed)
-    order = rng.permutation(len(ts))
+    order = streams.rng("split", seed).permutation(len(ts))
     shuffled = [ts[i] for i in order]
     n = len(ts)
     n_train = int(round(ratios[0] * n))

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from artrip import streams
 from artrip.data import Query, input_key
 from artrip.guidance import GuidanceMatrix, check_horizon, check_pois, guidance_factor
 from artrip.model.params import ARCH_ONE_SHOT, ModelParams
@@ -145,11 +146,10 @@ def adaptive_sample(
 
 
 def mask_repeats(row: np.ndarray, used: set[int], position: int) -> np.ndarray:
-    """Score already-visited POIs at -inf; release the mask if it empties the row."""
+    """Score already-visited POIs at -inf; release the mask if no score is left finite (NaN counts as not finite)."""
     out = row.copy()
     out[list(used)] = -np.inf
-    top = np.maximum.reduce(out, initial=-np.inf)  # only +inf or NaN needs the full test
-    if top == -np.inf or (not top < np.inf and not np.isfinite(out).any()):
+    if not np.isfinite(out).any():
         warnings.warn(
             f"no-repeat mask exhausted the vocabulary at position {position}; releasing it",
             RuntimeWarning,
@@ -255,12 +255,8 @@ def _walk(query: Query, next_row, conf: np.ndarray | None, cfg: DecodeConfig, tr
 
 
 def _rng(cfg: DecodeConfig):
-    """`default_rng(cfg.seed)`, or None for greedy; ints below 2**32 go in as numpy's own uint32 words."""
-    if cfg.strategy == "greedy":
-        return None
-    words = cfg.seed if type(cfg.seed) is tuple else (cfg.seed,)
-    fast = len(words) <= 2 and all(type(w) is int and 0 <= w < 1 << 32 for w in words)
-    return np.random.default_rng(np.array(words, dtype=np.uint32) if fast else cfg.seed)
+    """The decode stream of `cfg.seed`, or None for greedy, which draws nothing."""
+    return None if cfg.strategy == "greedy" else streams.rng("decode", cfg.seed)
 
 
 def decode_config_for_query(cfg: DecodeConfig, base_seed: int, ordinal: int) -> DecodeConfig:

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from artrip import streams
 from artrip.data import NUM_TIME_BUCKETS
 
 ARCH_ONE_SHOT = "one_shot"
@@ -184,7 +185,7 @@ def init_params(config: ModelConfig, k: int, m_max: int) -> ModelParams:
     if m_max <= 0:
         raise ValueError("m_max must be positive")
     params = ModelParams(config=config, k=k, m_max=m_max)
-    rng = np.random.default_rng(config.seed)
+    rng = streams.rng("init", config.seed)
     scale = 1.0 / np.sqrt(config.embed_dim)
     for name, block in params.blocks.items():
         base = name.split(".")[-1]

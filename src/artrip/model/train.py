@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from artrip import streams
 from artrip.data import Trajectory, make_query
 from artrip.guidance import GuidanceMatrix, check_horizon, check_pois, guidance_factor
 from artrip.model import one_shot, recurrent
@@ -101,7 +102,7 @@ def train(trajectories: list[Trajectory], pm: GuidanceMatrix, config: ModelConfi
     adam = _AdamState(params)
     # one gradient vector for the whole run, zeroed by each backward pass
     buffer = params.zero_grads()
-    shuffle_rng = np.random.default_rng([config.seed, 1])
+    shuffle_rng = streams.rng("shuffle", config.seed)
     epoch_losses: list[float] = []
     for epoch in range(config.epochs):
         order = shuffle_rng.permutation(len(trajectories))

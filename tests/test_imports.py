@@ -14,6 +14,8 @@ The package calls `csv.reader` and `csv.writer` once each, both in
 `data.py`, so every CSV it reads or writes goes through one place, and
 every text file it opens names its encoding, so no file's bytes depend on
 the host's locale.
+Only `streams.py` reaches numpy's random module, so every generator the
+package builds comes from one table of named streams.
 No augmented assignment under `src/artrip` or `scripts` targets an
 attribute that `ModelParams` sets: on its frozen record `params.flat -= g`
 updates the array in place and only then raises on the rebind.
@@ -176,6 +178,66 @@ def test_the_csv_scan_finds_every_reader_and_writer_call():
         "b.py": "import csv\ndef load(fh):\n    return list(csv.DictReader(fh))\nreader(fh)\n",
     }
     assert csv_calls(sources) == [("a.py", "reader"), ("a.py", "writer"), ("b.py", "DictReader")]
+
+
+def numpy_random_uses(sources: dict[str, str]) -> list[tuple[str, int]]:
+    """(file, line) for every reach into numpy's random module, sorted.
+
+    The forms are an `np.random` or `numpy.random` attribute, `import
+    numpy.random`, `from numpy.random import ...` and `from numpy import random`.
+    """
+    found = []
+    for name, source in sources.items():
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Attribute):
+                hit = node.attr == "random" and isinstance(node.value, ast.Name) and node.value.id in ("np", "numpy")
+            elif isinstance(node, ast.Import):
+                hit = any(alias.name.split(".")[:2] == ["numpy", "random"] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.module:
+                hit = node.module.split(".")[:2] == ["numpy", "random"] or (
+                    node.module == "numpy" and any(alias.name == "random" for alias in node.names)
+                )
+            else:
+                continue
+            if hit:
+                found.append((name, node.lineno))
+    return sorted(found)
+
+
+def test_only_the_streams_module_reaches_numpy_random():
+    sources = {str(p.relative_to(SRC)): p.read_text() for p in MODULES}
+    assert {name for name, _ in numpy_random_uses(sources)} == {"artrip/streams.py"}
+
+
+def test_the_numpy_random_scan_finds_every_form():
+    sources = {
+        "a.py": (
+            "import numpy as np\n"
+            "rng = np.random.default_rng(0)\n"
+            "g = numpy.random.Generator\n"
+            "x = np.randomize\n"
+            "y = rng.random()\n"
+            "import numpy.random\n"
+            "import numpy.random.mtrand as mt\n"
+        ),
+        "b.py": (
+            "from numpy.random import default_rng\n"
+            "from numpy.random.bit_generator import SeedSequence\n"
+            "from numpy import random\n"
+            "from numpy import linalg\n"
+            "import random\n"
+            "from random import random\n"
+        ),
+    }
+    assert numpy_random_uses(sources) == [
+        ("a.py", 2),
+        ("a.py", 3),
+        ("a.py", 6),
+        ("a.py", 7),
+        ("b.py", 1),
+        ("b.py", 2),
+        ("b.py", 3),
+    ]
 
 
 # text-file calls, by function name, with the position `encoding` may take as an argument
