@@ -74,9 +74,18 @@ class Trip:
         return len(self.pois)
 
 
+def _check_top(top) -> None:
+    """Refuse a row whose top score is NaN or infinite: its softmax holds no probabilities."""
+    if not -np.inf < top < np.inf:
+        raise ValueError("probabilities contain NaN or are negative")
+
+
 def greedy_pick(row: np.ndarray) -> int:
-    """Highest score wins; ties go to the lowest index (np.argmax order)."""
-    return int(np.argmax(row))
+    """Highest score wins, ties to the lowest index (np.argmax order); a NaN or infinite winner raises."""
+    choice = int(np.argmax(row))
+    # argmax returns the first NaN, so a NaN anywhere is the winner checked here
+    _check_top(row[choice])
+    return choice
 
 
 def _draw(row: np.ndarray, rng, trace, p: float = 1.0, k: int | None = None, tau: float = 1.0) -> int:
@@ -92,8 +101,7 @@ def _draw(row: np.ndarray, rng, trace, p: float = 1.0, k: int | None = None, tau
         row = row / tau
     # a finite maximum gives probabilities in [0, 1]; otherwise all would be NaN
     top = np.maximum.reduce(row)
-    if not -np.inf < top < np.inf:
-        raise ValueError("probabilities contain NaN or are negative")
+    _check_top(top)
     probs = row - top
     np.exp(probs, out=probs)
     probs /= np.add.reduce(probs)
@@ -200,7 +208,7 @@ def decode_trip(
         raise ValueError(f"guidance matrix covers {pm.k} POIs but the model scores k={params.k}")
     if cfg.strategy == "adaptive" and query.n > 2:
         check_horizon(query.n - 1, len(conf), "position")
-    # row j of the factor is position j + 2's guidance, as apply_guidance scales it
+    # row j of the factor is position j + 2's guidance, a read-only view of the matrix's table
     factor = guidance_factor(pm, 2, query.n - 2)
     if params.config.arch == ARCH_ONE_SHOT:
         guided = forward_one_shot(query, params)[1:-1] * factor

@@ -15,16 +15,24 @@ import numpy as np
 from artrip.data import Trajectory
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class GuidanceMatrix:
     """Per-POI position frequency ratios, shape (k, m_max).
 
     Row i is f_ij / f_i over 1-based positions j; rows of never-visited
     POIs are all zero so guidance stays neutral where data gives no support.
+    `factor`, built once, is the (m_max, k) table 1 + values.T that
+    `guidance_factor` slices; no field can be rebound, no array written.
     """
 
     values: np.ndarray
     poi_totals: np.ndarray
+
+    def __post_init__(self):
+        factor = 1.0 + guidance_columns(self, 1, self.m_max)
+        for array in (self.values, self.poi_totals, factor):
+            array.flags.writeable = False
+        vars(self).update(factor=factor)
 
     @property
     def k(self) -> int:
@@ -80,10 +88,7 @@ def build_guidance_matrix(train: list[Trajectory], k: int) -> GuidanceMatrix:
 
 def zero_guidance(k: int, m_max: int) -> GuidanceMatrix:
     """All-zero guidance; applying it is the identity on logits."""
-    return GuidanceMatrix(
-        values=np.zeros((k, m_max), dtype=np.float64),
-        poi_totals=np.zeros(k, dtype=np.float64),
-    )
+    return GuidanceMatrix(values=np.zeros((k, m_max)), poi_totals=np.zeros(k))
 
 
 def build_confidence(pm: GuidanceMatrix, k: int) -> np.ndarray:
@@ -95,30 +100,21 @@ def build_confidence(pm: GuidanceMatrix, k: int) -> np.ndarray:
     return zero_counts.astype(np.float64) / k
 
 
-def guidance_columns(pm: GuidanceMatrix, first_position: int, m: int) -> np.ndarray:
-    """Guidance for ``m`` logit rows from a 1-based position; the last may not pass ``pm.m_max``."""
+def _position_rows(table: np.ndarray, first_position: int, m: int) -> np.ndarray:
+    """Rows of a per-position ``table`` for ``m`` positions from a 1-based one; the last may not pass its length."""
     if first_position < 1:
         raise ValueError(f"positions are 1-based, got {first_position}")
     if m < 0:
         raise ValueError(f"m must be non-negative, got {m}")
-    check_horizon(first_position - 1 + m, pm.m_max, "last position")
-    # copied, so the result is a new C-ordered array
-    return pm.values.T[first_position - 1 : first_position - 1 + m].copy()
+    check_horizon(first_position - 1 + m, len(table), "last position")
+    return table[first_position - 1 : first_position - 1 + m]
+
+
+def guidance_columns(pm: GuidanceMatrix, first_position: int, m: int) -> np.ndarray:
+    """A new C-ordered copy of the guidance for ``m`` logit rows from a 1-based position."""
+    return _position_rows(pm.values.T, first_position, m).copy()
 
 
 def guidance_factor(pm: GuidanceMatrix, first_position: int, m: int) -> np.ndarray:
-    """The ``1 + pm`` factor that scales ``m`` logit rows from a 1-based position."""
-    return 1.0 + guidance_columns(pm, first_position, m)
-
-
-def apply_guidance(
-    h: np.ndarray, pm: GuidanceMatrix, first_position: int = 1
-) -> np.ndarray:
-    """Reshape logits elementwise: out[i][p] = h[i][p] * (1 + pm[p][pos_i]).
-
-    ``first_position`` is the 1-based route position of the first logit row;
-    the default aligns row i with position i+1 as in one-shot prediction.
-    No renormalization is applied.
-    """
-    h = np.asarray(h, dtype=np.float64)
-    return h * guidance_factor(pm, first_position, h.shape[0])
+    """Read-only rows of ``pm.factor``: logit row i guided is h[i][p] * (1 + pm[p][pos_i]), not renormalized."""
+    return _position_rows(pm.factor, first_position, m)

@@ -24,7 +24,9 @@ or hold an entry that is not a non-negative integer.  A JSON `true` is not
 an integer here.  Both file sizes are checked against the manifest's
 config, k and m_max before any parameter array is built or either binary
 file is read, so no manifest value can make loading allocate or loop
-beyond what the files hold.
+beyond what the files hold.  Saving, and loading after the sha256 check,
+refuse a NaN or infinity in the parameters, the guidance rows or the
+confidence row.
 """
 
 from __future__ import annotations
@@ -90,6 +92,8 @@ def save_bundle(
         raise ValueError("vocabulary, params and guidance disagree on k")
     if pm.m_max != params.m_max or len(confidence) != pm.m_max:
         raise ValueError("params and guidance disagree on m_max")
+    grid = np.vstack([pm.values, confidence[None, :]])
+    _check_finite(params, grid)
     path = Path(path)
     if path.exists() and not (path.is_dir() and {p.name for p in path.iterdir()} <= set(BUNDLE_FILES)):
         raise ValueError(f"{path} is not a bundle directory; not replacing it")
@@ -106,7 +110,7 @@ def save_bundle(
     }
     payloads = {
         "params.bin": params.flat.astype("<f8", copy=False).tobytes(),
-        "guidance.bin": np.vstack([pm.values, confidence[None, :]]).astype("<f8").tobytes(),
+        "guidance.bin": grid.astype("<f8").tobytes(),
     }
     for name, payload in payloads.items():
         manifest[_HASH_FIELDS[name]] = hashlib.sha256(payload).hexdigest()
@@ -125,6 +129,18 @@ def save_bundle(
         path.rename(old)
     partial.rename(path)
     shutil.rmtree(old, ignore_errors=True)
+
+
+def _check_finite(params: ModelParams, grid: np.ndarray) -> None:
+    """Refuse a NaN or infinity in `params` or the (k + 1, m_max) guidance grid, naming its file, block or row and entry."""
+    if np.isfinite(params.flat).all() and np.isfinite(grid).all():
+        return
+    k = len(grid) - 1
+    parts = [("params.bin", f"block {name}", block.ravel()) for name, block in params.blocks.items()]
+    parts += [("guidance.bin", "confidence row" if row == k else f"guidance row {row}", grid[row]) for row in range(k + 1)]
+    name, what, values = next(part for part in parts if not np.isfinite(part[2]).all())
+    i = int(np.flatnonzero(~np.isfinite(values))[0])
+    raise ValueError(f"{name}: {what} entry {i} is {values[i]}, expected a finite number")
 
 
 def _manifest_error(field: str, found, want) -> ValueError:
@@ -228,6 +244,7 @@ def load_bundle(path) -> Bundle:
         raise _manifest_error(f"block table entry {i}", found, want)
     params.flat[:] = _read_checked(path, "params.bin", manifest)
     grid = _read_checked(path, "guidance.bin", manifest).reshape(k + 1, m_max)
+    _check_finite(params, grid)
     pm = GuidanceMatrix(
         values=grid[:k].astype(np.float64),
         poi_totals=np.array(manifest["guidance_totals"], dtype=np.float64),

@@ -27,9 +27,9 @@ from artrip.data import (
 )
 from artrip.decoding import DecodeConfig, decode_config_for_query, decode_trip, greedy_pick
 from artrip.guidance import (
-    apply_guidance,
     build_confidence,
     build_guidance_matrix,
+    guidance_factor,
     zero_guidance,
 )
 from artrip.metrics import evaluate_decoder, f1_score, pairs_f1, trip_repetition
@@ -154,7 +154,8 @@ def test_criterion_3_guidance_invariants():
         worst = max(worst, float(np.abs(sums[visited] - 1.0).max()))
     rng = np.random.default_rng(7)
     h = rng.standard_normal((5, 9))
-    identity = np.array_equal(apply_guidance(h, zero_guidance(k=9, m_max=5)), h)
+    # the factor training and decoding scale their logit rows by
+    identity = np.array_equal(h * guidance_factor(zero_guidance(k=9, m_max=5), 1, 5), h)
     record(
         3,
         worst <= 1e-9 and identity,

@@ -7,7 +7,7 @@ import pytest
 from conftest import assert_blocks_view_flat
 
 from artrip.data import Trajectory
-from artrip.guidance import build_confidence, build_guidance_matrix
+from artrip.guidance import GuidanceMatrix, build_confidence, build_guidance_matrix
 from artrip.model import bundle as bundle_module
 from artrip.model.bundle import load_bundle, save_bundle, vocab_sha256
 from artrip.model.params import ARCH_ONE_SHOT, ARCH_RECURRENT, ModelConfig, ModelParams, init_params
@@ -333,6 +333,52 @@ class TestFileHashes:
         (tmp_path / "model" / "manifest.json").write_text(json.dumps(manifest))
         (tmp_path / "model" / "params.bin").write_bytes(b"")
         with pytest.raises(ValueError, match=r"manifest\.json params_sha256 is None: the bundle predates file hashes"):
+            load_bundle(tmp_path / "model")
+
+
+# (part, float index in its bundle file, what the message names); m_max is 4
+NON_FINITE_SITES = [
+    ("params", None, r"params\.bin: block head entry 8"),
+    ("guidance", 3 * 4 + 1, r"guidance\.bin: guidance row 3 entry 1"),
+    ("confidence", K * 4 + 2, r"guidance\.bin: confidence row entry 2"),
+]
+
+
+class TestNonFiniteNumbers:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("part, index, named", NON_FINITE_SITES, ids=[site[0] for site in NON_FINITE_SITES])
+    def test_save_refuses_them_naming_the_block_or_row(self, tmp_path, part, index, named, bad):
+        params, pm, conf = build_artifacts()
+        assert pm.m_max == 4
+        if part == "params":
+            params.blocks["head"][1, 2] = bad  # head is (8, K): flat entry K + 2
+        elif part == "guidance":
+            values = pm.values.copy()
+            values[3, 1] = bad
+            pm = GuidanceMatrix(values=values, poi_totals=pm.poi_totals)
+        else:
+            conf = conf.copy()
+            conf[2] = bad
+        with pytest.raises(ValueError, match=rf"^{named} is {bad}, expected a finite number$"):
+            save_bundle(tmp_path / "model", params, pm, conf, MECHS, VOCAB)
+        assert not (tmp_path / "model").exists()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("part, index, named", NON_FINITE_SITES, ids=[site[0] for site in NON_FINITE_SITES])
+    def test_load_refuses_them_behind_a_matching_sha256(self, tmp_path, part, index, named, bad):
+        params, pm, conf = build_artifacts()
+        save_bundle(tmp_path / "model", params, pm, conf, MECHS, VOCAB)
+        name = "params.bin" if part == "params" else "guidance.bin"
+        if index is None:
+            index = next(at for block, at, _, _ in params.layout if block == "head") + K + 2
+        floats = np.frombuffer((tmp_path / "model" / name).read_bytes(), dtype="<f8").copy()
+        floats[index] = bad
+        payload = floats.tobytes()
+        (tmp_path / "model" / name).write_bytes(payload)
+        manifest = json.loads((tmp_path / "model" / "manifest.json").read_text())
+        manifest[bundle_module._HASH_FIELDS[name]] = hashlib.sha256(payload).hexdigest()
+        (tmp_path / "model" / "manifest.json").write_text(json.dumps(manifest))
+        with pytest.raises(ValueError, match=rf"^{named} is {bad}, expected a finite number$"):
             load_bundle(tmp_path / "model")
 
 

@@ -23,7 +23,6 @@ from artrip.decoding import (
 )
 from artrip.guidance import (
     GuidanceMatrix,
-    apply_guidance,
     build_confidence,
     build_guidance_matrix,
     zero_guidance,
@@ -215,6 +214,8 @@ def reference_draw(row, strategy, rng, k=5, p=0.8, confidence=1.0, lam=1.0):
 
 
 def sampler_draw(row, strategy, rng, trace, k=5, p=0.8, confidence=1.0, lam=1.0):
+    if strategy == "greedy":
+        return greedy_pick(row)
     if strategy == "top_k":
         return top_k_sample(row, k, rng, trace)
     if strategy == "top_p":
@@ -359,7 +360,7 @@ def test_fused_draw_matches_generator_choice(seed, size, kind, strategy, k, p, c
     assert_matches_choice(row, strategy, int(gen.integers(2**32)), k=k, p=p, confidence=confidence, lam=lam)
 
 
-@pytest.mark.parametrize("strategy", ["top_k", "top_p", "temperature", "threshold"])
+@pytest.mark.parametrize("strategy", ["greedy", "top_k", "top_p", "temperature", "threshold"])
 @pytest.mark.parametrize(
     "row",
     [[0.1, np.nan, 0.3], [0.1, np.inf, 0.3], [-np.inf, -np.inf, -np.inf], [np.nan, np.inf, -np.inf]],
@@ -566,6 +567,16 @@ class TestDecodeTrip:
             decode_trip(q, params, too_short, self.conf, DecodeConfig())
         assert str(err.value) == "last position=4 exceeds the horizon m_max=3, the longest training route"
 
+    @pytest.mark.parametrize("arch", [ARCH_ONE_SHOT, ARCH_RECURRENT])
+    @pytest.mark.parametrize("strategy", ["greedy", "top_p"])
+    def test_a_nan_score_is_refused_by_greedy_as_by_the_samplers(self, arch, strategy):
+        # argmax alone would pick the NaN POI at every interior position
+        params = self.params(arch)
+        params.blocks["head"][:, 5] = np.nan
+        q = Query(p_s=0, t_s=0, p_e=1, t_e=14400, n=5)
+        with pytest.raises(ValueError, match="^probabilities contain NaN or are negative$"):
+            decode_trip(q, params, self.pm, self.conf, DecodeConfig(strategy=strategy, seed=3))
+
     def test_adaptive_confidence_lookup_is_one_based(self):
         # threshold mode: confidence 1 keeps the 1e-9 nucleus, one POI; 0 widens it to every POI
         q = Query(p_s=0, t_s=0, p_e=1, t_e=14400, n=5)
@@ -646,13 +657,13 @@ def test_decoded_trips_keep_their_shape_and_ignore_memo_state(arch, strategy, ma
 
 
 def reference_recurrent_decode(query, params, pm, conf, cfg, trace):
-    """The recurrent loop that guided each step through apply_guidance."""
+    """The recurrent loop that guided each step by its own 1 + pm column."""
     rng = None if cfg.strategy == "greedy" else np.random.default_rng(cfg.seed)
     pois, used = [query.p_s], {query.p_s, query.p_e}
     state, prev = init_recurrent_state(query, params), query.p_s
     for position in range(2, query.n):
         raw, state = forward_recurrent_step(state, prev, params)
-        row = apply_guidance(raw[None, :], pm, first_position=position)[0]
+        row = raw * (1.0 + pm.values[:, position - 1])
         if cfg.no_repeat_mask:
             row = mask_repeats(row, used, position)
         prev = decoding._select(row, position, conf, cfg, rng, trace)
@@ -662,8 +673,8 @@ def reference_recurrent_decode(query, params, pm, conf, cfg, trace):
 
 
 def reference_one_shot_decode(query, params, pm, conf, cfg, trace):
-    """The one-shot decode that guided all n score rows through apply_guidance."""
-    guided = apply_guidance(forward_one_shot(query, params), pm)
+    """The one-shot decode that guided all n score rows by 1 + pm, transposed."""
+    guided = forward_one_shot(query, params) * (1.0 + pm.values.T[: query.n])
     return decoding._walk(query, lambda position, prev: guided[position - 1], conf, cfg, trace)
 
 

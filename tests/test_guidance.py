@@ -1,11 +1,11 @@
 import warnings
+from dataclasses import FrozenInstanceError
 
 import numpy as np
 import pytest
 
 from artrip.data import Trajectory
 from artrip.guidance import (
-    apply_guidance,
     build_confidence,
     build_guidance_matrix,
     guidance_columns,
@@ -44,29 +44,34 @@ def test_confidence_counts_zero_columns():
     np.testing.assert_allclose(conf, [2 / 3, 1 / 3, 1 / 3])
 
 
+def guide(h, pm, first_position=1):
+    """Logit rows from a 1-based position, guided as training and decoding guide them."""
+    return h * guidance_factor(pm, first_position, h.shape[0])
+
+
 def test_zero_guidance_is_identity():
     h = np.arange(12, dtype=np.float64).reshape(4, 3) - 5.0
-    out = apply_guidance(h, zero_guidance(k=3, m_max=4))
+    out = guide(h, zero_guidance(k=3, m_max=4))
     np.testing.assert_array_equal(out, h)
 
 
-def test_apply_guidance_multiplies_by_one_plus_ratio():
+def test_guidance_multiplies_by_one_plus_ratio():
     pm = build_guidance_matrix(TWO_ROUTES, k=3)
     h = np.ones((3, 3))
-    out = apply_guidance(h, pm)
+    out = guide(h, pm)
     # row for position 1: POI 0 doubled, others untouched
     np.testing.assert_allclose(out[0], [2.0, 1.0, 1.0])
     np.testing.assert_allclose(out[1], [1.0, 1.5, 1.5])
     np.testing.assert_allclose(out[2], [1.0, 1.5, 1.5])
 
 
-def test_apply_guidance_beyond_horizon_raises():
+def test_guidance_beyond_horizon_raises():
     pm = build_guidance_matrix(TWO_ROUTES, k=3)
-    np.testing.assert_array_equal(apply_guidance(np.full((3, 3), 2.0), pm)[2], [2.0, 3.0, 3.0])
+    np.testing.assert_array_equal(guide(np.full((3, 3), 2.0), pm)[2], [2.0, 3.0, 3.0])
     with pytest.raises(ValueError, match="last position=4 exceeds the horizon m_max=3"):
-        apply_guidance(np.full((4, 3), 2.0), pm)
+        guide(np.full((4, 3), 2.0), pm)
     with pytest.raises(ValueError, match="last position=4 exceeds the horizon m_max=3"):
-        apply_guidance(np.full((1, 3), 2.0), pm, first_position=4)
+        guide(np.full((1, 3), 2.0), pm, first_position=4)
 
 
 def test_build_guidance_rejects_empty_or_out_of_range():
@@ -80,7 +85,7 @@ def test_guidance_preserves_score_order_within_position():
     # guidance reshapes rows per POI, not per position rank
     pm = build_guidance_matrix(TWO_ROUTES, k=3)
     h = np.array([[3.0, 2.0, 1.0]])
-    out = apply_guidance(h, pm)
+    out = guide(h, pm)
     assert out.shape == (1, 3)
     assert out[0, 0] == 6.0
 
@@ -103,7 +108,7 @@ def columns_or_error(fn, pm, first_position, m):
         return None, str(exc)
 
 
-def test_guidance_columns_match_the_row_loop_inside_across_and_past_the_horizon():
+def six_position_matrix():
     rng = np.random.default_rng(0)
     trajs = [
         Trajectory(pois=tuple(int(p) for p in rng.integers(0, 7, size=n)), times=tuple(range(n)))
@@ -111,6 +116,11 @@ def test_guidance_columns_match_the_row_loop_inside_across_and_past_the_horizon(
     ]
     pm = build_guidance_matrix(trajs, k=7)
     assert pm.m_max == 6
+    return pm
+
+
+def test_guidance_columns_match_the_row_loop_inside_across_and_past_the_horizon():
+    pm = six_position_matrix()
     for first_position in range(1, pm.m_max + 3):
         for m in range(0, pm.m_max + 4):
             with warnings.catch_warnings():
@@ -130,10 +140,30 @@ def test_guidance_columns_match_the_row_loop_inside_across_and_past_the_horizon(
 
 
 def test_guidance_factor_is_one_plus_the_columns():
+    pm = six_position_matrix()
+    for first_position in range(1, pm.m_max + 3):
+        for m in range(0, pm.m_max + 4):
+            # one position rule: both refuse the same requests with the same message
+            factor, error = columns_or_error(guidance_factor, pm, first_position, m)
+            columns, columns_error = columns_or_error(guidance_columns, pm, first_position, m)
+            assert error == columns_error
+            if error is not None:
+                continue
+            want = 1.0 + columns
+            assert factor.shape == want.shape and factor.tobytes() == want.tobytes()
+            # a view of the matrix's one table, not a copy per call
+            assert np.shares_memory(factor, pm.factor) or m == 0
+
+
+def test_the_matrix_and_its_table_are_read_only():
     pm = build_guidance_matrix(TWO_ROUTES, k=3)
-    for first_position, m in ((1, 3), (2, 2), (3, 1), (2, 0)):
-        want = 1.0 + guidance_columns(pm, first_position, m)
-        assert guidance_factor(pm, first_position, m).tobytes() == want.tobytes()
+    for array in (pm.values, pm.poi_totals, pm.factor, guidance_factor(pm, 2, 2)):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 7.0
+    for field in ("values", "poi_totals", "factor"):
+        with pytest.raises(FrozenInstanceError):
+            setattr(pm, field, np.zeros(3))
+    assert pm.factor.flags.c_contiguous and pm.factor.shape == (pm.m_max, pm.k)
 
 
 def test_guidance_columns_reject_positions_below_one():

@@ -8,7 +8,7 @@ from conftest import assert_blocks_view_flat
 
 from artrip.data import Query, Trajectory, hour_bucket, input_key
 from artrip.decoding import DecodeConfig, decode_trip
-from artrip.guidance import build_guidance_matrix, zero_guidance
+from artrip.guidance import GuidanceMatrix, build_guidance_matrix, zero_guidance
 from artrip.model import one_shot, recurrent
 from artrip.model.one_shot import forward_one_shot
 from artrip.model.params import ARCH_ONE_SHOT, ARCH_RECURRENT, MEMO_CAP, ModelConfig, block_shapes, init_params
@@ -834,10 +834,9 @@ class TestTrain:
 
     def test_nonfinite_loss_aborts_with_context(self):
         trajs = toy_trajectories()
-        pm = zero_guidance(K, M_MAX)
         # infinite guidance blows up the very first loss (an infinite
         # penalty weight no longer gets past ModelConfig)
-        pm.values[...] = math.inf
+        pm = GuidanceMatrix(values=np.full((K, M_MAX), math.inf), poi_totals=np.zeros(K))
         cfg = tiny_config(epochs=1, seed=0)
         with pytest.raises(RuntimeError, match="non-finite"):
             train(trajs, pm, cfg)
