@@ -15,8 +15,9 @@ from dataclasses import replace
 import numpy as np
 
 from artrip import decoding
+from artrip.config import DecodeConfig
 from artrip.data import Query, Trajectory
-from artrip.decoding import DecodeConfig, Trip
+from artrip.decoding import Trip
 from artrip.guidance import check_horizon, count_visits
 
 # popularity's one walk rule; safe to share because configs are frozen

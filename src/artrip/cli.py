@@ -52,7 +52,7 @@ def _collect(args: argparse.Namespace) -> ExperimentConfig:
 
 
 def _load_corpus(config: ExperimentConfig):
-    """`(catalog, visits, dropped, trajectories, split)`, the split seeded by the config."""
+    """`(catalog, visits, dropped, trajectories)` from the configured files."""
     if not config.poi_file or not config.visits_file:
         raise ConfigError("poi_file and visits_file must be set")
     catalog = load_poi_catalog(config.poi_file)
@@ -63,8 +63,14 @@ def _load_corpus(config: ExperimentConfig):
             f"{config.visits_file}: {len(trajectories)} trajectories of at least {config.min_traj_len} stops, "
             f"need at least {MIN_TRAJECTORIES}"
         )
+    return catalog, visits, dropped, trajectories
+
+
+def _load_split(config: ExperimentConfig):
+    """`(catalog, split)`: the corpus split seeded by the config."""
+    catalog, *_, trajectories = _load_corpus(config)
     ratios = (config.train_ratio, config.val_ratio, config.test_ratio)
-    return catalog, visits, dropped, trajectories, split_corpus(trajectories, ratios, config.split_seed)
+    return catalog, split_corpus(trajectories, ratios, config.split_seed)
 
 
 def _out_dir(config: ExperimentConfig) -> Path:
@@ -74,7 +80,7 @@ def _out_dir(config: ExperimentConfig) -> Path:
 
 
 def cmd_ingest(config: ExperimentConfig, args: argparse.Namespace) -> int:
-    catalog, visits, dropped, trajectories, _ = _load_corpus(config)
+    catalog, visits, dropped, trajectories = _load_corpus(config)
     out = _out_dir(config)
     rows = (
         [tid, pos, catalog.id_of(poi), ts]
@@ -91,7 +97,7 @@ def cmd_ingest(config: ExperimentConfig, args: argparse.Namespace) -> int:
 
 
 def cmd_train(config: ExperimentConfig, args: argparse.Namespace) -> int:
-    catalog, *_, split = _load_corpus(config)
+    catalog, split = _load_split(config)
     pm = build_guidance_matrix(split.train, len(catalog))
     conf = build_confidence(pm, len(catalog))
     result = train(split.train, config.guidance(pm), config.model)
@@ -143,7 +149,7 @@ def _score_test_split(config: ExperimentConfig, repeats: int, transitions: bool 
     estimated once and walked by the Markov generator; otherwise it is None.
     Nothing is written, so a failed decode leaves no report behind.
     """
-    catalog, *_, split = _load_corpus(config)
+    catalog, split = _load_split(config)
     if not split.test:
         raise ConfigError("test split is empty; adjust ratios or corpus")
     matrices = analysis.empirical_transitions(split.train, len(catalog)) if transitions else None
@@ -176,7 +182,7 @@ def cmd_evaluate(config: ExperimentConfig, args: argparse.Namespace) -> int:
 def cmd_recommend(config: ExperimentConfig, args: argparse.Namespace) -> int:
     if args.length < 2:
         raise ConfigError("trip length must be at least 2")
-    catalog, *_, split = _load_corpus(config)
+    catalog, split = _load_split(config)
     for poi in (args.start, args.end):
         if poi not in catalog:
             raise ConfigError(f"POI id {poi} not in the catalog")

@@ -1,12 +1,12 @@
 """Flat `key = value` experiment configuration.
 
 One schema drives everything: file parsing, CLI override flags and the
-defaults.  Each key is declared once, with its type and default, as a
-field of `ExperimentConfig` (data, mechanism switches, evaluation) or of
-the `ModelConfig` and `DecodeConfig` it holds, whose `seed`s are the keys
-`model_seed` and `decode_seed`.  Precedence is command-line flags over the
-ARTRIP_OUTPUT_DIR environment variable (which can only move the output
-directory) over the config file over built-in defaults.
+defaults.  Each key is declared once, here, as a field of `ExperimentConfig`
+(data, mechanism switches, evaluation) or of the `ModelConfig` and
+`DecodeConfig` it holds, whose `seed`s are the keys `model_seed` and
+`decode_seed`; each record raises `ConfigError` for a bad field.  Precedence
+is command-line flags over the ARTRIP_OUTPUT_DIR environment variable (which
+can only move the output directory) over the config file over defaults.
 """
 
 from __future__ import annotations
@@ -16,17 +16,92 @@ import os
 from dataclasses import dataclass, fields, replace
 
 from artrip.data import open_text
-from artrip.decoding import DecodeConfig
 from artrip.guidance import GuidanceMatrix, zero_guidance
-from artrip.model.params import ModelConfig
 
 OUTPUT_DIR_ENV = "ARTRIP_OUTPUT_DIR"
 
 GENERATORS = ("model", "popularity", "markov")
 
+ARCH_ONE_SHOT = "one_shot"
+ARCH_RECURRENT = "recurrent"
+
+STRATEGIES = ("greedy", "top_k", "top_p", "adaptive")
+ADAPTIVE_MODES = ("temperature", "threshold")
+
 
 class ConfigError(ValueError):
     """Bad config file contents or bad override values."""
+
+
+@dataclass(frozen=True)
+class ModelConfig:
+    """Architecture and optimizer settings; frozen, see `ModelParams.freeze`.
+
+    Defaults match the reference experimental setup: 32-dim embeddings,
+    two encoder layers with two heads, Adam at 1e-3 for 50 epochs and a
+    repetition penalty weight of 1.0.
+    """
+
+    arch: str = ARCH_ONE_SHOT
+    embed_dim: int = 32
+    num_layers: int = 2
+    num_heads: int = 2
+    hidden_dim: int = 64
+    alpha: float = 1.0
+    learning_rate: float = 1e-3
+    epochs: int = 50
+    seed: int = 0
+
+    def __post_init__(self):
+        if self.arch not in (ARCH_ONE_SHOT, ARCH_RECURRENT):
+            raise ConfigError(f"unknown arch {self.arch!r}")
+        if self.embed_dim <= 0:
+            raise ConfigError("embed_dim must be positive")
+        if self.num_heads < 1:
+            raise ConfigError(f"num_heads must be at least 1, got {self.num_heads}")
+        if self.arch == ARCH_ONE_SHOT and self.embed_dim % self.num_heads != 0:
+            raise ConfigError(
+                f"embed_dim {self.embed_dim} not divisible by num_heads {self.num_heads}"
+            )
+        if self.num_layers < 0:
+            raise ConfigError(f"num_layers must be non-negative, got {self.num_layers}")
+        if self.hidden_dim < 1:
+            raise ConfigError(f"hidden_dim must be at least 1, got {self.hidden_dim}")
+        if not 0.0 <= self.alpha < math.inf:
+            raise ConfigError(f"alpha must be finite and non-negative, got {self.alpha}")
+        if not 0.0 < self.learning_rate < math.inf:
+            raise ConfigError(f"learning_rate must be finite and positive, got {self.learning_rate}")
+        if self.epochs < 0:
+            raise ConfigError("epochs must be non-negative")
+
+
+@dataclass(frozen=True)
+class DecodeConfig:
+    """Selection strategy settings, frozen once validated; `seed` drives all sampling.
+
+    `seed` is anything `np.random.default_rng` takes: an int, or the
+    (base seed, ordinal) pair of `decode_config_for_query`.
+    """
+
+    strategy: str = "greedy"
+    top_k: int = 5
+    top_p: float = 0.8
+    lam: float = 1.0
+    adaptive_mode: str = "temperature"
+    no_repeat_mask: bool = False
+    seed: int | tuple[int, int] = 0
+
+    def __post_init__(self):
+        if self.strategy not in STRATEGIES:
+            raise ConfigError(f"unknown strategy {self.strategy!r}")
+        if self.adaptive_mode not in ADAPTIVE_MODES:
+            raise ConfigError(f"unknown adaptive_mode {self.adaptive_mode!r}")
+        if self.top_k < 1:
+            raise ConfigError("top_k must be at least 1")
+        if not 0.0 < self.top_p <= 1.0:
+            raise ConfigError("top_p must lie in (0, 1]")
+        if not 0.0 <= self.lam < math.inf:
+            raise ConfigError(f"lam must be finite and non-negative, got {self.lam}")
 
 
 @dataclass(kw_only=True)
@@ -169,11 +244,7 @@ def load_config(path: str | None, overrides: dict | None = None) -> ExperimentCo
         sections[section][field.name] = value
     own, model, decode = sections.values()
     decode.setdefault("strategy", "adaptive" if own.get("adapting", ExperimentConfig.adapting) else "greedy")
-    try:
-        model, decode = ModelConfig(**model), DecodeConfig(**decode)
-    except ValueError as exc:
-        # their messages name the key
-        raise ConfigError(str(exc)) from exc
+    model, decode = ModelConfig(**model), DecodeConfig(**decode)
     if not own.get("drifting", ExperimentConfig.drifting):
         # only after ModelConfig has refused a bad alpha
         model = replace(model, alpha=0.0)

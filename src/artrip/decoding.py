@@ -21,47 +21,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from artrip import streams
+from artrip.config import ARCH_ONE_SHOT, DecodeConfig
 from artrip.data import Query, input_key
 from artrip.guidance import GuidanceMatrix, check_horizon, check_pois, guidance_factor
-from artrip.model.params import ARCH_ONE_SHOT, ModelParams
+from artrip.model.params import ModelParams
 from artrip.model.one_shot import forward_one_shot
 from artrip.model.recurrent import forward_recurrent_step, init_recurrent_state
-
-STRATEGIES = ("greedy", "top_k", "top_p", "adaptive")
-ADAPTIVE_MODES = ("temperature", "threshold")
 
 # numeric slack when testing cumulative probability against the nucleus
 # threshold, so an exact boundary is not lost to rounding
 _CUM_TOL = 1e-12
-
-
-@dataclass(frozen=True)
-class DecodeConfig:
-    """Selection strategy settings, frozen once validated; `seed` drives all sampling.
-
-    `seed` is anything `np.random.default_rng` takes: an int, or the
-    (base seed, ordinal) pair of `decode_config_for_query`.
-    """
-
-    strategy: str = "greedy"
-    top_k: int = 5
-    top_p: float = 0.8
-    lam: float = 1.0
-    adaptive_mode: str = "temperature"
-    no_repeat_mask: bool = False
-    seed: int | tuple[int, int] = 0
-
-    def __post_init__(self):
-        if self.strategy not in STRATEGIES:
-            raise ValueError(f"unknown strategy {self.strategy!r}")
-        if self.adaptive_mode not in ADAPTIVE_MODES:
-            raise ValueError(f"unknown adaptive_mode {self.adaptive_mode!r}")
-        if self.top_k < 1:
-            raise ValueError("top_k must be at least 1")
-        if not 0.0 < self.top_p <= 1.0:
-            raise ValueError("top_p must lie in (0, 1]")
-        if not 0.0 <= self.lam < np.inf:
-            raise ValueError(f"lam must be finite and non-negative, got {self.lam}")
 
 
 @dataclass(frozen=True)

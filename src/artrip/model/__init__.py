@@ -8,4 +8,4 @@ bundles are bit-reproducible.  Every other name is imported from its
 submodule; `artrip.model.train` is the training module.
 """
 
-from artrip.model.params import ARCH_ONE_SHOT, ARCH_RECURRENT, ModelConfig  # noqa: F401 - perfbench imports these here
+from artrip.config import ARCH_ONE_SHOT, ARCH_RECURRENT, ModelConfig  # noqa: F401 - perfbench imports these here

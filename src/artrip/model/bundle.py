@@ -41,8 +41,9 @@ from pathlib import Path
 
 import numpy as np
 
+from artrip.config import ModelConfig
 from artrip.guidance import GuidanceMatrix
-from artrip.model.params import ModelConfig, ModelParams, block_shapes
+from artrip.model.params import ModelParams, block_shapes
 
 BUNDLE_FORMAT = "trip-bundle-v1"
 MECHANISM_KEYS = ("guiding", "drifting", "adapting")

@@ -1,4 +1,4 @@
-"""Model hyperparameters and the flat parameter store.
+"""The flat parameter store.
 
 Parameters live in one float64 vector whose named blocks are views laid
 out in the declaration order defined here.  That order is a contract:
@@ -14,55 +14,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from artrip import streams
+from artrip.config import ARCH_ONE_SHOT, ModelConfig
 from artrip.data import NUM_TIME_BUCKETS
-
-ARCH_ONE_SHOT = "one_shot"
-ARCH_RECURRENT = "recurrent"
 
 # most entries one model's decode memo holds
 MEMO_CAP = 1024
-
-
-@dataclass(frozen=True)
-class ModelConfig:
-    """Architecture and optimizer settings; frozen, see `ModelParams.freeze`.
-
-    Defaults match the reference experimental setup: 32-dim embeddings,
-    two encoder layers with two heads, Adam at 1e-3 for 50 epochs and a
-    repetition penalty weight of 1.0.
-    """
-
-    arch: str = ARCH_ONE_SHOT
-    embed_dim: int = 32
-    num_layers: int = 2
-    num_heads: int = 2
-    hidden_dim: int = 64
-    alpha: float = 1.0
-    learning_rate: float = 1e-3
-    epochs: int = 50
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.arch not in (ARCH_ONE_SHOT, ARCH_RECURRENT):
-            raise ValueError(f"unknown arch {self.arch!r}")
-        if self.embed_dim <= 0:
-            raise ValueError("embed_dim must be positive")
-        if self.num_heads < 1:
-            raise ValueError(f"num_heads must be at least 1, got {self.num_heads}")
-        if self.arch == ARCH_ONE_SHOT and self.embed_dim % self.num_heads != 0:
-            raise ValueError(
-                f"embed_dim {self.embed_dim} not divisible by num_heads {self.num_heads}"
-            )
-        if self.num_layers < 0:
-            raise ValueError(f"num_layers must be non-negative, got {self.num_layers}")
-        if self.hidden_dim < 1:
-            raise ValueError(f"hidden_dim must be at least 1, got {self.hidden_dim}")
-        if not 0.0 <= self.alpha < math.inf:
-            raise ValueError(f"alpha must be finite and non-negative, got {self.alpha}")
-        if not 0.0 < self.learning_rate < math.inf:
-            raise ValueError(f"learning_rate must be finite and positive, got {self.learning_rate}")
-        if self.epochs < 0:
-            raise ValueError("epochs must be non-negative")
 
 
 def block_shapes(config: ModelConfig, k: int, m_max: int) -> dict[str, tuple[int, ...]]:

@@ -13,11 +13,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from artrip import streams
+from artrip.config import ARCH_ONE_SHOT, ModelConfig
 from artrip.data import Trajectory, make_query
 from artrip.guidance import GuidanceMatrix, check_horizon, check_pois, guidance_factor
 from artrip.model import one_shot, recurrent
 from artrip.model.losses import total_loss_grad
-from artrip.model.params import ARCH_ONE_SHOT, ModelConfig, ModelParams, init_params
+from artrip.model.params import ModelParams, init_params
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999

@@ -7,6 +7,7 @@ registers a verdict with the conftest summary hook, so a plain
 
 from __future__ import annotations
 
+import os
 import time
 from pathlib import Path
 
@@ -14,9 +15,11 @@ import numpy as np
 import pytest
 from conftest import record
 from gradcheck import grad_check
+from study import run_study
 
 from artrip.analysis import pmr_series, sparsity_xi
 from artrip.cli import main as cli_main
+from artrip.config import ARCH_ONE_SHOT, ARCH_RECURRENT, ModelConfig
 from artrip.data import (
     Query,
     Trajectory,
@@ -25,17 +28,11 @@ from artrip.data import (
     load_visits,
     split_corpus,
 )
-from artrip.decoding import DecodeConfig, decode_config_for_query, decode_trip, greedy_pick
-from artrip.guidance import (
-    build_confidence,
-    build_guidance_matrix,
-    guidance_factor,
-    zero_guidance,
-)
-from artrip.metrics import evaluate_decoder, f1_score, pairs_f1, trip_repetition
-from artrip.model.params import ARCH_ONE_SHOT, ARCH_RECURRENT, ModelConfig, init_params
+from artrip.decoding import greedy_pick
+from artrip.guidance import build_guidance_matrix, guidance_factor, zero_guidance
+from artrip.metrics import f1_score, pairs_f1, trip_repetition
+from artrip.model.params import init_params
 from artrip.model.recurrent import forward_recurrent_step, init_recurrent_state
-from artrip.model.train import train
 
 DATA = Path(__file__).resolve().parents[1] / "data"
 CITIES = ("edinburgh", "glasgow", "osaka", "toronto")
@@ -183,39 +180,13 @@ def mechanism_study():
     Trains base (no mechanisms) and +agd (all three) variants of both
     architectures for five seeds each at the default hyperparameters,
     then greedy-decodes the bases and adaptively samples the full
-    variants on the test split.
+    variants on the test split.  The 20 runs share one spawned worker
+    process per CPU this process may use (`study.run_study`).
     """
     start = time.perf_counter()
     catalog, trajectories = load_city("glasgow")
     split = split_corpus(trajectories, seed=0)
-    k = len(catalog)
-    pm = build_guidance_matrix(split.train, k)
-    conf = build_confidence(pm, k)
-    zero = zero_guidance(k, pm.m_max)
-    results = {}
-    for arch in (ARCH_ONE_SHOT, ARCH_RECURRENT):
-        for mechanisms_on in (False, True):
-            f1s, reps = [], []
-            for seed in range(5):
-                model_config = ModelConfig(
-                    arch=arch, alpha=1.0 if mechanisms_on else 0.0, seed=seed
-                )
-                trained = train(split.train, pm if mechanisms_on else zero, model_config)
-                decode_config = DecodeConfig(
-                    strategy="adaptive" if mechanisms_on else "greedy", seed=seed
-                )
-
-                def decode_fn(query, ordinal, repeat_seed):
-                    per_query = decode_config_for_query(decode_config, repeat_seed, ordinal)
-                    return decode_trip(query, trained.params, pm if mechanisms_on else zero, conf, per_query)
-
-                report = evaluate_decoder(decode_fn, split.test, 1, decode_config.seed)
-                f1s.append(report.f1_mean)
-                reps.append(report.rep_mean)
-            results[(arch, mechanisms_on)] = {
-                "f1": float(np.mean(f1s)),
-                "rep": float(np.mean(reps)),
-            }
+    results = run_study(split.train, split.test, len(catalog), range(5), workers=len(os.sched_getaffinity(0)))
     results["elapsed"] = time.perf_counter() - start
     return results
 

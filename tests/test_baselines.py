@@ -9,10 +9,9 @@ from hypothesis import strategies as st
 from artrip.analysis import empirical_transitions, perturb
 from artrip import decoding
 from artrip.baselines import build_popularity, markov_decode, popularity_decode
+from artrip.config import STRATEGIES, DecodeConfig
 from artrip.data import Query, Trajectory
 from artrip.decoding import (
-    STRATEGIES,
-    DecodeConfig,
     Trip,
     greedy_pick,
     mask_repeats,

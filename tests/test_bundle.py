@@ -6,11 +6,12 @@ import numpy as np
 import pytest
 from conftest import assert_blocks_view_flat
 
+from artrip.config import ARCH_ONE_SHOT, ARCH_RECURRENT, ModelConfig
 from artrip.data import Trajectory
 from artrip.guidance import GuidanceMatrix, build_confidence, build_guidance_matrix
 from artrip.model import bundle as bundle_module
 from artrip.model.bundle import load_bundle, save_bundle, vocab_sha256
-from artrip.model.params import ARCH_ONE_SHOT, ARCH_RECURRENT, ModelConfig, ModelParams, init_params
+from artrip.model.params import ModelParams, init_params
 
 K = 6
 VOCAB = [101, 102, 205, 310, 311, 400]

@@ -2,7 +2,10 @@ import argparse
 import csv
 import itertools
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -12,6 +15,8 @@ from artrip import analysis, baselines, cli
 from artrip.cli import main
 from artrip.config import ConfigError, load_config
 from artrip.data import Trajectory, split_corpus
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 POI_HEADER = ["poiID", "poiName", "lat", "long", "theme"]
 VISIT_HEADER = ["userID", "seqID", "poiID", "dateTaken"]
@@ -116,6 +121,23 @@ class TestIngest:
         flags[1] = "/does/not/exist.csv"
         assert main(["ingest", *flags]) == 1
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, loads", [("ingest", False), ("train", True)])
+    def test_only_a_command_that_splits_loads_numpy_random(self, base_flags, command, loads):
+        # a child process: this one loaded numpy's random module long ago
+        script = (
+            "import sys\n"
+            "from artrip.cli import main\n"
+            "code = main(sys.argv[1:])\n"
+            "print('numpy.random' in sys.modules)\n"
+            "sys.exit(code)\n"
+        )
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")]))
+        done = subprocess.run(
+            [sys.executable, "-c", script, command, *base_flags], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines()[-1] == str(loads)
 
 
     @pytest.mark.parametrize("routes", [[], ROUTES[:2]], ids=["header-only", "two-trajectories"])

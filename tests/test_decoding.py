@@ -8,10 +8,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from artrip import decoding
-from artrip.config import ConfigError, load_config
+from artrip.config import (
+    ADAPTIVE_MODES,
+    ARCH_ONE_SHOT,
+    ARCH_RECURRENT,
+    STRATEGIES,
+    ConfigError,
+    DecodeConfig,
+    ModelConfig,
+    load_config,
+)
 from artrip.data import Query, Trajectory, input_key
 from artrip.decoding import (
-    DecodeConfig,
     Trip,
     adaptive_sample,
     decode_config_for_query,
@@ -29,7 +37,7 @@ from artrip.guidance import (
 )
 from artrip.metrics import evaluate_decoder
 from artrip.model.one_shot import forward_one_shot
-from artrip.model.params import ARCH_ONE_SHOT, ARCH_RECURRENT, ModelConfig, init_params
+from artrip.model.params import init_params
 from artrip.model.recurrent import forward_recurrent_step, init_recurrent_state
 
 K = 6
@@ -515,7 +523,7 @@ class TestDecodeTrip:
             assert len(trip) == 5
 
     @pytest.mark.parametrize("arch", [ARCH_ONE_SHOT, ARCH_RECURRENT])
-    @pytest.mark.parametrize("strategy", decoding.STRATEGIES)
+    @pytest.mark.parametrize("strategy", STRATEGIES)
     def test_trip_past_the_horizon_is_rejected_before_any_step(self, arch, strategy, monkeypatch):
         params = self.params(arch)
         q = Query(p_s=0, t_s=0, p_e=1, t_e=14400, n=self.pm.m_max + 1)
@@ -639,7 +647,7 @@ queries = st.builds(
 
 @pytest.mark.filterwarnings("ignore:no-repeat mask:RuntimeWarning")
 @pytest.mark.parametrize("mask", [False, True])
-@pytest.mark.parametrize("strategy", decoding.STRATEGIES)
+@pytest.mark.parametrize("strategy", STRATEGIES)
 @pytest.mark.parametrize("arch", [ARCH_ONE_SHOT, ARCH_RECURRENT])
 @settings(max_examples=25, deadline=None)
 @given(query=queries, seed=st.integers(0, 2**16))
@@ -686,9 +694,9 @@ def decode_with_warnings(decode, *args):
 
 
 @pytest.mark.parametrize("mask", [False, True])
-@pytest.mark.parametrize("strategy", decoding.STRATEGIES)
+@pytest.mark.parametrize("strategy", STRATEGIES)
 @settings(max_examples=25, deadline=None)
-@given(query=queries, seed=st.integers(0, 2**16), mode=st.sampled_from(decoding.ADAPTIVE_MODES))
+@given(query=queries, seed=st.integers(0, 2**16), mode=st.sampled_from(ADAPTIVE_MODES))
 def test_recurrent_guidance_sliced_once_matches_per_step_guidance(strategy, mask, query, seed, mode):
     cfg = DecodeConfig(strategy=strategy, top_k=3, adaptive_mode=mode, no_repeat_mask=mask, seed=seed)
     params = WARM_PARAMS[ARCH_RECURRENT]
@@ -704,9 +712,9 @@ def test_recurrent_guidance_sliced_once_matches_per_step_guidance(strategy, mask
 
 @pytest.mark.parametrize("traced", [False, True])
 @pytest.mark.parametrize("mask", [False, True])
-@pytest.mark.parametrize("strategy", decoding.STRATEGIES)
+@pytest.mark.parametrize("strategy", STRATEGIES)
 @settings(max_examples=15, deadline=None)
-@given(query=queries, seed=st.integers(0, 2**16), mode=st.sampled_from(decoding.ADAPTIVE_MODES))
+@given(query=queries, seed=st.integers(0, 2**16), mode=st.sampled_from(ADAPTIVE_MODES))
 def test_a_warm_recurrent_memo_decodes_as_an_undecoded_copy(strategy, mask, traced, query, seed, mode):
     cfg = DecodeConfig(strategy=strategy, top_k=3, adaptive_mode=mode, no_repeat_mask=mask, seed=seed)
     warm = WARM_PARAMS[ARCH_RECURRENT]
@@ -722,9 +730,9 @@ def test_a_warm_recurrent_memo_decodes_as_an_undecoded_copy(strategy, mask, trac
 
 
 @pytest.mark.parametrize("mask", [False, True])
-@pytest.mark.parametrize("strategy", decoding.STRATEGIES)
+@pytest.mark.parametrize("strategy", STRATEGIES)
 @settings(max_examples=25, deadline=None)
-@given(query=queries, seed=st.integers(0, 2**16), mode=st.sampled_from(decoding.ADAPTIVE_MODES))
+@given(query=queries, seed=st.integers(0, 2**16), mode=st.sampled_from(ADAPTIVE_MODES))
 def test_one_shot_interior_guidance_matches_guiding_every_row(strategy, mask, query, seed, mode):
     cfg = DecodeConfig(strategy=strategy, top_k=3, adaptive_mode=mode, no_repeat_mask=mask, seed=seed)
     args = (query, WARM_PARAMS[ARCH_ONE_SHOT], PROPERTY_PM, PROPERTY_CONF, cfg)
@@ -778,11 +786,11 @@ class TestFrozenDecodeConfig:
     @given(
         cfg=st.builds(
             DecodeConfig,
-            strategy=st.sampled_from(decoding.STRATEGIES),
+            strategy=st.sampled_from(STRATEGIES),
             top_k=st.integers(1, 50),
             top_p=st.floats(0.0, 1.0, exclude_min=True),
             lam=st.floats(0.0, 1e6),
-            adaptive_mode=st.sampled_from(decoding.ADAPTIVE_MODES),
+            adaptive_mode=st.sampled_from(ADAPTIVE_MODES),
             no_repeat_mask=st.booleans(),
             seed=st.one_of(st.integers(0, 2**40), st.tuples(st.integers(0, 2**16), st.integers(0, 99))),
         ),

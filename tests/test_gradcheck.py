@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 from gradcheck import FD_STEP, REL_FLOOR, grad_check
 
+from artrip.config import ARCH_ONE_SHOT, ARCH_RECURRENT, ModelConfig
 from artrip.data import Trajectory
 from artrip.guidance import build_guidance_matrix
-from artrip.model.params import ARCH_ONE_SHOT, ARCH_RECURRENT, ModelConfig, init_params
+from artrip.model.params import init_params
 from artrip.model.train import loss_and_grads
 
 TRAJ = Trajectory(pois=(0, 3, 5, 1), times=(0, 3600, 7200, 10800))

@@ -25,10 +25,12 @@ tests import is test code and belongs under `tests/`.
 Each module is also imported alone, after every module of its package is
 dropped from `sys.modules`.  The package preloads nothing, so an import
 cycle that breaks only when one particular module is imported first would
-otherwise fail for some callers and pass in the suite.
+otherwise fail for some callers and pass in the suite.  Imported so,
+`artrip.config` loads no `artrip.decoding` and no `artrip.model` module.
 """
 
 import ast
+import json
 import os
 import re
 import subprocess
@@ -38,7 +40,8 @@ from pathlib import Path
 
 import pytest
 
-from artrip.model.params import ModelConfig, ModelParams
+from artrip.config import ModelConfig
+from artrip.model.params import ModelParams
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src"
@@ -402,34 +405,49 @@ def test_the_orphan_scan_finds_a_module_that_only_itself_or_nothing_imports():
 
 
 # Imports each named module after dropping every module of its package from
-# sys.modules; prints one line per module that fails.
+# sys.modules; prints one JSON line per module: its name, the error it raised
+# or null, and the package's modules then loaded.
 _ALONE = """
-import importlib, sys
+import importlib, json, sys
 package = sys.argv[1]
 for name in sys.argv[2:]:
     for loaded in [m for m in sys.modules if m.split(".")[0] == package]:
         del sys.modules[loaded]
     try:
         importlib.import_module(name)
+        error = None
     except Exception as exc:
-        print(f"{name}: {type(exc).__name__}: {exc}")
+        error = f"{type(exc).__name__}: {exc}"
+    print(json.dumps([name, error, sorted(m for m in sys.modules if m.split(".")[0] == package)]))
 """
 
 
-def import_failures(root: Path, package: str, names: list[str]) -> list[str]:
-    """`name: error` for each of `names` that fails to import alone from `root`."""
+def import_alone(root: Path, package: str, names: list[str]) -> dict[str, tuple[str | None, list[str]]]:
+    """name -> (its error or None, the modules of `package` loaded) for each of `names` imported alone from `root`."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(root), os.environ.get("PYTHONPATH", "")]))
     done = subprocess.run(
         [sys.executable, "-c", _ALONE, package, *names], env=env, capture_output=True, text=True, timeout=120
     )
     assert done.returncode == 0, done.stderr
-    return done.stdout.splitlines()
+    return {name: (error, loaded) for name, error, loaded in map(json.loads, done.stdout.splitlines())}
+
+
+def import_failures(root: Path, package: str, names: list[str]) -> list[str]:
+    """`name: error` for each of `names` that fails to import alone from `root`."""
+    return [f"{name}: {error}" for name, (error, _) in import_alone(root, package, names).items() if error]
 
 
 def test_every_module_imports_on_its_own():
     names = list(module_names(MODULES, SRC))
     assert "artrip" in names and "artrip.model.train" in names
     assert import_failures(SRC, "artrip", names) == []
+
+
+def test_the_config_loads_neither_the_decoder_nor_the_models():
+    # the run's records sit below the code they configure
+    error, loaded = import_alone(SRC, "artrip", ["artrip.config"])["artrip.config"]
+    assert error is None and "artrip.config" in loaded
+    assert [m for m in loaded if m == "artrip.decoding" or m.startswith("artrip.model")] == []
 
 
 def test_the_import_check_finds_a_cycle_that_one_entry_point_hides(tmp_path):

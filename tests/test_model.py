@@ -6,12 +6,13 @@ import numpy as np
 import pytest
 from conftest import assert_blocks_view_flat
 
+from artrip.config import ARCH_ONE_SHOT, ARCH_RECURRENT, DecodeConfig, ModelConfig
 from artrip.data import Query, Trajectory, hour_bucket, input_key
-from artrip.decoding import DecodeConfig, decode_trip
+from artrip.decoding import decode_trip
 from artrip.guidance import GuidanceMatrix, build_guidance_matrix, zero_guidance
 from artrip.model import one_shot, recurrent
 from artrip.model.one_shot import forward_one_shot
-from artrip.model.params import ARCH_ONE_SHOT, ARCH_RECURRENT, MEMO_CAP, ModelConfig, block_shapes, init_params
+from artrip.model.params import MEMO_CAP, block_shapes, init_params
 from artrip.model.recurrent import forward_recurrent_step, forward_teacher, init_recurrent_state
 from artrip.model.train import ADAM_BETA1, ADAM_BETA2, ADAM_EPS, loss_and_grads, train
 

@@ -10,12 +10,13 @@ from hypothesis import strategies as st
 
 from artrip.analysis import empirical_transitions, perturb
 from artrip.baselines import build_popularity, markov_decode, popularity_decode
+from artrip.config import ARCH_ONE_SHOT, ARCH_RECURRENT, DecodeConfig, ModelConfig
 from artrip.data import Query, Trajectory, make_query, split_corpus
-from artrip.decoding import DecodeConfig, Trip, decode_trip
+from artrip.decoding import Trip, decode_trip
 from artrip.guidance import build_confidence, build_guidance_matrix, zero_guidance
 from artrip.metrics import evaluate_decoder, f1_score, pairs_f1, trip_repetition
 from artrip.model.bundle import load_bundle, save_bundle
-from artrip.model.params import ARCH_ONE_SHOT, ARCH_RECURRENT, ModelConfig, init_params
+from artrip.model.params import init_params
 
 # --- metrics ---------------------------------------------------------------
 
