@@ -17,6 +17,7 @@ import numpy as np
 
 # keeps -log(1 - Pr) finite when two rows are exactly (anti-)parallel
 PROB_EPS = 1e-6
+_LOG2 = np.log(2.0)
 
 
 def recommendation_loss_grad(rows: np.ndarray, targets) -> tuple[float, np.ndarray]:
@@ -25,14 +26,15 @@ def recommendation_loss_grad(rows: np.ndarray, targets) -> tuple[float, np.ndarr
     m = rows.shape[0]
     if m == 0 or m != targets.shape[0]:
         raise ValueError("rows and targets must be non-empty and aligned")
-    shifted = rows - rows.max(axis=1, keepdims=True)
+    shifted = rows - np.maximum.reduce(rows, axis=1, keepdims=True)
     exp = np.exp(shifted)
-    denom = exp.sum(axis=1, keepdims=True)
-    log_probs = shifted - np.log(denom)
-    # ndarray.mean's own sum and division, without its Python wrapper
-    loss = float(-(np.add.reduce(log_probs[np.arange(m), targets]) / m))
-    drows = exp / denom
-    drows[np.arange(m), targets] -= 1.0
+    denom = np.add.reduce(exp, axis=1, keepdims=True)
+    at = (np.arange(m), targets)
+    # the target entries of shifted - log(denom), and ndarray.mean's own
+    # sum and division over them, without its Python wrapper
+    loss = float(-(np.add.reduce(shifted[at] - np.log(denom)[:, 0]) / m))
+    drows = np.divide(exp, denom, out=exp)
+    drows[at] -= 1.0
     drows /= m
     return loss, drows
 
@@ -57,30 +59,37 @@ def drift_loss_grad(rows: np.ndarray) -> tuple[float, np.ndarray]:
     m = rows.shape[0]
     if m < 2:
         return 0.0, np.zeros_like(rows)
-    norms = np.linalg.norm(rows, axis=1)
+    # np.linalg.norm's own product, sum and root, without its Python wrapper
+    norms = np.sqrt(np.add.reduce(rows * rows, axis=1))
     valid = norms > 0.0
+    # a zero norm is read as 1, so no row divides by zero
+    scale = np.where(valid, norms, 1.0)[:, None]
+    unit = rows / scale
     if not valid.all():
         warnings.warn(
             "zero-norm score row in drift loss; pair correlation fixed at 0.5",
             RuntimeWarning,
             stacklevel=2,
         )
-    unit = np.divide(rows, norms[:, None], out=np.zeros_like(rows), where=valid[:, None])
+        # a row without a direction (a NaN norm too) enters no product
+        unit[~valid] = 0.0
     cos = unit @ unit.T
     i, j = _pairs(m)
     both = valid[i] & valid[j]
     pr_raw = (cos[i, j] + 1.0) / 2.0
-    pr = np.clip(pr_raw, PROB_EPS, 1.0 - PROB_EPS)
-    loss = float(-np.log(1.0 - pr[both]).sum() + (~both).sum() * np.log(2.0))
+    # np.clip's comparisons, without its Python wrapper
+    gap = 1.0 - np.minimum(np.maximum(pr_raw, PROB_EPS), 1.0 - PROB_EPS)
+    loss = float(-np.add.reduce(np.log(gap[both])) + (both.size - np.count_nonzero(both)) * _LOG2)
     # clamped pairs carry no gradient
     live = (pr_raw > PROB_EPS) & (pr_raw < 1.0 - PROB_EPS)
     live &= both
     weight = np.zeros((m, m), dtype=np.float64)
-    weight[i[live], j[live]] = 0.5 / (1.0 - pr[live])
+    weight[i, j] = np.where(live, 0.5 / gap, 0.0)
     weight = weight + weight.T
     dunit = weight @ unit
-    proj = (dunit * unit).sum(axis=1, keepdims=True)
-    return loss, np.divide(dunit - proj * unit, norms[:, None], out=np.zeros_like(rows), where=valid[:, None])
+    proj = np.add.reduce(dunit * unit, axis=1, keepdims=True)
+    # a zero row's dunit is +0.0, so its gradient is +0.0 too
+    return loss, (dunit - proj * unit) / scale
 
 
 def total_loss_grad(rows: np.ndarray, targets, alpha: float) -> tuple[float, np.ndarray]:
@@ -93,5 +102,5 @@ def total_loss_grad(rows: np.ndarray, targets, alpha: float) -> tuple[float, np.
     if alpha != 0.0:
         rep, drep = drift_loss_grad(rows)
         loss += alpha * rep
-        drows = drows + alpha * drep
+        drows += alpha * drep
     return loss, drows

@@ -69,9 +69,9 @@ def _layer_norm_backward(dy: np.ndarray, cache) -> tuple[np.ndarray, np.ndarray,
 
 
 def _softmax_rows(x: np.ndarray) -> np.ndarray:
-    shifted = x - x.max(axis=-1, keepdims=True)
+    shifted = x - np.maximum.reduce(x, axis=-1, keepdims=True)
     e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True)
+    return e / _sum(e, axis=-1, keepdims=True)
 
 
 def build_input(query: Query, params: ModelParams):
@@ -114,21 +114,21 @@ def _attention_forward(a: np.ndarray, wqkv: np.ndarray, wo: np.ndarray, num_head
 
 
 def _attention_backward(dout: np.ndarray, cache, wqkv, wo, dwqkv, dwo):
-    """Accumulate into the weight gradients `dwqkv` and `dwo`; returns d(input)."""
+    """Write the weight gradients into `dwqkv` and `dwo`, overwriting them; returns d(input)."""
     a, qh, kh, vh, attn, ctx, scale = cache
     n, d = a.shape
     num_heads, _, dh = qh.shape
-    dwo += ctx.T @ dout
+    np.matmul(ctx.T, dout, out=dwo)
     dctx = (dout @ wo.T).reshape(n, num_heads, dh).transpose(1, 0, 2)
     dattn = dctx @ vh.transpose(0, 2, 1)
     dheads = np.empty((3, num_heads, n, dh))
     np.matmul(attn.transpose(0, 2, 1), dctx, out=dheads[2])
-    dscores = attn * (dattn - (dattn * attn).sum(axis=-1, keepdims=True))
+    dscores = attn * (dattn - _sum(dattn * attn, axis=-1, keepdims=True))
     dscores *= scale
     np.matmul(dscores, kh, out=dheads[0])
     np.matmul(dscores.transpose(0, 2, 1), qh, out=dheads[1])
     dqkv = dheads.transpose(0, 2, 1, 3).reshape(3, n, d)
-    dwqkv += a.T @ dqkv
+    np.matmul(a.T, dqkv, out=dwqkv)
     # summed in the order dq, dk, dv
     da = dqkv @ wqkv.transpose(0, 2, 1)
     return da[0] + da[1] + da[2]
@@ -187,32 +187,32 @@ def forward_one_shot(query: Query, params: ModelParams) -> np.ndarray:
 def backward(params: ModelParams, cache: dict, dlogits: np.ndarray, buffer: ModelParams) -> np.ndarray:
     """Backpropagate a loss gradient on the logits into `buffer`, a `params.zero_grads()` record.
 
-    `buffer.flat` is zeroed first, filled through `buffer.blocks` and
-    `buffer.qkv`, and returned.
+    Every dense block of `buffer` is overwritten; the embedding tables are
+    zeroed and then scattered into.  `buffer.flat` is returned.
     """
     blocks = params.blocks
     grads, grads_qkv = buffer.blocks, buffer.qkv
-    buffer.flat.fill(0.0)
-    grads["head"] += cache["z"].T @ dlogits
+    buffer.zero_embeddings()
+    np.matmul(cache["z"].T, dlogits, out=grads["head"])
     dz = dlogits @ blocks["head"].T
     dx, dgamma, dbeta = _layer_norm_backward(dz, cache["final_ln"])
-    grads["final_ln_gamma"] += dgamma
-    grads["final_ln_beta"] += dbeta
+    grads["final_ln_gamma"][...] = dgamma
+    grads["final_ln_beta"][...] = dbeta
     for layer in reversed(range(len(cache["layers"]))):
         layer_cache = cache["layers"][layer]
         prefix = layer_cache["prefix"]
         # x2 = x1 + ffn(ln2(x1))
         dffn = dx
-        grads[prefix + "ffn_w2"] += layer_cache["r"].T @ dffn
-        grads[prefix + "ffn_b2"] += dffn.sum(axis=0)
+        np.matmul(layer_cache["r"].T, dffn, out=grads[prefix + "ffn_w2"])
+        _sum(dffn, axis=0, out=grads[prefix + "ffn_b2"])
         dr = dffn @ blocks[prefix + "ffn_w2"].T
         du = _gelu_backward(dr, layer_cache["u"], layer_cache["gelu_t"])
-        grads[prefix + "ffn_w1"] += layer_cache["f_in"].T @ du
-        grads[prefix + "ffn_b1"] += du.sum(axis=0)
+        np.matmul(layer_cache["f_in"].T, du, out=grads[prefix + "ffn_w1"])
+        _sum(du, axis=0, out=grads[prefix + "ffn_b1"])
         df_in = du @ blocks[prefix + "ffn_w1"].T
         dx1_from_ffn, dgamma, dbeta = _layer_norm_backward(df_in, layer_cache["ln2"])
-        grads[prefix + "ln2_gamma"] += dgamma
-        grads[prefix + "ln2_beta"] += dbeta
+        grads[prefix + "ln2_gamma"][...] = dgamma
+        grads[prefix + "ln2_beta"][...] = dbeta
         dx1 = dx + dx1_from_ffn
         # x1 = x0 + attn(ln1(x0))
         da_in = _attention_backward(
@@ -224,13 +224,15 @@ def backward(params: ModelParams, cache: dict, dlogits: np.ndarray, buffer: Mode
             grads[prefix + "attn_wo"],
         )
         dx0_from_attn, dgamma, dbeta = _layer_norm_backward(da_in, layer_cache["ln1"])
-        grads[prefix + "ln1_gamma"] += dgamma
-        grads[prefix + "ln1_beta"] += dbeta
+        grads[prefix + "ln1_gamma"][...] = dgamma
+        grads[prefix + "ln1_beta"][...] = dbeta
         dx = dx1 + dx0_from_attn
     slots, pois, hours = cache["ends"]
     # slot i took position row i: distinct rows, the same sums as np.add.at
     grads["position_embeddings"][: dx.shape[0]] += dx
-    np.add.at(grads["poi_embeddings"], pois, dx[slots])
-    np.add.at(grads["time_embeddings"], hours, dx[slots])
-    grads["mask_embedding"] += dx[1:-1].sum(axis=0)
+    # endpoint rows in slot order, the order np.add.at sums a shared row in
+    for slot, poi, hour in zip(slots, pois, hours):
+        grads["poi_embeddings"][poi] += dx[slot]
+        grads["time_embeddings"][hour] += dx[slot]
+    _sum(dx[1:-1], axis=0, out=grads["mask_embedding"])
     return buffer.flat

@@ -124,6 +124,11 @@ class ModelParams:
         d = self.config.embed_dim
         return tuple(vec[start:stop].reshape(3, d, d) for start, stop in self._qkv_spans)
 
+    def zero_embeddings(self) -> None:
+        """Zero the POI, time and position tables, which `block_shapes` declares first, with one fill."""
+        _, at, size, _ = self.layout[2]
+        self.flat[: at + size].fill(0.0)
+
     def zero_grads(self) -> ModelParams:
         """A new zeroed record laid out like this one, for a gradient; never frozen by this model's decodes."""
         return ModelParams(self.config, self.k, self.m_max)

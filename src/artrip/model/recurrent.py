@@ -75,13 +75,14 @@ def forward_teacher(query: Query, pois, params: ModelParams):
 def backward(params: ModelParams, cache: dict, drows: np.ndarray, buffer: ModelParams) -> np.ndarray:
     """Backpropagate through time into `buffer`, a `params.zero_grads()` record.
 
-    `buffer.flat` is zeroed first, filled through `buffer.blocks` and
-    returned.  Only the carry through `state_w` steps; every weight
-    gradient is one product over the trajectory.
+    Every dense block of `buffer` is overwritten; the embedding tables are
+    zeroed and then scattered into.  `buffer.flat` is returned.  Only the
+    carry through `state_w` steps; every weight gradient is one product
+    over the trajectory.
     """
     blocks = params.blocks
     grads = buffer.blocks
-    buffer.flat.fill(0.0)
+    buffer.zero_embeddings()
     states = cache["states"]
     inputs = cache["inputs"]
     # d(state t) from its own scores, and tanh's derivative at every state
@@ -100,9 +101,8 @@ def backward(params: ModelParams, cache: dict, drows: np.ndarray, buffer: ModelP
     # inputs can repeat a POI: np.add.at sums every row, fancy += would not
     np.add.at(grads["poi_embeddings"], inputs, dpre @ blocks["input_w"].T)
     # initial state came from the query projection
-    dq_pre = carry * gate[0]
-    grads["query_w"] += cache["qvec"][:, None] * dq_pre
-    grads["query_b"] += dq_pre
+    dq_pre = np.multiply(carry, gate[0], out=grads["query_b"])
+    np.multiply(cache["qvec"][:, None], dq_pre, out=grads["query_w"])
     dqvec = dq_pre @ blocks["query_w"].T
     d = params.config.embed_dim
     p_s, start_t, p_e, end_t, pos = cache["sources"]

@@ -8,6 +8,7 @@ guidance matrix is exactly the unguided model.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,8 +65,11 @@ def loss_and_grads(
 ):
     """Loss for one trajectory and its flat gradient, `buffer.flat` (see the architectures' `backward`).
 
-    `buffer` is a `params.zero_grads()` record.  The gradient is None, and
-    no backward pass runs, when `buffer` is None or the loss is not finite.
+    `buffer` is a `params.zero_grads()` record.  The backward pass
+    overwrites its dense blocks and zeroes its embedding tables before
+    scattering into them, so one record serves every step.  The gradient
+    is None, and no backward pass runs, when `buffer` is None or the loss
+    is not finite.
     """
     query = make_query(traj)
     if params.config.arch == ARCH_ONE_SHOT:
@@ -77,7 +81,7 @@ def loss_and_grads(
     factor = guidance_factor(pm, first_position, rows.shape[0])
     loss, dguided = total_loss_grad(rows * factor, targets, alpha)
     # backprop on a non-finite loss is garbage: let the caller abort
-    if buffer is None or not np.isfinite(loss):
+    if buffer is None or not math.isfinite(loss):
         return loss, None
     return loss, module.backward(params, cache, dguided * factor, buffer)
 
@@ -101,7 +105,7 @@ def train(trajectories: list[Trajectory], pm: GuidanceMatrix, config: ModelConfi
         check_pois(traj.pois, pm.k, f"trajectory {idx}: ")
     params = init_params(config, pm.k, pm.m_max)
     adam = _AdamState(params)
-    # one gradient vector for the whole run, zeroed by each backward pass
+    # one gradient vector for the whole run, rewritten by each backward pass
     buffer = params.zero_grads()
     shuffle_rng = streams.rng("shuffle", config.seed)
     epoch_losses: list[float] = []
@@ -110,7 +114,7 @@ def train(trajectories: list[Trajectory], pm: GuidanceMatrix, config: ModelConfi
         total = 0.0
         for idx in order:
             loss, grad = loss_and_grads(trajectories[idx], params, pm, config.alpha, buffer)
-            if not np.isfinite(loss):
+            if not math.isfinite(loss):
                 raise RuntimeError(
                     f"non-finite loss at epoch {epoch}, trajectory {idx}"
                 )

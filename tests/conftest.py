@@ -5,8 +5,8 @@ terminal summary prints them as a compact pass/fail checklist after
 the normal pytest output, below the arithmetic they were computed with
 (the first line of `scripts/artifact_hashes.py`'s listing), since the
 criteria's numbers hold per BLAS kernel.  The parameter-store check is
-shared by the model and bundle tests, the script loader by the summary
-and the CLI tests.
+shared by the model and bundle tests, the bit comparison by the model and
+loss tests, the script loader by the summary and the CLI tests.
 """
 
 from __future__ import annotations
@@ -59,3 +59,8 @@ def assert_blocks_view_flat(params) -> None:
         assert block.ctypes.data == params.flat.ctypes.data + 8 * offset, name
         offset += block.size
     assert offset == params.flat.size
+
+
+def same_bits(got: np.ndarray, want: np.ndarray) -> bool:
+    """Equal arrays with the same sign on every zero, which `np.array_equal` alone lets differ."""
+    return np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))

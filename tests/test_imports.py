@@ -1,6 +1,6 @@
-"""Every import in the package is read somewhere in its module, every
-top-level name is named somewhere outside its own definition, and every
-module imports on its own.
+"""Every import in the package, its tests and its scripts is read
+somewhere in its module, every top-level name is named somewhere outside
+its own definition, and every module imports on its own.
 
 An import that nothing reads is code that nothing uses.  A name listed in
 `__all__` counts as read, and an import line marked `# noqa: F401` is
@@ -53,6 +53,7 @@ SEARCHED = sorted(
     for p in (ROOT / folder).rglob("*.py")
     if not any(part.startswith(".") for part in p.relative_to(ROOT).parts)
 )
+TESTS_AND_SCRIPTS = [p for folder in ("tests", "scripts") for p in sorted((ROOT / folder).glob("*.py"))]
 WORD = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
 
@@ -82,6 +83,11 @@ def unused_imports(source: str) -> list[str]:
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: str(p.relative_to(SRC)))
 def test_no_unused_import(path):
+    assert unused_imports(path.read_text()) == []
+
+
+@pytest.mark.parametrize("path", TESTS_AND_SCRIPTS, ids=lambda p: str(p.relative_to(ROOT)))
+def test_no_unused_import_in_tests_or_scripts(path):
     assert unused_imports(path.read_text()) == []
 
 

@@ -4,6 +4,7 @@ import warnings
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from conftest import same_bits
 from hypothesis import strategies as st
 
 from artrip.model.losses import (
@@ -173,11 +174,14 @@ def reference_drift_loss_grad(rows):
 
 @st.composite
 def score_rows(draw):
-    """Random rows where any row may copy, scale or negate an earlier one, or be zero."""
+    """Random rows where any row may copy, scale or negate an earlier one, or be zero.
+
+    At the smallest scale every square underflows, so a nonzero row has a zero norm.
+    """
     m = draw(st.integers(1, 10))
     k = draw(st.integers(1, 8))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    rows = rng.standard_normal((m, k)) * draw(st.sampled_from([1e-3, 1.0, 1e3]))
+    rows = rng.standard_normal((m, k)) * draw(st.sampled_from([1e-170, 1e-3, 1.0, 1e3]))
     for i in range(m):
         kind = draw(st.sampled_from(["free", "free", "parallel", "anti", "zero"]))
         if kind == "zero":
@@ -202,10 +206,17 @@ class TestDriftFastPath:
         loss, grads, warned = drift_with_warnings(drift_loss_grad, rows)
         ref_loss, ref_grads, ref_warned = drift_with_warnings(reference_drift_loss_grad, rows)
         assert loss == ref_loss and type(loss) is type(ref_loss)
-        assert np.array_equal(grads, ref_grads)
+        assert same_bits(grads, ref_grads)
         # the same warning, attributed to the same caller (this file)
         assert warned == ref_warned
         assert len(warned) == int(rows.shape[0] >= 2 and not np.linalg.norm(rows, axis=1).all())
+
+    def test_a_nan_row_is_masked_like_a_zero_row(self):
+        rows = np.array([[1.0, 2.0, 0.5], [np.nan, 1.0, 0.0], [0.3, -1.0, 2.0]])
+        loss, grads, warned = drift_with_warnings(drift_loss_grad, rows)
+        ref_loss, ref_grads, ref_warned = drift_with_warnings(reference_drift_loss_grad, rows)
+        assert loss == ref_loss and warned == ref_warned
+        assert same_bits(grads, ref_grads) and np.isfinite(grads).all()
 
     @pytest.mark.parametrize("sign", [1.0, -1.0])
     def test_clipped_pairs_match_the_reference(self, sign):
@@ -215,4 +226,50 @@ class TestDriftFastPath:
         loss, grads = drift_loss_grad(rows)
         ref_loss, ref_grads = reference_drift_loss_grad(rows)
         assert loss == ref_loss
-        assert np.array_equal(grads, ref_grads)
+        assert same_bits(grads, ref_grads)
+
+
+def reference_recommendation_loss_grad(rows, targets):
+    """Cross entropy through ndarray.max and ndarray.sum and the whole log-probability matrix:
+    the reference `recommendation_loss_grad` must match bit for bit."""
+    targets = np.asarray(targets, dtype=np.int64)
+    m = rows.shape[0]
+    shifted = rows - rows.max(axis=1, keepdims=True)
+    exp = np.exp(shifted)
+    denom = exp.sum(axis=1, keepdims=True)
+    log_probs = shifted - np.log(denom)
+    loss = float(-(np.add.reduce(log_probs[np.arange(m), targets]) / m))
+    drows = exp / denom
+    drows[np.arange(m), targets] -= 1.0
+    drows /= m
+    return loss, drows
+
+
+@st.composite
+def rows_and_targets(draw):
+    """Random score rows, up to logits whose softmax underflows, and targets drawn from a pool
+    of at most two POIs, so rows share targets; a row may repeat an earlier one or be constant."""
+    m = draw(st.integers(1, 10))
+    k = draw(st.integers(1, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rows = rng.standard_normal((m, k)) * draw(st.sampled_from([1e-3, 1.0, 1e3, 1e6]))
+    for i in range(m):
+        kind = draw(st.sampled_from(["free", "free", "copy", "constant"]))
+        if kind == "constant":
+            rows[i] = draw(st.sampled_from([0.0, -0.0, 1e3]))
+        elif kind == "copy" and i > 0:
+            rows[i] = rows[draw(st.integers(0, i - 1))]
+    pool = draw(st.lists(st.integers(0, k - 1), min_size=1, max_size=2))
+    targets = tuple(draw(st.sampled_from(pool)) for _ in range(m))
+    return rows, targets
+
+
+class TestRecommendationFastPath:
+    @settings(max_examples=300, deadline=None)
+    @given(case=rows_and_targets())
+    def test_matches_the_wrapper_reference_bit_for_bit(self, case):
+        rows, targets = case
+        loss, grads = recommendation_loss_grad(rows, targets)
+        ref_loss, ref_grads = reference_recommendation_loss_grad(rows, targets)
+        assert loss == ref_loss and type(loss) is type(ref_loss)
+        assert same_bits(grads, ref_grads)

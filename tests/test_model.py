@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from conftest import assert_blocks_view_flat
+from conftest import assert_blocks_view_flat, same_bits
 
 from artrip.config import ARCH_ONE_SHOT, ARCH_RECURRENT, DecodeConfig, ModelConfig
 from artrip.data import Query, Trajectory, hour_bucket, input_key
@@ -456,6 +456,40 @@ def reference_recurrent_backward(params, cache, drows):
     return grad
 
 
+def reference_fill_recurrent_backward(params, cache, drows):
+    """Add every block into a zeroed buffer: the reference for writing each block once."""
+    blocks = params.blocks
+    buffer = params.zero_grads()
+    grads = buffer.blocks
+    states = cache["states"]
+    inputs = cache["inputs"]
+    dstates = drows @ blocks["head"].T
+    gate = 1.0 - states**2
+    state_wt = blocks["state_w"].T
+    dpre = np.empty_like(dstates)
+    carry = np.zeros(states.shape[1])
+    for t in range(len(inputs) - 1, -1, -1):
+        np.multiply(dstates[t] + carry, gate[t + 1], out=dpre[t])
+        carry = dpre[t] @ state_wt
+    grads["head"] += states[1:].T @ drows
+    grads["input_w"] += cache["x"].T @ dpre
+    grads["state_w"] += states[:-1].T @ dpre
+    grads["state_b"] += dpre.sum(axis=0)
+    np.add.at(grads["poi_embeddings"], inputs, dpre @ blocks["input_w"].T)
+    dq_pre = carry * gate[0]
+    grads["query_w"] += cache["qvec"][:, None] * dq_pre
+    grads["query_b"] += dq_pre
+    dqvec = dq_pre @ blocks["query_w"].T
+    d = params.config.embed_dim
+    p_s, start_t, p_e, end_t, pos = cache["sources"]
+    grads["poi_embeddings"][p_s] += dqvec[:d]
+    grads["time_embeddings"][start_t] += dqvec[:d]
+    grads["poi_embeddings"][p_e] += dqvec[d : 2 * d]
+    grads["time_embeddings"][end_t] += dqvec[d : 2 * d]
+    grads["position_embeddings"][pos] += dqvec[2 * d :]
+    return buffer.flat
+
+
 class TestBitIdentity:
     @pytest.mark.parametrize("seed", range(6))
     def test_layer_norm_matches_mean_var_reference(self, seed):
@@ -494,6 +528,24 @@ class TestBitIdentity:
         np.testing.assert_allclose(
             got, reference_recurrent_backward(params, cache, drows), rtol=1e-12, atol=1e-15
         )
+
+    @pytest.mark.parametrize("prefill", [None, 7.0])
+    @pytest.mark.parametrize("n", [2, 3, M_MAX])
+    def test_recurrent_backward_matches_fill_reference_bit_for_bit(self, n, prefill):
+        params = trained_params(ARCH_RECURRENT, n)
+        rng = np.random.default_rng(n)
+        # the first and last inputs share a POI, so np.add.at sums into one row twice
+        pois = (3, *(int(p) for p in rng.integers(0, K, size=n - 2)), 3)
+        q = Query(p_s=pois[0], t_s=0, p_e=pois[-1], t_e=3600 * n, n=n)
+        rows, cache = forward_teacher(q, pois, params)
+        drows = rng.standard_normal(rows.shape)
+        want = reference_fill_recurrent_backward(params, cache, drows)
+        buffer = params.zero_grads()
+        if prefill is not None:
+            buffer.flat[...] = prefill
+        got = recurrent.backward(params, cache, drows, buffer)
+        assert got is buffer.flat
+        assert same_bits(got, want)
 
 
 def reference_attention_forward(a, blocks, prefix, num_heads):
@@ -635,13 +687,13 @@ class TestStackedAttention:
         logits, cache = one_shot.forward_with_cache(q, params)
         dlogits = np.random.default_rng(n).standard_normal(logits.shape)
         want = reference_one_shot_backward(params, cache, dlogits)
-        assert np.array_equal(one_shot.backward(params, cache, dlogits, params.zero_grads()), want)
-        # a used buffer is zeroed first, not added to
+        assert same_bits(one_shot.backward(params, cache, dlogits, params.zero_grads()), want)
+        # a used buffer is overwritten, not added to
         buffer = params.zero_grads()
         buffer.flat[...] = 7.0
         got = one_shot.backward(params, cache, dlogits, buffer)
         assert got is buffer.flat
-        assert np.array_equal(got, want)
+        assert same_bits(got, want)
 
 
 def route(pois):
