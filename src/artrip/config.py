@@ -12,6 +12,7 @@ can only move the output directory) over the config file over defaults.
 from __future__ import annotations
 
 import math
+import numbers
 import os
 from dataclasses import dataclass, fields, replace
 
@@ -79,8 +80,10 @@ class ModelConfig:
 class DecodeConfig:
     """Selection strategy settings, frozen once validated; `seed` drives all sampling.
 
-    `seed` is anything `np.random.default_rng` takes: an int, or the
-    (base seed, ordinal) pair of `decode_config_for_query`.
+    `seed` is the entropy of the decode stream (`artrip.streams`): an
+    integer, or a tuple of integers such as the (base seed, ordinal) pair of
+    `decode_config_for_query`.  Anything else raises `ConfigError` here, not
+    later inside numpy.
     """
 
     strategy: str = "greedy"
@@ -89,7 +92,7 @@ class DecodeConfig:
     lam: float = 1.0
     adaptive_mode: str = "temperature"
     no_repeat_mask: bool = False
-    seed: int | tuple[int, int] = 0
+    seed: int | tuple[int, ...] = 0
 
     def __post_init__(self):
         if self.strategy not in STRATEGIES:
@@ -102,6 +105,11 @@ class DecodeConfig:
             raise ConfigError("top_p must lie in (0, 1]")
         if not 0.0 <= self.lam < math.inf:
             raise ConfigError(f"lam must be finite and non-negative, got {self.lam}")
+        integer = numbers.Integral  # Python's and numpy's ints, and bool
+        if not isinstance(self.seed, integer) and not (
+            isinstance(self.seed, tuple) and all(isinstance(part, integer) for part in self.seed)
+        ):
+            raise ConfigError(f"seed must be an integer or a tuple of integers, got {self.seed!r}")
 
 
 @dataclass(kw_only=True)

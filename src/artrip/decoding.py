@@ -239,11 +239,11 @@ def _rng(cfg: DecodeConfig):
 def decode_config_for_query(cfg: DecodeConfig, base_seed: int, ordinal: int) -> DecodeConfig:
     """`cfg` with the seed of query `ordinal` under `base_seed`; nothing else changes.
 
-    The seed is the pair itself, which `default_rng` takes as entropy.
-    Distinct pairs are distinct SeedSequence entropy, so every (base seed,
-    ordinal) gets its own stream; folding the two into one int would let
-    pairs such as (1, 0) and (0, 1) share one.  `cfg` is frozen and was
-    validated when made, so the copy skips `__post_init__`.
+    The seed is the pair itself, the entropy of the query's decode stream
+    (`artrip.streams`).  Distinct pairs are distinct SeedSequence entropy,
+    so every (base seed, ordinal) gets its own stream; folding the two into
+    one int would let pairs such as (1, 0) and (0, 1) share one.  `cfg` is
+    frozen and was validated when made, so the copy skips `__post_init__`.
     """
     out = object.__new__(type(cfg))
     vars(out).update(vars(cfg), seed=(base_seed, ordinal))

@@ -81,6 +81,15 @@ class TestConfig:
         with pytest.raises(ValueError, match="lam"):
             DecodeConfig(lam=lam)
 
+    @pytest.mark.parametrize("seed", ["7", 7.0, [7, 1], (7, "1"), (7, 1.0), None], ids=repr)
+    def test_rejects_a_seed_that_is_no_integer_or_tuple_of_integers(self, seed):
+        with pytest.raises(ConfigError, match=r"^seed must be an integer or a tuple of integers, got "):
+            DecodeConfig(strategy="top_p", seed=seed)
+
+    @pytest.mark.parametrize("seed", [7, np.int64(7), True, (7, 1), (np.uint32(7), 1), (7, 1, 2)], ids=repr)
+    def test_accepts_integer_and_tuple_seeds(self, seed):
+        assert DecodeConfig(strategy="top_p", seed=seed).seed is seed
+
 
 class TestGreedy:
     def test_picks_argmax(self):
