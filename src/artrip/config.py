@@ -4,7 +4,8 @@ One schema drives everything: file parsing, CLI override flags and the
 defaults.  Each key is declared once, here, as a field of `ExperimentConfig`
 (data, mechanism switches, evaluation) or of the `ModelConfig` and
 `DecodeConfig` it holds, whose `seed`s are the keys `model_seed` and
-`decode_seed`; each record raises `ConfigError` for a bad field.  Precedence
+`decode_seed`; each record raises `ConfigError` for a bad field, its seed
+included.  Every override value is coerced as its flag string is.  Precedence
 is command-line flags over the ARTRIP_OUTPUT_DIR environment variable (which
 can only move the output directory) over the config file over defaults.
 """
@@ -74,6 +75,8 @@ class ModelConfig:
             raise ConfigError(f"learning_rate must be finite and positive, got {self.learning_rate}")
         if self.epochs < 0:
             raise ConfigError("epochs must be non-negative")
+        if not isinstance(self.seed, numbers.Integral) or self.seed < 0:
+            raise ConfigError(f"model_seed must be a non-negative integer, got {self.seed!r}")
 
 
 @dataclass(frozen=True)
@@ -83,7 +86,7 @@ class DecodeConfig:
     `seed` is the entropy of the decode stream (`artrip.streams`): an
     integer, or a tuple of integers such as the (base seed, ordinal) pair of
     `decode_config_for_query`.  Anything else raises `ConfigError` here, not
-    later inside numpy.
+    later inside numpy, and so does a negative integer or tuple part.
     """
 
     strategy: str = "greedy"
@@ -105,11 +108,12 @@ class DecodeConfig:
             raise ConfigError("top_p must lie in (0, 1]")
         if not 0.0 <= self.lam < math.inf:
             raise ConfigError(f"lam must be finite and non-negative, got {self.lam}")
-        integer = numbers.Integral  # Python's and numpy's ints, and bool
-        if not isinstance(self.seed, integer) and not (
-            isinstance(self.seed, tuple) and all(isinstance(part, integer) for part in self.seed)
-        ):
+        parts = self.seed if isinstance(self.seed, tuple) else (self.seed,)
+        # numbers.Integral: Python's and numpy's ints, and bool
+        if not all(isinstance(part, numbers.Integral) for part in parts):
             raise ConfigError(f"seed must be an integer or a tuple of integers, got {self.seed!r}")
+        if any(part < 0 for part in parts):
+            raise ConfigError(f"decode_seed must be non-negative, got {self.seed!r}")
 
 
 @dataclass(kw_only=True)
@@ -147,13 +151,8 @@ class ExperimentConfig:
         for key in ("poi_file", "visits_file", "output_dir"):
             if "\0" in getattr(self, key):
                 raise ConfigError(f"{key} holds a NUL byte, which no path can")
-        seeds = {
-            "split_seed": self.split_seed,
-            "model_seed": self.model.seed,
-            "decode_seed": self.decode.seed,
-            "noise_seed": self.noise_seed,
-        }
-        for key, seed in seeds.items():
+        for key in ("split_seed", "noise_seed"):
+            seed = getattr(self, key)
             if seed < 0:
                 raise ConfigError(f"{key} must be non-negative, got {seed}")
         for key in ("train_ratio", "val_ratio", "test_ratio"):
@@ -245,7 +244,7 @@ def load_config(path: str | None, overrides: dict | None = None) -> ExperimentCo
     for key, raw in (overrides or {}).items():
         if key not in _SCHEMA:
             raise ConfigError(f"unknown config key {key!r}")
-        values[key] = _coerce(key, raw) if isinstance(raw, str) else raw
+        values[key] = _coerce(key, str(raw))
     sections: dict = {None: {}, "model": {}, "decode": {}}
     for key, value in values.items():
         section, field = _SCHEMA[key]

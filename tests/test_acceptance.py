@@ -26,7 +26,6 @@ from artrip.data import (
     extract_trajectories,
     load_poi_catalog,
     load_visits,
-    split_corpus,
 )
 from artrip.decoding import greedy_pick
 from artrip.guidance import build_guidance_matrix, guidance_factor, zero_guidance
@@ -36,6 +35,10 @@ from artrip.model.recurrent import forward_recurrent_step, init_recurrent_state
 
 DATA = Path(__file__).resolve().parents[1] / "data"
 CITIES = ("edinburgh", "glasgow", "osaka", "toronto")
+GLASGOW_FLAGS = (
+    "--poi-file", str(DATA / "glasgow" / "POI-glasgow.csv"),
+    "--visits-file", str(DATA / "glasgow" / "userVisits-glasgow.csv"),
+)
 
 
 def load_city(name: str, min_len: int = 3):
@@ -180,15 +183,19 @@ def mechanism_study():
     Trains base (no mechanisms) and +agd (all three) variants of both
     architectures for five seeds each at the default hyperparameters,
     then greedy-decodes the bases and adaptively samples the full
-    variants on the test split.  The 20 runs share one spawned worker
-    process per CPU this process may use (`study.run_study`).
+    variants on the test split, each cell by `artrip train` and
+    `artrip evaluate` on the default split.  The 20 runs share one spawned
+    worker process per CPU this process may use (`study.run_study`).
     """
     start = time.perf_counter()
-    catalog, trajectories = load_city("glasgow")
-    split = split_corpus(trajectories, seed=0)
-    results = run_study(split.train, split.test, len(catalog), range(5), workers=len(os.sched_getaffinity(0)))
+    results = run_study(GLASGOW_FLAGS, range(5), workers=len(os.sched_getaffinity(0)))
     results["elapsed"] = time.perf_counter() - start
     return results
+
+
+def seed_reps(cell) -> str:
+    """A study cell's per-seed REP, in seed order, as `a/b/c/d/e`."""
+    return "/".join(f"{rep:.3f}" for _, rep in cell["per_seed"])
 
 
 def test_criterion_5_mechanisms_cut_repetition(mechanism_study):
@@ -201,7 +208,8 @@ def test_criterion_5_mechanisms_cut_repetition(mechanism_study):
         5,
         rep_halved and f1_held and elapsed < 900.0,
         f"REP {base['rep']:.3f} -> {agd['rep']:.3f}, F1 {base['f1']:.3f} -> {agd['f1']:.3f} "
-        f"over 5 seeds, study {elapsed:.0f}s",
+        f"over 5 seeds, study {elapsed:.0f}s; per-seed REP one-shot base {seed_reps(base)}, "
+        f"+agd {seed_reps(agd)}",
     )
 
 
@@ -216,7 +224,8 @@ def test_criterion_6_architectures_rank_as_claimed(mechanism_study):
         and rec_agd["rep"] < rec_base["rep"]
         and elapsed < 900.0,
         f"greedy REP recurrent {rec_base['rep']:.3f} > one-shot {os_base['rep']:.3f}, "
-        f"mechanisms bring recurrent to {rec_agd['rep']:.3f}",
+        f"mechanisms bring recurrent to {rec_agd['rep']:.3f}; per-seed REP recurrent base "
+        f"{seed_reps(rec_base)}, one-shot base {seed_reps(os_base)}, recurrent +agd {seed_reps(rec_agd)}",
     )
 
 
@@ -242,8 +251,7 @@ def test_criterion_7_greedy_decision_sparsity():
 def test_criterion_8_cli_determinism(tmp_path):
     out = tmp_path / "run"
     flags = [
-        "--poi-file", str(DATA / "glasgow" / "POI-glasgow.csv"),
-        "--visits-file", str(DATA / "glasgow" / "userVisits-glasgow.csv"),
+        *GLASGOW_FLAGS,
         "--output-dir", str(out),
         "--embed-dim", "16",
         "--num-layers", "1",

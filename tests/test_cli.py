@@ -8,12 +8,13 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from conftest import load_artifact_hashes
 
 from artrip import analysis, baselines, cli
 from artrip.cli import main
-from artrip.config import ConfigError, load_config
+from artrip.config import ConfigError, DecodeConfig, ExperimentConfig, ModelConfig, load_config
 from artrip.data import Trajectory, split_corpus
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -657,6 +658,40 @@ class TestConfigValidation:
         assert main([*argv, *base_flags]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and key in err
+
+    @pytest.mark.parametrize(
+        "key, value", [("epochs", 2.5), ("guiding", 0), ("top_k", True)], ids=["epochs", "guiding", "top_k"]
+    )
+    def test_a_typed_override_that_no_flag_string_could_give_fails_at_load(self, key, value):
+        with pytest.raises(ConfigError, match=key):
+            load_config(None, {key: value})
+
+    @pytest.mark.parametrize(
+        "key, value, flag",
+        [("epochs", 2, "2"), ("alpha", 1, "1"), ("guiding", False, "false"), ("model_seed", np.int64(3), "3")],
+        ids=["epochs", "alpha", "guiding", "model_seed"],
+    )
+    def test_a_typed_override_gives_the_config_of_its_flag_string(self, key, value, flag):
+        # repr compares field types too: alpha 1 == 1.0 and np.int64(3) == 3
+        assert repr(load_config(None, {key: value})) == repr(load_config(None, {key: flag}))
+
+    @pytest.mark.parametrize(
+        "make, key",
+        [
+            (lambda: ModelConfig(seed=-1), "model_seed"),
+            (lambda: ModelConfig(seed=(0, 1)), "model_seed"),
+            (lambda: DecodeConfig(seed=-1), "decode_seed"),
+            (lambda: DecodeConfig(seed=(3, -1)), "decode_seed"),
+        ],
+        ids=["model", "model-tuple", "decode", "decode-tuple-part"],
+    )
+    def test_each_record_refuses_a_bad_seed_of_its_own(self, make, key):
+        with pytest.raises(ConfigError, match=key):
+            make()
+
+    def test_a_run_config_holds_a_decode_config_with_a_tuple_seed(self):
+        config = ExperimentConfig(model=ModelConfig(), decode=DecodeConfig(seed=(1, 2)))
+        assert config.decode.seed == (1, 2)
 
     def test_zero_heads_is_an_error_line_not_a_traceback(self, capsys):
         assert main(["evaluate", "--num-heads", "0"]) == 1
