@@ -57,14 +57,15 @@ def greedy_pick(row: np.ndarray) -> int:
     return choice
 
 
-def _draw(row: np.ndarray, rng, trace, p: float = 1.0, k: int | None = None, tau: float = 1.0) -> int:
-    """Softmax of row / tau, truncated, renormalized and sampled in one pass.
+def _nucleus(row: np.ndarray, p: float = 1.0, k: int | None = None, tau: float = 1.0) -> tuple[np.ndarray, np.ndarray]:
+    """The (candidates, cdf) a draw from the softmax of row / tau picks from.
 
     The candidates are the k most probable POIs, or else the smallest
-    stable-ordered prefix whose mass reaches p.  The draw is
-    `Generator.choice(candidates, p=sel / sel.sum())`'s own inverse CDF
-    without its argument handling: the same pick from the same single
-    `rng.random()`, so the stream stays where `choice` would leave it.
+    stable-ordered prefix whose mass reaches p.  `cdf` is the renormalized
+    cumulative mass of the candidates as `Generator.choice(candidates,
+    p=sel / sel.sum())` builds it, so `_pick` makes that call's pick.  A
+    pure function of its arguments: a NaN or infinite row maximum raises
+    ValueError.
     """
     if tau != 1.0:
         row = row / tau
@@ -86,10 +87,25 @@ def _draw(row: np.ndarray, rng, trace, p: float = 1.0, k: int | None = None, tau
     sel = sel / np.add.reduce(sel)
     cdf = sel.cumsum()
     cdf /= cdf[-1]
+    return candidates, cdf
+
+
+def _pick(nucleus: tuple[np.ndarray, np.ndarray], rng, trace) -> int:
+    """The candidate the nucleus's inverse CDF gives one `rng.random()`; `trace` gets (candidates, choice)."""
+    candidates, cdf = nucleus
     choice = int(candidates[cdf.searchsorted(rng.random(), side="right")])
     if trace is not None:
         trace.append((tuple(candidates.tolist()), choice))
     return choice
+
+
+def _draw(row: np.ndarray, rng, trace, p: float = 1.0, k: int | None = None, tau: float = 1.0) -> int:
+    """Build the nucleus of `row` and pick from it with one `rng.random()`.
+
+    That is `Generator.choice`'s pick from its own inverse CDF without its
+    argument handling, so the stream stays where `choice` would leave it.
+    """
+    return _pick(_nucleus(row, p, k, tau), rng, trace)
 
 
 def top_k_sample(row: np.ndarray, k: int, rng, trace=None) -> int:
@@ -100,6 +116,13 @@ def top_k_sample(row: np.ndarray, k: int, rng, trace=None) -> int:
 def top_p_sample(row: np.ndarray, p: float, rng, trace=None) -> int:
     """Sample from the smallest stable-ordered prefix whose mass reaches p."""
     return _draw(row, rng, trace, p=p)
+
+
+def _adaptive(confidence: float, cfg: DecodeConfig) -> tuple[float, float]:
+    """The (p, tau) of `adaptive_sample` at `confidence`."""
+    if cfg.adaptive_mode == "temperature":
+        return cfg.top_p, 1.0 + cfg.lam * (1.0 - confidence)
+    return 1.0 - confidence * (1.0 - cfg.top_p), 1.0
 
 
 def adaptive_sample(
@@ -117,9 +140,18 @@ def adaptive_sample(
     threshold mode: the nucleus mass itself is widened toward 1 as
     confidence drops, p_j = 1 - c * (1 - p).
     """
-    if cfg.adaptive_mode == "temperature":
-        return _draw(row, rng, trace, p=cfg.top_p, tau=1.0 + cfg.lam * (1.0 - confidence))
-    return _draw(row, rng, trace, p=1.0 - confidence * (1.0 - cfg.top_p))
+    p, tau = _adaptive(confidence, cfg)
+    return _draw(row, rng, trace, p=p, tau=tau)
+
+
+def _settings(position: int, conf: np.ndarray, cfg: DecodeConfig) -> tuple[float, int | None, float]:
+    """The (p, k, tau) of the nucleus a sampled strategy draws from at `position`."""
+    if cfg.strategy == "top_k":
+        return 1.0, cfg.top_k, 1.0
+    if cfg.strategy == "top_p":
+        return cfg.top_p, None, 1.0
+    p, tau = _adaptive(float(conf[position - 1]), cfg)
+    return p, None, tau
 
 
 def mask_repeats(row: np.ndarray, used: set[int], position: int) -> np.ndarray:
@@ -136,17 +168,24 @@ def mask_repeats(row: np.ndarray, used: set[int], position: int) -> np.ndarray:
     return out
 
 
-def _select(row: np.ndarray, position: int, conf: np.ndarray, cfg: DecodeConfig, rng, trace):
+def _select(row: np.ndarray, position: int, conf: np.ndarray, cfg: DecodeConfig, rng, trace, nuclei=None):
+    """Greedy takes the top score; a sampled strategy picks from its nucleus (`_settings`) at `position`.
+
+    `nuclei`, if given, holds one slot per interior position, position 2
+    first: a held nucleus is picked from, a missing one (None) is built and
+    put there.
+    """
     if cfg.strategy == "greedy":
         choice = greedy_pick(row)
         if trace is not None:
             trace.append(((choice,), choice))
         return choice
-    if cfg.strategy == "top_k":
-        return top_k_sample(row, cfg.top_k, rng, trace)
-    if cfg.strategy == "top_p":
-        return top_p_sample(row, cfg.top_p, rng, trace)
-    return adaptive_sample(row, float(conf[position - 1]), cfg, rng, trace)
+    nucleus = None if nuclei is None else nuclei[position - 2]
+    if nucleus is None:
+        nucleus = _nucleus(row, *_settings(position, conf, cfg))
+        if nuclei is not None:
+            nuclei[position - 2] = nucleus
+    return _pick(nucleus, rng, trace)
 
 
 def decode_trip(
@@ -169,7 +208,11 @@ def decode_trip(
     `params.m_max` or than `pm.m_max + 1` (guidance covers positions
     2..n-1), guidance over other than `params.k` POIs, and an adaptive
     query whose `conf` has no entry for position n - 1.  `ModelParams.memo`
-    keeps a frozen model's one-shot rows and recurrent first step (row and state).
+    keeps a frozen model's one-shot rows and recurrent first step (row and
+    state), and the sampling nuclei of an unmasked one-shot decode, one
+    entry per query, guidance and per-position (p, k, tau).  So a repeat
+    decode of such a query only picks; its picks, trace and random stream
+    are those of a fresh model.
     """
     _check_query(query, params.k)
     check_horizon(query.n, params.m_max)
@@ -179,13 +222,7 @@ def decode_trip(
         check_horizon(query.n - 1, len(conf), "position")
     # row j of the factor is position j + 2's guidance, a read-only view of the matrix's table
     factor = guidance_factor(pm, 2, query.n - 2)
-    if params.config.arch == ARCH_ONE_SHOT:
-        guided = forward_one_shot(query, params)[1:-1] * factor
-
-        def next_row(position: int, prev: int) -> np.ndarray:
-            return guided[position - 2]
-
-    else:
+    if params.config.arch != ARCH_ONE_SHOT:
         state = None
 
         def next_row(position: int, prev: int) -> np.ndarray:
@@ -199,7 +236,25 @@ def decode_trip(
                 raw, state = forward_recurrent_step(state, prev, params)
             return raw * factor[position - 2]
 
-    return _walk(query, next_row, conf, cfg, trace)
+        return _walk(query, next_row, conf, cfg, trace)
+
+    guided = forward_one_shot(query, params)[1:-1] * factor
+
+    def next_row(position: int, prev: int) -> np.ndarray:
+        return guided[position - 2]
+
+    if cfg.strategy == "greedy" or cfg.no_repeat_mask or query.n < 3:
+        return _walk(query, next_row, conf, cfg, trace)
+    # unmasked, every row reads the query alone, so each nucleus is one per query and settings
+    settings = tuple(_settings(position, conf, cfg) for position in range(2, query.n))
+    key = ("nuclei", input_key(query), pm, settings)
+    entry = params.row_memo.get(key)
+    nuclei = [None] * (query.n - 2) if entry is None else list(zip(entry[::2], entry[1::2]))
+    trip = _walk(query, next_row, conf, cfg, trace, nuclei)
+    if entry is None:
+        # stored only once every position has built its nucleus, so a row that raised leaves none
+        params.memo(key, lambda: tuple(array for nucleus in nuclei for array in nucleus))
+    return trip
 
 
 def _check_query(query: Query, k: int) -> None:
@@ -209,12 +264,12 @@ def _check_query(query: Query, k: int) -> None:
     check_pois((query.p_s, query.p_e), k)
 
 
-def _walk(query: Query, next_row, conf: np.ndarray | None, cfg: DecodeConfig, trace) -> Trip:
+def _walk(query: Query, next_row, conf: np.ndarray | None, cfg: DecodeConfig, trace, nuclei=None) -> Trip:
     """The decode loop every generator shares, on a query `_check_query` passed.
 
     The endpoints come from the query.  Each interior position scores the stop
     after `prev` by `next_row(position, prev)`, masks repeats if the config
-    asks, and selects one POI.
+    asks, and selects one POI, from the nucleus `nuclei` holds for it if any.
     """
     rng = _rng(cfg)
     pois = [query.p_s]
@@ -224,7 +279,7 @@ def _walk(query: Query, next_row, conf: np.ndarray | None, cfg: DecodeConfig, tr
         row = next_row(position, prev)
         if cfg.no_repeat_mask:
             row = mask_repeats(row, used, position)
-        prev = _select(row, position, conf, cfg, rng, trace)
+        prev = _select(row, position, conf, cfg, rng, trace, nuclei)
         pois.append(prev)
         used.add(prev)
     pois.append(query.p_e)

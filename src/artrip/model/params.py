@@ -89,7 +89,9 @@ class ModelParams:
             _qkv_spans=tuple((at, at + 3 * size) for name, at, size, _ in layout if name.endswith(".attn_wq")),
             flat=np.zeros(offset, dtype=np.float64),
         )
-        # `row_memo`: decode-time arrays by query key, filled by `memo` once frozen
+        # `row_memo`: decode-time arrays filled by `memo` once frozen: score rows (and the
+        # recurrent first state) by `input_key`, and the nuclei of unmasked one-shot sampled
+        # decodes, which `decode_trip` keys by query, guidance and settings
         vars(self).update(blocks=self.views(self.flat), qkv=self.qkv_views(self.flat), row_memo={})
 
     def freeze(self) -> None:
@@ -111,7 +113,7 @@ class ModelParams:
                 self.row_memo.clear()
             entry = build()
             for array in entry:
-                array.flags.writeable = False
+                array.setflags(write=False)
             self.row_memo[key] = entry
         return entry
 

@@ -42,7 +42,7 @@ class _SeedWords:
     """A seed sequence that hands `PCG64` words already generated.
 
     Registered as a `numpy.random.bit_generator.ISeedSequence` by the first
-    `_seed_words` miss, which every instance's words come from.
+    `_seed_words` miss (`_register`), which every instance's words come from.
     """
 
     __slots__ = ("words",)
@@ -67,12 +67,18 @@ def _key(entropy):
     return operator.index(entropy)
 
 
+@functools.cache
+def _register() -> None:
+    """Register `_SeedWords` as an `ISeedSequence`, once per process: each `register` call voids every ABC's negative cache."""
+    np.random.bit_generator.ISeedSequence.register(_SeedWords)
+
+
 @functools.lru_cache(maxsize=MEMO_CAP)
 def _seed_words(entropy) -> np.ndarray:
     """`SeedSequence(entropy)`'s words for `PCG64`, read-only."""
     words = np.random.SeedSequence(entropy).generate_state(_N_WORDS, np.uint64)
     words.flags.writeable = False
-    np.random.bit_generator.ISeedSequence.register(_SeedWords)
+    _register()
     return words
 
 

@@ -18,7 +18,7 @@ from artrip.config import (
     ModelConfig,
     load_config,
 )
-from artrip.data import Query, Trajectory, input_key
+from artrip.data import Query, Trajectory, input_key, make_query
 from artrip.decoding import (
     Trip,
     adaptive_sample,
@@ -37,7 +37,7 @@ from artrip.guidance import (
 )
 from artrip.metrics import evaluate_decoder
 from artrip.model.one_shot import forward_one_shot
-from artrip.model.params import init_params
+from artrip.model.params import MEMO_CAP, init_params
 from artrip.model.recurrent import forward_recurrent_step, init_recurrent_state
 
 K = 6
@@ -749,6 +749,156 @@ def test_one_shot_interior_guidance_matches_guiding_every_row(strategy, mask, qu
     trip, warned = decode_with_warnings(decode_trip, *args, trace)
     ref, ref_warned = decode_with_warnings(reference_one_shot_decode, *args, ref_trace)
     assert (trip, trace, sorted(warned)) == (ref, ref_trace, sorted(ref_warned))
+
+
+# the sampled strategies, adaptive in both modes
+SAMPLED = [("top_k", "temperature"), ("top_p", "temperature"), ("adaptive", "temperature"), ("adaptive", "threshold")]
+
+
+def nucleus_keys(params):
+    """The keys of the memo's nucleus entries: ("nuclei", input key, guidance, settings)."""
+    return [key for key in params.row_memo if key[0] == "nuclei"]
+
+
+@pytest.mark.parametrize("traced", [False, True])
+@pytest.mark.parametrize("mask", [False, True])
+@pytest.mark.parametrize("strategy, mode", SAMPLED)
+@pytest.mark.parametrize("arch", [ARCH_ONE_SHOT, ARCH_RECURRENT])
+@settings(max_examples=10, deadline=None)
+@given(query=queries, seed=st.integers(0, 2**16))
+def test_a_warm_nucleus_memo_decodes_as_an_undecoded_copy(arch, strategy, mode, mask, traced, query, seed):
+    cfg = DecodeConfig(strategy=strategy, top_k=3, adaptive_mode=mode, no_repeat_mask=mask, seed=seed)
+    warm = WARM_PARAMS[arch]
+    # a decode on another seed leaves an unmasked one-shot query's nuclei in the memo
+    decode_trip(query, warm, PROPERTY_PM, PROPERTY_CONF, replace(cfg, seed=seed + 1))
+    held = any(key[1:3] == (input_key(query), PROPERTY_PM) for key in nucleus_keys(warm))
+    assert held or query.n == 2 or arch == ARCH_RECURRENT or mask
+    cold = property_params(arch)
+    trace, cold_trace = ([], []) if traced else (None, None)
+    got = decode_with_warnings(decode_trip, query, warm, PROPERTY_PM, PROPERTY_CONF, cfg, trace)
+    want = decode_with_warnings(decode_trip, query, cold, PROPERTY_PM, PROPERTY_CONF, cfg, cold_trace)
+    assert (got, trace) == (want, cold_trace)
+
+
+@pytest.mark.parametrize("mask", [False, True])
+@pytest.mark.parametrize("strategy, mode", SAMPLED)
+@pytest.mark.parametrize("arch", [ARCH_ONE_SHOT, ARCH_RECURRENT])
+def test_only_an_unmasked_one_shot_decode_keeps_nuclei(arch, strategy, mode, mask):
+    params = property_params(arch)
+    query = Query(p_s=0, t_s=0, p_e=1, t_e=10800, n=4)
+    cfg = DecodeConfig(strategy=strategy, top_k=3, adaptive_mode=mode, no_repeat_mask=mask, seed=2)
+    for _ in range(2):
+        decode_trip(query, params, PROPERTY_PM, PROPERTY_CONF, cfg)
+    held = [params.row_memo[key] for key in nucleus_keys(params)]
+    # one entry of (candidates, cdf) per interior position, or none where a row reads earlier picks
+    assert [len(entry) for entry in held] == ([2 * (query.n - 2)] if arch == ARCH_ONE_SHOT and not mask else [])
+
+
+@pytest.mark.parametrize("arch", [ARCH_ONE_SHOT, ARCH_RECURRENT])
+def test_a_released_mask_warns_on_every_decode(arch):
+    # two POIs, both endpoints: position 2's mask empties the row on every decode
+    pm = build_guidance_matrix([Trajectory(pois=(0, 1, 0, 1), times=(0, 3600, 7200, 10800))], k=2)
+    cfg = ModelConfig(arch=arch, embed_dim=8, num_layers=1, num_heads=2, hidden_dim=16, seed=5)
+    params = init_params(cfg, k=2, m_max=pm.m_max)
+    query = Query(p_s=0, t_s=0, p_e=1, t_e=7200, n=3)
+    decode_cfg = DecodeConfig(strategy="top_p", no_repeat_mask=True, seed=4)
+    runs = [decode_with_warnings(decode_trip, query, params, pm, build_confidence(pm, 2), decode_cfg) for _ in range(2)]
+    assert runs[0] == runs[1]
+    assert runs[0][1] == [(RuntimeWarning, "no-repeat mask exhausted the vocabulary at position 2; releasing it")]
+
+
+def test_each_setting_a_nucleus_reads_gets_its_own_entry():
+    arch = ARCH_ONE_SHOT
+    params = property_params(arch)
+    query = Query(p_s=0, t_s=0, p_e=1, t_e=10800, n=4)
+    edited = PROPERTY_CONF.copy()
+    edited[1:3] = 0.25
+    assert not np.array_equal(edited[1:3], PROPERTY_CONF[1:3])
+    base = DecodeConfig(strategy="adaptive", seed=7)
+    runs = [
+        (PROPERTY_PM, PROPERTY_CONF, base),
+        (zero_guidance(K, PROPERTY_PM.m_max), PROPERTY_CONF, base),
+        (PROPERTY_PM, edited, base),
+        (PROPERTY_PM, PROPERTY_CONF, replace(base, lam=2.5)),
+        (PROPERTY_PM, PROPERTY_CONF, replace(base, top_p=0.6)),
+        (PROPERTY_PM, PROPERTY_CONF, replace(base, strategy="top_k")),
+        (PROPERTY_PM, PROPERTY_CONF, replace(base, strategy="top_k", top_k=2)),
+    ]
+    for i, (pm, conf, cfg) in enumerate(runs * 2):
+        trip, trace, cold_trace = decode_trip(query, params, pm, conf, cfg, trace := []), trace, []
+        assert (trip, trace) == (decode_trip(query, property_params(arch), pm, conf, cfg, cold_trace), cold_trace)
+        # one new entry per setting; the second round reads them
+        assert len(nucleus_keys(params)) == min(i + 1, len(runs))
+    assert not any(array.flags.writeable for key in nucleus_keys(params) for array in params.row_memo[key])
+
+
+@pytest.mark.filterwarnings("ignore:no-repeat mask:RuntimeWarning")
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+@pytest.mark.parametrize("position", [2, 3])
+@pytest.mark.parametrize("mask", [False, True])
+@pytest.mark.parametrize("arch", [ARCH_ONE_SHOT, ARCH_RECURRENT])
+def test_a_row_with_a_non_finite_maximum_raises_on_every_decode_and_leaves_no_nucleus(arch, mask, position, bad):
+    values = PROPERTY_PM.values.copy()
+    values[:, position - 1] = bad
+    pm = GuidanceMatrix(values=values, poi_totals=PROPERTY_PM.poi_totals.copy())
+    params = property_params(arch)
+    query = Query(p_s=0, t_s=0, p_e=1, t_e=10800, n=4)
+    cfg = DecodeConfig(strategy="top_p", no_repeat_mask=mask, seed=3)
+    traces = []
+    for _ in range(2):
+        traces.append([])
+        with pytest.raises(ValueError, match="probabilities contain NaN"):
+            decode_trip(query, params, pm, PROPERTY_CONF, cfg, traces[-1])
+        assert nucleus_keys(params) == []
+    # the positions before the bad one picked as before, on both decodes
+    assert traces[0] == traces[1] and len(traces[0]) == position - 2
+
+
+@pytest.mark.parametrize("mask", [False, True])
+@pytest.mark.parametrize("arch", [ARCH_ONE_SHOT, ARCH_RECURRENT])
+def test_a_greedy_decode_adds_no_nucleus(arch, mask):
+    params = property_params(arch)
+    query = Query(p_s=0, t_s=0, p_e=1, t_e=10800, n=4)
+    for _ in range(2):
+        decode_trip(query, params, PROPERTY_PM, PROPERTY_CONF, DecodeConfig(no_repeat_mask=mask))
+    assert list(params.row_memo) == [input_key(query)]
+
+
+@pytest.mark.filterwarnings("ignore:no-repeat mask:RuntimeWarning")
+def test_the_decoders_of_the_decode_mix_benchmark_never_clear_the_memo():
+    # long routes: one entry per position would pass the cap, one per query and setting does not
+    k, m_max = 24, 16
+    rng = np.random.default_rng(0)
+    routes = [Trajectory(pois=tuple(rng.permutation(k)[:m_max]), times=tuple(range(0, 3600 * m_max, 3600))) for _ in range(8)]
+    pm = build_guidance_matrix(routes, k=k)
+    conf = build_confidence(pm, k=k)
+    # 48 distinct input keys: (start, hour) differs for every i
+    truths = [
+        Trajectory(pois=(i % k, *range(n - 2), (i * 7 + 1) % k), times=tuple(3600 * (i // k) + j for j in range(n)))
+        for i, n in zip(range(48), [m_max, m_max - 1, m_max - 2, 12] * 12)
+    ]
+    assert len({input_key(make_query(t)) for t in truths}) == 48
+    for arch in (ARCH_ONE_SHOT, ARCH_RECURRENT):
+        cfg = ModelConfig(arch=arch, embed_dim=8, num_layers=1, num_heads=2, hidden_dim=16, seed=5)
+        params = init_params(cfg, k=k, m_max=m_max)
+        sizes = []
+        # the strategies perfbench's decode_mix scores
+        for strategy in ("greedy", "top_p", "adaptive"):
+            for mask in (False, True):
+                decode_cfg = DecodeConfig(strategy=strategy, no_repeat_mask=mask, seed=11)
+
+                def decode_fn(query, ordinal, repeat_seed, decode_cfg=decode_cfg):
+                    per_query = decode_config_for_query(decode_cfg, repeat_seed, ordinal)
+                    trip = decode_trip(query, params, pm, conf, per_query)
+                    sizes.append(len(params.row_memo))
+                    return trip
+
+                evaluate_decoder(decode_fn, truths, repeats=2, base_seed=11)
+        # a clear would shrink the memo; 48 rows and, one-shot only, 2 x 48 nucleus entries
+        assert sizes == sorted(sizes)
+        assert sizes[-1] == (3 if arch == ARCH_ONE_SHOT else 1) * 48
+    # the premise: one-shot entries per position (two unmasked decoders) and the rows would pass the cap
+    assert 2 * sum(len(t) - 2 for t in truths) + 48 > MEMO_CAP
 
 
 class TestSeeds:

@@ -79,6 +79,19 @@ def test_an_evicted_entropy_still_streams_its_raw_words():
     assert hit_and_miss(lambda: words(streams.rng("decode", (7, 3)))) == (raw, (0, 1))
 
 
+def test_ten_misses_register_the_seed_words_class_once(monkeypatch):
+    calls = []
+    seed_sequence = np.random.bit_generator.ISeedSequence
+    real = seed_sequence.register
+    monkeypatch.setattr(seed_sequence, "register", lambda cls: calls.append(cls) or real(cls))
+    streams._seed_words.cache_clear()
+    streams._register.cache_clear()
+    for ordinal in range(10):
+        assert words(streams.rng("decode", (9, ordinal))) == words(np.random.default_rng((9, ordinal)))
+    assert streams._seed_words.cache_info().misses == 10
+    assert calls == [streams._SeedWords]
+
+
 def test_memoized_seed_words_are_read_only():
     streams.rng("init", 3)
     with pytest.raises(ValueError, match="read-only"):
