@@ -5,6 +5,10 @@ bundle, evaluate it (or a baseline) on the held-out split, recommend a
 single trip, and analyze the repetition structure of the corpus and
 the decoder.  Every run is deterministic for a fixed config, so
 re-running a command overwrites its outputs with identical bytes.
+Importing this module loads no numpy, so `ingest` never loads it: the
+numpy-free names are bound at the top, `save_bundle` too (only `train`
+calls it, but `perfbench` wraps it here by name), and each command
+imports the rest.
 """
 
 from __future__ import annotations
@@ -14,9 +18,6 @@ import sys
 from collections import Counter
 from pathlib import Path
 
-import numpy as np
-
-from artrip import analysis, baselines, metrics
 from artrip.config import CONFIG_KEYS, ConfigError, ExperimentConfig, load_config
 from artrip.data import (
     MIN_TRAJECTORIES,
@@ -30,10 +31,7 @@ from artrip.data import (
     split_corpus,
     write_csv,
 )
-from artrip.decoding import decode_config_for_query, decode_trip
-from artrip.guidance import build_confidence, build_guidance_matrix, check_horizon
 from artrip.model.bundle import MECHANISM_KEYS, load_bundle, save_bundle, vocab_sha256
-from artrip.model.train import train
 
 # flags whose spelling differs from the config key
 _FLAG_NAMES = {"j_max": "--jmax"}
@@ -97,6 +95,8 @@ def cmd_ingest(config: ExperimentConfig, args: argparse.Namespace) -> int:
 
 
 def cmd_train(config: ExperimentConfig, args: argparse.Namespace) -> int:
+    from artrip.guidance import build_confidence, build_guidance_matrix
+    from artrip.model.train import train
     catalog, split = _load_split(config)
     pm = build_guidance_matrix(split.train, len(catalog))
     conf = build_confidence(pm, len(catalog))
@@ -125,14 +125,18 @@ def _decoder(
     transitions of `train` otherwise.  A `longest` trip length past a
     positional generator's horizon raises ValueError here, before any decode.
     """
+    from artrip.guidance import check_horizon
     if config.generator == "popularity":
+        from artrip import baselines
         counts = baselines.build_popularity(train, len(catalog))
         return lambda query, cfg: baselines.popularity_decode(query, counts)
     if config.generator == "markov":
+        from artrip import analysis, baselines
         if matrices is None:
             matrices = analysis.empirical_transitions(train, len(catalog))
         check_horizon(longest, len(matrices) + 1)
         return lambda query, cfg: baselines.markov_decode(query, matrices, cfg)
+    from artrip.decoding import decode_trip
     bundle = load_bundle(Path(config.output_dir) / "model")
     if bundle.manifest["vocab_sha256"] != vocab_sha256(catalog.ids):
         raise ConfigError("bundle vocabulary does not match the ingested corpus")
@@ -149,6 +153,8 @@ def _score_test_split(config: ExperimentConfig, repeats: int, transitions: bool 
     estimated once and walked by the Markov generator; otherwise it is None.
     Nothing is written, so a failed decode leaves no report behind.
     """
+    from artrip import analysis, metrics
+    from artrip.decoding import decode_config_for_query
     catalog, split = _load_split(config)
     if not split.test:
         raise ConfigError("test split is empty; adjust ratios or corpus")
@@ -162,6 +168,7 @@ def _score_test_split(config: ExperimentConfig, repeats: int, transitions: bool 
 
 
 def cmd_evaluate(config: ExperimentConfig, args: argparse.Namespace) -> int:
+    from artrip import metrics
     catalog, _, report = _score_test_split(config, config.repeats)
     out = _out_dir(config)
     metrics.write_metrics_csv(report, out / "metrics.csv")
@@ -205,6 +212,8 @@ def cmd_recommend(config: ExperimentConfig, args: argparse.Namespace) -> int:
 
 
 def cmd_analyze(config: ExperimentConfig, args: argparse.Namespace) -> int:
+    import numpy as np
+    from artrip import analysis
     # one repeat: query i decodes with the seed pair (decode_seed, i), as in repeat 0 of evaluate
     catalog, matrices, report = _score_test_split(config, 1, transitions=True)
     out = _out_dir(config)

@@ -16,9 +16,12 @@ import math
 import numbers
 import os
 from dataclasses import dataclass, fields, replace
+from typing import TYPE_CHECKING
 
 from artrip.data import open_text
-from artrip.guidance import GuidanceMatrix, zero_guidance
+
+if TYPE_CHECKING:
+    from artrip.guidance import GuidanceMatrix
 
 OUTPUT_DIR_ENV = "ARTRIP_OUTPUT_DIR"
 
@@ -175,6 +178,7 @@ class ExperimentConfig:
 
     def guidance(self, pm: GuidanceMatrix) -> GuidanceMatrix:
         """The guidance training and decoding apply: `pm`, or zero guidance with `guiding` off."""
+        from artrip.guidance import zero_guidance  # numpy loads with a matrix, not with the config
         return pm if self.guiding else zero_guidance(pm.k, pm.m_max)
 
 

@@ -19,8 +19,6 @@ from operator import itemgetter
 from pathlib import Path
 from typing import NamedTuple
 
-from artrip import streams
-
 POI_HEADER = ["poiID", "poiName", "lat", "long", "theme"]
 VISIT_HEADER = ["userID", "seqID", "poiID", "dateTaken"]
 
@@ -256,6 +254,7 @@ def split_corpus(
         raise ValueError(f"ratios must sum to 1, got {ratios}")
     if len(ts) < MIN_TRAJECTORIES:
         raise ValueError(f"need at least {MIN_TRAJECTORIES} trajectories to split, got {len(ts)}")
+    from artrip import streams  # numpy loads here, not on import: `ingest` never splits
     order = streams.rng("split", seed).permutation(len(ts))
     shuffled = [ts[i] for i in order]
     n = len(ts)

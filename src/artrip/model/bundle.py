@@ -26,7 +26,9 @@ config, k and m_max before any parameter array is built or either binary
 file is read, so no manifest value can make loading allocate or loop
 beyond what the files hold.  Saving, and loading after the sha256 check,
 refuse a NaN or infinity in the parameters, the guidance rows or the
-confidence row.
+confidence row.  numpy, `ModelParams` and `GuidanceMatrix` are imported
+by the functions that build or read arrays, so `artrip.cli` binds
+`save_bundle` and `load_bundle` without loading numpy.
 """
 
 from __future__ import annotations
@@ -38,12 +40,15 @@ import shutil
 from dataclasses import asdict, dataclass, fields, replace
 from itertools import zip_longest
 from pathlib import Path
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from artrip.config import ModelConfig
-from artrip.guidance import GuidanceMatrix
-from artrip.model.params import ModelParams, block_shapes
+
+if TYPE_CHECKING:
+    import numpy as np
+
+    from artrip.guidance import GuidanceMatrix
+    from artrip.model.params import ModelParams
 
 BUNDLE_FORMAT = "trip-bundle-v1"
 MECHANISM_KEYS = ("guiding", "drifting", "adapting")
@@ -87,6 +92,7 @@ def save_bundle(
     An existing bundle at `path` is replaced whole; anything else there is
     refused.
     """
+    import numpy as np
     if sorted(mechanisms) != sorted(MECHANISM_KEYS):
         raise ValueError(f"mechanisms must have exactly the keys {MECHANISM_KEYS}")
     if len(vocab_ids) != params.k or pm.k != params.k:
@@ -134,6 +140,7 @@ def save_bundle(
 
 def _check_finite(params: ModelParams, grid: np.ndarray) -> None:
     """Refuse a NaN or infinity in `params` or the (k + 1, m_max) guidance grid, naming its file, block or row and entry."""
+    import numpy as np
     if np.isfinite(params.flat).all() and np.isfinite(grid).all():
         return
     k = len(grid) - 1
@@ -172,6 +179,7 @@ def _param_floats(config: ModelConfig, k: int, m_max: int) -> int:
     Closed form in `num_layers`: every encoder layer adds the same blocks,
     so no manifest value makes this loop.
     """
+    from artrip.model.params import block_shapes
 
     def floats(layers: int) -> int:
         shapes = block_shapes(replace(config, num_layers=layers), k, m_max)
@@ -183,6 +191,7 @@ def _param_floats(config: ModelConfig, k: int, m_max: int) -> int:
 
 def _read_checked(path: Path, name: str, manifest: dict) -> np.ndarray:
     """The float64 contents of bundle file `name`, once its sha256 matches."""
+    import numpy as np
     payload = (path / name).read_bytes()
     field = _HASH_FIELDS[name]
     digest = hashlib.sha256(payload).hexdigest()
@@ -193,6 +202,9 @@ def _read_checked(path: Path, name: str, manifest: dict) -> np.ndarray:
 
 def load_bundle(path) -> Bundle:
     """Read a bundle directory back into live objects."""
+    import numpy as np
+    from artrip.guidance import GuidanceMatrix
+    from artrip.model.params import ModelParams
     path = Path(path)
     try:
         manifest = json.loads((path / "manifest.json").read_text(encoding="ascii"))

@@ -10,6 +10,7 @@ from artrip.config import ARCH_ONE_SHOT, ARCH_RECURRENT, ModelConfig
 from artrip.data import Trajectory
 from artrip.guidance import GuidanceMatrix, build_confidence, build_guidance_matrix
 from artrip.model import bundle as bundle_module
+from artrip.model import params as params_module
 from artrip.model.bundle import load_bundle, save_bundle, vocab_sha256
 from artrip.model.params import ModelParams, init_params
 
@@ -284,7 +285,7 @@ def test_a_malformed_manifest_is_refused_before_the_params_are_built(tmp_path, e
     save_bundle(tmp_path / "model", params, pm, conf, MECHS, VOCAB)
     path = tmp_path / "model" / "manifest.json"
     path.write_text(edit(path.read_text()))
-    with mock.patch.object(bundle_module, "ModelParams", side_effect=AssertionError("ModelParams was built")):
+    with mock.patch.object(params_module, "ModelParams", side_effect=AssertionError("ModelParams was built")):
         with pytest.raises(ValueError, match=message):
             load_bundle(tmp_path / "model")
 

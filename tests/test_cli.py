@@ -12,10 +12,11 @@ import numpy as np
 import pytest
 from conftest import load_artifact_hashes
 
-from artrip import analysis, baselines, cli
+from artrip import analysis, baselines, cli, decoding
 from artrip.cli import main
 from artrip.config import ConfigError, DecodeConfig, ExperimentConfig, ModelConfig, load_config
 from artrip.data import Trajectory, split_corpus
+from artrip.model import train as train_module
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -374,7 +375,7 @@ class TestRecommend:
         def no_decode(*args):
             raise AssertionError("an over-long trip was decoded")
 
-        monkeypatch.setattr(cli, "decode_trip", no_decode)
+        monkeypatch.setattr(decoding, "decode_trip", no_decode)
         monkeypatch.setattr(baselines, "markov_decode", no_decode)
         # the training routes have at most 4 stops
         args = ["recommend", *flags, "--start", "101", "--end", "102", "--length", "5"]
@@ -508,7 +509,7 @@ class TestHorizon:
         def no_decode(*args):
             raise AssertionError("an over-long trip was decoded")
 
-        monkeypatch.setattr(cli, "decode_trip", no_decode)
+        monkeypatch.setattr(decoding, "decode_trip", no_decode)
         monkeypatch.setattr(baselines, "markov_decode", no_decode)
         assert main([command, *flags]) == 1
         assert "trip length n=6 exceeds the horizon m_max=4" in capsys.readouterr().err
@@ -798,7 +799,7 @@ def received(monkeypatch, argv, corpus=()):
     def stop(*args):
         raise Received(*args)
 
-    monkeypatch.setattr(cli, "train", stop)
+    monkeypatch.setattr(train_module, "train", stop)
     with pytest.raises(Received) as model_call:
         main(["train", *corpus, *argv])
     _, pm, model = model_call.value.args

@@ -26,7 +26,9 @@ Each module is also imported alone, after every module of its package is
 dropped from `sys.modules`.  The package preloads nothing, so an import
 cycle that breaks only when one particular module is imported first would
 otherwise fail for some callers and pass in the suite.  Imported so,
-`artrip.config` loads no `artrip.decoding` and no `artrip.model` module.
+`artrip.config` loads no `artrip.decoding` and no `artrip.model` module,
+and none of `artrip.cli`, `artrip.config`, `artrip.data` and
+`artrip.model.bundle` loads numpy, so `artrip ingest` runs without it.
 """
 
 import ast
@@ -412,7 +414,8 @@ def test_the_orphan_scan_finds_a_module_that_only_itself_or_nothing_imports():
 
 # Imports each named module after dropping every module of its package from
 # sys.modules; prints one JSON line per module: its name, the error it raised
-# or null, and the package's modules then loaded.
+# or null, and the package's modules and numpy's then loaded.  numpy is never
+# dropped, so its entries belong to the first name that loaded it.
 _ALONE = """
 import importlib, json, sys
 package = sys.argv[1]
@@ -424,12 +427,12 @@ for name in sys.argv[2:]:
         error = None
     except Exception as exc:
         error = f"{type(exc).__name__}: {exc}"
-    print(json.dumps([name, error, sorted(m for m in sys.modules if m.split(".")[0] == package)]))
+    print(json.dumps([name, error, sorted(m for m in sys.modules if m.split(".")[0] in (package, "numpy"))]))
 """
 
 
 def import_alone(root: Path, package: str, names: list[str]) -> dict[str, tuple[str | None, list[str]]]:
-    """name -> (its error or None, the modules of `package` loaded) for each of `names` imported alone from `root`."""
+    """name -> (its error or None, the modules of `package` and numpy loaded) for each of `names` imported alone from `root`."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(root), os.environ.get("PYTHONPATH", "")]))
     done = subprocess.run(
         [sys.executable, "-c", _ALONE, package, *names], env=env, capture_output=True, text=True, timeout=120
@@ -449,11 +452,33 @@ def test_every_module_imports_on_its_own():
     assert import_failures(SRC, "artrip", names) == []
 
 
-def test_the_config_loads_neither_the_decoder_nor_the_models():
+def test_the_config_loads_neither_the_decoder_nor_the_models(tmp_path):
+    # nothing `ingest` imports loads numpy: each name in an interpreter of its own
+    loaded = {}
+    for name in ("artrip.cli", "artrip.config", "artrip.data", "artrip.model.bundle"):
+        error, loaded[name] = import_alone(SRC, "artrip", [name])[name]
+        assert error is None and name in loaded[name]
+        assert [m for m in loaded[name] if m.split(".")[0] == "numpy"] == [], name
     # the run's records sit below the code they configure
-    error, loaded = import_alone(SRC, "artrip", ["artrip.config"])["artrip.config"]
-    assert error is None and "artrip.config" in loaded
-    assert [m for m in loaded if m == "artrip.decoding" or m.startswith("artrip.model")] == []
+    assert [m for m in loaded["artrip.config"] if m == "artrip.decoding" or m.startswith("artrip.model")] == []
+    # and `ingest` runs to the end without numpy
+    script = (
+        "import sys\n"
+        "from artrip.cli import main\n"
+        "code = main(sys.argv[1:])\n"
+        "print('numpy' in sys.modules)\n"
+        "sys.exit(code)\n"
+    )
+    corpus = ROOT / "data" / "glasgow"
+    flags = ["--poi-file", str(corpus / "POI-glasgow.csv"), "--visits-file", str(corpus / "userVisits-glasgow.csv")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run(
+        [sys.executable, "-c", script, "ingest", *flags, "--output-dir", str(tmp_path / "out")],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "False"
+    assert (tmp_path / "out" / "corpus.csv").exists()
 
 
 def test_the_import_check_finds_a_cycle_that_one_entry_point_hides(tmp_path):
