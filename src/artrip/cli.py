@@ -9,11 +9,21 @@ Importing this module loads no numpy, so `ingest` never loads it: the
 numpy-free names are bound at the top, `save_bundle` too (only `train`
 calls it, but `perfbench` wraps it here by name), and each command
 imports the rest.
+
+`main()` returns the exit code; `run()`, the process entry of both
+`python -m artrip.cli` and the `artrip` console script, ends the process
+with it through `os._exit` once stdout and stderr are flushed, skipping
+the interpreter's teardown (a full garbage collection and module
+clean-up).  Nothing is lost by that: every file a
+command writes is closed before `main()` returns, and neither artrip nor
+numpy registers an `atexit` handler.  In-process callers of `main()` keep
+the ordinary exit.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from collections import Counter
 from pathlib import Path
@@ -31,7 +41,7 @@ from artrip.data import (
     split_corpus,
     write_csv,
 )
-from artrip.model.bundle import MECHANISM_KEYS, load_bundle, save_bundle, vocab_sha256
+from artrip.model.bundle import MECHANISM_KEYS, load_bundle, read_manifest, save_bundle, vocab_sha256
 
 # flags whose spelling differs from the config key
 _FLAG_NAMES = {"j_max": "--jmax"}
@@ -69,6 +79,18 @@ def _load_split(config: ExperimentConfig):
     catalog, *_, trajectories = _load_corpus(config)
     ratios = (config.train_ratio, config.val_ratio, config.test_ratio)
     return catalog, split_corpus(trajectories, ratios, config.split_seed)
+
+
+def _check_bundle(config: ExperimentConfig) -> None:
+    """Refuse, before any corpus is read, a key this run states that its trained bundle disagrees with.
+
+    Only the model generator reads a bundle; a missing one is reported
+    where `_decoder` loads it, after the corpus.
+    """
+    manifest = Path(config.output_dir) / "model" / "manifest.json"
+    if config.generator == "model" and manifest.is_file():
+        info, trained = read_manifest(manifest.parent)
+        config.check_bundle(trained, info["mechanisms"], manifest)
 
 
 def _out_dir(config: ExperimentConfig) -> Path:
@@ -155,6 +177,7 @@ def _score_test_split(config: ExperimentConfig, repeats: int, transitions: bool 
     """
     from artrip import analysis, metrics
     from artrip.decoding import decode_config_for_query
+    _check_bundle(config)
     catalog, split = _load_split(config)
     if not split.test:
         raise ConfigError("test split is empty; adjust ratios or corpus")
@@ -189,6 +212,7 @@ def cmd_evaluate(config: ExperimentConfig, args: argparse.Namespace) -> int:
 def cmd_recommend(config: ExperimentConfig, args: argparse.Namespace) -> int:
     if args.length < 2:
         raise ConfigError("trip length must be at least 2")
+    _check_bundle(config)
     catalog, split = _load_split(config)
     for poi in (args.start, args.end):
         if poi not in catalog:
@@ -282,5 +306,25 @@ def main(argv=None) -> int:
         return 1
 
 
+def run() -> None:
+    """Run `main()` and end the process with its exit code, skipping interpreter teardown.
+
+    The files a command writes are closed before `main()` returns, and
+    neither artrip nor numpy registers an `atexit` handler, so once stdout
+    and stderr are flushed the teardown has nothing left to do but collect
+    garbage and clear modules.  An exception that escapes `main()`,
+    argparse's `SystemExit` included, propagates as usual.  If a flush
+    fails (a closed pipe, say), the ordinary `sys.exit` reports it as it
+    always has.
+    """
+    code = main()
+    try:
+        sys.stdout.flush()
+        sys.stderr.flush()
+    except (OSError, ValueError):
+        sys.exit(code)
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -149,6 +149,8 @@ class ExperimentConfig:
     j_max: int = 10
     noise_sigma: float = 0.1
     noise_seed: int = 0
+    # the keys a config file, the environment or a flag set; not a key itself
+    stated: frozenset[str] = frozenset()
 
     def __post_init__(self):
         for key in ("poi_file", "visits_file", "output_dir"):
@@ -181,6 +183,24 @@ class ExperimentConfig:
         from artrip.guidance import zero_guidance  # numpy loads with a matrix, not with the config
         return pm if self.guiding else zero_guidance(pm.k, pm.m_max)
 
+    def check_bundle(self, trained: ModelConfig, mechanisms: dict[str, bool], where) -> None:
+        """Refuse a model key or `drifting` that this run states and a bundle disagrees with.
+
+        `trained` and `mechanisms` are the bundle's, read from its manifest
+        `where`.  A key that no config file or flag set is not compared, and
+        `guiding` and `adapting` stay decode-time overrides.
+        """
+        for key in _BUNDLE_KEYS:
+            if key not in self.stated:
+                continue
+            name = _SCHEMA[key][1].name
+            ours, theirs = (
+                (self.drifting, mechanisms[key]) if key == "drifting"
+                else (getattr(self.model, name), getattr(trained, name))
+            )
+            if ours != theirs:
+                raise ConfigError(f"{key} = {ours!r} disagrees with the bundle's {key} = {theirs!r} in {where}")
+
 
 _SECTIONS = {"model": ModelConfig, "decode": DecodeConfig}
 
@@ -189,6 +209,8 @@ def _schema() -> dict:
     """Flat key -> (section, dataclass field) in declaration order; section None is a key of the run's own."""
     schema = {}
     for own in fields(ExperimentConfig):
+        if own.name == "stated":
+            continue
         if own.name not in _SECTIONS:
             schema[own.name] = (None, own)
             continue
@@ -200,6 +222,9 @@ def _schema() -> dict:
 _SCHEMA = _schema()
 
 CONFIG_KEYS = tuple(_SCHEMA)
+
+# the keys a bundle records, drifting first: with it off, alpha is 0 whatever was stated
+_BUNDLE_KEYS = ("drifting", *(key for key, (section, _) in _SCHEMA.items() if section == "model"))
 
 
 def _coerce(key: str, raw: str, where: str = ""):
@@ -259,4 +284,4 @@ def load_config(path: str | None, overrides: dict | None = None) -> ExperimentCo
     if not own.get("drifting", ExperimentConfig.drifting):
         # only after ModelConfig has refused a bad alpha
         model = replace(model, alpha=0.0)
-    return ExperimentConfig(model=model, decode=decode, **own)
+    return ExperimentConfig(model=model, decode=decode, stated=frozenset(values), **own)

@@ -26,7 +26,8 @@ config, k and m_max before any parameter array is built or either binary
 file is read, so no manifest value can make loading allocate or loop
 beyond what the files hold.  Saving, and loading after the sha256 check,
 refuse a NaN or infinity in the parameters, the guidance rows or the
-confidence row.  numpy, `ModelParams` and `GuidanceMatrix` are imported
+confidence row.  `read_manifest` runs the manifest's checks alone and
+reads neither binary file.  numpy, `ModelParams` and `GuidanceMatrix` are imported
 by the functions that build or read arrays, so `artrip.cli` binds
 `save_bundle` and `load_bundle` without loading numpy.
 """
@@ -200,11 +201,11 @@ def _read_checked(path: Path, name: str, manifest: dict) -> np.ndarray:
     return np.frombuffer(payload, dtype="<f8")
 
 
-def load_bundle(path) -> Bundle:
-    """Read a bundle directory back into live objects."""
-    import numpy as np
-    from artrip.guidance import GuidanceMatrix
-    from artrip.model.params import ModelParams
+def read_manifest(path) -> tuple[dict, ModelConfig]:
+    """The manifest.json of bundle directory `path` and its ModelConfig, once every field checks out.
+
+    Reads neither binary file.
+    """
     path = Path(path)
     try:
         manifest = json.loads((path / "manifest.json").read_text(encoding="ascii"))
@@ -244,6 +245,17 @@ def load_bundle(path) -> Bundle:
     negative = [t for t in manifest["guidance_totals"] if t < 0]
     if negative:
         raise _manifest_error("guidance_totals", f"negative ({negative[0]})", "non-negative counts")
+    return manifest, config
+
+
+def load_bundle(path) -> Bundle:
+    """Read a bundle directory back into live objects."""
+    import numpy as np
+    from artrip.guidance import GuidanceMatrix
+    from artrip.model.params import ModelParams
+    path = Path(path)
+    manifest, config = read_manifest(path)
+    k, m_max, mechanisms = manifest["k"], manifest["m_max"], manifest["mechanisms"]
     for name, floats in (("params.bin", _param_floats(config, k, m_max)), ("guidance.bin", (k + 1) * m_max)):
         size = (path / name).stat().st_size
         if size != 8 * floats:

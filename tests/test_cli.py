@@ -223,6 +223,77 @@ class TestCommandTable:
             calls.clear()
 
 
+GLASGOW = SRC.parent / "data" / "glasgow"
+GLASGOW_FLAGS = ["--poi-file", str(GLASGOW / "POI-glasgow.csv"), "--visits-file", str(GLASGOW / "userVisits-glasgow.csv")]
+
+
+def child(*args):
+    """A finished `python *args` with `src` on its path and stdout and stderr piped, so both are block-buffered."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")]))
+    env.pop("PYTHONUNBUFFERED", None)
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True, timeout=120)
+
+
+# `python -c` with this prelude, an entry and a command's flags: the entry is
+# the ordinary exit, `sys.exit(main())`, or the `__main__` block that
+# `python -m artrip.cli` runs
+BROKEN_STDOUT = (
+    "import io, runpy, sys\n"
+    "class Broken(io.StringIO):\n"
+    "    def flush(self):\n"
+    "        raise BrokenPipeError(32, 'Broken pipe')\n"
+    "    def __repr__(self):\n"
+    "        return '<broken stdout>'\n"
+    "sys.stdout = Broken()\n"
+)
+ENTRIES = {
+    "ordinary": "from artrip.cli import main\nsys.exit(main())\n",
+    "module": "runpy.run_module('artrip.cli', run_name='__main__')\n",
+}
+
+
+class TestProcessEntry:
+    def test_the_module_entry_prints_and_writes_what_main_does(self, tmp_path, capsys):
+        assert main(["ingest", *GLASGOW_FLAGS, "--output-dir", str(tmp_path / "main")]) == 0
+        printed = capsys.readouterr().out
+        done = child("-m", "artrip.cli", "ingest", *GLASGOW_FLAGS, "--output-dir", str(tmp_path / "child"))
+        assert (done.returncode, done.stderr) == (0, "")
+        assert done.stdout == printed.replace(str(tmp_path / "main"), str(tmp_path / "child"))
+        assert printed.startswith("ingested ") and printed.count("\n") == 1
+        for name in ("corpus.csv", "summary.csv"):
+            assert (tmp_path / "child" / name).read_bytes() == (tmp_path / "main" / name).read_bytes(), name
+
+    def test_the_module_entry_exits_1_with_one_error_line(self, tmp_path):
+        flags = [*GLASGOW_FLAGS[:3], str(tmp_path / "missing.csv"), "--output-dir", str(tmp_path / "out")]
+        done = child("-m", "artrip.cli", "ingest", *flags)
+        assert done.returncode == 1
+        (line,) = done.stderr.splitlines()
+        assert line.startswith("error: ") and "missing.csv" in line
+        assert done.stdout == ""
+
+    def test_the_module_entry_skips_the_interpreter_teardown(self, tmp_path):
+        script = (
+            "import atexit, os, runpy\n"
+            "atexit.register(os.write, 2, b'atexit ran\\n')\n"
+            "runpy.run_module('artrip.cli', run_name='__main__')\n"
+        )
+        done = child("-c", script, "ingest", *GLASGOW_FLAGS, "--output-dir", str(tmp_path / "out"))
+        assert done.returncode == 0
+        assert "atexit ran" not in done.stderr
+        assert done.stdout.startswith("ingested ")
+
+    def test_a_failing_stdout_flush_exits_as_the_ordinary_exit_does(self, tmp_path):
+        runs = {
+            entry: child("-c", BROKEN_STDOUT + code, "ingest", *GLASGOW_FLAGS, "--output-dir", str(tmp_path / entry))
+            for entry, code in ENTRIES.items()
+        }
+        ordinary, module = runs["ordinary"], runs["module"]
+        # the interpreter's own exit: it reports the failed flush and exits 120
+        assert ordinary.returncode == 120
+        assert "Exception ignored in: <broken stdout>" in ordinary.stderr and "BrokenPipeError" in ordinary.stderr
+        assert (module.returncode, module.stderr) == (ordinary.returncode, ordinary.stderr)
+
+
 class TestEvaluate:
     def test_model_generator_end_to_end(self, base_flags, tmp_path, capsys):
         assert main(["train", *base_flags]) == 0
@@ -270,7 +341,9 @@ class TestEvaluate:
         (manifest[section] if section else manifest)[field] = value
         (model / "manifest.json").write_text(json.dumps(manifest))
         capsys.readouterr()
-        assert main(["evaluate", *base_flags]) == 1
+        # the run states what the manifest now says, so no key disagrees with it
+        agree = ["--" + field.replace("_", "-"), str(value)] if section else []
+        assert main(["evaluate", *base_flags, *agree]) == 1
         size = (model / "params.bin").stat().st_size
         (line,) = capsys.readouterr().err.splitlines()
         assert re.fullmatch(rf"error: params\.bin size is {size} bytes, expected \d+ from manifest\.json", line)
@@ -485,6 +558,63 @@ class TestAnalyze:
         assert main(["analyze", *base_flags, "--jmax", "4"]) == 0
         pmr_rows = read_rows(tmp_path / "out" / "pmr.csv")
         assert len(pmr_rows) == 1 + 4 + 1  # header, terms, status
+
+
+# a decode command's trip flags, which only recommend takes
+TRIP = {"recommend": ["--start", "101", "--end", "102", "--length", "3"]}
+
+
+class TestBundleAgreement:
+    @pytest.mark.parametrize("command", ["evaluate", "recommend", "analyze"])
+    @pytest.mark.parametrize(
+        "flag, value, key, ours, theirs",
+        [
+            ("--arch", "recurrent", "arch", "'recurrent'", "'one_shot'"),
+            ("--embed-dim", "16", "embed_dim", "16", "8"),
+            ("--learning-rate", "0.01", "learning_rate", "0.01", "0.001"),
+            ("--drifting", "false", "drifting", "False", "True"),
+        ],
+        ids=["str", "int", "float", "bool"],
+    )
+    def test_a_stated_key_unlike_the_bundle_is_refused_before_the_corpus_is_read(
+        self, tmp_path, capsys, command, flag, value, key, ours, theirs
+    ):
+        corpus = write_corpus(tmp_path, ROUTES)
+        flags = [
+            "--poi-file", str(corpus / "pois.csv"),
+            "--visits-file", str(corpus / "visits.csv"),
+            "--output-dir", str(tmp_path / "out"),
+            "--embed-dim", "8",
+        ]
+        assert main(["train", *flags, "--hidden-dim", "16", "--epochs", "1"]) == 0
+        (corpus / "visits.csv").unlink()
+        before = sorted((tmp_path / "out").rglob("*"))
+        capsys.readouterr()
+        assert main([command, *flags, flag, value, *TRIP.get(command, [])]) == 1
+        manifest = tmp_path / "out" / "model" / "manifest.json"
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {key} = {ours} disagrees with the bundle's {key} = {theirs} in {manifest}"
+        ]
+        assert sorted((tmp_path / "out").rglob("*")) == before
+
+    def test_a_key_in_the_config_file_is_held_to_the_bundle_too(self, base_flags, tmp_path, capsys):
+        assert main(["train", *base_flags]) == 0
+        config = tmp_path / "run.cfg"
+        # model_seed is ModelConfig.seed: the key is named, not the field
+        config.write_text("model_seed = 3\n")
+        capsys.readouterr()
+        assert main(["evaluate", *base_flags, "--config", str(config)]) == 1
+        assert "error: model_seed = 3 disagrees with the bundle's model_seed = 0 in " in capsys.readouterr().err
+
+    def test_unstated_keys_and_the_decode_time_switches_follow_the_run(self, corpus_dir, tmp_path, capsys):
+        data = ["--poi-file", str(corpus_dir / "pois.csv"), "--visits-file", str(corpus_dir / "visits.csv")]
+        data += ["--output-dir", str(tmp_path / "out"), "--repeats", "1"]
+        # alpha is 0 at both ends: drifting off zeroes the stated 0.5
+        model = ["--embed-dim", "8", "--hidden-dim", "16", "--epochs", "1", "--alpha", "0.5", "--drifting", "false"]
+        assert main(["train", *data, *model]) == 0
+        for argv in ([], model, [*model, "--guiding", "false", "--adapting", "false"]):
+            assert main(["evaluate", *data, *argv]) == 0, argv
+        assert "error" not in capsys.readouterr().err
 
 
 class TestHorizon:

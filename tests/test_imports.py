@@ -22,6 +22,10 @@ updates the array in place and only then raises on the rebind.
 Every module is imported by another module of the package, except the
 console script's module named in `pyproject.toml`: a module that only
 tests import is test code and belongs under `tests/`.
+A process ends through `artrip.cli.run` alone: it holds the one `os._exit`
+call of the package, the `__main__` block of `artrip.cli` is `run()` and
+the console script names it, so `main()`, which the study and the tests
+call in-process, always returns.
 Each module is also imported alone, after every module of its package is
 dropped from `sys.modules`.  The package preloads nothing, so an import
 cycle that breaks only when one particular module is imported first would
@@ -410,6 +414,84 @@ def test_the_orphan_scan_finds_a_module_that_only_itself_or_nothing_imports():
         "pkg.selfish": "import pkg.selfish\n",
     }
     assert orphan_modules(sources, {"pkg.cli"}) == ["pkg.orphan", "pkg.selfish"]
+
+
+def _owned_calls(node: ast.AST, owner: str):
+    """(call, dotted name of the function, class or module around it) for every call under `node`."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.Call):
+            yield child, owner
+        named = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        yield from _owned_calls(child, f"{owner}.{child.name}" if named else owner)
+
+
+def exit_path_faults(sources: dict[str, str], scripts: str) -> list[str]:
+    """What keeps a process from ending through `artrip.cli.run` alone, sorted.
+
+    `sources` maps dotted module names to sources and `scripts` is the
+    `[project.scripts]` table of pyproject.toml.  A fault is an `_exit` call
+    anywhere but once in `artrip.cli.run`, an `artrip.cli` whose `__main__`
+    block is not exactly `run()`, or console scripts other than `artrip`
+    naming `artrip.cli:run`.
+    """
+    faults = []
+    exits = [
+        owner
+        for name, source in sources.items()
+        for call, owner in _owned_calls(ast.parse(source), name)
+        if getattr(call.func, "attr", getattr(call.func, "id", None)) == "_exit"
+    ]
+    if exits != ["artrip.cli.run"]:
+        faults.append(f"_exit called in {exits}")
+    is_main = ast.dump(ast.parse("__name__ == '__main__'", mode="eval").body)
+    blocks = [
+        node.body for node in ast.parse(sources.get("artrip.cli", "")).body
+        if isinstance(node, ast.If) and ast.dump(node.test) == is_main
+    ]
+    if [list(map(ast.dump, body)) for body in blocks] != [[ast.dump(ast.parse("run()").body[0])]]:
+        faults.append("the __main__ block of artrip.cli is not run()")
+    named = re.findall(r'^\s*([\w-]+)\s*=\s*"([^"]*)"', scripts, re.M)
+    if named != [("artrip", "artrip.cli:run")]:
+        faults.append(f"console scripts {named}")
+    return sorted(faults)
+
+
+def test_every_process_ends_through_cli_run():
+    # `main` returns, so the study, the tests and the scripts keep the ordinary exit in-process
+    assert exit_path_faults(module_names(MODULES, SRC), _SCRIPTS.group(1)) == []
+
+
+def test_the_exit_path_scan_finds_every_other_exit():
+    good = {
+        "artrip.cli": (
+            "import os\n"
+            "def main():\n    return 0\n"
+            "def run():\n    os._exit(main())\n"
+            "if __name__ == '__main__':\n    run()\n"
+        ),
+        "artrip.data": "import os\npid = os.getpid()\n",
+    }
+    script = 'artrip = "artrip.cli:run"\n'
+    assert exit_path_faults(good, script) == []
+    bad = {
+        "artrip.cli": (
+            "import os, sys\n"
+            "from os import _exit\n"
+            "def main():\n    os._exit(0)\n"
+            "def run():\n    _exit(main())\n"
+            "class Runner:\n    def stop(self):\n        os._exit(1)\n"
+            "if __name__ == '__main__':\n    sys.exit(main())\n"
+        ),
+        "artrip.data": "import os\nos._exit(2)\n",
+    }
+    assert exit_path_faults(bad, 'artrip = "artrip.cli:main"\n') == [
+        "_exit called in ['artrip.cli.main', 'artrip.cli.run', 'artrip.cli.Runner.stop', 'artrip.data']",
+        "console scripts [('artrip', 'artrip.cli:main')]",
+        "the __main__ block of artrip.cli is not run()",
+    ]
+    assert exit_path_faults(good, script + 'other = "artrip.cli:run"\n') == [
+        "console scripts [('artrip', 'artrip.cli:run'), ('other', 'artrip.cli:run')]"
+    ]
 
 
 # Imports each named module after dropping every module of its package from
