@@ -32,6 +32,9 @@ from artrip.model.recurrent import forward_recurrent_step, init_recurrent_state
 # threshold, so an exact boundary is not lost to rounding
 _CUM_TOL = 1e-12
 
+# most decode plans, (query, guidance) pairs, one model keeps, and most settings one plan keeps nuclei for
+PLAN_CAP = 1024
+
 
 @dataclass(frozen=True)
 class Trip:
@@ -91,7 +94,11 @@ def _nucleus(row: np.ndarray, p: float = 1.0, k: int | None = None, tau: float =
 
 
 def _pick(nucleus: tuple[np.ndarray, np.ndarray], rng, trace) -> int:
-    """The candidate the nucleus's inverse CDF gives one `rng.random()`; `trace` gets (candidates, choice)."""
+    """The candidate the nucleus's inverse CDF gives one `rng.random()`; `trace` gets (candidates, choice).
+
+    That is `Generator.choice`'s pick from its own inverse CDF without its
+    argument handling, so the stream stays where `choice` would leave it.
+    """
     candidates, cdf = nucleus
     choice = int(candidates[cdf.searchsorted(rng.random(), side="right")])
     if trace is not None:
@@ -99,23 +106,14 @@ def _pick(nucleus: tuple[np.ndarray, np.ndarray], rng, trace) -> int:
     return choice
 
 
-def _draw(row: np.ndarray, rng, trace, p: float = 1.0, k: int | None = None, tau: float = 1.0) -> int:
-    """Build the nucleus of `row` and pick from it with one `rng.random()`.
-
-    That is `Generator.choice`'s pick from its own inverse CDF without its
-    argument handling, so the stream stays where `choice` would leave it.
-    """
-    return _pick(_nucleus(row, p, k, tau), rng, trace)
-
-
 def top_k_sample(row: np.ndarray, k: int, rng, trace=None) -> int:
     """Sample among the k highest-probability POIs, renormalized."""
-    return _draw(row, rng, trace, k=k)
+    return _pick(_nucleus(row, k=k), rng, trace)
 
 
 def top_p_sample(row: np.ndarray, p: float, rng, trace=None) -> int:
     """Sample from the smallest stable-ordered prefix whose mass reaches p."""
-    return _draw(row, rng, trace, p=p)
+    return _pick(_nucleus(row, p), rng, trace)
 
 
 def _adaptive(confidence: float, cfg: DecodeConfig) -> tuple[float, float]:
@@ -141,7 +139,7 @@ def adaptive_sample(
     confidence drops, p_j = 1 - c * (1 - p).
     """
     p, tau = _adaptive(confidence, cfg)
-    return _draw(row, rng, trace, p=p, tau=tau)
+    return _pick(_nucleus(row, p, tau=tau), rng, trace)
 
 
 def _settings(position: int, conf: np.ndarray, cfg: DecodeConfig) -> tuple[float, int | None, float]:
@@ -172,8 +170,8 @@ def _select(row: np.ndarray, position: int, conf: np.ndarray, cfg: DecodeConfig,
     """Greedy takes the top score; a sampled strategy picks from its nucleus (`_settings`) at `position`.
 
     `nuclei`, if given, holds one slot per interior position, position 2
-    first: a held nucleus is picked from, a missing one (None) is built and
-    put there.
+    first: a held nucleus is picked from, an empty slot (None) gets the
+    nucleus built here, read-only.
     """
     if cfg.strategy == "greedy":
         choice = greedy_pick(row)
@@ -184,7 +182,7 @@ def _select(row: np.ndarray, position: int, conf: np.ndarray, cfg: DecodeConfig,
     if nucleus is None:
         nucleus = _nucleus(row, *_settings(position, conf, cfg))
         if nuclei is not None:
-            nuclei[position - 2] = nucleus
+            nuclei[position - 2] = _read_only(*nucleus)
     return _pick(nucleus, rng, trace)
 
 
@@ -207,54 +205,78 @@ def decode_trip(
     pass, an endpoint outside the vocabulary, a query longer than
     `params.m_max` or than `pm.m_max + 1` (guidance covers positions
     2..n-1), guidance over other than `params.k` POIs, and an adaptive
-    query whose `conf` has no entry for position n - 1.  `ModelParams.memo`
-    keeps a frozen model's one-shot rows and recurrent first step (row and
-    state), and the sampling nuclei of an unmasked one-shot decode, one
-    entry per query, guidance and per-position (p, k, tau).  So a repeat
-    decode of such a query only picks; its picks, trace and random stream
-    are those of a fresh model.
+    query whose `conf` has no entry for position n - 1.  A two-stop query
+    is then its endpoints; any other reads the query's decode plan under
+    `pm` (`_plan`), which freezes `params`.  So a repeat decode of a query
+    builds nothing it built before; its picks, trace and random stream are
+    those of a fresh model.
     """
     _check_query(query, params.k)
     check_horizon(query.n, params.m_max)
     if pm.k != params.k:
         raise ValueError(f"guidance matrix covers {pm.k} POIs but the model scores k={params.k}")
-    if cfg.strategy == "adaptive" and query.n > 2:
+    if query.n == 2:
+        return Trip(pois=(query.p_s, query.p_e))
+    if cfg.strategy == "adaptive":
         check_horizon(query.n - 1, len(conf), "position")
     # row j of the factor is position j + 2's guidance, a read-only view of the matrix's table
     factor = guidance_factor(pm, 2, query.n - 2)
+    rows, nuclei = _plan(query, params, pm, factor)
     if params.config.arch != ARCH_ONE_SHOT:
-        state = None
+        first, state = rows
 
         def next_row(position: int, prev: int) -> np.ndarray:
             nonlocal state
             if position == 2:
-                raw, state = params.memo(
-                    input_key(query),
-                    lambda: forward_recurrent_step(init_recurrent_state(query, params), query.p_s, params),
-                )
-            else:
-                raw, state = forward_recurrent_step(state, prev, params)
+                return first
+            raw, state = forward_recurrent_step(state, prev, params)
             return raw * factor[position - 2]
 
         return _walk(query, next_row, conf, cfg, trace)
+    (guided,) = rows
+    slots = None
+    if cfg.strategy != "greedy" and not cfg.no_repeat_mask:
+        # unmasked, every row reads the query alone, so each nucleus is one per plan and settings
+        settings = tuple(_settings(position, conf, cfg) for position in range(2, query.n))
+        slots = _kept(nuclei, settings, lambda: [None] * (query.n - 2))
+    return _walk(query, lambda position, prev: guided[position - 2], conf, cfg, trace, slots)
 
-    guided = forward_one_shot(query, params)[1:-1] * factor
 
-    def next_row(position: int, prev: int) -> np.ndarray:
-        return guided[position - 2]
+def _plan(query: Query, params: ModelParams, pm: GuidanceMatrix, factor: np.ndarray):
+    """The decode plan of `query` under `pm`: what every decode of it reads before its first pick.
 
-    if cfg.strategy == "greedy" or cfg.no_repeat_mask or query.n < 3:
-        return _walk(query, next_row, conf, cfg, trace)
-    # unmasked, every row reads the query alone, so each nucleus is one per query and settings
-    settings = tuple(_settings(position, conf, cfg) for position in range(2, query.n))
-    key = ("nuclei", input_key(query), pm, settings)
-    entry = params.row_memo.get(key)
-    nuclei = [None] * (query.n - 2) if entry is None else list(zip(entry[::2], entry[1::2]))
-    trip = _walk(query, next_row, conf, cfg, trace, nuclei)
+    One-shot: ((guided interior rows,), a settings -> nucleus slots dict
+    that `_select` fills); recurrent: ((position 2's guided row, the state
+    after it), None).  Built once per frozen model, `input_key(query)` and
+    guidance matrix, its arrays read-only; freezing `params` first keeps
+    every plan fresh.
+    """
+    params.freeze()
+
+    def build():
+        if params.config.arch == ARCH_ONE_SHOT:
+            return _read_only(forward_one_shot(query, params)[1:-1] * factor), {}
+        raw, state = forward_recurrent_step(init_recurrent_state(query, params), query.p_s, params)
+        return _read_only(raw * factor[0], state), None
+
+    return _kept(params.plans, (input_key(query), pm), build)
+
+
+def _kept(store: dict, key, build):
+    """`store[key]`, from `build()` on a miss; a miss on a full store (`PLAN_CAP` entries) clears it first."""
+    entry = store.get(key)
     if entry is None:
-        # stored only once every position has built its nucleus, so a row that raised leaves none
-        params.memo(key, lambda: tuple(array for nucleus in nuclei for array in nucleus))
-    return trip
+        if len(store) >= PLAN_CAP:
+            store.clear()
+        entry = store[key] = build()
+    return entry
+
+
+def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    """`arrays`, each marked read-only."""
+    for array in arrays:
+        array.setflags(write=False)
+    return arrays
 
 
 def _check_query(query: Query, k: int) -> None:

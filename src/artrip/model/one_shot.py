@@ -8,9 +8,9 @@ each slot to POI scores, so row i of the output scores position i+1 of
 the trip, endpoints included.
 
 Forward passes can record a cache that `backward` consumes to produce
-exact analytic gradients for every block.  `forward_one_shot`, the
-decode-time forward, memoizes its score rows on a frozen model through
-`ModelParams.memo`, as recurrent decoding memoizes its first step.
+exact analytic gradients for every block.  `forward_one_shot` is the
+decode-time forward; `artrip.decoding` keeps its guided rows in a decode
+plan per frozen model, query and guidance matrix.
 """
 
 from __future__ import annotations
@@ -173,15 +173,8 @@ def forward_with_cache(query: Query, params: ModelParams):
 
 
 def forward_one_shot(query: Query, params: ModelParams) -> np.ndarray:
-    """Unguided score matrix for a query, one row per trip position.
-
-    The rows depend only on the parameters and on `input_key(query)`, so
-    they are memoized through `ModelParams.memo`, which freezes `params`
-    first: a model that has served a decode can no longer change, and a
-    training step or an edited block raises instead of leaving a stale
-    row.  The rows are returned read-only.
-    """
-    return params.memo(input_key(query), lambda: forward_with_cache(query, params)[:1])[0]
+    """Unguided score matrix for a query, one row per trip position; a new array on every call."""
+    return forward_with_cache(query, params)[0]
 
 
 def backward(params: ModelParams, cache: dict, dlogits: np.ndarray, buffer: ModelParams) -> np.ndarray:

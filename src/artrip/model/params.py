@@ -17,9 +17,6 @@ from artrip import streams
 from artrip.config import ARCH_ONE_SHOT, ModelConfig
 from artrip.data import NUM_TIME_BUCKETS
 
-# most entries one model's decode memo holds
-MEMO_CAP = 1024
-
 
 def block_shapes(config: ModelConfig, k: int, m_max: int) -> dict[str, tuple[int, ...]]:
     """Declaration-ordered mapping of block name to shape for one arch."""
@@ -89,10 +86,8 @@ class ModelParams:
             _qkv_spans=tuple((at, at + 3 * size) for name, at, size, _ in layout if name.endswith(".attn_wq")),
             flat=np.zeros(offset, dtype=np.float64),
         )
-        # `row_memo`: decode-time arrays filled by `memo` once frozen: score rows (and the
-        # recurrent first state) by `input_key`, and the nuclei of unmasked one-shot sampled
-        # decodes, which `decode_trip` keys by query, guidance and settings
-        vars(self).update(blocks=self.views(self.flat), qkv=self.qkv_views(self.flat), row_memo={})
+        # `plans`: the decode plans of this model, which `artrip.decoding` alone builds and reads
+        vars(self).update(blocks=self.views(self.flat), qkv=self.qkv_views(self.flat), plans={})
 
     def freeze(self) -> None:
         """Make `flat` and its block and Q/K/V views read-only; O(1) once frozen."""
@@ -100,22 +95,6 @@ class ModelParams:
             # a view made before its base was frozen would still write through
             for array in (self.flat, *self.blocks.values(), *self.qkv):
                 array.flags.writeable = False
-
-    def memo(self, key, build) -> tuple[np.ndarray, ...]:
-        """`build()`'s arrays for `key`, read-only and built once per frozen model.
-
-        Freezing first keeps every entry fresh; a miss on a full memo (`MEMO_CAP`) clears it.
-        """
-        self.freeze()
-        entry = self.row_memo.get(key)
-        if entry is None:
-            if len(self.row_memo) >= MEMO_CAP:
-                self.row_memo.clear()
-            entry = build()
-            for array in entry:
-                array.setflags(write=False)
-            self.row_memo[key] = entry
-        return entry
 
     def views(self, vec: np.ndarray) -> dict[str, np.ndarray]:
         """Named block views into any vector laid out like `flat`."""

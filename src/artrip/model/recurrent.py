@@ -5,8 +5,9 @@ start, end and trip-length embeddings.  Each step consumes the previous
 POI embedding and scores the next position, so teacher-forced rows
 cover positions 2..n of a trajectory (position 1 is the given start).
 The initial state and first step depend only on the parameters and
-`data.input_key(query)`, so `decoding.decode_trip` memoizes the first
-step's row and state on a frozen model (`ModelParams.memo`).
+`data.input_key(query)`, so `artrip.decoding` keeps position 2's guided
+row and the state after it in a decode plan per frozen model, query and
+guidance matrix.
 """
 
 from __future__ import annotations

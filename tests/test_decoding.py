@@ -37,7 +37,7 @@ from artrip.guidance import (
 )
 from artrip.metrics import evaluate_decoder
 from artrip.model.one_shot import forward_one_shot
-from artrip.model.params import MEMO_CAP, init_params
+from artrip.model.params import init_params
 from artrip.model.recurrent import forward_recurrent_step, init_recurrent_state
 
 K = 6
@@ -634,6 +634,7 @@ PROPERTY_CORPUS = [
 ]
 PROPERTY_PM = build_guidance_matrix(PROPERTY_CORPUS, k=K)
 PROPERTY_CONF = build_confidence(PROPERTY_PM, k=K)
+PROPERTY_ZERO = zero_guidance(K, PROPERTY_PM.m_max)
 
 
 def property_params(arch):
@@ -641,7 +642,7 @@ def property_params(arch):
     return init_params(cfg, k=K, m_max=PROPERTY_PM.m_max)
 
 
-# one model per arch for the whole module, so its memo stays warm across examples
+# one model per arch for the whole module, so its plans stay warm across examples
 WARM_PARAMS = {arch: property_params(arch) for arch in (ARCH_ONE_SHOT, ARCH_RECURRENT)}
 
 queries = st.builds(
@@ -655,22 +656,25 @@ queries = st.builds(
 
 
 @pytest.mark.filterwarnings("ignore:no-repeat mask:RuntimeWarning")
+@pytest.mark.parametrize("alternate", [False, True])
 @pytest.mark.parametrize("mask", [False, True])
 @pytest.mark.parametrize("strategy", STRATEGIES)
 @pytest.mark.parametrize("arch", [ARCH_ONE_SHOT, ARCH_RECURRENT])
 @settings(max_examples=25, deadline=None)
 @given(query=queries, seed=st.integers(0, 2**16))
-def test_decoded_trips_keep_their_shape_and_ignore_memo_state(arch, strategy, mask, query, seed):
+def test_decoded_trips_keep_their_shape_and_ignore_memo_state(arch, strategy, mask, alternate, query, seed):
     cfg = DecodeConfig(strategy=strategy, top_k=3, no_repeat_mask=mask, seed=seed)
     warm = WARM_PARAMS[arch]
-    trip = decode_trip(query, warm, PROPERTY_PM, PROPERTY_CONF, cfg)
-    assert len(trip) == query.n
-    assert trip.pois[0] == query.p_s and trip.pois[-1] == query.p_e
-    assert all(0 <= poi < K for poi in trip.pois)
-    # the second warm decode reads its rows from the memo; a fresh model has none
-    assert decode_trip(query, warm, PROPERTY_PM, PROPERTY_CONF, cfg) == trip
-    cold = property_params(arch)
-    assert decode_trip(query, cold, PROPERTY_PM, PROPERTY_CONF, cfg) == trip
+    # alternating, the warm model holds a plan of the query under each matrix and reads them in turn
+    for pm in (PROPERTY_PM, PROPERTY_ZERO) * 2 if alternate else (PROPERTY_PM,):
+        trip = decode_trip(query, warm, pm, PROPERTY_CONF, cfg)
+        assert len(trip) == query.n
+        assert trip.pois[0] == query.p_s and trip.pois[-1] == query.p_e
+        assert all(0 <= poi < K for poi in trip.pois)
+        # the second warm decode reads the query's plan; a fresh model has none
+        assert decode_trip(query, warm, pm, PROPERTY_CONF, cfg) == trip
+        cold = property_params(arch)
+        assert decode_trip(query, cold, pm, PROPERTY_CONF, cfg) == trip
 
 
 def reference_recurrent_decode(query, params, pm, conf, cfg, trace):
@@ -719,25 +723,6 @@ def test_recurrent_guidance_sliced_once_matches_per_step_guidance(strategy, mask
     assert sorted(warned) == sorted(ref_warned)
 
 
-@pytest.mark.parametrize("traced", [False, True])
-@pytest.mark.parametrize("mask", [False, True])
-@pytest.mark.parametrize("strategy", STRATEGIES)
-@settings(max_examples=15, deadline=None)
-@given(query=queries, seed=st.integers(0, 2**16), mode=st.sampled_from(ADAPTIVE_MODES))
-def test_a_warm_recurrent_memo_decodes_as_an_undecoded_copy(strategy, mask, traced, query, seed, mode):
-    cfg = DecodeConfig(strategy=strategy, top_k=3, adaptive_mode=mode, no_repeat_mask=mask, seed=seed)
-    warm = WARM_PARAMS[ARCH_RECURRENT]
-    decode_trip(query, warm, PROPERTY_PM, PROPERTY_CONF, DecodeConfig())
-    assert query.n == 2 or input_key(query) in warm.row_memo
-    cold = property_params(ARCH_RECURRENT)
-    assert cold.flat.flags.writeable and not cold.row_memo
-    assert np.array_equal(cold.flat, warm.flat)
-    trace, cold_trace = ([], []) if traced else (None, None)
-    got = decode_with_warnings(decode_trip, query, warm, PROPERTY_PM, PROPERTY_CONF, cfg, trace)
-    want = decode_with_warnings(decode_trip, query, cold, PROPERTY_PM, PROPERTY_CONF, cfg, cold_trace)
-    assert (got, trace) == (want, cold_trace)
-
-
 @pytest.mark.parametrize("mask", [False, True])
 @pytest.mark.parametrize("strategy", STRATEGIES)
 @settings(max_examples=25, deadline=None)
@@ -755,25 +740,29 @@ def test_one_shot_interior_guidance_matches_guiding_every_row(strategy, mask, qu
 SAMPLED = [("top_k", "temperature"), ("top_p", "temperature"), ("adaptive", "temperature"), ("adaptive", "threshold")]
 
 
-def nucleus_keys(params):
-    """The keys of the memo's nucleus entries: ("nuclei", input key, guidance, settings)."""
-    return [key for key in params.row_memo if key[0] == "nuclei"]
+def nucleus_slots(params):
+    """(plan key, settings, slots) for each settings entry that a plan of `params` keeps nuclei for."""
+    return [(key, held, slots) for key, (_, nuclei) in params.plans.items() for held, slots in (nuclei or {}).items()]
 
 
 @pytest.mark.parametrize("traced", [False, True])
 @pytest.mark.parametrize("mask", [False, True])
-@pytest.mark.parametrize("strategy, mode", SAMPLED)
+@pytest.mark.parametrize("strategy", STRATEGIES)
 @pytest.mark.parametrize("arch", [ARCH_ONE_SHOT, ARCH_RECURRENT])
-@settings(max_examples=10, deadline=None)
-@given(query=queries, seed=st.integers(0, 2**16))
-def test_a_warm_nucleus_memo_decodes_as_an_undecoded_copy(arch, strategy, mode, mask, traced, query, seed):
+@settings(max_examples=15, deadline=None)
+@given(query=queries, seed=st.integers(0, 2**16), mode=st.sampled_from(ADAPTIVE_MODES))
+def test_a_warm_plan_decodes_as_an_undecoded_copy(arch, strategy, mask, traced, query, seed, mode):
     cfg = DecodeConfig(strategy=strategy, top_k=3, adaptive_mode=mode, no_repeat_mask=mask, seed=seed)
     warm = WARM_PARAMS[arch]
-    # a decode on another seed leaves an unmasked one-shot query's nuclei in the memo
+    # a decode on another seed leaves the query's plan, with an unmasked one-shot sampled decode's nuclei
     decode_trip(query, warm, PROPERTY_PM, PROPERTY_CONF, replace(cfg, seed=seed + 1))
-    held = any(key[1:3] == (input_key(query), PROPERTY_PM) for key in nucleus_keys(warm))
-    assert held or query.n == 2 or arch == ARCH_RECURRENT or mask
+    assert query.n == 2 or (input_key(query), PROPERTY_PM) in warm.plans
+    if query.n > 2 and arch == ARCH_ONE_SHOT and strategy != "greedy" and not mask:
+        held = tuple(decoding._settings(position, PROPERTY_CONF, cfg) for position in range(2, query.n))
+        assert None not in warm.plans[(input_key(query), PROPERTY_PM)][1][held]
     cold = property_params(arch)
+    assert cold.flat.flags.writeable and not cold.plans
+    assert np.array_equal(cold.flat, warm.flat)
     trace, cold_trace = ([], []) if traced else (None, None)
     got = decode_with_warnings(decode_trip, query, warm, PROPERTY_PM, PROPERTY_CONF, cfg, trace)
     want = decode_with_warnings(decode_trip, query, cold, PROPERTY_PM, PROPERTY_CONF, cfg, cold_trace)
@@ -789,9 +778,9 @@ def test_only_an_unmasked_one_shot_decode_keeps_nuclei(arch, strategy, mode, mas
     cfg = DecodeConfig(strategy=strategy, top_k=3, adaptive_mode=mode, no_repeat_mask=mask, seed=2)
     for _ in range(2):
         decode_trip(query, params, PROPERTY_PM, PROPERTY_CONF, cfg)
-    held = [params.row_memo[key] for key in nucleus_keys(params)]
-    # one entry of (candidates, cdf) per interior position, or none where a row reads earlier picks
-    assert [len(entry) for entry in held] == ([2 * (query.n - 2)] if arch == ARCH_ONE_SHOT and not mask else [])
+    held = [[len(nucleus) for nucleus in slots] for _, _, slots in nucleus_slots(params)]
+    # a (candidates, cdf) slot per interior position, or none where a row reads earlier picks
+    assert held == ([[2] * (query.n - 2)] if arch == ARCH_ONE_SHOT and not mask else [])
 
 
 @pytest.mark.parametrize("arch", [ARCH_ONE_SHOT, ARCH_RECURRENT])
@@ -807,7 +796,7 @@ def test_a_released_mask_warns_on_every_decode(arch):
     assert runs[0][1] == [(RuntimeWarning, "no-repeat mask exhausted the vocabulary at position 2; releasing it")]
 
 
-def test_each_setting_a_nucleus_reads_gets_its_own_entry():
+def test_each_setting_a_nucleus_reads_gets_its_own_slots():
     arch = ARCH_ONE_SHOT
     params = property_params(arch)
     query = Query(p_s=0, t_s=0, p_e=1, t_e=10800, n=4)
@@ -817,7 +806,7 @@ def test_each_setting_a_nucleus_reads_gets_its_own_entry():
     base = DecodeConfig(strategy="adaptive", seed=7)
     runs = [
         (PROPERTY_PM, PROPERTY_CONF, base),
-        (zero_guidance(K, PROPERTY_PM.m_max), PROPERTY_CONF, base),
+        (PROPERTY_ZERO, PROPERTY_CONF, base),
         (PROPERTY_PM, edited, base),
         (PROPERTY_PM, PROPERTY_CONF, replace(base, lam=2.5)),
         (PROPERTY_PM, PROPERTY_CONF, replace(base, top_p=0.6)),
@@ -827,9 +816,10 @@ def test_each_setting_a_nucleus_reads_gets_its_own_entry():
     for i, (pm, conf, cfg) in enumerate(runs * 2):
         trip, trace, cold_trace = decode_trip(query, params, pm, conf, cfg, trace := []), trace, []
         assert (trip, trace) == (decode_trip(query, property_params(arch), pm, conf, cfg, cold_trace), cold_trace)
-        # one new entry per setting; the second round reads them
-        assert len(nucleus_keys(params)) == min(i + 1, len(runs))
-    assert not any(array.flags.writeable for key in nucleus_keys(params) for array in params.row_memo[key])
+        # one new settings entry per setting, the zero matrix's in a plan of its own; the second round reads them
+        assert len(nucleus_slots(params)) == min(i + 1, len(runs))
+    assert len(params.plans) == 2
+    assert not any(array.flags.writeable for _, _, slots in nucleus_slots(params) for nucleus in slots for array in nucleus)
 
 
 @pytest.mark.filterwarnings("ignore:no-repeat mask:RuntimeWarning")
@@ -837,7 +827,7 @@ def test_each_setting_a_nucleus_reads_gets_its_own_entry():
 @pytest.mark.parametrize("position", [2, 3])
 @pytest.mark.parametrize("mask", [False, True])
 @pytest.mark.parametrize("arch", [ARCH_ONE_SHOT, ARCH_RECURRENT])
-def test_a_row_with_a_non_finite_maximum_raises_on_every_decode_and_leaves_no_nucleus(arch, mask, position, bad):
+def test_a_row_with_a_non_finite_maximum_raises_on_every_decode(arch, mask, position, bad):
     values = PROPERTY_PM.values.copy()
     values[:, position - 1] = bad
     pm = GuidanceMatrix(values=values, poi_totals=PROPERTY_PM.poi_totals.copy())
@@ -849,9 +839,11 @@ def test_a_row_with_a_non_finite_maximum_raises_on_every_decode_and_leaves_no_nu
         traces.append([])
         with pytest.raises(ValueError, match="probabilities contain NaN"):
             decode_trip(query, params, pm, PROPERTY_CONF, cfg, traces[-1])
-        assert nucleus_keys(params) == []
     # the positions before the bad one picked as before, on both decodes
     assert traces[0] == traces[1] and len(traces[0]) == position - 2
+    # only their nuclei are kept, each filled when it was built
+    held = [[nucleus is not None for nucleus in slots] for _, _, slots in nucleus_slots(params)]
+    assert held == ([[at < position for at in range(2, query.n)]] if arch == ARCH_ONE_SHOT and not mask else [])
 
 
 @pytest.mark.parametrize("mask", [False, True])
@@ -861,12 +853,12 @@ def test_a_greedy_decode_adds_no_nucleus(arch, mask):
     query = Query(p_s=0, t_s=0, p_e=1, t_e=10800, n=4)
     for _ in range(2):
         decode_trip(query, params, PROPERTY_PM, PROPERTY_CONF, DecodeConfig(no_repeat_mask=mask))
-    assert list(params.row_memo) == [input_key(query)]
+    assert list(params.plans) == [(input_key(query), PROPERTY_PM)]
+    assert nucleus_slots(params) == []
 
 
 @pytest.mark.filterwarnings("ignore:no-repeat mask:RuntimeWarning")
-def test_the_decoders_of_the_decode_mix_benchmark_never_clear_the_memo():
-    # long routes: one entry per position would pass the cap, one per query and setting does not
+def test_the_decoders_of_the_decode_mix_benchmark_never_clear_the_plans():
     k, m_max = 24, 16
     rng = np.random.default_rng(0)
     routes = [Trajectory(pois=tuple(rng.permutation(k)[:m_max]), times=tuple(range(0, 3600 * m_max, 3600))) for _ in range(8)]
@@ -890,15 +882,15 @@ def test_the_decoders_of_the_decode_mix_benchmark_never_clear_the_memo():
                 def decode_fn(query, ordinal, repeat_seed, decode_cfg=decode_cfg):
                     per_query = decode_config_for_query(decode_cfg, repeat_seed, ordinal)
                     trip = decode_trip(query, params, pm, conf, per_query)
-                    sizes.append(len(params.row_memo))
+                    sizes.append(len(params.plans))
                     return trip
 
                 evaluate_decoder(decode_fn, truths, repeats=2, base_seed=11)
-        # a clear would shrink the memo; 48 rows and, one-shot only, 2 x 48 nucleus entries
+        # a clear would shrink the store: one plan per input key under the one matrix
         assert sizes == sorted(sizes)
-        assert sizes[-1] == (3 if arch == ARCH_ONE_SHOT else 1) * 48
-    # the premise: one-shot entries per position (two unmasked decoders) and the rows would pass the cap
-    assert 2 * sum(len(t) - 2 for t in truths) + 48 > MEMO_CAP
+        assert sizes[-1] == 48
+        # one-shot only, each plan keeps the nuclei of the two unmasked sampled decoders
+        assert len(nucleus_slots(params)) == (2 * 48 if arch == ARCH_ONE_SHOT else 0)
 
 
 class TestSeeds:

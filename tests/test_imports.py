@@ -16,6 +16,8 @@ every text file it opens names its encoding, so no file's bytes depend on
 the host's locale.
 Only `streams.py` reaches numpy's random module, so every generator the
 package builds comes from one table of named streams.
+Only `decoding.py` reads or writes a `.plans` attribute, so the decode
+plans a model keeps are built, keyed, capped and frozen in one module.
 No augmented assignment under `src/artrip` or `scripts` targets an
 attribute that `ModelParams` sets: on its frozen record `params.flat -= g`
 updates the array in place and only then raises on the rebind.
@@ -253,6 +255,29 @@ def test_the_numpy_random_scan_finds_every_form():
         ("b.py", 2),
         ("b.py", 3),
     ]
+
+
+def plans_uses(sources: dict[str, str]) -> list[tuple[str, int]]:
+    """(file, line) for every read or write of an attribute named `plans`, sorted."""
+    return sorted(
+        (name, node.lineno)
+        for name, source in sources.items()
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Attribute) and node.attr == "plans"
+    )
+
+
+def test_only_the_decoding_module_reads_or_writes_the_decode_plans():
+    sources = {str(p.relative_to(SRC)): p.read_text() for p in MODULES}
+    assert {name for name, _ in plans_uses(sources)} == {"artrip/decoding.py"}
+
+
+def test_the_plans_scan_finds_a_read_and_an_assignment():
+    sources = {
+        "a.py": "plans = {}\nstore = params.plans.get(key)\nx.plans_cap = 1\n",
+        "b.py": "vars(model).update(plans={})\nmodel.plans = {}\n",
+    }
+    assert plans_uses(sources) == [("a.py", 2), ("b.py", 2)]
 
 
 # text-file calls, by function name, with the position `encoding` may take as an argument

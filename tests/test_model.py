@@ -1,18 +1,20 @@
 import dataclasses
 import importlib
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from conftest import assert_blocks_view_flat, same_bits
 
+from artrip import decoding
 from artrip.config import ARCH_ONE_SHOT, ARCH_RECURRENT, DecodeConfig, ModelConfig
 from artrip.data import Query, Trajectory, hour_bucket, input_key
-from artrip.decoding import decode_trip
-from artrip.guidance import GuidanceMatrix, build_guidance_matrix, zero_guidance
+from artrip.decoding import PLAN_CAP, decode_trip
+from artrip.guidance import GuidanceMatrix, build_guidance_matrix, guidance_factor, zero_guidance
 from artrip.model import one_shot, recurrent
 from artrip.model.one_shot import forward_one_shot
-from artrip.model.params import MEMO_CAP, block_shapes, init_params
+from artrip.model.params import block_shapes, init_params
 from artrip.model.recurrent import forward_recurrent_step, forward_teacher, init_recurrent_state
 from artrip.model.train import ADAM_BETA1, ADAM_BETA2, ADAM_EPS, loss_and_grads, train
 
@@ -125,7 +127,7 @@ class TestInit:
     @pytest.mark.parametrize("arch", [ARCH_ONE_SHOT, ARCH_RECURRENT])
     def test_a_fresh_model_refuses_to_rebind_before_any_decode(self, arch):
         params = init_params(tiny_config(arch=arch, seed=2), k=K, m_max=M_MAX)
-        rebinds = {"flat": params.flat.copy(), "config": tiny_config(arch=arch, seed=3), "row_memo": {}}
+        rebinds = {"flat": params.flat.copy(), "config": tiny_config(arch=arch, seed=3), "plans": {}}
         for name, value in rebinds.items():
             before = getattr(params, name)
             with pytest.raises(dataclasses.FrozenInstanceError, match=name):
@@ -206,38 +208,83 @@ def first_step(q, params):
     return forward_recurrent_step(init_recurrent_state(q, params), q.p_s, params)
 
 
-def decode_greedy(q, params):
-    return decode_trip(q, params, zero_guidance(K, M_MAX), np.ones(M_MAX), DecodeConfig())
+# one zero matrix for the module: plans are kept per guidance matrix
+ZERO = zero_guidance(K, M_MAX)
+GUIDED = build_guidance_matrix(toy_trajectories(), k=K)
 
 
-def assert_entry_is_fresh(entry, q, params):
-    """A memo entry equals what the model computes for q without the memo."""
-    fresh = (fresh_rows(q, params),) if params.config.arch == ARCH_ONE_SHOT else first_step(q, params)
-    for got, want in zip(entry, fresh, strict=True):
+def decode_greedy(q, params, pm=ZERO):
+    return decode_trip(q, params, pm, np.ones(M_MAX), DecodeConfig())
+
+
+def plan_of(q, params, pm=ZERO):
+    return params.plans[(input_key(q), pm)]
+
+
+def assert_plan_is_fresh(plan, q, params, pm=ZERO):
+    """A plan's arrays equal what the model computes for q under pm without plans, and are read-only."""
+    factor = guidance_factor(pm, 2, q.n - 2)
+    if params.config.arch == ARCH_ONE_SHOT:
+        fresh = (fresh_rows(q, params)[1:-1] * factor,)
+    else:
+        raw, state = first_step(q, params)
+        fresh = (raw * factor[0], state)
+    rows, _ = plan
+    for got, want in zip(rows, fresh, strict=True):
         assert np.array_equal(got, want)
         assert not got.flags.writeable
 
 
-class TestOneShotMemo:
-    def test_repeat_query_returns_the_cached_read_only_rows(self):
+class TestDecodePlan:
+    """The decode plans `decoding` keeps on `ModelParams.plans`, one per query and guidance matrix."""
+
+    def test_forward_one_shot_is_a_fresh_forward_that_leaves_the_model_writable(self):
         params = init_params(tiny_config(seed=2), k=K, m_max=M_MAX)
         q = Query(p_s=0, t_s=0, p_e=1, t_e=10800, n=4)
         rows = forward_one_shot(q, params)
-        assert forward_one_shot(q, params) is rows
+        again = forward_one_shot(q, params)
+        assert again is not rows and np.array_equal(again, rows)
         assert np.array_equal(rows, fresh_rows(q, params))
-        assert not rows.flags.writeable
-        with pytest.raises(ValueError):
-            rows[0, 0] = 0.0
+        assert rows.flags.writeable and params.flat.flags.writeable
+        assert params.plans == {}
+
+    @pytest.mark.parametrize("arch", [ARCH_ONE_SHOT, ARCH_RECURRENT])
+    def test_a_decode_keeps_one_read_only_plan_per_query_and_guidance(self, arch):
+        params = init_params(tiny_config(arch=arch, seed=2), k=K, m_max=M_MAX)
+        q = Query(p_s=0, t_s=0, p_e=1, t_e=10800, n=4)
+        trip = decode_greedy(q, params)
+        ((key, plan),) = params.plans.items()
+        assert key == (input_key(q), ZERO)
+        assert_plan_is_fresh(plan, q, params)
+        # a greedy decode fills no nucleus slot
+        assert plan[1] == ({} if arch == ARCH_ONE_SHOT else None)
+        assert decode_greedy(q, params) == trip
+        assert plan_of(q, params) is plan
+        # another guidance matrix is another plan, with its own guided rows
+        decode_greedy(q, params, GUIDED)
+        assert list(params.plans) == [key, (input_key(q), GUIDED)]
+        assert_plan_is_fresh(plan_of(q, params, GUIDED), q, params, GUIDED)
+        assert plan_of(q, params) is plan
+
+    @pytest.mark.parametrize("arch", [ARCH_ONE_SHOT, ARCH_RECURRENT])
+    def test_a_two_stop_query_builds_nothing(self, arch):
+        params = init_params(tiny_config(arch=arch, seed=2), k=K, m_max=M_MAX)
+        with mock.patch.object(decoding, "forward_one_shot", side_effect=AssertionError("a forward ran")):
+            assert decode_greedy(Query(p_s=3, t_s=0, p_e=1, t_e=3600, n=2), params).pois == (3, 1)
+        assert params.plans == {}
+        assert params.flat.flags.writeable
 
     def test_a_decoded_model_refuses_a_config_change(self):
         params = init_params(tiny_config(seed=2), k=K, m_max=M_MAX)
         q = Query(p_s=3, t_s=0, p_e=1, t_e=10800, n=5)
-        rows = forward_one_shot(q, params)
+        trip = decode_greedy(q, params)
+        plan = plan_of(q, params)
         with pytest.raises(dataclasses.FrozenInstanceError):
             params.config.num_heads = 4
         assert params.config.num_heads == 2
-        assert forward_one_shot(q, params) is rows
-        assert np.array_equal(rows, fresh_rows(q, params))
+        assert decode_greedy(q, params) == trip
+        assert plan_of(q, params) is plan
+        assert_plan_is_fresh(plan, q, params)
 
     def test_freezing_twice_changes_nothing(self):
         params = init_params(tiny_config(seed=2), k=K, m_max=M_MAX)
@@ -248,23 +295,25 @@ class TestOneShotMemo:
         assert np.array_equal(params.flat, before)
         assert_blocks_view_flat(params)
 
-    def test_queries_share_an_entry_only_within_an_hour_bucket(self):
-        params = init_params(tiny_config(seed=2), k=K, m_max=M_MAX)
+    @pytest.mark.parametrize("arch", [ARCH_ONE_SHOT, ARCH_RECURRENT])
+    def test_queries_share_a_plan_only_within_an_hour_bucket(self, arch):
+        params = init_params(tiny_config(arch=arch, seed=2), k=K, m_max=M_MAX)
         q = Query(p_s=0, t_s=3600, p_e=1, t_e=7200, n=4)
         same = Query(p_s=0, t_s=3600 + 3599, p_e=1, t_e=7200 + 86400, n=4)
         later = Query(p_s=0, t_s=7200, p_e=1, t_e=7200, n=4)
         assert hour_bucket(q.t_s) == hour_bucket(same.t_s) != hour_bucket(later.t_s)
-        rows = forward_one_shot(q, params)
-        assert forward_one_shot(same, params) is rows
-        assert len(params.row_memo) == 1
-        other = forward_one_shot(later, params)
-        assert other is not rows and not np.array_equal(other, rows)
-        assert len(params.row_memo) == 2
+        decode_greedy(q, params)
+        decode_greedy(same, params)
+        assert len(params.plans) == 1
+        decode_greedy(later, params)
+        assert len(params.plans) == 2
+        assert not np.array_equal(plan_of(later, params)[0][0], plan_of(q, params)[0][0])
         for query in (q, same, later):
-            assert np.array_equal(forward_one_shot(query, params), fresh_rows(query, params))
+            assert_plan_is_fresh(plan_of(query, params), query, params)
 
-    def test_each_field_the_input_reads_separates_entries(self):
-        params = init_params(tiny_config(seed=2), k=K, m_max=M_MAX)
+    @pytest.mark.parametrize("arch", [ARCH_ONE_SHOT, ARCH_RECURRENT])
+    def test_each_field_the_input_reads_separates_plans(self, arch):
+        params = init_params(tiny_config(arch=arch, seed=2), k=K, m_max=M_MAX)
         base = Query(p_s=0, t_s=3600, p_e=1, t_e=7200, n=4)
         variants = [
             base,
@@ -272,12 +321,12 @@ class TestOneShotMemo:
             Query(p_s=0, t_s=7200, p_e=1, t_e=7200, n=4),
             Query(p_s=0, t_s=3600, p_e=2, t_e=7200, n=4),
             Query(p_s=0, t_s=3600, p_e=1, t_e=10800, n=4),
+            Query(p_s=0, t_s=3600, p_e=1, t_e=7200, n=5),
         ]
         for q in variants:
-            assert np.array_equal(forward_one_shot(q, params), fresh_rows(q, params))
-        assert len(params.row_memo) == len(variants)
-        longer = Query(p_s=0, t_s=3600, p_e=1, t_e=7200, n=5)
-        assert forward_one_shot(longer, params).shape == (5, K)
+            decode_greedy(q, params)
+            assert_plan_is_fresh(plan_of(q, params), q, params)
+        assert len(params.plans) == len(variants)
 
     def test_nan_parameters_match_a_fresh_forward(self):
         params = init_params(tiny_config(seed=2), k=K, m_max=M_MAX)
@@ -288,27 +337,6 @@ class TestOneShotMemo:
             assert np.isnan(rows).any()
             assert np.array_equal(rows, fresh_rows(q, params), equal_nan=True)
 
-class TestDecodeMemo:
-    """The memo both architectures share through `ModelParams.memo`."""
-
-    def recurrent(self):
-        return init_params(tiny_config(arch=ARCH_RECURRENT, seed=2), k=K, m_max=M_MAX)
-
-    def test_a_decode_memoizes_the_first_step_read_only(self):
-        params = self.recurrent()
-        q = Query(p_s=0, t_s=0, p_e=1, t_e=10800, n=4)
-        trip = decode_greedy(q, params)
-        ((key, entry),) = params.row_memo.items()
-        assert key == input_key(q)
-        assert_entry_is_fresh(entry, q, params)
-        assert decode_greedy(q, params) == trip
-        assert params.row_memo[key] is entry
-
-    def test_a_two_stop_query_builds_nothing(self):
-        params = self.recurrent()
-        assert decode_greedy(Query(p_s=3, t_s=0, p_e=1, t_e=3600, n=2), params).pois == (3, 1)
-        assert params.row_memo == {}
-
     @pytest.mark.parametrize("arch", [ARCH_ONE_SHOT, ARCH_RECURRENT])
     def test_a_decoded_model_refuses_writes_through_flat_and_every_view(self, arch):
         params = init_params(tiny_config(arch=arch, seed=2), k=K, m_max=M_MAX)
@@ -317,7 +345,7 @@ class TestDecodeMemo:
         held = (params.flat, params.blocks["poi_embeddings"], *params.qkv)
         assert all(view.flags.writeable for view in held)
         decode_greedy(q, params)
-        entry = params.row_memo[input_key(q)]
+        plan = plan_of(q, params)
         after = (params.views(params.flat)["head"], *params.qkv_views(params.flat), params.flat[3:9])
         for view in (*held, *params.blocks.values(), *params.qkv, *after):
             with pytest.raises(ValueError, match="read-only"):
@@ -326,11 +354,11 @@ class TestDecodeMemo:
         with pytest.raises(ValueError, match="read-only"):
             params.flat -= 1e-3
         decode_greedy(q, params)
-        assert params.row_memo[input_key(q)] is entry
-        assert_entry_is_fresh(entry, q, params)
+        assert plan_of(q, params) is plan
+        assert_plan_is_fresh(plan, q, params)
 
     @pytest.mark.parametrize("arch", [ARCH_ONE_SHOT, ARCH_RECURRENT])
-    def test_memo_never_holds_more_than_the_cap(self, arch):
+    def test_the_plans_never_number_more_than_the_cap(self, arch):
         params = init_params(tiny_config(arch=arch, seed=2), k=K, m_max=M_MAX)
         queries = [
             Query(p_s=p_s, t_s=3600 * hour, p_e=p_e, t_e=0, n=n)
@@ -339,24 +367,24 @@ class TestDecodeMemo:
             for p_e in range(K)
             for hour in range(24)
         ]
-        assert len(queries) > MEMO_CAP
+        assert len(queries) > PLAN_CAP
         sizes = []
         for q in queries:
             decode_greedy(q, params)
-            sizes.append(len(params.row_memo))
-        assert max(sizes) == MEMO_CAP
-        # the call after a full memo starts it over
-        assert sizes[MEMO_CAP] == 1
+            sizes.append(len(params.plans))
+        assert max(sizes) == PLAN_CAP
+        # the decode after a full store starts it over
+        assert sizes[PLAN_CAP] == 1
         last = queries[-1]
-        assert_entry_is_fresh(params.row_memo[input_key(last)], last, params)
+        assert_plan_is_fresh(plan_of(last, params), last, params)
 
     @pytest.mark.parametrize("arch", [ARCH_ONE_SHOT, ARCH_RECURRENT])
     def test_a_decoded_model_refuses_to_rebind_its_config_arrays_and_layout(self, arch):
         params = init_params(tiny_config(arch=arch, seed=2), k=K, m_max=M_MAX)
         q = Query(p_s=3, t_s=0, p_e=1, t_e=10800, n=5)
         trip = decode_greedy(q, params)
-        entry = params.row_memo[input_key(q)]
-        originals = {name: getattr(params, name) for name in ("config", "flat", "blocks", "qkv", "layout", "k", "m_max")}
+        plan = plan_of(q, params)
+        originals = {name: getattr(params, name) for name in ("config", "flat", "blocks", "qkv", "layout", "k", "m_max", "plans")}
         other = params.flat.copy()
         rebinds = {
             "config": dataclasses.replace(params.config, num_heads=4),
@@ -366,14 +394,15 @@ class TestDecodeMemo:
             "layout": (),
             "k": K + 1,
             "m_max": M_MAX + 1,
+            "plans": {},
         }
         for name, value in rebinds.items():
             with pytest.raises(dataclasses.FrozenInstanceError, match=name):
                 setattr(params, name, value)
             assert getattr(params, name) is originals[name]
         assert decode_greedy(q, params) == trip
-        assert params.row_memo[input_key(q)] is entry
-        assert_entry_is_fresh(entry, q, params)
+        assert plan_of(q, params) is plan
+        assert_plan_is_fresh(plan, q, params)
 
 
 class TestBackward:
