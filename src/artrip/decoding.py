@@ -32,7 +32,7 @@ from artrip.model.recurrent import forward_recurrent_step, init_recurrent_state
 # threshold, so an exact boundary is not lost to rounding
 _CUM_TOL = 1e-12
 
-# most decode plans, (query, guidance) pairs, one model keeps, and most settings one plan keeps nuclei for
+# most entries one model's decode store keeps, plans and nucleus entries together
 PLAN_CAP = 1024
 
 
@@ -166,23 +166,15 @@ def mask_repeats(row: np.ndarray, used: set[int], position: int) -> np.ndarray:
     return out
 
 
-def _select(row: np.ndarray, position: int, conf: np.ndarray, cfg: DecodeConfig, rng, trace, nuclei=None):
-    """Greedy takes the top score; a sampled strategy picks from its nucleus (`_settings`) at `position`.
-
-    `nuclei`, if given, holds one slot per interior position, position 2
-    first: a held nucleus is picked from, an empty slot (None) gets the
-    nucleus built here, read-only.
-    """
+def _select(row: np.ndarray, position: int, conf: np.ndarray, cfg: DecodeConfig, rng, trace, nucleus=None):
+    """Greedy takes the top score; a sampled strategy picks from `nucleus`, or else builds its own (`_settings`)."""
     if cfg.strategy == "greedy":
         choice = greedy_pick(row)
         if trace is not None:
             trace.append(((choice,), choice))
         return choice
-    nucleus = None if nuclei is None else nuclei[position - 2]
     if nucleus is None:
         nucleus = _nucleus(row, *_settings(position, conf, cfg))
-        if nuclei is not None:
-            nuclei[position - 2] = _read_only(*nucleus)
     return _pick(nucleus, rng, trace)
 
 
@@ -206,10 +198,13 @@ def decode_trip(
     `params.m_max` or than `pm.m_max + 1` (guidance covers positions
     2..n-1), guidance over other than `params.k` POIs, and an adaptive
     query whose `conf` has no entry for position n - 1.  A two-stop query
-    is then its endpoints; any other reads the query's decode plan under
-    `pm` (`_plan`), which freezes `params`.  So a repeat decode of a query
-    builds nothing it built before; its picks, trace and random stream are
-    those of a fresh model.
+    is then its endpoints; any other reads its planned rows (`_plan`, which
+    freezes `params`) and steps the recurrent state past them.  When every
+    interior row is planned, an unmasked sampled decode picks from nuclei
+    kept per plan and settings, all built before the first pick, so a bad
+    row raises with the trace empty.  A repeat decode of a query builds
+    nothing it built before; its picks, trace and random stream are those
+    of a fresh model.
     """
     _check_query(query, params.k)
     check_horizon(query.n, params.m_max)
@@ -221,45 +216,44 @@ def decode_trip(
         check_horizon(query.n - 1, len(conf), "position")
     # row j of the factor is position j + 2's guidance, a read-only view of the matrix's table
     factor = guidance_factor(pm, 2, query.n - 2)
-    rows, nuclei = _plan(query, params, pm, factor)
-    if params.config.arch != ARCH_ONE_SHOT:
-        first, state = rows
+    key = (input_key(query), pm)
+    rows, state = _plan(query, params, key, factor)
+    planned = len(rows)
 
-        def next_row(position: int, prev: int) -> np.ndarray:
-            nonlocal state
-            if position == 2:
-                return first
-            raw, state = forward_recurrent_step(state, prev, params)
-            return raw * factor[position - 2]
+    def next_row(position: int, prev: int) -> np.ndarray:
+        nonlocal state
+        if position - 2 < planned:
+            return rows[position - 2]
+        raw, state = forward_recurrent_step(state, prev, params)
+        return raw * factor[position - 2]
 
-        return _walk(query, next_row, conf, cfg, trace)
-    (guided,) = rows
-    slots = None
-    if cfg.strategy != "greedy" and not cfg.no_repeat_mask:
-        # unmasked, every row reads the query alone, so each nucleus is one per plan and settings
+    nuclei = None
+    if planned == query.n - 2 and cfg.strategy != "greedy" and not cfg.no_repeat_mask:
+        # every row is planned and unmasked, so each nucleus reads the plan and settings alone
         settings = tuple(_settings(position, conf, cfg) for position in range(2, query.n))
-        slots = _kept(nuclei, settings, lambda: [None] * (query.n - 2))
-    return _walk(query, lambda position, prev: guided[position - 2], conf, cfg, trace, slots)
+        nuclei = _kept(
+            params.plans, (*key, settings), lambda: tuple(_read_only(*_nucleus(row, *at)) for row, at in zip(rows, settings))
+        )
+    return _walk(query, next_row, conf, cfg, trace, nuclei)
 
 
-def _plan(query: Query, params: ModelParams, pm: GuidanceMatrix, factor: np.ndarray):
-    """The decode plan of `query` under `pm`: what every decode of it reads before its first pick.
+def _plan(query: Query, params: ModelParams, key, factor: np.ndarray):
+    """The decode plan of `query` under guidance `factor`, kept under `key`: the (rows, state) a decode starts from.
 
-    One-shot: ((guided interior rows,), a settings -> nucleus slots dict
-    that `_select` fills); recurrent: ((position 2's guided row, the state
-    after it), None).  Built once per frozen model, `input_key(query)` and
-    guidance matrix, its arrays read-only; freezing `params` first keeps
-    every plan fresh.
+    One-shot: every guided interior row and no state; recurrent: position
+    2's guided row, as a one-row array, and the state after it.  Built once
+    per frozen model, `input_key(query)` and guidance matrix, its arrays
+    read-only; freezing `params` first keeps every plan fresh.
     """
     params.freeze()
 
     def build():
         if params.config.arch == ARCH_ONE_SHOT:
-            return _read_only(forward_one_shot(query, params)[1:-1] * factor), {}
+            return _read_only(forward_one_shot(query, params)[1:-1] * factor)[0], None
         raw, state = forward_recurrent_step(init_recurrent_state(query, params), query.p_s, params)
-        return _read_only(raw * factor[0], state), None
+        return _read_only(raw * factor[:1], state)
 
-    return _kept(params.plans, (input_key(query), pm), build)
+    return _kept(params.plans, key, build)
 
 
 def _kept(store: dict, key, build):
@@ -291,7 +285,7 @@ def _walk(query: Query, next_row, conf: np.ndarray | None, cfg: DecodeConfig, tr
 
     The endpoints come from the query.  Each interior position scores the stop
     after `prev` by `next_row(position, prev)`, masks repeats if the config
-    asks, and selects one POI, from the nucleus `nuclei` holds for it if any.
+    asks, and selects one POI, from `nuclei[position - 2]` if `nuclei` is given.
     """
     rng = _rng(cfg)
     pois = [query.p_s]
@@ -301,7 +295,7 @@ def _walk(query: Query, next_row, conf: np.ndarray | None, cfg: DecodeConfig, tr
         row = next_row(position, prev)
         if cfg.no_repeat_mask:
             row = mask_repeats(row, used, position)
-        prev = _select(row, position, conf, cfg, rng, trace, nuclei)
+        prev = _select(row, position, conf, cfg, rng, trace, None if nuclei is None else nuclei[position - 2])
         pois.append(prev)
         used.add(prev)
     pois.append(query.p_e)

@@ -9,8 +9,8 @@ the trip, endpoints included.
 
 Forward passes can record a cache that `backward` consumes to produce
 exact analytic gradients for every block.  `forward_one_shot` is the
-decode-time forward; `artrip.decoding` keeps its guided rows in a decode
-plan per frozen model, query and guidance matrix.
+decode-time forward; `artrip.decoding` plans every guided interior row of
+it once per frozen model, query and guidance matrix.
 """
 
 from __future__ import annotations

@@ -86,7 +86,7 @@ class ModelParams:
             _qkv_spans=tuple((at, at + 3 * size) for name, at, size, _ in layout if name.endswith(".attn_wq")),
             flat=np.zeros(offset, dtype=np.float64),
         )
-        # `plans`: the decode plans of this model, which `artrip.decoding` alone builds and reads
+        # `plans`: the decode store of this model (plans and nuclei), which `artrip.decoding` alone builds and reads
         vars(self).update(blocks=self.views(self.flat), qkv=self.qkv_views(self.flat), plans={})
 
     def freeze(self) -> None:

@@ -5,9 +5,9 @@ start, end and trip-length embeddings.  Each step consumes the previous
 POI embedding and scores the next position, so teacher-forced rows
 cover positions 2..n of a trajectory (position 1 is the given start).
 The initial state and first step depend only on the parameters and
-`data.input_key(query)`, so `artrip.decoding` keeps position 2's guided
-row and the state after it in a decode plan per frozen model, query and
-guidance matrix.
+`data.input_key(query)`, so `artrip.decoding` plans position 2's guided
+row and the state after it once per frozen model, query and guidance
+matrix, and steps on from there.
 """
 
 from __future__ import annotations

@@ -740,9 +740,14 @@ def test_one_shot_interior_guidance_matches_guiding_every_row(strategy, mask, qu
 SAMPLED = [("top_k", "temperature"), ("top_p", "temperature"), ("adaptive", "temperature"), ("adaptive", "threshold")]
 
 
-def nucleus_slots(params):
-    """(plan key, settings, slots) for each settings entry that a plan of `params` keeps nuclei for."""
-    return [(key, held, slots) for key, (_, nuclei) in params.plans.items() for held, slots in (nuclei or {}).items()]
+def nucleus_entries(params):
+    """(input key, matrix, settings) -> nuclei for each nucleus entry of `params`'s store; a plan's key has two parts."""
+    return {key: nuclei for key, nuclei in params.plans.items() if len(key) == 3}
+
+
+def all_planned(query, arch):
+    """Whether the plan of `query` holds every interior row: always one-shot, recurrent only for three stops."""
+    return arch == ARCH_ONE_SHOT or query.n == 3
 
 
 @pytest.mark.parametrize("traced", [False, True])
@@ -754,12 +759,12 @@ def nucleus_slots(params):
 def test_a_warm_plan_decodes_as_an_undecoded_copy(arch, strategy, mask, traced, query, seed, mode):
     cfg = DecodeConfig(strategy=strategy, top_k=3, adaptive_mode=mode, no_repeat_mask=mask, seed=seed)
     warm = WARM_PARAMS[arch]
-    # a decode on another seed leaves the query's plan, with an unmasked one-shot sampled decode's nuclei
+    # a decode on another seed leaves the query's plan, with a fully planned unmasked sampled decode's nuclei
     decode_trip(query, warm, PROPERTY_PM, PROPERTY_CONF, replace(cfg, seed=seed + 1))
     assert query.n == 2 or (input_key(query), PROPERTY_PM) in warm.plans
-    if query.n > 2 and arch == ARCH_ONE_SHOT and strategy != "greedy" and not mask:
+    if query.n > 2 and all_planned(query, arch) and strategy != "greedy" and not mask:
         held = tuple(decoding._settings(position, PROPERTY_CONF, cfg) for position in range(2, query.n))
-        assert None not in warm.plans[(input_key(query), PROPERTY_PM)][1][held]
+        assert len(warm.plans[(input_key(query), PROPERTY_PM, held)]) == query.n - 2
     cold = property_params(arch)
     assert cold.flat.flags.writeable and not cold.plans
     assert np.array_equal(cold.flat, warm.flat)
@@ -769,18 +774,35 @@ def test_a_warm_plan_decodes_as_an_undecoded_copy(arch, strategy, mask, traced, 
     assert (got, trace) == (want, cold_trace)
 
 
+@pytest.mark.parametrize("n", [3, 4])
 @pytest.mark.parametrize("mask", [False, True])
 @pytest.mark.parametrize("strategy, mode", SAMPLED)
 @pytest.mark.parametrize("arch", [ARCH_ONE_SHOT, ARCH_RECURRENT])
-def test_only_an_unmasked_one_shot_decode_keeps_nuclei(arch, strategy, mode, mask):
+def test_only_an_unmasked_decode_whose_rows_are_all_planned_keeps_nuclei(arch, strategy, mode, mask, n, monkeypatch):
     params = property_params(arch)
-    query = Query(p_s=0, t_s=0, p_e=1, t_e=10800, n=4)
+    query = Query(p_s=0, t_s=0, p_e=1, t_e=10800, n=n)
     cfg = DecodeConfig(strategy=strategy, top_k=3, adaptive_mode=mode, no_repeat_mask=mask, seed=2)
-    for _ in range(2):
-        decode_trip(query, params, PROPERTY_PM, PROPERTY_CONF, cfg)
-    held = [[len(nucleus) for nucleus in slots] for _, _, slots in nucleus_slots(params)]
-    # a (candidates, cdf) slot per interior position, or none where a row reads earlier picks
-    assert held == ([[2] * (query.n - 2)] if arch == ARCH_ONE_SHOT and not mask else [])
+    built = []
+
+    def counting(*args, **kwargs):
+        built.append(args)
+        return nucleus(*args, **kwargs)
+
+    nucleus = decoding._nucleus
+    monkeypatch.setattr(decoding, "_nucleus", counting)
+    # two repeats, each on its own seed, under one setting
+    repeats = [replace(cfg, seed=seed) for seed in (2, 3)]
+    warm = [(decode_trip(query, params, PROPERTY_PM, PROPERTY_CONF, each, trace := []), trace) for each in repeats]
+    kept = all_planned(query, arch) and not mask
+    # a (candidates, cdf) per interior position, built once, or none where a row reads earlier picks
+    assert len(built) == (n - 2) * (1 if kept else 2)
+    held = [[len(nucleus) for nucleus in nuclei] for nuclei in nucleus_entries(params).values()]
+    assert held == ([[2] * (n - 2)] if kept else [])
+    assert len(params.plans) == 1 + len(held)
+    monkeypatch.undo()
+    for each, got in zip(repeats, warm):
+        cold = property_params(arch)
+        assert got == (decode_trip(query, cold, PROPERTY_PM, PROPERTY_CONF, each, trace := []), trace)
 
 
 @pytest.mark.parametrize("arch", [ARCH_ONE_SHOT, ARCH_RECURRENT])
@@ -796,7 +818,7 @@ def test_a_released_mask_warns_on_every_decode(arch):
     assert runs[0][1] == [(RuntimeWarning, "no-repeat mask exhausted the vocabulary at position 2; releasing it")]
 
 
-def test_each_setting_a_nucleus_reads_gets_its_own_slots():
+def test_each_setting_a_nucleus_reads_gets_its_own_entry():
     arch = ARCH_ONE_SHOT
     params = property_params(arch)
     query = Query(p_s=0, t_s=0, p_e=1, t_e=10800, n=4)
@@ -816,10 +838,11 @@ def test_each_setting_a_nucleus_reads_gets_its_own_slots():
     for i, (pm, conf, cfg) in enumerate(runs * 2):
         trip, trace, cold_trace = decode_trip(query, params, pm, conf, cfg, trace := []), trace, []
         assert (trip, trace) == (decode_trip(query, property_params(arch), pm, conf, cfg, cold_trace), cold_trace)
-        # one new settings entry per setting, the zero matrix's in a plan of its own; the second round reads them
-        assert len(nucleus_slots(params)) == min(i + 1, len(runs))
-    assert len(params.plans) == 2
-    assert not any(array.flags.writeable for _, _, slots in nucleus_slots(params) for nucleus in slots for array in nucleus)
+        # one new nucleus entry per setting, the zero matrix's beside a plan of its own; the second round reads them
+        assert len(nucleus_entries(params)) == min(i + 1, len(runs))
+    assert len(params.plans) == 2 + len(runs)
+    held = [array for nuclei in nucleus_entries(params).values() for nucleus in nuclei for array in nucleus]
+    assert held and not any(array.flags.writeable for array in held)
 
 
 @pytest.mark.filterwarnings("ignore:no-repeat mask:RuntimeWarning")
@@ -839,11 +862,10 @@ def test_a_row_with_a_non_finite_maximum_raises_on_every_decode(arch, mask, posi
         traces.append([])
         with pytest.raises(ValueError, match="probabilities contain NaN"):
             decode_trip(query, params, pm, PROPERTY_CONF, cfg, traces[-1])
-    # the positions before the bad one picked as before, on both decodes
-    assert traces[0] == traces[1] and len(traces[0]) == position - 2
-    # only their nuclei are kept, each filled when it was built
-    held = [[nucleus is not None for nucleus in slots] for _, _, slots in nucleus_slots(params)]
-    assert held == ([[at < position for at in range(2, query.n)]] if arch == ARCH_ONE_SHOT and not mask else [])
+    # a decode that keeps nuclei builds them all before its first pick; any other picks the positions before the bad one
+    assert traces[0] == traces[1] and len(traces[0]) == (0 if all_planned(query, arch) and not mask else position - 2)
+    # and a raise keeps no nucleus entry, only the plan
+    assert list(params.plans) == [(input_key(query), pm)]
 
 
 @pytest.mark.parametrize("mask", [False, True])
@@ -854,7 +876,7 @@ def test_a_greedy_decode_adds_no_nucleus(arch, mask):
     for _ in range(2):
         decode_trip(query, params, PROPERTY_PM, PROPERTY_CONF, DecodeConfig(no_repeat_mask=mask))
     assert list(params.plans) == [(input_key(query), PROPERTY_PM)]
-    assert nucleus_slots(params) == []
+    assert nucleus_entries(params) == {}
 
 
 @pytest.mark.filterwarnings("ignore:no-repeat mask:RuntimeWarning")
@@ -864,17 +886,21 @@ def test_the_decoders_of_the_decode_mix_benchmark_never_clear_the_plans():
     routes = [Trajectory(pois=tuple(rng.permutation(k)[:m_max]), times=tuple(range(0, 3600 * m_max, 3600))) for _ in range(8)]
     pm = build_guidance_matrix(routes, k=k)
     conf = build_confidence(pm, k=k)
-    # 48 distinct input keys: (start, hour) differs for every i
-    truths = [
-        Trajectory(pois=(i % k, *range(n - 2), (i * 7 + 1) % k), times=tuple(3600 * (i // k) + j for j in range(n)))
-        for i, n in zip(range(48), [m_max, m_max - 1, m_max - 2, 12] * 12)
-    ]
-    assert len({input_key(make_query(t)) for t in truths}) == 48
+
+    def route(i, n, first_hour):
+        """A length-n route whose (start, hour) differs for every i."""
+        times = tuple(3600 * (first_hour + i // k) + j for j in range(n))
+        return Trajectory(pois=(i % k, *range(n - 2), (i * 7 + 1) % k), times=times)
+
+    # lengths 3..m_max in turn, as perfbench draws them: 48 evaluation queries, then 250 requests at later hours
+    truths = [route(i, 3 + i % (m_max - 2), 0) for i in range(48)]
+    requests = [make_query(route(j, 3 + j % (m_max - 2), 2)) for j in range(250)]
+    assert len({input_key(q) for q in (*map(make_query, truths), *requests)}) == 48 + 250
     for arch in (ARCH_ONE_SHOT, ARCH_RECURRENT):
         cfg = ModelConfig(arch=arch, embed_dim=8, num_layers=1, num_heads=2, hidden_dim=16, seed=5)
         params = init_params(cfg, k=k, m_max=m_max)
         sizes = []
-        # the strategies perfbench's decode_mix scores
+        # phase (a): the strategies perfbench's decode_mix scores
         for strategy in ("greedy", "top_p", "adaptive"):
             for mask in (False, True):
                 decode_cfg = DecodeConfig(strategy=strategy, no_repeat_mask=mask, seed=11)
@@ -886,11 +912,33 @@ def test_the_decoders_of_the_decode_mix_benchmark_never_clear_the_plans():
                     return trip
 
                 evaluate_decoder(decode_fn, truths, repeats=2, base_seed=11)
-        # a clear would shrink the store: one plan per input key under the one matrix
+        # phase (b): closed-loop default (adaptive) requests, each on its own seed; all of them to each model at worst
+        for seed, query in enumerate(requests):
+            decode_trip(query, params, pm, conf, DecodeConfig(strategy="adaptive", seed=seed))
+            sizes.append(len(params.plans))
+        # a clear would shrink the store: one plan per input key under the one matrix, and a nucleus entry
+        # per fully planned query for each unmasked sampled setting, two in phase (a) and one in phase (b)
+        planned = [arch == ARCH_ONE_SHOT or query.n == 3 for query in (*map(make_query, truths), *requests)]
         assert sizes == sorted(sizes)
-        assert sizes[-1] == 48
-        # one-shot only, each plan keeps the nuclei of the two unmasked sampled decoders
-        assert len(nucleus_slots(params)) == (2 * 48 if arch == ARCH_ONE_SHOT else 0)
+        assert sizes[-1] == 48 + 250 + 2 * sum(planned[:48]) + sum(planned[48:]) < decoding.PLAN_CAP
+        assert len(nucleus_entries(params)) == 2 * sum(planned[:48]) + sum(planned[48:])
+
+
+@pytest.mark.parametrize("arch", [ARCH_ONE_SHOT, ARCH_RECURRENT])
+def test_plans_and_nucleus_entries_share_one_cap(arch):
+    params = property_params(arch)
+    # three stops, so both architectures keep a nucleus entry per setting
+    queries = [Query(p_s=0, t_s=0, p_e=1, t_e=7200, n=3), Query(p_s=2, t_s=3600, p_e=1, t_e=7200, n=3)]
+    settings = [0.3 + 0.6 * i / 600 for i in range(600)]
+    assert len(queries) * len(settings) > decoding.PLAN_CAP
+    sizes = []
+    for top_p in settings:
+        for query in queries:
+            decode_trip(query, params, PROPERTY_PM, PROPERTY_CONF, DecodeConfig(strategy="top_p", top_p=top_p, seed=1))
+            sizes.append(len(params.plans))
+    assert max(sizes) == decoding.PLAN_CAP
+    # the next miss starts the store over: the decode's nucleus entry, and its plan if that missed too
+    assert sizes[sizes.index(decoding.PLAN_CAP) + 1] <= 2
 
 
 class TestSeeds:
