@@ -53,8 +53,8 @@ def _check_top(top) -> None:
 
 
 def greedy_pick(row: np.ndarray) -> int:
-    """Highest score wins, ties to the lowest index (np.argmax order); a NaN or infinite winner raises."""
-    choice = int(np.argmax(row))
+    """Highest score wins, ties to the lowest index (`ndarray.argmax` order); a NaN or infinite winner raises."""
+    choice = int(row.argmax())
     # argmax returns the first NaN, so a NaN anywhere is the winner checked here
     _check_top(row[choice])
     return choice
@@ -66,9 +66,9 @@ def _nucleus(row: np.ndarray, p: float = 1.0, k: int | None = None, tau: float =
     The candidates are the k most probable POIs, or else the smallest
     stable-ordered prefix whose mass reaches p.  `cdf` is the renormalized
     cumulative mass of the candidates as `Generator.choice(candidates,
-    p=sel / sel.sum())` builds it, so `_pick` makes that call's pick.  A
-    pure function of its arguments: a NaN or infinite row maximum raises
-    ValueError.
+    p=sel / sel.sum())` builds it, so `_pick` makes that call's pick; both
+    sums run `ndarray.cumsum`'s loop, `np.add.accumulate`.  A pure function
+    of its arguments: a NaN or infinite row maximum raises ValueError.
     """
     if tau != 1.0:
         row = row / tau
@@ -81,14 +81,14 @@ def _nucleus(row: np.ndarray, p: float = 1.0, k: int | None = None, tau: float =
     order = (-probs).argsort(kind="stable")
     if k is None:
         ranked = probs[order]
-        cut = int(ranked.cumsum().searchsorted(p - _CUM_TOL)) + 1
+        cut = int(np.add.accumulate(ranked).searchsorted(p - _CUM_TOL)) + 1
         sel = ranked[:cut]
     else:
         cut = k
         sel = probs[order[:cut]]
     candidates = order[:cut]
     sel = sel / np.add.reduce(sel)
-    cdf = sel.cumsum()
+    cdf = np.add.accumulate(sel)
     cdf /= cdf[-1]
     return candidates, cdf
 
@@ -166,18 +166,6 @@ def mask_repeats(row: np.ndarray, used: set[int], position: int) -> np.ndarray:
     return out
 
 
-def _select(row: np.ndarray, position: int, conf: np.ndarray, cfg: DecodeConfig, rng, trace, nucleus=None):
-    """Greedy takes the top score; a sampled strategy picks from `nucleus`, or else builds its own (`_settings`)."""
-    if cfg.strategy == "greedy":
-        choice = greedy_pick(row)
-        if trace is not None:
-            trace.append(((choice,), choice))
-        return choice
-    if nucleus is None:
-        nucleus = _nucleus(row, *_settings(position, conf, cfg))
-    return _pick(nucleus, rng, trace)
-
-
 def decode_trip(
     query: Query,
     params: ModelParams,
@@ -217,7 +205,7 @@ def decode_trip(
     # row j of the factor is position j + 2's guidance, a read-only view of the matrix's table
     factor = guidance_factor(pm, 2, query.n - 2)
     key = (input_key(query), pm)
-    rows, state = _plan(query, params, key, factor)
+    rows, state = plan = _plan(query, params, key, factor)
     planned = len(rows)
 
     def next_row(position: int, prev: int) -> np.ndarray:
@@ -225,15 +213,17 @@ def decode_trip(
         if position - 2 < planned:
             return rows[position - 2]
         raw, state = forward_recurrent_step(state, prev, params)
-        return raw * factor[position - 2]
+        return np.multiply(raw, factor[position - 2], out=raw)
 
     nuclei = None
     if planned == query.n - 2 and cfg.strategy != "greedy" and not cfg.no_repeat_mask:
         # every row is planned and unmasked, so each nucleus reads the plan and settings alone
         settings = tuple(_settings(position, conf, cfg) for position in range(2, query.n))
-        nuclei = _kept(
-            params.plans, (*key, settings), lambda: tuple(_read_only(*_nucleus(row, *at)) for row, at in zip(rows, settings))
-        )
+        nuclei = params.plans.get((*key, settings))
+        if nuclei is None:
+            # built whole before it is kept, so a bad row keeps nothing; a clear keeps the plan in hand
+            built = tuple(_read_only(*_nucleus(row, *at)) for row, at in zip(rows, settings))
+            nuclei = _keep(params.plans, (*key, settings), built, (key, plan))
     return _walk(query, next_row, conf, cfg, trace, nuclei)
 
 
@@ -246,23 +236,23 @@ def _plan(query: Query, params: ModelParams, key, factor: np.ndarray):
     read-only; freezing `params` first keeps every plan fresh.
     """
     params.freeze()
-
-    def build():
+    plan = params.plans.get(key)
+    if plan is None:
         if params.config.arch == ARCH_ONE_SHOT:
-            return _read_only(forward_one_shot(query, params)[1:-1] * factor)[0], None
-        raw, state = forward_recurrent_step(init_recurrent_state(query, params), query.p_s, params)
-        return _read_only(raw * factor[:1], state)
+            plan = _read_only(forward_one_shot(query, params)[1:-1] * factor)[0], None
+        else:
+            raw, state = forward_recurrent_step(init_recurrent_state(query, params), query.p_s, params)
+            plan = _read_only(raw * factor[:1], state)
+        _keep(params.plans, key, plan)
+    return plan
 
-    return _kept(params.plans, key, build)
 
-
-def _kept(store: dict, key, build):
-    """`store[key]`, from `build()` on a miss; a miss on a full store (`PLAN_CAP` entries) clears it first."""
-    entry = store.get(key)
-    if entry is None:
-        if len(store) >= PLAN_CAP:
-            store.clear()
-        entry = store[key] = build()
+def _keep(store: dict, key, entry, *held):
+    """`entry`, kept under `key`; a full store (`PLAN_CAP` entries) is cleared first but for the `held` pairs."""
+    if len(store) >= PLAN_CAP:
+        store.clear()
+        store.update(held)
+    store[key] = entry
     return entry
 
 
@@ -285,17 +275,26 @@ def _walk(query: Query, next_row, conf: np.ndarray | None, cfg: DecodeConfig, tr
 
     The endpoints come from the query.  Each interior position scores the stop
     after `prev` by `next_row(position, prev)`, masks repeats if the config
-    asks, and selects one POI, from `nuclei[position - 2]` if `nuclei` is given.
+    asks, and picks one POI by `greedy_pick`, or from `nuclei[position - 2]`
+    if given, else from `_nucleus(row, *_settings(...))`.  The strategy and
+    the mask are resolved once per trip, not once per position.
     """
     rng = _rng(cfg)
+    greedy, masked = cfg.strategy == "greedy", cfg.no_repeat_mask
     pois = [query.p_s]
     used = {query.p_s, query.p_e}
     prev = query.p_s
     for position in range(2, query.n):
         row = next_row(position, prev)
-        if cfg.no_repeat_mask:
+        if masked:
             row = mask_repeats(row, used, position)
-        prev = _select(row, position, conf, cfg, rng, trace, None if nuclei is None else nuclei[position - 2])
+        if greedy:
+            prev = greedy_pick(row)
+            if trace is not None:
+                trace.append(((prev,), prev))
+        else:
+            nucleus = _nucleus(row, *_settings(position, conf, cfg)) if nuclei is None else nuclei[position - 2]
+            prev = _pick(nucleus, rng, trace)
         pois.append(prev)
         used.add(prev)
     pois.append(query.p_e)

@@ -286,12 +286,19 @@ def test_markov_trips_equal_the_reference_walk(corpus_routes, start, end, n, str
                            top_p=top_p, no_repeat_mask=mask, seed=seed)
     rows, ref_rows = [], []
 
-    def recording_select(row, *args):
-        rows.append(row.tobytes())
-        return select(row, *args)
+    def recording(select):
+        """`select`, recording the bytes of each row it is given: a greedy pick or a nucleus build."""
 
-    select = decoding._select
-    with mock.patch.object(decoding, "_select", recording_select):
+        def record(row, *args):
+            rows.append(row.tobytes())
+            return select(row, *args)
+
+        return record
+
+    with (
+        mock.patch.object(decoding, "greedy_pick", recording(greedy_pick)),
+        mock.patch.object(decoding, "_nucleus", recording(decoding._nucleus)),
+    ):
         trip = markov_decode(q, mats, cfg)
     assert trip == reference_markov_decode(q, mats, ref_cfg, ref_rows)
     assert rows == ref_rows
